@@ -4,7 +4,8 @@ These are the building blocks operation types are assembled from. Each step
 names a target (element or reference id) and carries string arguments. The
 same checks back both entry points: :func:`validate_step` collects findings,
 :func:`apply_atomic` raises on the first one and otherwise returns the
-transformed model. A step never touches anything beyond its target, the
+transformed model; :func:`apply_unchecked` is that body without the checks,
+for a step just validated. A step never touches anything beyond its target, the
 endpoints it rewires, and references cascaded by an element removal.
 """
 
@@ -26,12 +27,10 @@ from .errors import (
 )
 from .model import (
     ORDERING_ATTRIBUTE,
-    ElementKind,
-    ProcessElement,
     ProcessModel,
     Reference,
     ReferenceKind,
-    REFERENCE_CONSTRAINTS,
+    endpoint_kind_violation,
 )
 
 
@@ -172,19 +171,27 @@ def _reference_target_issues(model: ProcessModel, step: AtomicStep) -> list[Issu
     return [_issue(IssueCode.UNKNOWN_ID, step, "target does not resolve")]
 
 
-def _endpoint_kind_issue(
-    step: AtomicStep, kind: ReferenceKind, side: str, elem: ProcessElement
-) -> Issue | None:
-    allowed_sources, allowed_targets = REFERENCE_CONSTRAINTS[kind]
-    allowed = allowed_sources if side == "source" else allowed_targets
-    if elem.kind in allowed:
-        return None
-    return _issue(
-        IssueCode.ILLEGAL_TARGET,
-        step,
-        f"{kind.value} {side} must be one of {sorted(k.value for k in allowed)}, "
-        f"got {elem.kind.value}",
-    )
+def _endpoint_issues(
+    model: ProcessModel,
+    step: AtomicStep,
+    ref_kind: ReferenceKind,
+    endpoints: tuple[tuple[str, str | None], ...],
+    prefix: str = "",
+) -> list[Issue]:
+    issues = []
+    for side, endpoint in endpoints:
+        if endpoint is None:
+            continue
+        elem = model.elements.get(endpoint)
+        if elem is None:
+            issues.append(
+                _issue(IssueCode.UNKNOWN_ID, step, f"{prefix}{side} {endpoint!r} does not resolve")
+            )
+            continue
+        violation = endpoint_kind_violation(ref_kind, side, elem.kind)
+        if violation:
+            issues.append(_issue(IssueCode.ILLEGAL_TARGET, step, violation))
+    return issues
 
 
 def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
@@ -213,20 +220,9 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
             )
         if issues:
             return issues
-        ref = model.references[step.target]
-        for side, endpoint in (("source", new_source), ("target", new_target)):
-            if endpoint is None:
-                continue
-            elem = model.elements.get(endpoint)
-            if elem is None:
-                issues.append(
-                    _issue(IssueCode.UNKNOWN_ID, step, f"new {side} {endpoint!r} does not resolve")
-                )
-            else:
-                kind_issue = _endpoint_kind_issue(step, ref.kind, side, elem)
-                if kind_issue:
-                    issues.append(kind_issue)
-        return issues
+        ref_kind = model.references[step.target].kind
+        endpoints = (("source", new_source), ("target", new_target))
+        return _endpoint_issues(model, step, ref_kind, endpoints, prefix="new ")
     if kind is AtomicKind.REMOVE_ELEMENT:
         return _element_target_issues(model, step)
     if kind is AtomicKind.REMOVE_REFERENCE:
@@ -245,18 +241,8 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
             issues.append(
                 Issue(IssueCode.DUPLICATE_ID, step.args["refId"], "AddReference: id already in use")
             )
-        for side in ("source", "target"):
-            endpoint = step.args[side]
-            elem = model.elements.get(endpoint)
-            if elem is None:
-                issues.append(
-                    _issue(IssueCode.UNKNOWN_ID, step, f"{side} {endpoint!r} does not resolve")
-                )
-            else:
-                kind_issue = _endpoint_kind_issue(step, ref_kind, side, elem)
-                if kind_issue:
-                    issues.append(kind_issue)
-        return issues
+        endpoints = (("source", step.args["source"]), ("target", step.args["target"]))
+        return issues + _endpoint_issues(model, step, ref_kind, endpoints)
     if kind is AtomicKind.CHANGE_ATTRIBUTE:
         issues = _missing_args(step, "key")
         if "value" not in step.args:
@@ -306,9 +292,20 @@ def apply_atomic(model: ProcessModel, step: AtomicStep) -> ProcessModel:
     """Apply one step, returning the transformed model.
 
     The input model is never modified. Raises the exception matching the
-    first finding :func:`validate_step` reports.
+    first finding :func:`validate_step` reports; otherwise the result is
+    that of :func:`apply_unchecked`.
     """
     _raise_first(validate_step(model, step))
+    return apply_unchecked(model, step)
+
+
+def apply_unchecked(model: ProcessModel, step: AtomicStep) -> ProcessModel:
+    """The body of :func:`apply_atomic`, for a step that passed :func:`validate_step`.
+
+    A caller that has just validated the step on this very model (as
+    exemplar simulation does) uses it to skip a second validation. On a
+    step that was not validated the outcome is undefined.
+    """
     kind = step.kind
     if kind is AtomicKind.RENAME_ELEMENT:
         return model.replace_element(model.element(step.target).with_name(step.arg("newName")))

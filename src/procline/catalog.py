@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .atomic import AtomicKind, AtomicStep, apply_atomic, validate_step
+from .atomic import AtomicKind, AtomicStep, apply_unchecked, validate_step
 from .errors import (
     DuplicateTypeNameError,
     Issue,
@@ -186,17 +186,30 @@ def validate_exemplar(
     recipe arguments are present. Only when all of that holds are the
     expanded steps validated (sequentially, so multi-step recipes see the
     effects of earlier steps). An empty result therefore guarantees that
-    expansion succeeds and every step applies.
+    expansion succeeds and every step applies. These are the issues of
+    :func:`simulate_exemplar`, which also hands back what the steps did.
+    """
+    return simulate_exemplar(catalog, model, exemplar)[0]
+
+
+def simulate_exemplar(
+    catalog: OperationCatalog, model: ProcessModel, exemplar: OperationExemplar
+) -> tuple[list[Issue], list[AtomicStep], ProcessModel]:
+    """Check one exemplar and run its steps on ``model``.
+
+    Returns the issues :func:`validate_exemplar` reports, the expanded steps
+    and the model they produce. Each step is validated once, on the model
+    the earlier steps produced, and then applied without a second check.
+    When there are issues, the steps are empty and the model is ``model``.
     """
     type_def = catalog.get(exemplar.type_name)
     if type_def is None:
-        return [
-            Issue(
-                IssueCode.UNKNOWN_OPERATION_TYPE,
-                exemplar.type_name,
-                "operation type is not in the catalog",
-            )
-        ]
+        unknown = Issue(
+            IssueCode.UNKNOWN_OPERATION_TYPE,
+            exemplar.type_name,
+            "operation type is not in the catalog",
+        )
+        return [unknown], [], model
     issues: list[Issue] = []
     if type_def.defining_metamodel > model.metamodel:
         issues.append(
@@ -268,14 +281,15 @@ def validate_exemplar(
             )
         )
     if issues:
-        return issues
+        return issues, [], model
+    steps = expand_exemplar(catalog, exemplar)
     simulated = model
-    for step in expand_exemplar(catalog, exemplar):
-        step_issues = validate_step(simulated, step)
-        if step_issues:
-            return step_issues
-        simulated = apply_atomic(simulated, step)
-    return []
+    for step in steps:
+        issues = validate_step(simulated, step)
+        if issues:
+            return issues, [], model
+        simulated = apply_unchecked(simulated, step)
+    return [], steps, simulated
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ Diagnostics go to stderr; requested output goes to stdout or ``--out``.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from pathlib import Path
 
@@ -37,7 +39,6 @@ from .xmlio import (
     parse_extension,
     parse_model,
     render_stats_text,
-    render_trace_text,
     serialize_model,
     serialize_trace,
 )
@@ -59,8 +60,9 @@ class _UsageError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read_bytes(path: str) -> bytes:
+    # the XML parser decodes, honouring the document's own encoding declaration
+    return Path(path).read_bytes()
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -73,12 +75,12 @@ def _write_output(text: str, out: str | None) -> None:
 def _load_catalog(path: str | None) -> OperationCatalog:
     if path is None:
         return builtin_catalog()
-    return parse_catalog(_read_text(path), source=path)
+    return parse_catalog(_read_bytes(path), source=path)
 
 
 def _load_variant_set(args) -> tuple[VariantSet, OperationCatalog]:
-    root = parse_model(_read_text(args.root), source=args.root)
-    extensions = [parse_extension(_read_text(p), source=p) for p in args.extension]
+    root = parse_model(_read_bytes(args.root), source=args.root)
+    extensions = [parse_extension(_read_bytes(p), source=p) for p in args.extension]
     try:
         variant_set = VariantSet.of(root, extensions, root_id=args.root_id)
     except ValueError as exc:
@@ -138,26 +140,30 @@ def _cmd_stats(args) -> int:
 
 def _cmd_catalog(args) -> int:
     catalog = _load_catalog(args.catalog)
-    types = list(catalog)
     if args.metamodel:
-        wanted = MetamodelVersion(args.metamodel)
-        types = [t for t in types if t.defining_metamodel == wanted]
-    lines = []
+        types = catalog.defined_by(MetamodelVersion(args.metamodel))
+    else:
+        types = list(catalog)
+    rows = [
+        (
+            t.name,
+            t.group,
+            t.target_kind.value,
+            t.defining_metamodel.value,
+            "true" if t.synthetic else "false",
+            str(len(t.recipe)),
+        )
+        for t in types
+    ]
     if args.format == "csv":
-        lines.append("name,group,targetKind,definingMetamodel,synthetic,steps")
-    for t in types:
-        flag = "true" if t.synthetic else "false"
-        if args.format == "csv":
-            lines.append(
-                f"{t.name},{t.group},{t.target_kind.value},"
-                f"{t.defining_metamodel.value},{flag},{len(t.recipe)}"
-            )
-        else:
-            lines.append(
-                f"{t.name}\t{t.group}\t{t.target_kind.value}\t"
-                f"{t.defining_metamodel.value}\t{flag}\t{len(t.recipe)}"
-            )
-    _write_output("\n".join(lines) + "\n" if lines else "", args.out)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("name", "group", "targetKind", "definingMetamodel", "synthetic", "steps"))
+        writer.writerows(rows)
+        listing = buffer.getvalue()
+    else:
+        listing = "".join("\t".join(row) + "\n" for row in rows)
+    _write_output(listing, args.out)
     counts = catalog.counts_by_metamodel()
     summary = ", ".join(f"{mm.value}: {counts[mm]}" for mm in MetamodelVersion)
     print(f"{len(types)} of {len(catalog)} operation types listed ({summary})", file=sys.stderr)

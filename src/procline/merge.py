@@ -14,12 +14,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .atomic import AtomicKind, field_key
-from .catalog import (
-    OperationCatalog,
-    OperationExemplar,
-    expand_exemplar,
-    validate_exemplar,
-)
+from .catalog import OperationCatalog, OperationExemplar, simulate_exemplar
 from .errors import (
     ConflictError,
     CycleError,
@@ -34,13 +29,14 @@ from .errors import (
 from .model import (
     CONFIGURATION_CONTAINER_KINDS,
     ChangeSet,
+    ElementKind,
     MetamodelVersion,
     ProcessElement,
     ProcessModel,
     Reference,
-    REFERENCE_CONSTRAINTS,
     apply_change_set,
     compare_models,
+    endpoint_kind_violation,
 )
 
 _EMPTY_CHANGE_SET = ChangeSet()
@@ -197,32 +193,73 @@ def _tagged(issues: Iterable[Issue], variant_id: str) -> list[Issue]:
     ]
 
 
-def _new_reference_issues(model: ProcessModel, ref: Reference) -> list[Issue]:
-    issues: list[Issue] = []
-    allowed_sources, allowed_targets = REFERENCE_CONSTRAINTS[ref.kind]
-    for side, endpoint, allowed in (
-        ("source", ref.source, allowed_sources),
-        ("target", ref.target, allowed_targets),
-    ):
-        elem = model.elements.get(endpoint)
-        if elem is None:
-            issues.append(
-                Issue(
-                    IssueCode.DANGLING_REFERENCE,
-                    ref.id,
-                    f"new reference {side} {endpoint!r} does not resolve",
-                )
+class _Derivation:
+    """The working model of one merge and the trace entries recorded so far.
+
+    Each recorded change set runs from the model as of the previous one, so
+    a metamodel upgrade made up front lands in the first recorded entry.
+    """
+
+    def __init__(self, base: ProcessModel, variant_id: str):
+        self.variant_id = variant_id
+        self.model = base
+        self._recorded = base
+        self.entries: list[TraceEntry] = []
+
+    def record(self, kind: TraceEntryKind, subject: str, model: ProcessModel, **fields) -> None:
+        change_set = compare_models(self._recorded, model)
+        self.entries.append(
+            TraceEntry(kind, self.variant_id, subject, change_set=change_set, **fields)
+        )
+        self.model = self._recorded = model
+
+    def flag(self, subject: str, detail: str, target: str = "") -> None:
+        """An ``UntypedChange`` entry; it changes nothing by itself."""
+        self.entries.append(
+            TraceEntry(
+                TraceEntryKind.UNTYPED_CHANGE,
+                self.variant_id,
+                subject,
+                target=target,
+                detail=detail,
             )
-        elif elem.kind not in allowed:
-            issues.append(
-                Issue(
-                    IssueCode.KIND_CONSTRAINT_VIOLATION,
-                    ref.id,
-                    f"{ref.kind.value} {side} must be one of "
-                    f"{sorted(k.value for k in allowed)}, got {elem.kind.value}",
+        )
+
+    def add_element(self, elem: ProcessElement) -> None:
+        self.record(TraceEntryKind.ASSET_ADDED, elem.id, self.model.add_element(elem))
+
+    def add_reference(self, ref: Reference) -> list[Issue]:
+        """Add a declared reference, or add nothing and say which endpoints do not fit."""
+        issues: list[Issue] = []
+        for side, endpoint in (("source", ref.source), ("target", ref.target)):
+            elem = self.model.elements.get(endpoint)
+            if elem is None:
+                message = f"new reference {side} {endpoint!r} does not resolve"
+                issues.append(Issue(IssueCode.DANGLING_REFERENCE, ref.id, message, self.variant_id))
+                continue
+            violation = endpoint_kind_violation(ref.kind, side, elem.kind)
+            if violation:
+                issues.append(
+                    Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation, self.variant_id)
                 )
-            )
-    return issues
+        if not issues:
+            self.record(TraceEntryKind.ASSET_ADDED, ref.id, self.model.add_reference(ref))
+        return issues
+
+    def exclude_element(self, element_id: str) -> ElementKind:
+        """Remove an element and its incident references; returns the element's kind."""
+        kind = self.model.elements[element_id].kind
+        model, cascaded = self.model.remove_element(element_id)
+        self.record(
+            TraceEntryKind.EXCLUSION_APPLIED, element_id, model, cascade_count=len(cascaded)
+        )
+        return kind
+
+    def result(self) -> tuple[ProcessModel, MergeTrace]:
+        consistency = self.model.check_consistency()
+        if consistency:
+            raise ValidationFailedError(_tagged(consistency, self.variant_id))
+        return self.model, MergeTrace(tuple(self.entries), final_metamodel=self.model.metamodel)
 
 
 def merge_once(
@@ -245,103 +282,55 @@ def merge_once(
     """
     variant = extension.variant_id
     issues: list[Issue] = []
-    entries: list[TraceEntry] = []
-    previous = base
-    working = base
+    derivation = _Derivation(base, variant)
     if extension.metamodel > base.metamodel:
-        working = base.with_metamodel(extension.metamodel)
+        derivation.model = base.with_metamodel(extension.metamodel)
 
     # phase 1: integrate declared assets
     for elem in extension.new_elements:
-        if working.has_id(elem.id):
+        if derivation.model.has_id(elem.id):
             issues.append(
                 Issue(IssueCode.DUPLICATE_ID, elem.id, "new element id already in use", variant)
             )
             continue
-        working = working.add_element(elem)
-        entries.append(
-            TraceEntry(
-                TraceEntryKind.ASSET_ADDED,
-                variant,
-                subject=elem.id,
-                change_set=compare_models(previous, working),
-            )
-        )
-        previous = working
+        derivation.add_element(elem)
     for ref in extension.new_references:
-        if working.has_id(ref.id):
+        if derivation.model.has_id(ref.id):
             issues.append(
                 Issue(IssueCode.DUPLICATE_ID, ref.id, "new reference id already in use", variant)
             )
             continue
-        ref_issues = _new_reference_issues(working, ref)
-        if ref_issues:
-            issues.extend(_tagged(ref_issues, variant))
-            continue
-        working = working.add_reference(ref)
-        entries.append(
-            TraceEntry(
-                TraceEntryKind.ASSET_ADDED,
-                variant,
-                subject=ref.id,
-                change_set=compare_models(previous, working),
-            )
-        )
-        previous = working
+        issues.extend(derivation.add_reference(ref))
 
     # phase 2: exclusions, cascading over incident references
     added_kinds = {elem.kind for elem in extension.new_elements}
     for excluded_id in extension.exclusions:
-        if excluded_id in working.elements:
-            kind = working.elements[excluded_id].kind
-            working, cascaded = working.remove_element(excluded_id)
-            entries.append(
-                TraceEntry(
-                    TraceEntryKind.EXCLUSION_APPLIED,
-                    variant,
-                    subject=excluded_id,
-                    cascade_count=len(cascaded),
-                    change_set=compare_models(previous, working),
-                )
-            )
-            previous = working
+        if excluded_id in derivation.model.elements:
+            kind = derivation.exclude_element(excluded_id)
             if kind in CONFIGURATION_CONTAINER_KINDS and kind in added_kinds:
-                entries.append(
-                    TraceEntry(
-                        TraceEntryKind.UNTYPED_CHANGE,
-                        variant,
-                        subject=excluded_id,
-                        detail=(
-                            f"masking substitution: {kind.value} {excluded_id!r} excluded "
-                            f"and replaced by newly added {kind.value} content"
-                        ),
-                    )
+                derivation.flag(
+                    excluded_id,
+                    f"masking substitution: {kind.value} {excluded_id!r} excluded "
+                    f"and replaced by newly added {kind.value} content",
                 )
-        elif excluded_id in working.references:
-            working = working.remove_reference(excluded_id)
-            entries.append(
-                TraceEntry(
-                    TraceEntryKind.EXCLUSION_APPLIED,
-                    variant,
-                    subject=excluded_id,
-                    cascade_count=0,
-                    change_set=compare_models(previous, working),
-                )
+        elif excluded_id in derivation.model.references:
+            derivation.record(
+                TraceEntryKind.EXCLUSION_APPLIED,
+                excluded_id,
+                derivation.model.remove_reference(excluded_id),
             )
-            previous = working
         else:
             issues.append(
                 Issue(IssueCode.UNKNOWN_ID, excluded_id, "exclusion does not resolve", variant)
             )
 
-    # phase 3: exemplars in document order
+    # phase 3: exemplars in document order, each kept as its validation simulated it
     replaced_fields: dict[tuple[str, str], str] = {}
     for exemplar in extension.exemplars:
-        exemplar_issues = validate_exemplar(catalog, working, exemplar)
+        exemplar_issues, steps, simulated = simulate_exemplar(catalog, derivation.model, exemplar)
         if exemplar_issues:
             issues.extend(_tagged(exemplar_issues, variant))
             continue
-        steps = expand_exemplar(catalog, exemplar)
         for step in steps:
             if step.kind is not AtomicKind.REPLACE_TEXT:
                 continue
@@ -356,47 +345,26 @@ def merge_once(
                     element_id=location[0],
                     field=location[1],
                 )
-            entries.append(
-                TraceEntry(
-                    TraceEntryKind.UNTYPED_CHANGE,
-                    variant,
-                    subject=exemplar.type_name,
-                    target=location[0],
-                    detail=(
-                        f"conflict override (last wins): {exemplar.type_name} replaces "
-                        f"{location[1]!r} of {location[0]!r} already written by {earlier}"
-                    ),
-                )
+            derivation.flag(
+                exemplar.type_name,
+                f"conflict override (last wins): {exemplar.type_name} replaces "
+                f"{location[1]!r} of {location[0]!r} already written by {earlier}",
+                target=location[0],
             )
         for step in steps:
             if step.kind is AtomicKind.REPLACE_TEXT:
                 replaced_fields[(step.target, field_key(step.args))] = exemplar.type_name
-            working = _apply_validated_step(working, step)
-        entries.append(
-            TraceEntry(
-                TraceEntryKind.OPERATION_EXECUTED,
-                variant,
-                subject=exemplar.type_name,
-                target=exemplar.target,
-                step_count=len(steps),
-                change_set=compare_models(previous, working),
-            )
+        derivation.record(
+            TraceEntryKind.OPERATION_EXECUTED,
+            exemplar.type_name,
+            simulated,
+            target=exemplar.target,
+            step_count=len(steps),
         )
-        previous = working
 
     if issues:
         raise ValidationFailedError(issues)
-    consistency = working.check_consistency()
-    if consistency:
-        raise ValidationFailedError(_tagged(consistency, variant))
-    return working, MergeTrace(tuple(entries), final_metamodel=working.metamodel)
-
-
-def _apply_validated_step(model: ProcessModel, step) -> ProcessModel:
-    # validate_exemplar simulated every step, so this must not fail
-    from .atomic import apply_atomic
-
-    return apply_atomic(model, step)
+    return derivation.result()
 
 
 def merge_chain(
@@ -443,59 +411,18 @@ def apply_masking(
             raise IllegalTargetError(
                 f"masking exclusion {excluded_id!r} is a {elem.kind.value}, not a configuration container"
             )
-    entries: list[TraceEntry] = []
-    previous = base
-    working = base
+    derivation = _Derivation(base, variant_id)
     for elem in substitutes:
-        working = working.add_element(elem)
-        entries.append(
-            TraceEntry(
-                TraceEntryKind.ASSET_ADDED,
-                variant_id,
-                subject=elem.id,
-                change_set=compare_models(previous, working),
-            )
-        )
-        previous = working
+        derivation.add_element(elem)
     for ref in substitute_references:
-        ref_issues = _new_reference_issues(working, ref)
+        ref_issues = derivation.add_reference(ref)
         if ref_issues:
-            raise ValidationFailedError(_tagged(ref_issues, variant_id))
-        working = working.add_reference(ref)
-        entries.append(
-            TraceEntry(
-                TraceEntryKind.ASSET_ADDED,
-                variant_id,
-                subject=ref.id,
-                change_set=compare_models(previous, working),
-            )
-        )
-        previous = working
+            raise ValidationFailedError(ref_issues)
     for excluded_id in exclusions:
-        kind = working.elements[excluded_id].kind
-        working, cascaded = working.remove_element(excluded_id)
-        entries.append(
-            TraceEntry(
-                TraceEntryKind.EXCLUSION_APPLIED,
-                variant_id,
-                subject=excluded_id,
-                cascade_count=len(cascaded),
-                change_set=compare_models(previous, working),
-            )
+        kind = derivation.exclude_element(excluded_id)
+        derivation.flag(
+            excluded_id,
+            f"masking substitution: {kind.value} {excluded_id!r} excluded "
+            f"in favor of substitute content",
         )
-        previous = working
-        entries.append(
-            TraceEntry(
-                TraceEntryKind.UNTYPED_CHANGE,
-                variant_id,
-                subject=excluded_id,
-                detail=(
-                    f"masking substitution: {kind.value} {excluded_id!r} excluded "
-                    f"in favor of substitute content"
-                ),
-            )
-        )
-    consistency = working.check_consistency()
-    if consistency:
-        raise ValidationFailedError(_tagged(consistency, variant_id))
-    return working, MergeTrace(tuple(entries), final_metamodel=working.metamodel)
+    return derivation.result()

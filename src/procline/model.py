@@ -10,9 +10,11 @@ collide, so a bare id always resolves to exactly one thing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from functools import partialmethod
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -36,25 +38,17 @@ class MetamodelVersion(str, Enum):
     def rank(self) -> int:
         return _METAMODEL_RANK[self]
 
-    def __lt__(self, other: object) -> bool:  # type: ignore[override]
+    def _by_rank(self, other: object, compare) -> bool:
         if not isinstance(other, MetamodelVersion):
             return NotImplemented
-        return self.rank < other.rank
+        return compare(self.rank, other.rank)
 
-    def __le__(self, other: object) -> bool:  # type: ignore[override]
-        if not isinstance(other, MetamodelVersion):
-            return NotImplemented
-        return self.rank <= other.rank
-
-    def __gt__(self, other: object) -> bool:  # type: ignore[override]
-        if not isinstance(other, MetamodelVersion):
-            return NotImplemented
-        return self.rank > other.rank
-
-    def __ge__(self, other: object) -> bool:  # type: ignore[override]
-        if not isinstance(other, MetamodelVersion):
-            return NotImplemented
-        return self.rank >= other.rank
+    # written out rather than via functools.total_ordering: on a str mixin
+    # that decorator finds str's comparisons and fills in nothing
+    __lt__ = partialmethod(_by_rank, compare=operator.lt)
+    __le__ = partialmethod(_by_rank, compare=operator.le)
+    __gt__ = partialmethod(_by_rank, compare=operator.gt)
+    __ge__ = partialmethod(_by_rank, compare=operator.ge)
 
 
 _METAMODEL_RANK = {
@@ -480,11 +474,7 @@ class ProcessModel:
         """
         issues: list[Issue] = []
         for ref in sorted(self.references.values(), key=lambda r: r.id):
-            allowed_sources, allowed_targets = REFERENCE_CONSTRAINTS[ref.kind]
-            for side, endpoint, allowed in (
-                ("source", ref.source, allowed_sources),
-                ("target", ref.target, allowed_targets),
-            ):
+            for side, endpoint in (("source", ref.source), ("target", ref.target)):
                 elem = self.elements.get(endpoint)
                 if elem is None:
                     issues.append(
@@ -494,16 +484,27 @@ class ProcessModel:
                             f"{side} {endpoint!r} does not resolve to an element",
                         )
                     )
-                elif elem.kind not in allowed:
-                    issues.append(
-                        Issue(
-                            IssueCode.KIND_CONSTRAINT_VIOLATION,
-                            ref.id,
-                            f"{ref.kind.value} {side} must be one of "
-                            f"{sorted(k.value for k in allowed)}, got {elem.kind.value}",
-                        )
-                    )
+                    continue
+                violation = endpoint_kind_violation(ref.kind, side, elem.kind)
+                if violation:
+                    issues.append(Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation))
         return issues
+
+
+def endpoint_kind_violation(kind: ReferenceKind, side: str, elem_kind: ElementKind) -> str | None:
+    """Why an element of ``elem_kind`` may not be the ``side`` end of a ``kind`` reference.
+
+    ``side`` is ``"source"`` or ``"target"``. Returns ``None`` when the kind
+    is admissible there (see :data:`REFERENCE_CONSTRAINTS`).
+    """
+    allowed_sources, allowed_targets = REFERENCE_CONSTRAINTS[kind]
+    allowed = allowed_sources if side == "source" else allowed_targets
+    if elem_kind in allowed:
+        return None
+    return (
+        f"{kind.value} {side} must be one of {sorted(k.value for k in allowed)}, "
+        f"got {elem_kind.value}"
+    )
 
 
 # -- change sets -------------------------------------------------------------
@@ -630,7 +631,9 @@ def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
     removed_elements = tuple(sorted(a.elements.keys() - b.elements.keys()))
     modified_elements = []
     for element_id in sorted(a.elements.keys() & b.elements.keys()):
-        diff = _diff_element(a.elements[element_id], b.elements[element_id])
+        before, after = a.elements[element_id], b.elements[element_id]
+        # models share unchanged parts, and a part is equal to itself
+        diff = None if before is after else _diff_element(before, after)
         if diff is not None:
             modified_elements.append(diff)
     added_references = tuple(
@@ -639,7 +642,8 @@ def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
     removed_references = tuple(sorted(a.references.keys() - b.references.keys()))
     modified_references = []
     for reference_id in sorted(a.references.keys() & b.references.keys()):
-        diff = _diff_reference(a.references[reference_id], b.references[reference_id])
+        before, after = a.references[reference_id], b.references[reference_id]
+        diff = None if before is after else _diff_reference(before, after)
         if diff is not None:
             modified_references.append(diff)
     metamodel_change = None

@@ -51,12 +51,16 @@ SCHEMA_VERSION = "1"
 # parsing
 # ---------------------------------------------------------------------------
 
-def _root_node(text: str, expected_tag: str, source: str) -> ET.Element:
+def _root_node(text: str | bytes, expected_tag: str, source: str) -> ET.Element:
+    # bytes are decoded by expat as their XML declaration says (UTF-8 without one)
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         line = exc.position[0] if exc.position else None
         raise ParseError(str(exc), source=source, line=line) from exc
+    except (LookupError, ValueError) as exc:
+        # a declared encoding Python lacks, or one expat cannot use
+        raise ParseError(f"cannot decode: {exc}", source=source) from exc
     if root.tag != expected_tag:
         raise SchemaError(
             f"expected <{expected_tag}> document, got <{root.tag}>", path=source
@@ -189,7 +193,7 @@ def _parse_reference_node(node: ET.Element, seen: set[str], source: str) -> Refe
         raise SchemaError(str(exc), path=source) from None
 
 
-def parse_model(text: str, *, source: str = "") -> ProcessModel:
+def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
     """Read a reference/process model document."""
     root = _root_node(text, "processModel", source)
     _check_attrs(root, ("schemaVersion", "metamodel"), source=source)
@@ -231,7 +235,7 @@ def _parse_exemplar_node(node: ET.Element, source: str) -> OperationExemplar:
         raise SchemaError(str(exc), path=source) from None
 
 
-def parse_extension(text: str, *, source: str = "") -> ExtensionModel:
+def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
     """Read an extension model document.
 
     The ``parent`` attribute is how a variant anchors itself in the family
@@ -339,7 +343,7 @@ def _target_kind(value: str, source: str) -> ElementKind | ReferenceKind:
         raise SchemaError(f"unknown target kind {value!r}", path=source) from None
 
 
-def parse_catalog(text: str, *, source: str = "") -> OperationCatalog:
+def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
     """Read an operation catalog document."""
     root = _root_node(text, "operationCatalog", source)
     _check_attrs(root, ("schemaVersion",), source=source)

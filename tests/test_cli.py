@@ -1,13 +1,17 @@
 """Command line behavior, driven in-process through main(argv)."""
 
+import csv
+import io
+
 import pytest
 
+from procline.atomic import AtomicKind
 from procline.cli import main
-from procline.catalog import OperationExemplar
+from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.merge import ExtensionModel, merge_chain
-from procline.model import ElementKind
+from procline.model import ElementKind, MetamodelVersion
 from procline.studyline import study_variant_set, write_fixture_files
-from procline.xmlio import parse_model, serialize_extension, serialize_model
+from procline.xmlio import parse_model, serialize_catalog, serialize_extension, serialize_model
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +153,71 @@ def test_catalog_csv_header(capsys):
     lines = captured.out.splitlines()
     assert lines[0] == "name,group,targetKind,definingMetamodel,synthetic,steps"
     assert len(lines) == 1 + 69
+
+
+def test_catalog_csv_quotes_a_group_with_a_comma(tmp_path, capsys):
+    catalog = OperationCatalog(
+        [
+            OperationTypeDef(
+                name="RenameRole",
+                group="Roles, misc",
+                target_kind=ElementKind.ROLE,
+                defining_metamodel=MetamodelVersion.V1_3,
+                recipe=(StepTemplate(AtomicKind.RENAME_ELEMENT, args={"newName": "{newName}"}),),
+            )
+        ]
+    )
+    path = tmp_path / "catalog.xml"
+    path.write_text(serialize_catalog(catalog), encoding="utf-8")
+    code = main(["catalog", "--catalog", str(path), "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert len(rows) == 2
+    assert all(len(row) == 6 for row in rows)
+    assert rows[1][1] == "Roles, misc"
+
+
+def _latin1_extension_d(data_dir, tmp_path):
+    text = (data_dir / "ext-d.xml").read_text(encoding="utf-8")
+    text = text.replace('encoding="UTF-8"', 'encoding="ISO-8859-1"', 1)
+    text = text.replace('name="PM Wartung"', 'name="PM Wartung \u00e4"', 1)
+    path = tmp_path / "ext-d-latin1.xml"
+    path.write_bytes(text.encode("iso-8859-1"))
+    return path
+
+
+def test_validate_honours_the_declared_encoding(data_dir, tmp_path, capsys):
+    path = _latin1_extension_d(data_dir, tmp_path)
+    assert b"\xe4" in path.read_bytes()
+    code = main(["validate", "--root", str(data_dir / "root.xml"), "--extension", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("OK: variant 'D'")
+
+
+def test_invalid_utf8_without_declaration_is_an_input_error(data_dir, tmp_path, capsys):
+    text = (data_dir / "ext-d.xml").read_text(encoding="utf-8")
+    body = text.split("\n", 1)[1].replace('name="PM Wartung"', 'name="PM Wartung \u00e4"', 1)
+    path = tmp_path / "ext-d-bad.xml"
+    path.write_bytes(body.encode("iso-8859-1"))
+    code = main(["validate", "--root", str(data_dir / "root.xml"), "--extension", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_unusable_declared_encoding_is_an_input_error(data_dir, tmp_path, capsys):
+    for encoding in ("no-such-codec", "rot13", "shift_jis"):
+        text = (data_dir / "ext-d.xml").read_text(encoding="utf-8")
+        path = tmp_path / f"ext-d-{encoding}.xml"
+        declared = text.replace('encoding="UTF-8"', f'encoding="{encoding}"', 1)
+        path.write_text(declared, encoding="utf-8")
+        code = main(["validate", "--root", str(data_dir / "root.xml"), "--extension", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1, encoding
+        assert captured.err.startswith("error:"), encoding
 
 
 def test_ambiguous_leaf_is_usage_error(data_dir, capsys):

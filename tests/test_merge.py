@@ -1,12 +1,15 @@
 """Merge semantics: phases, tracing, masking, conflicts, chain resolution."""
 
+import collections
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import genmodels
 import oracle
+from procline import atomic, catalog as catalog_module
 from procline.atomic import AtomicKind
 from procline.catalog import (
     OperationCatalog,
@@ -326,6 +329,38 @@ def test_apply_masking_preconditions():
                 Reference("bad", ReferenceKind.CONFIGURATION_ENTRY, "ptv1", "ghost")
             ],
         )
+
+
+# -- work per step -------------------------------------------------------------------
+
+def _count_calls(monkeypatch, function, counts):
+    """Count calls to ``function`` through every procline module that binds it."""
+
+    def counted(*args, **kwargs):
+        counts[function.__name__] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "procline" or name.startswith("procline."):
+            if getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, counted)
+
+
+def test_each_executed_step_is_validated_once_and_each_exemplar_expanded_once(
+    monkeypatch, variants, catalog
+):
+    counts = collections.Counter()
+    _count_calls(monkeypatch, atomic.validate_step, counts)
+    _count_calls(monkeypatch, catalog_module.expand_exemplar, counts)
+    executed_steps = executed_exemplars = 0
+    for leaf in variants.variant_ids():
+        _, trace = merge_chain(variants, leaf, catalog)
+        executed = trace.by_kind(TraceEntryKind.OPERATION_EXECUTED)
+        executed_steps += sum(entry.step_count for entry in executed)
+        executed_exemplars += len(executed)
+    assert executed_exemplars > 0
+    assert counts["validate_step"] == executed_steps
+    assert counts["expand_exemplar"] == executed_exemplars
 
 
 # -- conflicts -----------------------------------------------------------------------

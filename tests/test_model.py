@@ -1,5 +1,7 @@
 """Core model invariants: construction, lookup, consistency, diff/patch."""
 
+import itertools
+import operator
 import random
 
 import pytest
@@ -107,6 +109,13 @@ def test_metamodel_versions_are_ordered():
     assert MetamodelVersion.V1_3 < MetamodelVersion.V1_3B < MetamodelVersion.V1_3Z
     assert MetamodelVersion.V1_3B >= MetamodelVersion.V1_3B
     assert not MetamodelVersion.V1_3Z <= MetamodelVersion.V1_3
+    # the string values happen to sort the same way, so also check that no
+    # operator is left to str
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert name in vars(MetamodelVersion), name
+    for a, b in itertools.product(MetamodelVersion, repeat=2):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            assert compare(a, b) is compare(a.rank, b.rank), (compare.__name__, a, b)
 
 
 def test_metamodel_comparison_rejects_foreign_types():
