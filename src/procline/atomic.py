@@ -12,7 +12,6 @@ endpoints it rewires, and references cascaded by an element removal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from enum import Enum
 from typing import Mapping
 
@@ -31,6 +30,7 @@ from .model import (
     Reference,
     ReferenceKind,
     endpoint_kind_violation,
+    ordering_number,
 )
 
 
@@ -252,17 +252,14 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
         return issues
     if kind is AtomicKind.MOVE_ELEMENT:
         issues = _missing_args(step, "newOrderingNumber")
-        if not issues:
-            try:
-                Decimal(step.args["newOrderingNumber"])
-            except InvalidOperation:
-                issues.append(
-                    _issue(
-                        IssueCode.ILLEGAL_TARGET,
-                        step,
-                        f"newOrderingNumber must be a decimal string, got {step.args['newOrderingNumber']!r}",
-                    )
+        if not issues and ordering_number(step.args["newOrderingNumber"]) is None:
+            issues.append(
+                _issue(
+                    IssueCode.ILLEGAL_TARGET,
+                    step,
+                    f"newOrderingNumber must be a finite decimal string, got {step.args['newOrderingNumber']!r}",
                 )
+            )
         return issues + _element_target_issues(model, step)
     raise AssertionError(f"unhandled atomic kind {kind!r}")
 

@@ -93,6 +93,10 @@ class ParseError(ProclineError):
         super().__init__(f"{where}: {message}")
 
 
+class IllegalCharacterError(ProclineError):
+    """Text holding a character XML 1.0 cannot carry, found on serialization."""
+
+
 class SchemaError(ProclineError):
     """Well-formed XML that does not match the expected document shape."""
 

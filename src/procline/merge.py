@@ -399,7 +399,12 @@ def apply_masking(
     ``UntypedChange`` trace entry because no typed operation describes it.
     """
     exclusions = list(exclusions)
+    seen: set[str] = set()
     for excluded_id in exclusions:
+        if excluded_id in seen:
+            # the first exclusion removes it, so the repeat does not resolve (as in merge_once)
+            raise UnknownIdError(f"masking exclusion {excluded_id!r} is repeated and does not resolve")
+        seen.add(excluded_id)
         elem = base.elements.get(excluded_id)
         if elem is None:
             if excluded_id in base.references:

@@ -182,6 +182,16 @@ CONFIGURATION_CONTAINER_KINDS = frozenset(
 ORDERING_ATTRIBUTE = "orderingNumber"
 
 
+def ordering_number(raw: str) -> Decimal | None:
+    """``raw`` as an ordering number, or None unless it is a finite decimal."""
+    try:
+        number = Decimal(raw)
+    except InvalidOperation:
+        return None
+    # Decimal also parses NaN, sNaN and Infinity: no position, and NaN does not even compare
+    return number if number.is_finite() else None
+
+
 @dataclass(frozen=True)
 class TextBlock:
     """One named block of running text inside an element."""
@@ -263,13 +273,10 @@ class ProcessElement:
     @property
     def ordering_key(self) -> tuple[int, Decimal | int, str]:
         """Sort key for display order: ordering number first, id breaks ties."""
-        raw = self.attributes.get(ORDERING_ATTRIBUTE)
-        if raw is not None:
-            try:
-                return (0, Decimal(raw), self.id)
-            except InvalidOperation:
-                pass
-        return (1, 0, self.id)
+        number = ordering_number(self.attributes.get(ORDERING_ATTRIBUTE, ""))
+        if number is None:
+            return (1, 0, self.id)
+        return (0, number, self.id)
 
 
 def _element_replace(elem: ProcessElement, **updates) -> ProcessElement:

@@ -6,28 +6,18 @@ extension that demonstrates a masking substitution. The content is
 fabricated but shaped like a real process handbook so the numbers add up:
 the five variants declare 167, 17, 72, 84, and 0 operation exemplars.
 
-The XML files under ``procline/data`` are generated from this module; see
-:func:`write_fixture_files`. They must never be edited by hand (a test
-compares the shipped bytes against the generator output).
+The XML files under ``procline/data`` are the data set; this module only
+loads them. Each file is canonical: serializing what it parses to gives
+back its exact bytes (``catalog.xml`` is the built-in catalog serialized).
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
-from .catalog import OperationExemplar, builtin_catalog
 from .merge import ExtensionModel, VariantSet
-from .model import (
-    ElementKind,
-    MetamodelVersion,
-    ProcessElement,
-    ProcessModel,
-    Reference,
-    ReferenceKind,
-    TextBlock,
-)
-from .xmlio import serialize_catalog, serialize_extension, serialize_model
+from .model import ProcessModel
+from .xmlio import parse_extension, parse_model
 
 ROOT_ID = "root"
 VARIANT_IDS = ("A", "B", "Bund", "C", "D")
@@ -44,753 +34,31 @@ DATA_FILES = (
     "ext-masking.xml",
 )
 
-_DISCIPLINE_NAMES = (
-    "Planung und Steuerung",
-    "Berichtswesen",
-    "Anforderungen und Analysen",
-    "Systemerstellung",
-    "Systemelemente",
-    "Logistikelemente",
-    "Pruefung",
-    "Konfigurations- und Aenderungsmanagement",
-    "Messung und Analyse",
-    "Kaufmaennisches Projektmanagement",
-    "Angebots- und Vertragswesen",
-)
-
-_WORK_PRODUCT_NAMES = (
-    "Projekthandbuch",
-    "QS-Handbuch",
-    "Projektplan",
-    "Risikoliste",
-    "Projektstatusbericht",
-    "Anforderungsspezifikation",
-    "Systemarchitektur",
-    "Systemspezifikation",
-    "Pruefspezifikation Systemelement",
-    "Pruefprotokoll",
-    "Konfigurationsmanagementplan",
-    "Aenderungsantrag",
-    "Messdatenbericht",
-    "Angebot",
-)
-
-_TOPIC_NAMES = (
-    "Projektziele",
-    "Risikomanagement",
-    "Qualitaetsziele",
-    "Projektorganisation",
-    "Berichtsplan",
-    "Systemkontext",
-    "Funktionale Anforderungen",
-    "Nicht-funktionale Anforderungen",
-    "Architekturprinzipien",
-    "Schnittstellen",
-    "Pruefkriterien",
-    "Abnahmekriterien",
-)
-
-_SUB_TOPIC_NAMES = ("Messgroessen", "Eskalationswege", "Notfallkonzept", "Lieferumfang")
-
-_ACTIVITY_NAMES = (
-    "Projekt initialisieren",
-    "Projekt planen",
-    "Anforderungen festlegen",
-    "System entwerfen",
-    "System integrieren",
-    "Lieferung durchfuehren",
-)
-
-_TASK_NAMES = (
-    "Risikoliste pflegen",
-    "Statusbericht erstellen",
-    "Pruefprotokoll erstellen",
-    "Angebot kalkulieren",
-)
-
-_ROLE_NAMES = (
-    "Projektleiter",
-    "Projektkaufmann",
-    "QS-Verantwortlicher",
-    "Anforderungsanalytiker",
-    "Systemarchitekt",
-    "Systemintegrator",
-    "Pruefer",
-    "Konfigurationsverantwortlicher",
-    "Aenderungsverantwortlicher",
-    "Datenschutzverantwortlicher",
-    "Technischer Autor",
-    "Ergonomieverantwortlicher",
-    "Anwender",
-    "Auftraggeber",
-    "Auftragnehmer",
-    "Lenkungsausschuss",
-    "Projektmanager",
-    "Controller",
-    "Einkaeufer",
-    "Trainer",
-    "Wartungsverantwortlicher",
-    "Logistikentwickler",
-    "SW-Entwickler",
-    "HW-Entwickler",
-    "Systemanalytiker",
-    "Qualitaetsmanager",
-)
-
-_DECISION_GATE_NAMES = (
-    "Projekt genehmigt",
-    "Projekt definiert",
-    "Anforderungen festgelegt",
-    "Projekt ausgeschrieben",
-    "Angebot abgegeben",
-    "Projekt beauftragt",
-    "System entworfen",
-    "System integriert",
-    "Lieferung durchgefuehrt",
-    "Projekt abgeschlossen",
-)
-
-_PROCESS_MODULE_NAMES = (
-    "PM Kern",
-    "PM Qualitaetssicherung",
-    "PM Anforderungen",
-    "PM Systemerstellung",
-    "PM Kaufmaennisch",
-    "PM Evaluierung",
-)
-
-_PTV_NAMES = (
-    "Systementwicklungsprojekt (AG)",
-    "Systementwicklungsprojekt (AN)",
-    "Systementwicklungsprojekt (AG/AN)",
-    "Einfuehrung eines organisationsspezifischen Vorgehensmodells",
-)
-
-_CHAPTER_NAMES = (
-    "Grundlagen des Vorgehensmodells",
-    "Projektdurchfuehrung",
-    "Rollen",
-    "Produkte",
-    "Aktivitaeten",
-    "Anhang",
-)
-
-_SECTION_NAMES = (
-    "Einleitung",
-    "Zielsetzung und Geltungsbereich",
-    "Begriffsbildung",
-    "Projekttypen",
-    "Projektdurchfuehrungsstrategien",
-    "Tailoring",
-    "Produktabhaengigkeiten",
-    "Rollenmodell",
-    "Berichtswesen",
-    "Risikomanagement",
-    "Qualitaetssicherung",
-    "Konfigurationsmanagement",
-    "Aenderungsmanagement",
-    "Messung und Kennzahlen",
-    "Anforderungsdefinition",
-    "Systementwurf",
-    "Implementierung",
-    "Integration und Pruefung",
-    "Lieferung und Abnahme",
-    "Projektabschluss",
-    "Werkzeugunterstuetzung",
-    "Methodenreferenzen",
-    "Normen und Standards",
-    "Glossarhinweise",
-)
-
-_GLOSSARY_NAMES = ("Abnahme", "Aktivitaet", "Anforderung", "Produkt", "Rolle")
-
-_ABBREVIATION_NAMES = ("AG", "AN", "QS", "KM")
-
-_LITERATURE_NAMES = (
-    "IEEE Std 610.12",
-    "ISO/IEC 12207",
-    "ISO/IEC 15504",
-    "ISO 9001",
-    "CMMI-DEV 1.2",
-    "PMBOK Guide",
-    "PRINCE2 Handbuch",
-    "Scrum Guide",
-    "RUP Referenz",
-    "GPM Kompetenzhandbuch",
-    "ITIL v3",
-    "Balzert: Lehrbuch der Softwaretechnik",
-    "Boehm: Software Engineering Economics",
-    "Brooks: The Mythical Man-Month",
-    "DeMarco: Peopleware",
-    "Gilb: Principles of SW Engineering Management",
-    "Humphrey: Managing the Software Process",
-    "Kruchten: The Rational Unified Process",
-    "McConnell: Code Complete",
-    "Royce: Managing the Development of Large SW Systems",
-    "Standish: CHAOS Report",
-)
-
-_METHOD_NAMES = (
-    "Funktionspunktanalyse",
-    "Interview",
-    "Prototyping",
-    "Review",
-    "Nutzwertanalyse",
-    "Netzplantechnik",
-    "Use-Case-Modellierung",
-    "FMEA",
-)
-
-_TOOL_NAMES = (
-    "Versionsverwaltung",
-    "Anforderungsmanagement-Werkzeug",
-    "Testautomatisierung",
-    "Projektplanungswerkzeug",
-    "Fehlerverfolgung",
-    "Dokumentengenerator",
-)
-
-_MAPPING_NAMES = (
-    "CMMI ML2 Mapping",
-    "CMMI ML3 Mapping",
-    "ISO 9001 Mapping",
-    "SPICE Mapping",
-    "ITIL Mapping",
-    "Scrum Mapping",
-)
-
-_APPENDIX_NAMES = (
-    "Produktvorlagen",
-    "Rollenbesetzungstabelle",
-    "Tailoringprofile",
-    "Werkzeugreferenzen",
-    "Normverweise",
-)
+_EXTENSION_FILES = {
+    "A": "ext-a.xml",
+    "B": "ext-b.xml",
+    "Bund": "ext-bund.xml",
+    "C": "ext-c.xml",
+    "D": "ext-d.xml",
+    MASKING_VARIANT_ID: "ext-masking.xml",
+}
 
 
-def _eid(prefix: str, index: int) -> str:
-    return f"{prefix}-{index:02d}"
+def fixture_text(name: str) -> str:
+    """Content of one bundled data file (see ``DATA_FILES``)."""
+    if name not in DATA_FILES:
+        raise ValueError(f"no bundled data file named {name!r}")
+    return (resources.files(__package__) / "data" / name).read_text(encoding="utf-8")
 
 
-def _ids(prefix: str, first: int, last: int) -> list[str]:
-    return [_eid(prefix, i) for i in range(first, last + 1)]
-
-
-def _ex(type_name: str, target: str, **args: str) -> OperationExemplar:
-    return OperationExemplar(type_name=type_name, target=target, args=args)
-
-
-def _syn(type_name: str, target: str, variant: str, index: int) -> OperationExemplar:
-    return _ex(type_name, target, value=f"{variant.lower()}-{index:02d}")
-
-
-def _role_class(index: int) -> str:
-    return "Projektrolle" if index % 2 == 1 else "Organisationsrolle"
-
-
-_NEW_ROLE_CYCLE = ("role-24", "role-25", "role-26")
+def _extension(variant_id: str) -> ExtensionModel:
+    name = _EXTENSION_FILES[variant_id]
+    return parse_extension(fixture_text(name), source=name)
 
 
 def reference_model() -> ProcessModel:
-    """The root process model all variants derive from (metamodel 1.3)."""
-    elements: list[ProcessElement] = []
-
-    def add(prefix, names, kind, **extra):
-        for i, name in enumerate(names, start=1):
-            elements.append(
-                ProcessElement(
-                    id=_eid(prefix, i),
-                    kind=kind,
-                    name=name,
-                    description=extra.get("describe", lambda n, k: "")(name, i),
-                    attributes=extra.get("attrs", lambda n, k: {})(name, i),
-                    text_blocks=extra.get("blocks", lambda n, k: ())(name, i),
-                )
-            )
-
-    add(
-        "disc",
-        _DISCIPLINE_NAMES,
-        ElementKind.DISCIPLINE,
-        describe=lambda n, i: f"Die Disziplin '{n}' buendelt thematisch zusammengehoerige Produkte.",
-        attrs=lambda n, i: {"orderingNumber": str(i)},
-    )
-    add(
-        "wp",
-        _WORK_PRODUCT_NAMES,
-        ElementKind.WORK_PRODUCT,
-        describe=lambda n, i: f"Das Produkt '{n}' ist ein Ergebnis der Projektdurchfuehrung.",
-        attrs=lambda n, i: {"discipline": _eid("disc", (i - 1) % 11 + 1)},
-    )
-    add(
-        "top",
-        _TOPIC_NAMES,
-        ElementKind.TOPIC,
-        describe=lambda n, i: f"Das Thema '{n}' strukturiert den Produktinhalt.",
-    )
-    add(
-        "sub",
-        _SUB_TOPIC_NAMES,
-        ElementKind.SUB_TOPIC,
-        describe=lambda n, i: f"Das Unterthema '{n}' verfeinert ein Thema.",
-    )
-    add(
-        "act",
-        _ACTIVITY_NAMES,
-        ElementKind.ACTIVITY,
-        describe=lambda n, i: f"Die Aktivitaet '{n}' erzeugt oder aendert Produkte.",
-    )
-    add(
-        "task",
-        _TASK_NAMES,
-        ElementKind.TASK,
-        describe=lambda n, i: f"Die Teilaktivitaet '{n}' ist einer Aktivitaet zugeordnet.",
-    )
-    add(
-        "role",
-        _ROLE_NAMES,
-        ElementKind.ROLE,
-        describe=lambda n, i: f"Die Rolle '{n}' traegt Verantwortung im Projekt.",
-        attrs=lambda n, i: {"roleClass": _role_class(i)},
-    )
-    add(
-        "dg",
-        _DECISION_GATE_NAMES,
-        ElementKind.DECISION_GATE,
-        describe=lambda n, i: f"Der Entscheidungspunkt '{n}' markiert einen Projektfortschritt.",
-    )
-    add(
-        "pm",
-        _PROCESS_MODULE_NAMES,
-        ElementKind.PROCESS_MODULE,
-        describe=lambda n, i: f"Der Vorgehensbaustein '{n}' kapselt Rollen, Produkte und Aktivitaeten.",
-    )
-    add(
-        "ptv",
-        _PTV_NAMES,
-        ElementKind.PROJECT_TYPE_VARIANT,
-        describe=lambda n, i: f"Die Projekttypvariante '{n}' legt eine Bausteinauswahl fest.",
-    )
-    add(
-        "ch",
-        _CHAPTER_NAMES,
-        ElementKind.CHAPTER,
-        describe=lambda n, i: f"Kapitel {i} der Dokumentation.",
-    )
-    add(
-        "sec",
-        _SECTION_NAMES,
-        ElementKind.SECTION,
-        describe=lambda n, i: f"Abschnitt {i} der Dokumentation.",
-        attrs=lambda n, i: {"orderingNumber": str(i)},
-        blocks=lambda n, i: (
-            TextBlock(id="b1", text=f"Der Abschnitt '{n}' beschreibt die verbindlichen Vorgaben."),
-            TextBlock(id="b2", text=f"Hinweise zur Anwendung von '{n}' im Projektalltag."),
-        ),
-    )
-    add(
-        "glos",
-        _GLOSSARY_NAMES,
-        ElementKind.GLOSSARY_ITEM,
-        describe=lambda n, i: f"Begriff '{n}' im Sinne dieses Vorgehensmodells.",
-    )
-    add("abbr", _ABBREVIATION_NAMES, ElementKind.ABBREVIATION)
-    add("lit", _LITERATURE_NAMES, ElementKind.LITERATURE_REFERENCE)
-    add("meth", _METHOD_NAMES, ElementKind.METHOD_REFERENCE)
-    add("tool", _TOOL_NAMES, ElementKind.TOOL_REFERENCE)
-    add(
-        "map",
-        _MAPPING_NAMES,
-        ElementKind.MAPPING_ENTRY,
-        describe=lambda n, i: f"Zuordnung '{n}' auf Modellinhalte.",
-    )
-    add("app", _APPENDIX_NAMES, ElementKind.APPENDIX_ENTRY)
-
-    references: list[Reference] = []
-
-    def link(ref_id, kind, src, tgt, **attrs):
-        references.append(
-            Reference(id=ref_id, kind=kind, source=src, target=tgt, attributes=attrs)
-        )
-
-    for i in range(1, 13):
-        link(_eid("resp", i), ReferenceKind.RESPONSIBILITY, _eid("wp", i), _eid("role", i))
-    for i in range(1, 13):
-        link(_eid("sup", i), ReferenceKind.SUPPORTING_ROLE, _eid("wp", i), _eid("role", 12 + i))
-    for i in range(1, 19):
-        link(
-            _eid("ta", i),
-            ReferenceKind.TOPIC_ASSIGNMENT,
-            _eid("wp", (i - 1) % 14 + 1),
-            _eid("top", (i - 1) % 12 + 1),
-        )
-    for i in range(1, 7):
-        link(
-            _eid("cd", i),
-            ReferenceKind.CREATING_DEPENDENCY,
-            _eid("act", i),
-            _eid("wp", 8 + i),
-            name=f"Erzeugt {_WORK_PRODUCT_NAMES[7 + i]}",
-        )
-    for i in range(1, 5):
-        link(
-            _eid("td", i),
-            ReferenceKind.TAILORING_DEPENDENCY,
-            _eid("pm", i),
-            _eid("pm", i + 1),
-            name=f"Tailoringabhaengigkeit {i}",
-            description=f"Baustein {i} setzt Baustein {i + 1} voraus.",
-        )
-    containment = (
-        ("pm-01", "disc-01"),
-        ("pm-01", "wp-01"),
-        ("pm-02", "top-01"),
-        ("pm-02", "role-01"),
-        ("pm-03", "act-01"),
-        ("pm-03", "task-01"),
-        ("pm-04", "dg-01"),
-        ("pm-04", "wp-02"),
-        ("pm-05", "disc-02"),
-        ("pm-06", "role-02"),
-    )
-    for i, (src, tgt) in enumerate(containment, start=1):
-        link(_eid("mc", i), ReferenceKind.MODULE_CONTAINMENT, src, tgt)
-    configuration = (
-        ("ptv-01", "pm-01"),
-        ("ptv-01", "pm-02"),
-        ("ptv-02", "pm-03"),
-        ("ptv-03", "pm-04"),
-        ("ptv-03", "pm-05"),
-        ("ptv-04", "pm-04"),
-        ("ptv-04", "pm-05"),
-        ("ptv-04", "pm-06"),
-    )
-    for i, (src, tgt) in enumerate(configuration, start=1):
-        link(_eid("cfg", i), ReferenceKind.CONFIGURATION_ENTRY, src, tgt)
-    for i in range(1, 5):
-        link(_eid("litlink", i), ReferenceKind.LITERATURE_LINK, _eid("sec", i), _eid("lit", i))
-    link("litlink-05", ReferenceKind.LITERATURE_LINK, "sec-05", "lit-20")
-    link("litlink-06", ReferenceKind.LITERATURE_LINK, "wp-01", "lit-21")
-    method_links = (("act-01", "meth-01"), ("act-02", "meth-02"), ("task-01", "meth-03"), ("task-02", "meth-04"))
-    for i, (src, tgt) in enumerate(method_links, start=1):
-        link(_eid("methlink", i), ReferenceKind.METHOD_LINK, src, tgt)
-    tool_links = (("act-03", "tool-01"), ("act-04", "tool-02"), ("task-03", "tool-03"), ("task-04", "tool-04"))
-    for i, (src, tgt) in enumerate(tool_links, start=1):
-        link(_eid("toollink", i), ReferenceKind.TOOL_LINK, src, tgt)
-    map_links = (("map-01", "disc-01"), ("map-02", "wp-02"), ("map-03", "role-03"), ("map-04", "pm-04"))
-    for i, (src, tgt) in enumerate(map_links, start=1):
-        link(_eid("maplink", i), ReferenceKind.MAPPING_LINK, src, tgt)
-
-    return ProcessModel.of(MetamodelVersion.V1_3, elements, references)
-
-
-def _section_text(index: int, variant: str) -> str:
-    return f"Ueberarbeiteter Text fuer Abschnitt {index} (Variante {variant})."
-
-
-def _role_description(index: int, variant: str) -> str:
-    return f"Rollenbeschreibung {index} in der Fassung der Variante {variant}."
-
-
-def extension_bund() -> ExtensionModel:
-    """Variant Bund: 167 exemplars, two masking substitutions (metamodel 1.3B)."""
-    exemplars: list[OperationExemplar] = []
-    for i in range(1, 11):
-        exemplars.append(_ex("ChangeDisciplineNumber", _eid("disc", i), newOrderingNumber=f"{i}.2"))
-    exemplars.append(_syn("SyntheticDisciplineOp01", "disc-11", "Bund", 1))
-    for k, i in enumerate((1, 2), start=1):
-        exemplars.append(_syn("SyntheticDisciplineOp02", _eid("disc", i), "Bund", k))
-    exemplars.append(_ex("RenameWorkProduct", "wp-01", newName=f"{_WORK_PRODUCT_NAMES[0]} (Bund)"))
-    for k, i in enumerate(range(1, 6), start=1):
-        exemplars.append(_syn("SyntheticWorkProductOp02", _eid("wp", i), "Bund", k))
-    for k, i in enumerate(range(6, 10), start=1):
-        exemplars.append(_syn("SyntheticWorkProductOp03", _eid("wp", i), "Bund", k))
-    for k, i in enumerate(range(10, 12), start=1):
-        exemplars.append(_syn("SyntheticWorkProductOp04", _eid("wp", i), "Bund", k))
-    for k, i in enumerate(range(1, 3), start=1):
-        exemplars.append(_syn("SyntheticTopicOp01", _eid("top", i), "Bund", k))
-    for k, i in enumerate(range(3, 6), start=1):
-        exemplars.append(_syn("SyntheticTopicOp04", _eid("top", i), "Bund", k))
-    for i in range(1, 17):
-        exemplars.append(_ex("RemoveTopicAssignment", _eid("ta", i)))
-    exemplars.append(_syn("SyntheticActivityOp02", "act-01", "Bund", 1))
-    for i in (22, 23):
-        exemplars.append(_ex("RenameRole", _eid("role", i), newName=f"{_ROLE_NAMES[i - 1]} (Bund)"))
-    for i in range(1, 22):
-        exemplars.append(
-            _ex("ReplaceRoleDescription", _eid("role", i), text=_role_description(i, "Bund"))
-        )
-    for i in range(1, 21):
-        exemplars.append(_ex("ChangeRoleClass", _eid("role", i), roleClass=_role_class(i + 1)))
-    exemplars.append(_ex("ChangeResponsibility", "resp-01", newRole="role-24"))
-    for i in range(1, 7):
-        exemplars.append(_ex("RemoveSupportingRole", _eid("sup", i)))
-    exemplars.append(_syn("SyntheticRoleOp01", "role-26", "Bund", 1))
-    for k, i in enumerate(range(1, 4), start=1):
-        exemplars.append(_syn("SyntheticTailoringOp02", _eid("pm", i), "Bund", k))
-    exemplars.append(_syn("SyntheticTailoringOp03", "pm-04", "Bund", 1))
-    for k, i in enumerate(range(1, 7), start=1):
-        exemplars.append(_syn("SyntheticDecisionGateOp02", _eid("dg", i), "Bund", k))
-    for k, i in enumerate(range(7, 11), start=1):
-        exemplars.append(_syn("SyntheticDecisionGateOp03", _eid("dg", i), "Bund", k))
-    for i in range(1, 23):
-        exemplars.append(
-            _ex("ReplaceSectionText", _eid("sec", i), blockId="b1", text=_section_text(i, "Bund"))
-        )
-    for k, i in enumerate(range(1, 4), start=1):
-        exemplars.append(_syn("SyntheticDescriptionReplacementOp01", _eid("sec", i), "Bund", k))
-    exemplars.append(_ex("ArrangeSection", "sec-23", newOrderingNumber="23.5"))
-    exemplars.append(_syn("SyntheticDescriptionRearrangementOp02", "sec-24", "Bund", 1))
-    for k, i in enumerate(range(5, 7), start=1):
-        exemplars.append(_syn("SyntheticDescriptionRemovementOp01", _eid("sec", i), "Bund", k))
-    exemplars.append(_syn("SyntheticDescriptionRemovementOp02", "sec-07", "Bund", 1))
-    for k, i in enumerate(range(1, 4), start=1):
-        exemplars.append(_syn("SyntheticMappingOp01", _eid("map", i), "Bund", k))
-    exemplars.append(_syn("SyntheticMappingOp02", "map-04", "Bund", 1))
-    for i in range(1, 20):
-        exemplars.append(_ex("RemoveLiteratureReference", _eid("lit", i)))
-    for k, i in enumerate(range(1, 3), start=1):
-        exemplars.append(_syn("SyntheticAppendixOp01", _eid("app", i), "Bund", k))
-
-    new_elements = (
-        ProcessElement(
-            id="ptv-01b",
-            kind=ElementKind.PROJECT_TYPE_VARIANT,
-            name="Systementwicklungsprojekt (AG) Bund",
-            description="Ersetzt die Projekttypvariante ptv-01 in der Bundesfassung.",
-        ),
-        ProcessElement(
-            id="ptv-02b",
-            kind=ElementKind.PROJECT_TYPE_VARIANT,
-            name="Systementwicklungsprojekt (AN) Bund",
-            description="Ersetzt die Projekttypvariante ptv-02 in der Bundesfassung.",
-        ),
-    )
-    new_references = (
-        Reference(id="cfg-01b", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-01b", target="pm-01"),
-        Reference(id="cfg-02b", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-01b", target="pm-02"),
-        Reference(id="cfg-03b", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-02b", target="pm-03"),
-    )
-    return ExtensionModel(
-        variant_id="Bund",
-        parent_id=ROOT_ID,
-        metamodel=MetamodelVersion.V1_3B,
-        new_elements=new_elements,
-        new_references=new_references,
-        exclusions=("ptv-01", "ptv-02"),
-        exemplars=tuple(exemplars),
-    )
-
-
-def extension_a() -> ExtensionModel:
-    """Variant A: 17 exemplars, all against metamodel 1.3 types."""
-    exemplars = [
-        _ex("RenameWorkProduct", "wp-01", newName=f"{_WORK_PRODUCT_NAMES[0]} (A)"),
-        _ex("RenameWorkProduct", "wp-02", newName=f"{_WORK_PRODUCT_NAMES[1]} (A)"),
-        _syn("SyntheticWorkProductOp01", "wp-03", "A", 1),
-    ]
-    for k, i in enumerate(range(1, 4), start=1):
-        exemplars.append(_syn("SyntheticTopicOp01", _eid("top", i), "A", k))
-    for k, i in enumerate(range(4, 6), start=1):
-        exemplars.append(_syn("SyntheticTopicOp02", _eid("top", i), "A", k))
-    exemplars.append(_syn("SyntheticActivityOp01", "act-01", "A", 1))
-    exemplars.append(_syn("SyntheticTailoringOp01", "pm-01", "A", 1))
-    for k, i in enumerate(range(1, 4), start=1):
-        exemplars.append(_syn("SyntheticDecisionGateOp01", _eid("dg", i), "A", k))
-    exemplars.append(_ex("ReplaceSectionText", "sec-01", blockId="b1", text=_section_text(1, "A")))
-    exemplars.append(_syn("SyntheticDescriptionAddOnOp01", "ch-01", "A", 1))
-    exemplars.append(_syn("SyntheticDescriptionAddOnOp02", "ch-02", "A", 1))
-    exemplars.append(_ex("ArrangeSection", "sec-01", newOrderingNumber="1.5"))
-    return ExtensionModel(
-        variant_id="A",
-        parent_id=ROOT_ID,
-        metamodel=MetamodelVersion.V1_3,
-        exemplars=tuple(exemplars),
-    )
-
-
-def extension_b() -> ExtensionModel:
-    """Variant B: 72 exemplars plus three added assets (metamodel 1.3B)."""
-    exemplars = [
-        _ex("RenameWorkProduct", "wp-03", newName=f"{_WORK_PRODUCT_NAMES[2]} (B)"),
-        _ex("RenameWorkProduct", "wp-new-b1", newName="Vergabeunterlagen (B)"),
-        _syn("SyntheticWorkProductOp01", "wp-04", "B", 1),
-        _syn("SyntheticWorkProductOp02", "wp-05", "B", 1),
-        _syn("SyntheticWorkProductOp02", "wp-06", "B", 2),
-    ]
-    for k, i in enumerate(range(1, 3), start=1):
-        exemplars.append(_syn("SyntheticTopicOp01", _eid("top", i), "B", k))
-    for k, i in enumerate(range(3, 6), start=1):
-        exemplars.append(_syn("SyntheticTopicOp02", _eid("top", i), "B", k))
-    for k, i in enumerate(range(6, 10), start=1):
-        exemplars.append(_syn("SyntheticTopicOp03", _eid("top", i), "B", k))
-    for i in range(1, 13):
-        exemplars.append(_ex("RenameRole", _eid("role", i), newName=f"{_ROLE_NAMES[i - 1]} (B)"))
-    for i in range(1, 14):
-        exemplars.append(
-            _ex("ReplaceRoleDescription", _eid("role", i), text=_role_description(i, "B"))
-        )
-    for i in range(1, 10):
-        exemplars.append(
-            _ex("ChangeResponsibility", _eid("resp", i), newRole=_NEW_ROLE_CYCLE[(i - 1) % 3])
-        )
-    for i in range(1, 5):
-        exemplars.append(_ex("RemoveSupportingRole", _eid("sup", i)))
-    for k, i in enumerate(range(14, 17), start=1):
-        exemplars.append(_syn("SyntheticRoleOp01", _eid("role", i), "B", k))
-    exemplars.append(_syn("SyntheticTailoringOp01", "pm-01", "B", 1))
-    exemplars.append(_syn("SyntheticDecisionGateOp01", "dg-01", "B", 1))
-    for i in range(1, 5):
-        exemplars.append(
-            _ex("ReplaceSectionText", _eid("sec", i), blockId="b1", text=_section_text(i, "B"))
-        )
-    for k, i in enumerate(range(1, 4), start=1):
-        exemplars.append(_syn("SyntheticDescriptionAddOnOp01", _eid("ch", i), "B", k))
-    exemplars.append(_syn("SyntheticDescriptionAddOnOp02", "ch-04", "B", 1))
-    for i in range(5, 10):
-        exemplars.append(_ex("ArrangeSection", _eid("sec", i), newOrderingNumber=f"{i}.5"))
-    exemplars.append(_syn("SyntheticDescriptionRearrangementOp01", "sec-10", "B", 1))
-    exemplars.append(_syn("SyntheticDescriptionRemovementOp02", "sec-11", "B", 1))
-
-    new_elements = (
-        ProcessElement(
-            id="role-new-b1",
-            kind=ElementKind.ROLE,
-            name="Ausschreibungsverantwortlicher",
-            description="Verantwortet die Vergabeunterlagen der Variante B.",
-            attributes={"roleClass": "Organisationsrolle"},
-        ),
-        ProcessElement(
-            id="wp-new-b1",
-            kind=ElementKind.WORK_PRODUCT,
-            name="Ausschreibungsunterlagen",
-            description="Unterlagen fuer die Ausschreibung nach Variante B.",
-            attributes={"discipline": "disc-11"},
-        ),
-    )
-    new_references = (
-        Reference(id="resp-new-b1", kind=ReferenceKind.RESPONSIBILITY, source="wp-new-b1", target="role-new-b1"),
-    )
-    return ExtensionModel(
-        variant_id="B",
-        parent_id=ROOT_ID,
-        metamodel=MetamodelVersion.V1_3B,
-        new_elements=new_elements,
-        new_references=new_references,
-        exemplars=tuple(exemplars),
-    )
-
-
-def extension_c() -> ExtensionModel:
-    """Variant C: 84 exemplars, derived from Bund rather than the root."""
-    exemplars = [
-        _syn("SyntheticDisciplineOp01", "disc-01", "C", 1),
-        _syn("SyntheticDisciplineOp01", "disc-02", "C", 2),
-        _ex("ChangeDisciplineNumber", "disc-11", newOrderingNumber="11.1"),
-        _syn("SyntheticWorkProductOp04", "wp-01", "C", 1),
-        _syn("SyntheticTopicOp02", "top-01", "C", 1),
-    ]
-    for i in range(14, 22):
-        exemplars.append(_ex("RenameRole", _eid("role", i), newName=f"{_ROLE_NAMES[i - 1]} (C)"))
-    for i in range(1, 17):
-        exemplars.append(_ex("ChangeRoleClass", _eid("role", i), roleClass=_role_class(i)))
-    for i in range(2, 8):
-        exemplars.append(
-            _ex("ChangeResponsibility", _eid("resp", i), newRole=_NEW_ROLE_CYCLE[(i - 2) % 3])
-        )
-    exemplars.append(_ex("RemoveSupportingRole", "sup-07"))
-    exemplars.append(_ex("RemoveSupportingRole", "sup-08"))
-    for i in range(1, 20):
-        exemplars.append(
-            _ex("ReplaceSectionText", _eid("sec", i), blockId="b1", text=_section_text(i, "C"))
-        )
-    for k, i in enumerate((20, 21), start=1):
-        exemplars.append(_syn("SyntheticDescriptionReplacementOp01", _eid("sec", i), "C", k))
-    for k, i in enumerate(range(22, 25), start=1):
-        exemplars.append(_syn("SyntheticDescriptionReplacementOp02", _eid("sec", i), "C", k))
-    exemplars.append(_syn("SyntheticDescriptionAddOnOp02", "ch-01", "C", 1))
-    for i in range(20, 25):
-        exemplars.append(_ex("ArrangeSection", _eid("sec", i), newOrderingNumber=f"{i}.7"))
-    for k, i in enumerate(range(1, 4), start=1):
-        exemplars.append(_syn("SyntheticDescriptionRemovementOp01", _eid("sec", i), "C", k))
-    for k, i in enumerate((4, 5), start=1):
-        exemplars.append(_syn("SyntheticDescriptionRemovementOp02", _eid("sec", i), "C", k))
-    for k, i in enumerate(range(1, 5), start=1):
-        exemplars.append(_syn("SyntheticToolMethodRefOp01", _eid("meth", i), "C", k))
-    for k, i in enumerate(range(1, 5), start=1):
-        exemplars.append(_syn("SyntheticToolMethodRefOp02", _eid("tool", i), "C", k))
-    for k, i in enumerate(range(5, 8), start=1):
-        exemplars.append(_syn("SyntheticToolMethodRefOp03", _eid("meth", i), "C", k))
-    exemplars.append(_syn("SyntheticMappingOp02", "map-01", "C", 1))
-
-    new_elements = (
-        ProcessElement(
-            id="pm-new-c1",
-            kind=ElementKind.PROCESS_MODULE,
-            name="PM Betrieb",
-            description="Zusaetzlicher Vorgehensbaustein der Variante C.",
-        ),
-    )
-    new_references = (
-        Reference(id="cfg-new-c1", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-03", target="pm-new-c1"),
-    )
-    return ExtensionModel(
-        variant_id="C",
-        parent_id="Bund",
-        metamodel=MetamodelVersion.V1_3B,
-        new_elements=new_elements,
-        new_references=new_references,
-        exemplars=tuple(exemplars),
-    )
-
-
-def extension_d() -> ExtensionModel:
-    """Variant D: adds assets only, no operation exemplars at all."""
-    new_elements = (
-        ProcessElement(
-            id="pm-new-d1",
-            kind=ElementKind.PROCESS_MODULE,
-            name="PM Wartung",
-            description="Vorgehensbaustein fuer Wartungsprojekte.",
-        ),
-        ProcessElement(
-            id="pm-new-d2",
-            kind=ElementKind.PROCESS_MODULE,
-            name="PM Migration",
-            description="Vorgehensbaustein fuer Migrationsprojekte.",
-        ),
-        ProcessElement(
-            id="role-new-d1",
-            kind=ElementKind.ROLE,
-            name="Wartungsplaner",
-            attributes={"roleClass": "Projektrolle"},
-        ),
-        ProcessElement(
-            id="role-new-d2",
-            kind=ElementKind.ROLE,
-            name="Migrationsverantwortlicher",
-            attributes={"roleClass": "Projektrolle"},
-        ),
-        ProcessElement(
-            id="ptv-new-d",
-            kind=ElementKind.PROJECT_TYPE_VARIANT,
-            name="Wartungs- und Pflegeprojekt",
-            description="Projekttypvariante der Variante D.",
-        ),
-    )
-    new_references = (
-        Reference(id="cfg-d1", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-new-d", target="pm-new-d1"),
-        Reference(id="cfg-d2", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-new-d", target="pm-new-d2"),
-        Reference(id="cfg-d3", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-new-d", target="pm-01"),
-        Reference(id="mc-new-d1", kind=ReferenceKind.MODULE_CONTAINMENT, source="pm-new-d1", target="role-new-d1"),
-    )
-    return ExtensionModel(
-        variant_id="D",
-        parent_id=ROOT_ID,
-        metamodel=MetamodelVersion.V1_3,
-        new_elements=new_elements,
-        new_references=new_references,
-    )
+    """The root of the family: 182 elements, 88 references."""
+    return parse_model(fixture_text("root.xml"), source="root.xml")
 
 
 def masking_extension() -> ExtensionModel:
@@ -800,65 +68,9 @@ def masking_extension() -> ExtensionModel:
     of the same kind, so a merge yields exactly one untyped-change entry.
     Not part of the study variant set.
     """
-    new_elements = (
-        ProcessElement(
-            id="ptv-03b",
-            kind=ElementKind.PROJECT_TYPE_VARIANT,
-            name="Systementwicklungsprojekt (AG/AN), 2. Auflage",
-            description="Ersetzt die Projekttypvariante ptv-03.",
-        ),
-    )
-    new_references = (
-        Reference(id="cfg-04b", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-03b", target="pm-04"),
-        Reference(id="cfg-05b", kind=ReferenceKind.CONFIGURATION_ENTRY, source="ptv-03b", target="pm-05"),
-    )
-    return ExtensionModel(
-        variant_id=MASKING_VARIANT_ID,
-        parent_id=ROOT_ID,
-        metamodel=MetamodelVersion.V1_3,
-        new_elements=new_elements,
-        new_references=new_references,
-        exclusions=("ptv-03",),
-    )
-
-
-def study_extensions() -> tuple[ExtensionModel, ...]:
-    return (extension_a(), extension_b(), extension_bund(), extension_c(), extension_d())
+    return _extension(MASKING_VARIANT_ID)
 
 
 def study_variant_set() -> VariantSet:
     """The five study variants over the reference model."""
-    return VariantSet.of(reference_model(), study_extensions(), root_id=ROOT_ID)
-
-
-def generated_files() -> dict[str, str]:
-    """Canonical file contents, keyed by file name."""
-    return {
-        "root.xml": serialize_model(reference_model()),
-        "catalog.xml": serialize_catalog(builtin_catalog()),
-        "ext-bund.xml": serialize_extension(extension_bund()),
-        "ext-a.xml": serialize_extension(extension_a()),
-        "ext-b.xml": serialize_extension(extension_b()),
-        "ext-c.xml": serialize_extension(extension_c()),
-        "ext-d.xml": serialize_extension(extension_d()),
-        "ext-masking.xml": serialize_extension(masking_extension()),
-    }
-
-
-def write_fixture_files(directory: str | Path) -> list[Path]:
-    """Regenerate the bundled XML files into ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in generated_files().items():
-        path = directory / name
-        path.write_text(text, encoding="utf-8", newline="")
-        written.append(path)
-    return written
-
-
-def fixture_text(name: str) -> str:
-    """Content of one bundled data file (see ``DATA_FILES``)."""
-    if name not in DATA_FILES:
-        raise ValueError(f"no bundled data file named {name!r}")
-    return (resources.files(__package__) / "data" / name).read_text(encoding="utf-8")
+    return VariantSet.of(reference_model(), map(_extension, VARIANT_IDS), root_id=ROOT_ID)

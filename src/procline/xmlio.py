@@ -5,8 +5,10 @@ bad enum values, wrong schema versions, and duplicate ids are all rejected
 with :class:`SchemaError` (syntactic problems surface as
 :class:`ParseError`). Serialization is canonical: UTF-8 text, LF line ends,
 two-space indent, elements and references sorted by id, attribute tags
-sorted by key, text blocks in model order. Canonical files are a fixed
-point of parse-then-serialize, which is what makes them diffable.
+sorted by key, text blocks in model order, CR written as ``&#13;``.
+Canonical files are a fixed point of parse-then-serialize, which is what
+makes them diffable. Text holding a character XML cannot carry at all
+raises :class:`IllegalCharacterError` instead of producing a broken file.
 
 Statistics exports (CSV and plain text) live here too, next to the other
 output formats.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import xml.etree.ElementTree as ET
 from typing import Iterable
 from xml.sax.saxutils import escape, quoteattr
@@ -29,6 +32,7 @@ from .catalog import (
     StepTemplate,
 )
 from .errors import (
+    IllegalCharacterError,
     MissingParentDeclarationError,
     ParseError,
     SchemaError,
@@ -390,6 +394,10 @@ def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
+# characters XML 1.0 cannot carry, not even as character references
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 class _Writer:
     def __init__(self) -> None:
         self._lines: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
@@ -398,7 +406,17 @@ class _Writer:
         self._lines.append("  " * depth + content)
 
     def text(self) -> str:
-        return "\n".join(self._lines) + "\n"
+        text = "\n".join(self._lines) + "\n"
+        bad = _NOT_XML_CHAR.search(text)
+        if bad is not None:
+            start = bad.start()
+            line_no = text.count("\n", 0, start) + 1
+            line = text[text.rfind("\n", 0, start) + 1 : text.find("\n", start)].strip()
+            raise IllegalCharacterError(
+                f"character U+{ord(bad.group()):04X} cannot be written as XML "
+                f"(output line {line_no}: {line[:80]!r})"
+            )
+        return text
 
 
 def _attrs(pairs: Iterable[tuple[str, str]]) -> str:
@@ -409,7 +427,9 @@ def _leaf_line(tag: str, pairs: Iterable[tuple[str, str]], text: str) -> str:
     opening = f"<{tag}{_attrs(pairs)}"
     if text == "":
         return opening + "/>"
-    return f"{opening}>{escape(text)}</{tag}>"
+    # a literal CR would be read back as LF; quoteattr escapes it in attributes
+    escaped = escape(text).replace("\r", "&#13;")
+    return f"{opening}>{escaped}</{tag}>"
 
 
 def _write_container(

@@ -7,8 +7,9 @@ bookkeeping that tracks what earlier choices removed or replaced is a light
 simulation, just enough to keep the valid-aiming paths mostly valid; the
 oracle, not this module, decides what an input actually means.
 
-Text stays XML-safe: no carriage returns and no control characters, since
-those do not survive an XML round trip unchanged.
+Text holds tabs, carriage returns and line feeds, which the canonical XML
+must carry unchanged, but no other control characters: XML cannot carry
+those at all, and serialization rejects them.
 """
 
 import itertools
@@ -33,6 +34,7 @@ _WORDS = (
     "analysis", "baseline", "draft", "review", "handover", "estimate",
     "Pruefung", "Abnahme", "Entwurf", "Freigabe", "Zulieferung",
     "scope & detail", "a <short> note", 'the "final" cut', "it's done",
+    "line\rbreak", "crlf\r\nend", "tab\tstop",
     "Qualität", "Übergabe", "café", "two words",
 )
 
@@ -55,9 +57,13 @@ def random_text(rng: random.Random, allow_empty: bool = True) -> str:
     return text
 
 
-def random_decimal(rng: random.Random) -> str:
-    # plain decimal strings only; Decimal would also parse "NaN"/"Infinity"
-    # but those poison ordering comparisons, so they stay out of the pool
+_NON_FINITE = ("NaN", "sNaN", "Infinity", "-Infinity")
+
+
+def random_decimal(rng: random.Random, *, finite: bool = False) -> str:
+    if not finite and rng.random() < 0.05:
+        # Decimal parses these too, but they are no ordering number
+        return rng.choice(_NON_FINITE)
     whole = rng.randint(0, 99)
     if rng.random() < 0.4:
         return f"{whole}.{rng.randint(0, 9)}"
@@ -202,7 +208,7 @@ def _fill_placeholder(rng: random.Random, name: str, target, pools: _Pools):
             return None
         return rng.choice([b.id for b in target.text_blocks])
     if name == "newOrderingNumber":
-        return random_decimal(rng)
+        return random_decimal(rng, finite=True)
     if name == "newRole":
         roles = pools.elements_of(ElementKind.ROLE)
         return rng.choice(roles) if roles else None
@@ -373,7 +379,7 @@ def _aim_broken(rng: random.Random, catalog, effective_mm, pools: _Pools, replac
         key = "newName" if "newName" in args else "newOrderingNumber"
         args[key] = ""
     elif choice == "bad-number" and "newOrderingNumber" in args:
-        args["newOrderingNumber"] = rng.choice(("later", "3,5", "first"))
+        args["newOrderingNumber"] = rng.choice(("later", "3,5", "first") + _NON_FINITE)
     elif args:
         del args[rng.choice(sorted(args))]
     else:

@@ -290,8 +290,10 @@ def check_step(plain, step):
             out.append(("MissingArgument", target))
         else:
             try:
-                Decimal(args["newOrderingNumber"])
+                finite = Decimal(args["newOrderingNumber"]).is_finite()
             except InvalidOperation:
+                finite = False
+            if not finite:
                 out.append(("IllegalTarget", target))
         return out + _check_element_target(plain, step)
     raise AssertionError("unhandled atomic kind " + kind)

@@ -300,8 +300,10 @@ def test_move_element():
 
 def test_move_element_validation():
     model = _model()
-    bad = AtomicStep(AtomicKind.MOVE_ELEMENT, "sec", {"newOrderingNumber": "soon"})
-    assert _codes(validate_step(model, bad)) == [("IllegalTarget", "sec")]
+    # Decimal parses the non-finite values too, but they cannot order anything
+    for number in ("soon", "NaN", "sNaN", "-nan", "Infinity", "-Infinity", "inf"):
+        bad = AtomicStep(AtomicKind.MOVE_ELEMENT, "sec", {"newOrderingNumber": number})
+        assert _codes(validate_step(model, bad)) == [("IllegalTarget", "sec")], number
     missing = AtomicStep(AtomicKind.MOVE_ELEMENT, "sec", {})
     assert _codes(validate_step(model, missing)) == [("MissingArgument", "sec")]
     on_ref = AtomicStep(AtomicKind.MOVE_ELEMENT, "resp", {"newOrderingNumber": "1"})
@@ -400,7 +402,7 @@ def _random_step(rng, model):
             args["value"] = rng.choice(("x", ""))
     elif kind is AtomicKind.MOVE_ELEMENT:
         if rng.random() < 0.9:
-            args["newOrderingNumber"] = rng.choice(("4", "4.5", "soon", ""))
+            args["newOrderingNumber"] = rng.choice(("4", "4.5", "NaN", "-Infinity", "soon", ""))
     return AtomicStep(kind, some_target(), args)
 
 

@@ -10,14 +10,15 @@ from procline.cli import main
 from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.merge import ExtensionModel, merge_chain
 from procline.model import ElementKind, MetamodelVersion
-from procline.studyline import study_variant_set, write_fixture_files
+from procline.studyline import DATA_FILES, fixture_text, study_variant_set
 from procline.xmlio import parse_model, serialize_catalog, serialize_extension, serialize_model
 
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("data")
-    write_fixture_files(directory)
+    for name in DATA_FILES:
+        (directory / name).write_text(fixture_text(name), encoding="utf-8", newline="")
     return directory
 
 
@@ -241,6 +242,32 @@ def test_malformed_xml(data_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err
+
+
+_MODEL_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<processModel schemaVersion="1" metamodel="1.3">\n'
+_ROLE = '  <element id="x1" kind="Role" name="A"/>\n'
+
+_HOSTILE_ROOTS = {
+    "empty": b"",
+    "truncated": (_MODEL_HEAD + _ROLE).encode()[:-9],
+    "wrong-root-tag": b'<mergeTrace schemaVersion="1"/>',
+    "binary-garbage": bytes(range(0, 256, 7)) * 3,
+    "utf16-bom-without-declaration": b"\xff\xfe" + _MODEL_HEAD.split("\n", 1)[1].encode(),
+    "undefined-entity": (_MODEL_HEAD + '  <element id="x1" kind="Role" name="&bogus;"/>\n</processModel>\n').encode(),
+    "duplicate-element-id": (_MODEL_HEAD + _ROLE + _ROLE + "</processModel>\n").encode(),
+    "nul-byte": b'<processModel schemaVersion="1"\x00 metamodel="1.3"/>',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_ROOTS))
+def test_hostile_input_is_an_input_error(name, data_dir, tmp_path, capsys):
+    path = tmp_path / f"{name}.xml"
+    path.write_bytes(_HOSTILE_ROOTS[name])
+    code = main(["validate", "--root", str(path), "--extension", str(data_dir / "ext-d.xml")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_unknown_leaf(data_dir, capsys):

@@ -321,6 +321,8 @@ def test_apply_masking_preconditions():
         apply_masking(base, ["resp1"])  # a reference
     with pytest.raises(IllegalTargetError):
         apply_masking(base, ["r1"])  # not a configuration container
+    with pytest.raises(UnknownIdError, match="repeated"):
+        apply_masking(base, ["pm1", "pm1"])
     with pytest.raises(ValidationFailedError):
         apply_masking(
             base,

@@ -158,9 +158,13 @@ def test_elements_in_order_uses_ordering_number_then_id():
             _element("a"),  # no number sorts last
             _element("d", attributes={"orderingNumber": "2"}),  # ties break by id
             _element("e", attributes={"orderingNumber": "not a number"}),
+            # non-finite values parse as Decimal but sort with the non-numbers
+            _element("f", attributes={"orderingNumber": "NaN"}),
+            _element("g", attributes={"orderingNumber": "-Infinity"}),
+            _element("h", attributes={"orderingNumber": "sNaN"}),
         ],
     )
-    assert [e.id for e in model.elements_in_order()] == ["c", "d", "b", "a", "e"]
+    assert [e.id for e in model.elements_in_order()] == ["c", "d", "b", "a", "e", "f", "g", "h"]
 
 
 # -- removal -------------------------------------------------------------------
@@ -304,3 +308,4 @@ def test_random_models_are_consistent(seed):
     rng = random.Random(seed)
     model = genmodels.random_model(rng, max_elements=40)
     assert model.check_consistency() == []
+    assert sorted(e.id for e in model.elements_in_order()) == sorted(model.elements)

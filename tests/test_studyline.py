@@ -1,4 +1,4 @@
-"""The bundled data set: generators, shipped files, and family shape."""
+"""The bundled data set: shipped files and family shape."""
 
 import pytest
 
@@ -7,45 +7,36 @@ from procline.studyline import (
     DATA_FILES,
     MASKING_VARIANT_ID,
     VARIANT_IDS,
-    extension_a,
-    extension_b,
-    extension_bund,
-    extension_c,
-    extension_d,
     fixture_text,
-    generated_files,
     masking_extension,
     reference_model,
     study_variant_set,
 )
-from procline.xmlio import parse_catalog, parse_extension, parse_model
+from procline.xmlio import (
+    parse_catalog,
+    parse_extension,
+    parse_model,
+    serialize_catalog,
+    serialize_extension,
+    serialize_model,
+)
 
 
-def test_shipped_files_match_generators():
-    generated = generated_files()
-    assert set(generated) == set(DATA_FILES)
+def test_shipped_files_are_canonical():
+    catalog_text = fixture_text("catalog.xml")
+    assert catalog_text == serialize_catalog(builtin_catalog())
+    assert parse_catalog(catalog_text) == builtin_catalog()
+    root_text = fixture_text("root.xml")
+    assert serialize_model(parse_model(root_text)) == root_text
     for name in DATA_FILES:
-        assert fixture_text(name) == generated[name], f"{name} drifted from its generator"
+        if name.startswith("ext-"):
+            text = fixture_text(name)
+            assert serialize_extension(parse_extension(text)) == text, f"{name} is not canonical"
 
 
 def test_fixture_text_rejects_unknown_names():
     with pytest.raises(ValueError):
         fixture_text("nope.xml")
-
-
-def test_shipped_files_parse_back_to_the_builders():
-    assert parse_model(fixture_text("root.xml")) == reference_model()
-    assert parse_catalog(fixture_text("catalog.xml")) == builtin_catalog()
-    builders = {
-        "ext-bund.xml": extension_bund,
-        "ext-a.xml": extension_a,
-        "ext-b.xml": extension_b,
-        "ext-c.xml": extension_c,
-        "ext-d.xml": extension_d,
-        "ext-masking.xml": masking_extension,
-    }
-    for name, builder in builders.items():
-        assert parse_extension(fixture_text(name)) == builder(), name
 
 
 def test_family_tree_shape():

@@ -7,7 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import genmodels
 from procline.analytics import usage_report
-from procline.errors import MissingParentDeclarationError, ParseError, SchemaError
+from procline.errors import (
+    IllegalCharacterError,
+    MissingParentDeclarationError,
+    ParseError,
+    SchemaError,
+)
 from procline.merge import merge_once
 from procline.studyline import masking_extension
 from procline.xmlio import (
@@ -236,14 +241,24 @@ def test_escaping_survives_round_trip():
                 "e1",
                 ElementKind.SECTION,
                 'Q&A <"quoted">',
-                description="line one\nline two\ttabbed",
-                attributes={"note": 'x < y & "z"\nnext'},
-                text_blocks=(TextBlock("b1", "a < b & c > d"),),
+                description="line one\nline two\ttabbed\rthree\r\nfour",
+                attributes={"note": 'x < y & "z"\nnext\rlast'},
+                text_blocks=(TextBlock("b1", "a < b & c > d\r"),),
             )
         ],
         [],
     )
     assert parse_model(serialize_model(model)) == model
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "\udfff", "\ufffe"])
+def test_xml_illegal_characters_are_rejected_on_serialization(char):
+    from procline.model import ElementKind, MetamodelVersion, ProcessElement, ProcessModel
+
+    elem = ProcessElement("e1", ElementKind.SECTION, "ok", description=f"a{char}b")
+    model = ProcessModel.of(MetamodelVersion.V1_3, [elem], [])
+    with pytest.raises(IllegalCharacterError, match=f"U\\+{ord(char):04X}"):
+        serialize_model(model)
 
 
 # -- trace and stats renderings ----------------------------------------------------
