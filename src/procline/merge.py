@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .atomic import AtomicKind, field_key
+from .atomic import AtomicKind, AtomicStep, field_key
 from .catalog import OperationCatalog, OperationExemplar, simulate_exemplar
 from .errors import (
     ConflictError,
@@ -34,8 +34,8 @@ from .model import (
     ProcessElement,
     ProcessModel,
     Reference,
+    _diff_models,
     apply_change_set,
-    compare_models,
     endpoint_kind_violation,
 )
 
@@ -197,7 +197,9 @@ class _Derivation:
     """The working model of one merge and the trace entries recorded so far.
 
     Each recorded change set runs from the model as of the previous one, so
-    a metamodel upgrade made up front lands in the first recorded entry.
+    a metamodel upgrade made up front lands in the first recorded entry. It
+    is diffed over the ids the entry touched only, so an entry costs what it
+    changes, not the size of the model.
     """
 
     def __init__(self, base: ProcessModel, variant_id: str):
@@ -206,8 +208,11 @@ class _Derivation:
         self._recorded = base
         self.entries: list[TraceEntry] = []
 
-    def record(self, kind: TraceEntryKind, subject: str, model: ProcessModel, **fields) -> None:
-        change_set = compare_models(self._recorded, model)
+    def record(
+        self, kind: TraceEntryKind, subject: str, model: ProcessModel, touched: Iterable[str], **fields
+    ) -> None:
+        """Append an entry that moved the working model to ``model``, changing ``touched`` ids only."""
+        change_set = _diff_models(self._recorded, model, touched)
         self.entries.append(
             TraceEntry(kind, self.variant_id, subject, change_set=change_set, **fields)
         )
@@ -226,7 +231,7 @@ class _Derivation:
         )
 
     def add_element(self, elem: ProcessElement) -> None:
-        self.record(TraceEntryKind.ASSET_ADDED, elem.id, self.model.add_element(elem))
+        self.record(TraceEntryKind.ASSET_ADDED, elem.id, self.model.add_element(elem), (elem.id,))
 
     def add_reference(self, ref: Reference) -> list[Issue]:
         """Add a declared reference, or add nothing and say which endpoints do not fit."""
@@ -243,7 +248,7 @@ class _Derivation:
                     Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation, self.variant_id)
                 )
         if not issues:
-            self.record(TraceEntryKind.ASSET_ADDED, ref.id, self.model.add_reference(ref))
+            self.record(TraceEntryKind.ASSET_ADDED, ref.id, self.model.add_reference(ref), (ref.id,))
         return issues
 
     def exclude_element(self, element_id: str) -> ElementKind:
@@ -251,7 +256,11 @@ class _Derivation:
         kind = self.model.elements[element_id].kind
         model, cascaded = self.model.remove_element(element_id)
         self.record(
-            TraceEntryKind.EXCLUSION_APPLIED, element_id, model, cascade_count=len(cascaded)
+            TraceEntryKind.EXCLUSION_APPLIED,
+            element_id,
+            model,
+            (element_id, *cascaded),
+            cascade_count=len(cascaded),
         )
         return kind
 
@@ -260,6 +269,20 @@ class _Derivation:
         if consistency:
             raise ValidationFailedError(_tagged(consistency, self.variant_id))
         return self.model, MergeTrace(tuple(self.entries), final_metamodel=self.model.metamodel)
+
+
+def _touched_ids(steps: list[AtomicStep], before: ProcessModel, after: ProcessModel) -> set[str]:
+    """Every id the steps that took ``before`` to ``after`` can have changed.
+
+    A step changes its target, the reference an ``AddReference`` adds, and
+    the references an element removal cascades over, which only a diff of
+    the reference maps names.
+    """
+    touched = {step.target for step in steps}
+    touched.update(step.args["refId"] for step in steps if step.kind is AtomicKind.ADD_REFERENCE)
+    if any(step.kind is AtomicKind.REMOVE_ELEMENT for step in steps):
+        touched.update(before.references.keys() - after.references.keys())
+    return touched
 
 
 def merge_once(
@@ -318,6 +341,7 @@ def merge_once(
                 TraceEntryKind.EXCLUSION_APPLIED,
                 excluded_id,
                 derivation.model.remove_reference(excluded_id),
+                (excluded_id,),
             )
         else:
             issues.append(
@@ -358,6 +382,7 @@ def merge_once(
             TraceEntryKind.OPERATION_EXECUTED,
             exemplar.type_name,
             simulated,
+            _touched_ids(steps, derivation.model, simulated),
             target=exemplar.target,
             step_count=len(steps),
         )

@@ -3,6 +3,8 @@
 A :class:`ProcessModel` is an immutable value. Every operation that would
 change a model returns a new one; callers can therefore hold on to any
 intermediate state (merge bases, trace snapshots) without defensive copies.
+An update copies only the map it changes and shares the other one with the
+model it came from; only the public constructor copies and re-checks both.
 
 Identity lives in one namespace: element ids and reference ids must not
 collide, so a bare id always resolves to exactly one thing.
@@ -356,6 +358,24 @@ class ProcessModel:
         object.__setattr__(self, "references", references)
 
     @classmethod
+    def _trusted(
+        cls,
+        metamodel: MetamodelVersion,
+        elements: dict[str, ProcessElement],
+        references: dict[str, Reference],
+    ) -> "ProcessModel":
+        """A model over maps the caller has checked and will not change again.
+
+        The functional updates below check the one id they change, so they
+        build their result here: no copy of either map, no re-check of every key.
+        """
+        model = object.__new__(cls)
+        object.__setattr__(model, "metamodel", metamodel)
+        object.__setattr__(model, "elements", elements)
+        object.__setattr__(model, "references", references)
+        return model
+
+    @classmethod
     def of(
         cls,
         metamodel: MetamodelVersion,
@@ -415,35 +435,35 @@ class ProcessModel:
     def with_metamodel(self, metamodel: MetamodelVersion) -> "ProcessModel":
         if metamodel == self.metamodel:
             return self
-        return ProcessModel(metamodel, self.elements, self.references)
+        return ProcessModel._trusted(MetamodelVersion(metamodel), self.elements, self.references)
 
     def add_element(self, element: ProcessElement) -> "ProcessModel":
         if self.has_id(element.id):
             raise DuplicateIdError(f"id {element.id!r} already in use")
         elements = dict(self.elements)
         elements[element.id] = element
-        return ProcessModel(self.metamodel, elements, self.references)
+        return ProcessModel._trusted(self.metamodel, elements, self.references)
 
     def add_reference(self, reference: Reference) -> "ProcessModel":
         if self.has_id(reference.id):
             raise DuplicateIdError(f"id {reference.id!r} already in use")
         references = dict(self.references)
         references[reference.id] = reference
-        return ProcessModel(self.metamodel, self.elements, references)
+        return ProcessModel._trusted(self.metamodel, self.elements, references)
 
     def replace_element(self, element: ProcessElement) -> "ProcessModel":
         if element.id not in self.elements:
             raise UnknownIdError(f"no element with id {element.id!r}")
         elements = dict(self.elements)
         elements[element.id] = element
-        return ProcessModel(self.metamodel, elements, self.references)
+        return ProcessModel._trusted(self.metamodel, elements, self.references)
 
     def replace_reference(self, reference: Reference) -> "ProcessModel":
         if reference.id not in self.references:
             raise UnknownIdError(f"no reference with id {reference.id!r}")
         references = dict(self.references)
         references[reference.id] = reference
-        return ProcessModel(self.metamodel, self.elements, references)
+        return ProcessModel._trusted(self.metamodel, self.elements, references)
 
     def remove_element(self, element_id: str) -> tuple["ProcessModel", tuple[str, ...]]:
         """Remove an element and every reference incident to it.
@@ -460,15 +480,21 @@ class ProcessModel:
                 if ref.source == element_id or ref.target == element_id
             )
         )
-        elements = {k: v for k, v in self.elements.items() if k != element_id}
-        references = {k: v for k, v in self.references.items() if k not in set(cascaded)}
-        return ProcessModel(self.metamodel, elements, references), cascaded
+        elements = dict(self.elements)
+        del elements[element_id]
+        references = self.references
+        if cascaded:
+            references = dict(references)
+            for reference_id in cascaded:
+                del references[reference_id]
+        return ProcessModel._trusted(self.metamodel, elements, references), cascaded
 
     def remove_reference(self, reference_id: str) -> "ProcessModel":
         if reference_id not in self.references:
             raise UnknownIdError(f"no reference with id {reference_id!r}")
-        references = {k: v for k, v in self.references.items() if k != reference_id}
-        return ProcessModel(self.metamodel, self.elements, references)
+        references = dict(self.references)
+        del references[reference_id]
+        return ProcessModel._trusted(self.metamodel, self.elements, references)
 
     # -- validation ----------------------------------------------------------
 
@@ -634,35 +660,40 @@ def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
     The result is empty exactly when ``a == b``, and applying it to ``a``
     yields ``b``. All parts are listed in ascending id order.
     """
-    added_elements = tuple(b.elements[k] for k in sorted(b.elements.keys() - a.elements.keys()))
-    removed_elements = tuple(sorted(a.elements.keys() - b.elements.keys()))
-    modified_elements = []
-    for element_id in sorted(a.elements.keys() & b.elements.keys()):
-        before, after = a.elements[element_id], b.elements[element_id]
-        # models share unchanged parts, and a part is equal to itself
-        diff = None if before is after else _diff_element(before, after)
-        if diff is not None:
-            modified_elements.append(diff)
-    added_references = tuple(
-        b.references[k] for k in sorted(b.references.keys() - a.references.keys())
-    )
-    removed_references = tuple(sorted(a.references.keys() - b.references.keys()))
-    modified_references = []
-    for reference_id in sorted(a.references.keys() & b.references.keys()):
-        before, after = a.references[reference_id], b.references[reference_id]
-        diff = None if before is after else _diff_reference(before, after)
-        if diff is not None:
-            modified_references.append(diff)
+    ids = a.elements.keys() | b.elements.keys() | a.references.keys() | b.references.keys()
+    return _diff_models(a, b, ids)
+
+
+def _diff_models(a: ProcessModel, b: ProcessModel, ids: Iterable[str]) -> ChangeSet:
+    """:func:`compare_models` restricted to ``ids`` (duplicates allowed).
+
+    Equal to the full comparison whenever every element and reference id on
+    which ``a`` and ``b`` differ is among ``ids``; the metamodel is always
+    compared. A merge passes the ids one trace entry touched.
+    """
+    ids = sorted(set(ids))
+
+    def parts(old: Mapping, new: Mapping, diff) -> tuple[tuple, tuple, tuple]:
+        added, removed, modified = [], [], []
+        for some_id in ids:
+            before, after = old.get(some_id), new.get(some_id)
+            # models share unchanged parts, and a part is equal to itself
+            if before is after:
+                continue
+            if before is None:
+                added.append(after)
+            elif after is None:
+                removed.append(some_id)
+            elif (change := diff(before, after)) is not None:
+                modified.append(change)
+        return tuple(added), tuple(removed), tuple(modified)
+
     metamodel_change = None
     if a.metamodel != b.metamodel:
         metamodel_change = (a.metamodel, b.metamodel)
     return ChangeSet(
-        added_elements=added_elements,
-        removed_elements=removed_elements,
-        modified_elements=tuple(modified_elements),
-        added_references=added_references,
-        removed_references=removed_references,
-        modified_references=tuple(modified_references),
+        *parts(a.elements, b.elements, _diff_element),
+        *parts(a.references, b.references, _diff_reference),
         metamodel_change=metamodel_change,
     )
 

@@ -21,7 +21,6 @@ import io
 import re
 import xml.etree.ElementTree as ET
 from typing import Iterable
-from xml.sax.saxutils import escape, quoteattr
 
 from .analytics import UsageReport, top_n, unused_report
 from .atomic import AtomicKind
@@ -419,16 +418,33 @@ class _Writer:
         return text
 
 
+# the output of xml.sax.saxutils.escape and quoteattr, without importing
+# saxutils: it loads urllib, http and email, a third of the CLI's import time
+def _escape(data: str) -> str:
+    """``&``, ``<`` and ``>`` escaped for XML character data."""
+    return data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(data: str) -> str:
+    """``data`` escaped and quoted as an XML attribute value, LF, CR and tab included."""
+    data = _escape(data).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in data:
+        return f'"{data}"'
+    if "'" not in data:
+        return f"'{data}'"
+    return '"{}"'.format(data.replace('"', "&quot;"))
+
+
 def _attrs(pairs: Iterable[tuple[str, str]]) -> str:
-    return "".join(f" {name}={quoteattr(value)}" for name, value in pairs)
+    return "".join(f" {name}={_quoteattr(value)}" for name, value in pairs)
 
 
 def _leaf_line(tag: str, pairs: Iterable[tuple[str, str]], text: str) -> str:
     opening = f"<{tag}{_attrs(pairs)}"
     if text == "":
         return opening + "/>"
-    # a literal CR would be read back as LF; quoteattr escapes it in attributes
-    escaped = escape(text).replace("\r", "&#13;")
+    # a literal CR would be read back as LF; _quoteattr escapes it in attributes
+    escaped = _escape(text).replace("\r", "&#13;")
     return f"{opening}>{escaped}</{tag}>"
 
 

@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +347,16 @@ def test_merge_output_is_canonical(data_dir, tmp_path, capsys, catalog):
     text = out.read_text(encoding="utf-8")
     expected, _ = merge_chain(study_variant_set(), "A", catalog)
     assert text == serialize_model(expected)
+
+
+def test_cli_import_leaves_the_network_stack_out():
+    # a fresh interpreter, since this one has imported much more by now
+    import procline
+
+    src = str(Path(procline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, procline.cli; print(sorted({'urllib.request', 'http.client'} & sys.modules.keys()))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -3,13 +3,14 @@
 import collections
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import genmodels
 import oracle
-from procline import atomic, catalog as catalog_module
+from procline import atomic, catalog as catalog_module, merge as merge_module
 from procline.atomic import AtomicKind
 from procline.catalog import (
     OperationCatalog,
@@ -363,6 +364,44 @@ def test_each_executed_step_is_validated_once_and_each_exemplar_expanded_once(
     assert executed_exemplars > 0
     assert counts["validate_step"] == executed_steps
     assert counts["expand_exemplar"] == executed_exemplars
+
+
+def _outcome(derive):
+    try:
+        return derive()
+    except (ConflictError, ValidationFailedError) as err:
+        return repr(err)
+
+
+def _full_diff_outcome(derive):
+    """What ``derive()`` gives when every trace entry is diffed over all ids of both models."""
+    with mock.patch.object(merge_module, "_diff_models", lambda a, b, ids: compare_models(a, b)):
+        return _outcome(derive)
+
+
+def test_scoped_change_sets_equal_full_diffs_on_the_study_family(root, variants, catalog):
+    derivations = [
+        lambda leaf=leaf, last_wins=last_wins: merge_chain(variants, leaf, catalog, last_wins=last_wins)
+        for leaf in variants.variant_ids()
+        for last_wins in (False, True)
+    ]
+    derivations.append(lambda: merge_once(root, masking_extension(), catalog))
+    for derive in derivations:
+        model, trace = derive()
+        assert (model, trace) == _full_diff_outcome(derive)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000), st.booleans(), st.booleans())
+def test_scoped_change_sets_equal_full_diffs_on_random_merges(catalog, seed, last_wins, clean):
+    rng = random.Random(seed)
+    base = genmodels.random_model(rng, max_elements=30)
+    ext = genmodels.random_extension(rng, base, catalog, max_exemplars=12, clean=clean)
+
+    def derive():
+        return merge_once(base, ext, catalog, last_wins=last_wins)
+
+    assert _outcome(derive) == _full_diff_outcome(derive)
 
 
 # -- conflicts -----------------------------------------------------------------------

@@ -62,6 +62,51 @@ def test_element_and_reference_share_one_namespace():
 def test_map_key_must_match_id():
     with pytest.raises(ValueError):
         ProcessModel(MetamodelVersion.V1_3, elements={"other": _element("a")})
+    ref = Reference("r", ReferenceKind.RESPONSIBILITY, "a", "a")
+    with pytest.raises(ValueError):
+        ProcessModel(MetamodelVersion.V1_3, references={"other": ref})
+
+
+def test_public_constructor_checks_overlap_and_copies_its_maps():
+    elem = _element("a")
+    with pytest.raises(DuplicateIdError):
+        ProcessModel(
+            MetamodelVersion.V1_3,
+            {"a": elem},
+            {"a": Reference("a", ReferenceKind.RESPONSIBILITY, "a", "a")},
+        )
+    elements = {"a": elem}
+    references = {"r": Reference("r", ReferenceKind.RESPONSIBILITY, "a", "a")}
+    model = ProcessModel(MetamodelVersion.V1_3, elements, references)
+    elements["b"] = _element("b")
+    del references["r"]
+    assert set(model.elements) == {"a"}
+    assert set(model.references) == {"r"}
+
+
+def test_functional_updates_leave_the_original_as_it_was():
+    model = _wp_role_pair()
+    updates = [
+        model.add_element(_element("x")),
+        model.add_reference(Reference("sup", ReferenceKind.SUPPORTING_ROLE, "wp", "role")),
+        model.replace_element(model.element("role").with_name("Lead")),
+        model.replace_reference(model.reference("resp").with_attribute("note", "n")),
+        model.remove_element("role")[0],
+        model.remove_reference("resp"),
+        model.with_metamodel("1.3Z"),
+    ]
+    assert model == _wp_role_pair()
+    for updated in updates:
+        assert updated != model
+        # an update is a model like any other: the public constructor accepts it as it is
+        assert ProcessModel(updated.metamodel, updated.elements, updated.references) == updated
+    assert updates[-1].metamodel is MetamodelVersion.V1_3Z
+    # an update shares the map it does not change
+    with_x = updates[0]
+    assert with_x.references is model.references
+    without_x, cascaded = with_x.remove_element("x")
+    assert (without_x, cascaded) == (model, ())
+    assert without_x.references is model.references
 
 
 def test_empty_ids_and_names_rejected():

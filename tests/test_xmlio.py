@@ -251,6 +251,27 @@ def test_escaping_survives_round_trip():
     assert parse_model(serialize_model(model)) == model
 
 
+def test_local_escaping_matches_saxutils():
+    from xml.sax import saxutils
+
+    from procline.xmlio import _escape, _quoteattr
+
+    rng = random.Random(7)
+    texts = [genmodels.random_text(rng) for _ in range(500)] + [
+        "",
+        'say "hi"',
+        "it's",
+        "both \" and '",
+        "\"'\"",
+        "cr\rlf\ntab\tcrlf\r\n",
+        "&amp; already &lt;escaped&gt;",
+        "<a href=\"x\">'q'</a>\r\n\t",
+    ]
+    for text in texts:
+        assert _escape(text) == saxutils.escape(text)
+        assert _quoteattr(text) == saxutils.quoteattr(text)
+
+
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "\udfff", "\ufffe"])
 def test_xml_illegal_characters_are_rejected_on_serialization(char):
     from procline.model import ElementKind, MetamodelVersion, ProcessElement, ProcessModel
