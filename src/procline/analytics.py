@@ -9,6 +9,8 @@ never used?") fall out directly.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -55,30 +57,28 @@ def usage_report(variant_set: VariantSet, catalog: OperationCatalog) -> UsageRep
     else is keyed by catalog metadata.
     """
     variant_ids = tuple(variant_set.variant_ids())
-    type_groups = {t.name: t.group for t in catalog}
-    type_metamodels = {t.name: t.defining_metamodel for t in catalog}
-    type_synthetic = {t.name: t.synthetic for t in catalog}
+    type_defs = list(catalog)  # sorted by name, once
+    type_names = [t.name for t in type_defs]
 
-    per_type = {t.name: 0 for t in catalog}
-    cells = {(v, t.name): 0 for v in variant_ids for t in catalog}
-    groups = catalog.groups()
-    matrix = {
-        (v, g, mm): 0 for v in variant_ids for g in groups for mm in MetamodelVersion
-    }
-    variant_totals = {v: 0 for v in variant_ids}
+    per_type = dict.fromkeys(type_names, 0)
+    cells = dict.fromkeys(itertools.product(variant_ids, type_names), 0)
+    matrix = dict.fromkeys(
+        itertools.product(variant_ids, catalog.groups(), MetamodelVersion), 0
+    )
+    variant_totals = dict.fromkeys(variant_ids, 0)
     unknown: dict[tuple[str, str], int] = {}
 
     for variant_id in variant_ids:
-        for exemplar in variant_set.extensions[variant_id].exemplars:
-            variant_totals[variant_id] += 1
-            type_def = catalog.get(exemplar.type_name)
+        exemplars = variant_set.extensions[variant_id].exemplars
+        variant_totals[variant_id] = len(exemplars)
+        for type_name, count in Counter(x.type_name for x in exemplars).items():
+            type_def = catalog.get(type_name)
             if type_def is None:
-                key = (variant_id, exemplar.type_name)
-                unknown[key] = unknown.get(key, 0) + 1
+                unknown[(variant_id, type_name)] = count
                 continue
-            per_type[type_def.name] += 1
-            cells[(variant_id, type_def.name)] += 1
-            matrix[(variant_id, type_def.group, type_def.defining_metamodel)] += 1
+            per_type[type_name] += count
+            cells[(variant_id, type_name)] = count
+            matrix[(variant_id, type_def.group, type_def.defining_metamodel)] += count
 
     return UsageReport(
         variant_ids=variant_ids,
@@ -89,9 +89,9 @@ def usage_report(variant_set: VariantSet, catalog: OperationCatalog) -> UsageRep
         variant_totals=variant_totals,
         total_exemplars=sum(variant_totals.values()),
         unknown_types=unknown,
-        type_groups=type_groups,
-        type_metamodels=type_metamodels,
-        type_synthetic=type_synthetic,
+        type_groups={t.name: t.group for t in type_defs},
+        type_metamodels={t.name: t.defining_metamodel for t in type_defs},
+        type_synthetic={t.name: t.synthetic for t in type_defs},
     )
 
 

@@ -99,6 +99,20 @@ class OperationExemplar:
             raise ValueError(f"exemplar of {self.type_name!r}: target must be non-empty")
         object.__setattr__(self, "args", dict(self.args))
 
+    @classmethod
+    def _trusted(cls, type_name: str, target: str, args: dict[str, str]) -> "OperationExemplar":
+        """An exemplar over values the caller has checked and an args map it gives up.
+
+        Only the extension parser builds exemplars here: it has checked that
+        ``type_name`` and ``target`` are non-empty and owns ``args``, so the
+        checks and the copy of ``__post_init__`` are skipped.
+        """
+        exemplar = object.__new__(cls)
+        object.__setattr__(exemplar, "type_name", type_name)
+        object.__setattr__(exemplar, "target", target)
+        object.__setattr__(exemplar, "args", args)
+        return exemplar
+
 
 class OperationCatalog:
     """Immutable name-indexed collection of operation type definitions."""

@@ -366,7 +366,8 @@ class ProcessModel:
     ) -> "ProcessModel":
         """A model over maps the caller has checked and will not change again.
 
-        The functional updates below check the one id they change, so they
+        The functional updates below check the one id they change, and
+        :func:`apply_change_set` checks each id its change set names, so they
         build their result here: no copy of either map, no re-check of every key.
         """
         model = object.__new__(cls)
@@ -788,4 +789,5 @@ def apply_change_set(model: ProcessModel, change_set: ChangeSet) -> ProcessModel
         references[reference_change.reference_id] = _apply_reference_change(
             references[reference_change.reference_id], reference_change
         )
-    return ProcessModel(metamodel, elements, references)
+    # every id was checked above, and the two maps are this call's own copies
+    return ProcessModel._trusted(MetamodelVersion(metamodel), elements, references)

@@ -3,12 +3,15 @@
 Parsing is strict: unknown tags or attributes, missing required attributes,
 bad enum values, wrong schema versions, and duplicate ids are all rejected
 with :class:`SchemaError` (syntactic problems surface as
-:class:`ParseError`). Serialization is canonical: UTF-8 text, LF line ends,
-two-space indent, elements and references sorted by id, attribute tags
-sorted by key, text blocks in model order, CR written as ``&#13;``.
-Canonical files are a fixed point of parse-then-serialize, which is what
-makes them diffable. Text holding a character XML cannot carry at all
-raises :class:`IllegalCharacterError` instead of producing a broken file.
+:class:`ParseError`). Each tag's required and allowed attributes live in
+one per-tag table, ``_ATTRIBUTES``, the same under every parent.
+
+Serialization is canonical: UTF-8 text, LF line ends, two-space indent,
+elements and references sorted by id, attribute tags sorted by key, text
+blocks in model order, CR written as ``&#13;``. Canonical files are a fixed
+point of parse-then-serialize, which is what makes them diffable. Text
+holding a character XML cannot carry at all raises
+:class:`IllegalCharacterError` instead of producing a broken file.
 
 Statistics exports (CSV and plain text) live here too, next to the other
 output formats.
@@ -71,18 +74,47 @@ def _root_node(text: str | bytes, expected_tag: str, source: str) -> ET.Element:
     return root
 
 
-def _check_attrs(
-    node: ET.Element,
-    required: tuple[str, ...],
-    optional: tuple[str, ...] = (),
-    *,
-    source: str,
-) -> None:
-    for name in required:
-        if name not in node.attrib:
+def _schema(
+    *required: str, optional: tuple[str, ...] = ()
+) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
+    return required, frozenset(required), frozenset(required + optional)
+
+
+# tag -> (required attributes in message order, required set, allowed set);
+# a tag has the same attributes under every parent
+_ATTRIBUTES = {
+    "processModel": _schema("schemaVersion", "metamodel"),
+    "element": _schema("id", "kind", "name"),
+    "reference": _schema("id", "kind", "source", "target"),
+    "description": _schema(),
+    "attribute": _schema("key"),
+    "textBlock": _schema("id"),
+    "extensionModel": _schema("schemaVersion", "id", "metamodel", optional=("parent",)),
+    "newElements": _schema(),
+    "newReferences": _schema(),
+    "exclusions": _schema(),
+    "exclude": _schema("id"),
+    "operations": _schema(),
+    "exemplar": _schema("type", "target"),
+    "arg": _schema("name"),
+    "operationCatalog": _schema("schemaVersion"),
+    "operationType": _schema("name", "group", "targetKind", "metamodel", optional=("synthetic",)),
+    "step": _schema("atomic", "target"),
+}
+# neither has optional attributes, so a valid node's keys equal these sets
+_EXEMPLAR_ATTRIBUTES = _ATTRIBUTES["exemplar"][2]
+_ARG_ATTRIBUTES = _ATTRIBUTES["arg"][2]
+
+
+def _check_attrs(node: ET.Element, source: str) -> None:
+    ordered, required, allowed = _ATTRIBUTES[node.tag]
+    keys = node.attrib.keys()
+    if required <= keys <= allowed:
+        return
+    for name in ordered:
+        if name not in keys:
             raise SchemaError(f"<{node.tag}> lacks attribute {name!r}", path=source)
-    allowed = set(required) | set(optional)
-    for name in node.attrib:
+    for name in keys:
         if name not in allowed:
             raise SchemaError(f"<{node.tag}> has unexpected attribute {name!r}", path=source)
 
@@ -121,7 +153,7 @@ def _claim_id(seen: set[str], new_id: str, source: str) -> None:
 
 
 def _parse_element_node(node: ET.Element, seen: set[str], source: str) -> ProcessElement:
-    _check_attrs(node, ("id", "kind", "name"), source=source)
+    _check_attrs(node, source)
     _no_stray_text(node, source)
     elem_id = node.attrib["id"]
     _claim_id(seen, elem_id, source)
@@ -137,11 +169,11 @@ def _parse_element_node(node: ET.Element, seen: set[str], source: str) -> Proces
         if child.tag == "description":
             if saw_description:
                 raise SchemaError(f"element {elem_id!r} repeats <description>", path=source)
-            _check_attrs(child, (), source=source)
+            _check_attrs(child, source)
             description = _leaf(child, source)
             saw_description = True
         elif child.tag == "attribute":
-            _check_attrs(child, ("key",), source=source)
+            _check_attrs(child, source)
             key = child.attrib["key"]
             if key in attributes:
                 raise SchemaError(
@@ -149,7 +181,7 @@ def _parse_element_node(node: ET.Element, seen: set[str], source: str) -> Proces
                 )
             attributes[key] = _leaf(child, source)
         elif child.tag == "textBlock":
-            _check_attrs(child, ("id",), source=source)
+            _check_attrs(child, source)
             blocks.append(TextBlock(id=child.attrib["id"], text=_leaf(child, source)))
         else:
             raise SchemaError(f"unexpected <{child.tag}> inside <element>", path=source)
@@ -167,7 +199,7 @@ def _parse_element_node(node: ET.Element, seen: set[str], source: str) -> Proces
 
 
 def _parse_reference_node(node: ET.Element, seen: set[str], source: str) -> Reference:
-    _check_attrs(node, ("id", "kind", "source", "target"), source=source)
+    _check_attrs(node, source)
     _no_stray_text(node, source)
     ref_id = node.attrib["id"]
     _claim_id(seen, ref_id, source)
@@ -179,7 +211,7 @@ def _parse_reference_node(node: ET.Element, seen: set[str], source: str) -> Refe
     for child in node:
         if child.tag != "attribute":
             raise SchemaError(f"unexpected <{child.tag}> inside <reference>", path=source)
-        _check_attrs(child, ("key",), source=source)
+        _check_attrs(child, source)
         key = child.attrib["key"]
         if key in attributes:
             raise SchemaError(f"reference {ref_id!r} repeats attribute key {key!r}", path=source)
@@ -199,7 +231,7 @@ def _parse_reference_node(node: ET.Element, seen: set[str], source: str) -> Refe
 def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
     """Read a reference/process model document."""
     root = _root_node(text, "processModel", source)
-    _check_attrs(root, ("schemaVersion", "metamodel"), source=source)
+    _check_attrs(root, source)
     _check_schema_version(root, source)
     _no_stray_text(root, source)
     metamodel = _metamodel(root.attrib["metamodel"], source)
@@ -217,23 +249,34 @@ def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
 
 
 def _parse_exemplar_node(node: ET.Element, source: str) -> OperationExemplar:
-    _check_attrs(node, ("type", "target"), source=source)
-    _no_stray_text(node, source)
+    # exemplars and their args are nearly every node of an extension, so the
+    # checks of _check_attrs, _no_stray_text and _leaf run inline here, with
+    # their messages; attributes that do not match go to _check_attrs to be named
+    attrib = node.attrib
+    if attrib.keys() != _EXEMPLAR_ATTRIBUTES:
+        _check_attrs(node, source)
+    if (node.text or "").strip():
+        raise SchemaError("<exemplar> holds unexpected text", path=source)
     args: dict[str, str] = {}
     for child in node:
         if child.tag != "arg":
             raise SchemaError(f"unexpected <{child.tag}> inside <exemplar>", path=source)
-        _check_attrs(child, ("name",), source=source)
-        name = child.attrib["name"]
+        child_attrib = child.attrib
+        if child_attrib.keys() != _ARG_ATTRIBUTES:
+            _check_attrs(child, source)
+        name = child_attrib["name"]
         if name in args:
             raise SchemaError(
-                f"exemplar of {node.attrib['type']!r} repeats argument {name!r}", path=source
+                f"exemplar of {attrib['type']!r} repeats argument {name!r}", path=source
             )
-        args[name] = _leaf(child, source)
+        if len(child):
+            raise SchemaError("<arg> must not have child tags", path=source)
+        args[name] = child.text or ""
+    type_name, target = attrib["type"], attrib["target"]
+    if type_name and target:
+        return OperationExemplar._trusted(type_name, target, args)
     try:
-        return OperationExemplar(
-            type_name=node.attrib["type"], target=node.attrib["target"], args=args
-        )
+        return OperationExemplar(type_name=type_name, target=target, args=args)
     except ValueError as exc:
         raise SchemaError(str(exc), path=source) from None
 
@@ -246,7 +289,7 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
     :class:`MissingParentDeclarationError`.
     """
     root = _root_node(text, "extensionModel", source)
-    _check_attrs(root, ("schemaVersion", "id", "metamodel"), optional=("parent",), source=source)
+    _check_attrs(root, source)
     _check_schema_version(root, source)
     _no_stray_text(root, source)
     if "parent" not in root.attrib:
@@ -266,7 +309,7 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
         sections_seen.add(section.tag)
         _no_stray_text(section, source)
         if section.tag == "newElements":
-            _check_attrs(section, (), source=source)
+            _check_attrs(section, source)
             for child in section:
                 if child.tag != "element":
                     raise SchemaError(
@@ -274,7 +317,7 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
                     )
                 new_elements.append(_parse_element_node(child, seen, source))
         elif section.tag == "newReferences":
-            _check_attrs(section, (), source=source)
+            _check_attrs(section, source)
             for child in section:
                 if child.tag != "reference":
                     raise SchemaError(
@@ -282,18 +325,18 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
                     )
                 new_references.append(_parse_reference_node(child, seen, source))
         elif section.tag == "exclusions":
-            _check_attrs(section, (), source=source)
+            _check_attrs(section, source)
             for child in section:
                 if child.tag != "exclude":
                     raise SchemaError(
                         f"unexpected <{child.tag}> inside <exclusions>", path=source
                     )
-                _check_attrs(child, ("id",), source=source)
+                _check_attrs(child, source)
                 if len(child) or (child.text or "").strip():
                     raise SchemaError("<exclude> must be empty", path=source)
                 exclusions.append(child.attrib["id"])
         elif section.tag == "operations":
-            _check_attrs(section, (), source=source)
+            _check_attrs(section, source)
             for child in section:
                 if child.tag != "exemplar":
                     raise SchemaError(
@@ -317,7 +360,7 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
 
 
 def _parse_step_node(node: ET.Element, source: str) -> StepTemplate:
-    _check_attrs(node, ("atomic", "target"), source=source)
+    _check_attrs(node, source)
     _no_stray_text(node, source)
     try:
         atomic = AtomicKind(node.attrib["atomic"])
@@ -327,7 +370,7 @@ def _parse_step_node(node: ET.Element, source: str) -> StepTemplate:
     for child in node:
         if child.tag != "arg":
             raise SchemaError(f"unexpected <{child.tag}> inside <step>", path=source)
-        _check_attrs(child, ("name",), source=source)
+        _check_attrs(child, source)
         name = child.attrib["name"]
         if name in args:
             raise SchemaError(f"step repeats argument {name!r}", path=source)
@@ -349,19 +392,14 @@ def _target_kind(value: str, source: str) -> ElementKind | ReferenceKind:
 def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
     """Read an operation catalog document."""
     root = _root_node(text, "operationCatalog", source)
-    _check_attrs(root, ("schemaVersion",), source=source)
+    _check_attrs(root, source)
     _check_schema_version(root, source)
     _no_stray_text(root, source)
     type_defs: list[OperationTypeDef] = []
     for node in root:
         if node.tag != "operationType":
             raise SchemaError(f"unexpected <{node.tag}> inside <operationCatalog>", path=source)
-        _check_attrs(
-            node,
-            ("name", "group", "targetKind", "metamodel"),
-            optional=("synthetic",),
-            source=source,
-        )
+        _check_attrs(node, source)
         _no_stray_text(node, source)
         synthetic_raw = node.attrib.get("synthetic", "false")
         if synthetic_raw not in ("true", "false"):
@@ -658,7 +696,7 @@ def export_stats_csv(report: UsageReport) -> str:
         )
     for (variant_id, type_name), count in report.unknown_types.items():
         rows.append((variant_id, UNKNOWN_GROUP, type_name, "", count))
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    rows.sort()  # (variant, group, type) is unique, so the later columns never decide
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)

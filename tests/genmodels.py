@@ -12,12 +12,13 @@ must carry unchanged, but no other control characters: XML cannot carry
 those at all, and serialization rejects them.
 """
 
+import dataclasses
 import itertools
 import random
 
 from procline.atomic import AtomicKind
 from procline.catalog import OperationExemplar
-from procline.merge import ExtensionModel
+from procline.merge import ExtensionModel, VariantSet
 from procline.model import (
     CONFIGURATION_CONTAINER_KINDS,
     REFERENCE_CONSTRAINTS,
@@ -547,6 +548,24 @@ def random_extension(
         exclusions=tuple(exclusions),
         exemplars=tuple(exemplars),
     )
+
+
+def random_variant_set(rng: random.Random, catalog) -> VariantSet:
+    """A one-level family over a random model, for counting rather than merging.
+
+    Variant ids are drawn, so their sorted order is not their creation
+    order. One variant always declares no exemplars, and one always holds
+    an extra exemplar of a type the catalog lacks.
+    """
+    root = random_model(rng, max_elements=20)
+    ids = rng.sample([f"{letter}{n}" for letter in "KQZ" for n in range(10)], rng.randint(2, 8))
+    extensions = [random_extension(rng, root, catalog, variant_id=v) for v in ids]
+    extensions[0] = dataclasses.replace(extensions[0], exemplars=())
+    exemplars = list(extensions[-1].exemplars)
+    stranger = OperationExemplar(f"NoSuchOp{rng.randint(0, 99)}", "ghost")
+    exemplars.insert(rng.randint(0, len(exemplars)), stranger)
+    extensions[-1] = dataclasses.replace(extensions[-1], exemplars=tuple(exemplars))
+    return VariantSet.of(root, extensions)
 
 
 def well_typed_exemplar(rng: random.Random, model: ProcessModel, catalog):

@@ -531,3 +531,46 @@ def merge(plain_base, plain_ext, plain_catalog, last_wins=False):
     if dirty:
         return ("invalid", set(dirty), None)
     return ("ok", working, trace)
+
+
+# -- usage statistics --------------------------------------------------------
+
+def usage_counts(plain_catalog, plain_extensions):
+    """Count every declared exemplar, one nested loop, all cells present.
+
+    Keys mirror the usage report: per type, per (variant, type), per
+    (variant, group, metamodel), per variant, and per (variant, type) for
+    type names the catalog lacks. Unknown ones count toward their variant.
+    """
+    variants = sorted(ext["variant"] for ext in plain_extensions)
+    groups = sorted({t["group"] for t in plain_catalog.values()})
+    per_type = {name: 0 for name in plain_catalog}
+    cells = {}
+    matrix = {}
+    for variant in variants:
+        for name in plain_catalog:
+            cells[(variant, name)] = 0
+        for group in groups:
+            for metamodel in METAMODEL_RANK:
+                matrix[(variant, group, metamodel)] = 0
+    totals = {variant: 0 for variant in variants}
+    unknown = {}
+    for ext in plain_extensions:
+        variant = ext["variant"]
+        for exemplar in ext["exemplars"]:
+            totals[variant] += 1
+            name = exemplar["type"]
+            type_def = plain_catalog.get(name)
+            if type_def is None:
+                unknown[(variant, name)] = unknown.get((variant, name), 0) + 1
+                continue
+            per_type[name] += 1
+            cells[(variant, name)] += 1
+            matrix[(variant, type_def["group"], type_def["metamodel"])] += 1
+    return {
+        "per_type": per_type,
+        "cells": cells,
+        "matrix": matrix,
+        "totals": totals,
+        "unknown": unknown,
+    }

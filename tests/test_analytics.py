@@ -1,5 +1,11 @@
 """Usage statistics over variant sets."""
 
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import genmodels
+import oracle
 from procline.analytics import UnusedSlice, top_n, unused_report, usage_report
 from procline.catalog import OperationExemplar
 from procline.merge import ExtensionModel, VariantSet
@@ -156,3 +162,22 @@ def test_study_unused_split_by_metamodel(variants, catalog):
     per_mm = unused_report(report).per_metamodel
     assert per_mm[MetamodelVersion.V1_3].unused_count == 12
     assert per_mm[MetamodelVersion.V1_3B].unused_count == 13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_usage_report_agrees_with_oracle_counts(catalog, seed):
+    rng = random.Random(seed)
+    family = genmodels.random_variant_set(rng, catalog)
+    report = usage_report(family, catalog)
+    expected = oracle.usage_counts(
+        oracle.catalog_to_plain(catalog),
+        [oracle.extension_to_plain(ext) for ext in family.extensions.values()],
+    )
+    assert dict(report.per_type_counts) == expected["per_type"]
+    assert dict(report.cells) == expected["cells"]
+    assert {(v, g, mm.value): n for (v, g, mm), n in report.matrix.items()} == expected["matrix"]
+    assert dict(report.variant_totals) == expected["totals"]
+    assert dict(report.unknown_types) == expected["unknown"]
+    assert report.total_exemplars == sum(expected["totals"].values())
+    assert expected["unknown"] and 0 in expected["totals"].values()

@@ -23,6 +23,7 @@ from procline.model import (
     ProcessElement,
     ProcessModel,
     Reference,
+    ReferenceChange,
     ReferenceKind,
     TextBlock,
     apply_change_set,
@@ -322,6 +323,22 @@ def test_apply_change_set_rejects_misfits():
         apply_change_set(model, ChangeSet(removed_references=("nope",)))
     with pytest.raises(DuplicateIdError):
         apply_change_set(model, ChangeSet(added_elements=(_element("wp"),)))
+    # ids are checked one by one; no whole-model re-check stands behind them
+    clash = Reference("role", ReferenceKind.RESPONSIBILITY, "wp", "role")
+    with pytest.raises(DuplicateIdError, match="'role'"):
+        apply_change_set(model, ChangeSet(added_references=(clash,)))
+    with pytest.raises(UnknownIdError, match="'nope'"):
+        apply_change_set(
+            model,
+            ChangeSet(modified_elements=(ElementChange("nope", (FieldChange("name", "A", "B"),)),)),
+        )
+    with pytest.raises(UnknownIdError, match="'nope'"):
+        apply_change_set(
+            model,
+            ChangeSet(
+                modified_references=(ReferenceChange("nope", (FieldChange("source", "wp", "x"),)),)
+            ),
+        )
 
 
 def test_apply_change_set_rejects_block_order_mismatch():

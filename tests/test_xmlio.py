@@ -194,6 +194,81 @@ def test_exclude_nodes_must_be_empty():
         parse_extension(text)
 
 
+def _ext_doc(operations: str, root_attrs: str = "") -> str:
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<extensionModel schemaVersion="1" id="X" parent="root" metamodel="1.3"{root_attrs}>\n'
+        f"  <operations>\n    {operations}\n  </operations>\n</extensionModel>\n"
+    )
+
+
+# one defect per document; each message is pinned word for word
+_ONE_DEFECT_EXTENSIONS = {
+    "exemplar-lacks-target": (
+        _ext_doc('<exemplar type="RenameRole"/>'),
+        "<exemplar> lacks attribute 'target'",
+    ),
+    "exemplar-lacks-both": (
+        _ext_doc("<exemplar/>"),
+        "<exemplar> lacks attribute 'type'",
+    ),
+    "exemplar-extra-attribute": (
+        _ext_doc('<exemplar type="RenameRole" target="r1" color="red"/>'),
+        "<exemplar> has unexpected attribute 'color'",
+    ),
+    "arg-lacks-name": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"><arg>Lead</arg></exemplar>'),
+        "<arg> lacks attribute 'name'",
+    ),
+    "arg-extra-attribute": (
+        _ext_doc(
+            '<exemplar type="RenameRole" target="r1"><arg name="newName" lang="de">Lead</arg></exemplar>'
+        ),
+        "<arg> has unexpected attribute 'lang'",
+    ),
+    "arg-child-tag": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"><arg name="newName"><b/></arg></exemplar>'),
+        "<arg> must not have child tags",
+    ),
+    "exemplar-stray-text": (
+        _ext_doc('<exemplar type="RenameRole" target="r1">loose words</exemplar>'),
+        "<exemplar> holds unexpected text",
+    ),
+    "repeated-argument": (
+        _ext_doc(
+            '<exemplar type="RenameRole" target="r1">'
+            '<arg name="newName">A</arg><arg name="newName">B</arg></exemplar>'
+        ),
+        "exemplar of 'RenameRole' repeats argument 'newName'",
+    ),
+    "empty-type": (
+        _ext_doc('<exemplar type="" target="r1"/>'),
+        "exemplar type name must be non-empty",
+    ),
+    "empty-target": (
+        _ext_doc('<exemplar type="RenameRole" target=""/>'),
+        "exemplar of 'RenameRole': target must be non-empty",
+    ),
+    "exemplar-unexpected-child": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"><widget/></exemplar>'),
+        "unexpected <widget> inside <exemplar>",
+    ),
+    "extension-extra-attribute": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"/>', root_attrs=' color="red"'),
+        "<extensionModel> has unexpected attribute 'color'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_DEFECT_EXTENSIONS))
+def test_one_defect_extension_schema_errors(name):
+    text, message = _ONE_DEFECT_EXTENSIONS[name]
+    with pytest.raises(SchemaError) as exc:
+        parse_extension(text, source="x.xml")
+    assert str(exc.value) == f"x.xml: {message}"
+    assert type(exc.value) is SchemaError
+
+
 def test_catalog_synthetic_flag_and_steps():
     open_tag = '<?xml version="1.0" encoding="UTF-8"?>\n<operationCatalog schemaVersion="1">'
     bad_flag = (
