@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .atomic import AtomicKind, AtomicStep, apply_unchecked, validate_step
@@ -71,9 +72,14 @@ class OperationTypeDef:
             raise ValueError(f"operation type {self.name!r}: recipe must not be empty")
         object.__setattr__(self, "recipe", tuple(self.recipe))
 
-    @property
+    @cached_property
     def placeholders(self) -> frozenset[str]:
-        """Argument names an exemplar of this type must supply."""
+        """Argument names an exemplar of this type must supply.
+
+        Computed once per type: ``cached_property`` stores it in the instance
+        ``__dict__``, past the frozen ``__setattr__``, and equality, hash and
+        repr read only the fields.
+        """
         names: set[str] = set()
         for template in self.recipe:
             names |= template.placeholders()
@@ -286,7 +292,7 @@ def simulate_exemplar(
                     f"got {elem.kind.value}",
                 )
             )
-    for name in sorted(type_def.placeholders - set(exemplar.args)):
+    for name in sorted(type_def.placeholders.difference(exemplar.args)):
         issues.append(
             Issue(
                 IssueCode.MISSING_ARGUMENT,

@@ -9,9 +9,14 @@ one per-tag table, ``_ATTRIBUTES``, the same under every parent.
 Serialization is canonical: UTF-8 text, LF line ends, two-space indent,
 elements and references sorted by id, attribute tags sorted by key, text
 blocks in model order, CR written as ``&#13;``. Canonical files are a fixed
-point of parse-then-serialize, which is what makes them diffable. Text
-holding a character XML cannot carry at all raises
-:class:`IllegalCharacterError` instead of producing a broken file.
+point of parse-then-serialize, which is what makes them diffable. Each
+writer appends finished lines, indents included, to one list and joins it
+once. Only a value holding a special character is escaped (``& < > "``, LF,
+CR and tab in attributes; ``& < >`` and CR in text); any other value is
+written as it is, and enum values and counts never need escaping. The
+joined document gets one scan for characters XML cannot carry at all,
+which raise :class:`IllegalCharacterError` instead of producing a broken
+file.
 
 Statistics exports (CSV and plain text) live here too, next to the other
 output formats.
@@ -23,7 +28,7 @@ import csv
 import io
 import re
 import xml.etree.ElementTree as ET
-from typing import Iterable
+from typing import Mapping
 
 from .analytics import UsageReport, top_n, unused_report
 from .atomic import AtomicKind
@@ -431,29 +436,13 @@ def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
+_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
+
 # characters XML 1.0 cannot carry, not even as character references
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
-class _Writer:
-    def __init__(self) -> None:
-        self._lines: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
-
-    def line(self, depth: int, content: str) -> None:
-        self._lines.append("  " * depth + content)
-
-    def text(self) -> str:
-        text = "\n".join(self._lines) + "\n"
-        bad = _NOT_XML_CHAR.search(text)
-        if bad is not None:
-            start = bad.start()
-            line_no = text.count("\n", 0, start) + 1
-            line = text[text.rfind("\n", 0, start) + 1 : text.find("\n", start)].strip()
-            raise IllegalCharacterError(
-                f"character U+{ord(bad.group()):04X} cannot be written as XML "
-                f"(output line {line_no}: {line[:80]!r})"
-            )
-        return text
+# values holding none of these are written as they are
+_ATTR_SPECIAL = re.compile('[&<>"\n\r\t]').search
+_TEXT_SPECIAL = re.compile("[&<>\r]").search
 
 
 # the output of xml.sax.saxutils.escape and quoteattr, without importing
@@ -473,179 +462,171 @@ def _quoteattr(data: str) -> str:
     return '"{}"'.format(data.replace('"', "&quot;"))
 
 
-def _attrs(pairs: Iterable[tuple[str, str]]) -> str:
-    return "".join(f" {name}={_quoteattr(value)}" for name, value in pairs)
+def _attr(value: str) -> str:
+    """``_quoteattr(value)``; a value without special characters is only quoted."""
+    return f'"{value}"' if _ATTR_SPECIAL(value) is None else _quoteattr(value)
 
 
-def _leaf_line(tag: str, pairs: Iterable[tuple[str, str]], text: str) -> str:
-    opening = f"<{tag}{_attrs(pairs)}"
-    if text == "":
-        return opening + "/>"
-    # a literal CR would be read back as LF; _quoteattr escapes it in attributes
-    escaped = _escape(text).replace("\r", "&#13;")
-    return f"{opening}>{escaped}</{tag}>"
+def _text(value: str) -> str:
+    """``value`` as element text: escaped, and CR as ``&#13;`` (a literal CR reads back as LF)."""
+    if _TEXT_SPECIAL(value) is None:
+        return value
+    return _escape(value).replace("\r", "&#13;")
 
 
-def _write_container(
-    writer: _Writer, depth: int, tag: str, pairs: Iterable[tuple[str, str]], body_lines: list
-) -> None:
-    """body_lines: rendered child lines as (depth, content); empty means self-close."""
-    if not body_lines:
-        writer.line(depth, f"<{tag}{_attrs(pairs)}/>")
+def _document(lines: list[str]) -> str:
+    """The finished lines as one document, after one scan for illegal characters."""
+    text = "\n".join(lines) + "\n"
+    bad = _NOT_XML_CHAR.search(text)
+    if bad is not None:
+        start = bad.start()
+        line_no = text.count("\n", 0, start) + 1
+        line = text[text.rfind("\n", 0, start) + 1 : text.find("\n", start)].strip()
+        raise IllegalCharacterError(
+            f"character U+{ord(bad.group()):04X} cannot be written as XML "
+            f"(output line {line_no}: {line[:80]!r})"
+        )
+    return text
+
+
+def _add_keyed(lines: list[str], pad: str, tag: str, key: str, values: Mapping[str, str]) -> None:
+    """One ``<tag key="name">value</tag>`` line per entry of ``values``, sorted by name."""
+    for name in sorted(values):
+        value = values[name]
+        head = f"{pad}<{tag} {key}={_attr(name)}"
+        lines.append(f"{head}>{_text(value)}</{tag}>" if value else head + "/>")
+
+
+def _add_element(lines: list[str], pad: str, elem: ProcessElement) -> None:
+    head = f'{pad}<element id={_attr(elem.id)} kind="{elem.kind.value}" name={_attr(elem.name)}'
+    if not (elem.description or elem.attributes or elem.text_blocks):
+        lines.append(head + "/>")
         return
-    writer.line(depth, f"<{tag}{_attrs(pairs)}>")
-    for child_depth, content in body_lines:
-        writer.line(child_depth, content)
-    writer.line(depth, f"</{tag}>")
-
-
-def _element_lines(elem: ProcessElement, depth: int) -> list:
-    lines = []
-    if elem.description != "":
-        lines.append((depth + 1, _leaf_line("description", (), elem.description)))
-    for key in sorted(elem.attributes):
-        lines.append((depth + 1, _leaf_line("attribute", [("key", key)], elem.attributes[key])))
+    lines.append(head + ">")
+    inner = pad + "  "
+    if elem.description:
+        lines.append(f"{inner}<description>{_text(elem.description)}</description>")
+    _add_keyed(lines, inner, "attribute", "key", elem.attributes)
     for block in elem.text_blocks:
-        lines.append((depth + 1, _leaf_line("textBlock", [("id", block.id)], block.text)))
-    return lines
+        opening = f"{inner}<textBlock id={_attr(block.id)}"
+        lines.append(f"{opening}>{_text(block.text)}</textBlock>" if block.text else opening + "/>")
+    lines.append(pad + "</element>")
 
 
-def _write_element(writer: _Writer, depth: int, elem: ProcessElement) -> None:
-    pairs = [("id", elem.id), ("kind", elem.kind.value), ("name", elem.name)]
-    _write_container(writer, depth, "element", pairs, _element_lines(elem, depth))
-
-
-def _write_reference(writer: _Writer, depth: int, ref: Reference) -> None:
-    pairs = [
-        ("id", ref.id),
-        ("kind", ref.kind.value),
-        ("source", ref.source),
-        ("target", ref.target),
-    ]
-    lines = [
-        (depth + 1, _leaf_line("attribute", [("key", key)], ref.attributes[key]))
-        for key in sorted(ref.attributes)
-    ]
-    _write_container(writer, depth, "reference", pairs, lines)
+def _add_reference(lines: list[str], pad: str, ref: Reference) -> None:
+    head = (
+        f'{pad}<reference id={_attr(ref.id)} kind="{ref.kind.value}"'
+        f" source={_attr(ref.source)} target={_attr(ref.target)}"
+    )
+    if not ref.attributes:
+        lines.append(head + "/>")
+        return
+    lines.append(head + ">")
+    _add_keyed(lines, pad + "  ", "attribute", "key", ref.attributes)
+    lines.append(pad + "</reference>")
 
 
 def serialize_model(model: ProcessModel) -> str:
-    writer = _Writer()
-    pairs = [("schemaVersion", SCHEMA_VERSION), ("metamodel", model.metamodel.value)]
+    head = f'<processModel schemaVersion="{SCHEMA_VERSION}" metamodel="{model.metamodel.value}"'
     if not model.elements and not model.references:
-        writer.line(0, f"<processModel{_attrs(pairs)}/>")
-        return writer.text()
-    writer.line(0, f"<processModel{_attrs(pairs)}>")
-    for elem_id in sorted(model.elements):
-        _write_element(writer, 1, model.elements[elem_id])
-    for ref_id in sorted(model.references):
-        _write_reference(writer, 1, model.references[ref_id])
-    writer.line(0, "</processModel>")
-    return writer.text()
-
-
-def _write_exemplar(writer: _Writer, depth: int, exemplar: OperationExemplar) -> None:
-    pairs = [("type", exemplar.type_name), ("target", exemplar.target)]
-    lines = [
-        (depth + 1, _leaf_line("arg", [("name", name)], exemplar.args[name]))
-        for name in sorted(exemplar.args)
-    ]
-    _write_container(writer, depth, "exemplar", pairs, lines)
+        return _document([_DECLARATION, head + "/>"])
+    lines = [_DECLARATION, head + ">"]
+    elements, references = model.elements, model.references
+    for elem_id in sorted(elements):
+        _add_element(lines, "  ", elements[elem_id])
+    for ref_id in sorted(references):
+        _add_reference(lines, "  ", references[ref_id])
+    lines.append("</processModel>")
+    return _document(lines)
 
 
 def serialize_extension(ext: ExtensionModel) -> str:
-    writer = _Writer()
-    pairs = [
-        ("schemaVersion", SCHEMA_VERSION),
-        ("id", ext.variant_id),
-        ("parent", ext.parent_id),
-        ("metamodel", ext.metamodel.value),
-    ]
-    has_body = ext.new_elements or ext.new_references or ext.exclusions or ext.exemplars
-    if not has_body:
-        writer.line(0, f"<extensionModel{_attrs(pairs)}/>")
-        return writer.text()
-    writer.line(0, f"<extensionModel{_attrs(pairs)}>")
+    head = (
+        f'<extensionModel schemaVersion="{SCHEMA_VERSION}" id={_attr(ext.variant_id)}'
+        f' parent={_attr(ext.parent_id)} metamodel="{ext.metamodel.value}"'
+    )
+    if not (ext.new_elements or ext.new_references or ext.exclusions or ext.exemplars):
+        return _document([_DECLARATION, head + "/>"])
+    lines = [_DECLARATION, head + ">"]
     if ext.new_elements:
-        writer.line(1, "<newElements>")
+        lines.append("  <newElements>")
         for elem in ext.new_elements:
-            _write_element(writer, 2, elem)
-        writer.line(1, "</newElements>")
+            _add_element(lines, "    ", elem)
+        lines.append("  </newElements>")
     if ext.new_references:
-        writer.line(1, "<newReferences>")
+        lines.append("  <newReferences>")
         for ref in ext.new_references:
-            _write_reference(writer, 2, ref)
-        writer.line(1, "</newReferences>")
+            _add_reference(lines, "    ", ref)
+        lines.append("  </newReferences>")
     if ext.exclusions:
-        writer.line(1, "<exclusions>")
-        for excluded_id in ext.exclusions:
-            writer.line(2, f"<exclude{_attrs([('id', excluded_id)])}/>")
-        writer.line(1, "</exclusions>")
+        lines.append("  <exclusions>")
+        lines.extend(f"    <exclude id={_attr(excluded_id)}/>" for excluded_id in ext.exclusions)
+        lines.append("  </exclusions>")
     if ext.exemplars:
-        writer.line(1, "<operations>")
+        lines.append("  <operations>")
         for exemplar in ext.exemplars:
-            _write_exemplar(writer, 2, exemplar)
-        writer.line(1, "</operations>")
-    writer.line(0, "</extensionModel>")
-    return writer.text()
+            head = f"    <exemplar type={_attr(exemplar.type_name)} target={_attr(exemplar.target)}"
+            if exemplar.args:
+                lines.append(head + ">")
+                _add_keyed(lines, "      ", "arg", "name", exemplar.args)
+                lines.append("    </exemplar>")
+            else:
+                lines.append(head + "/>")
+        lines.append("  </operations>")
+    lines.append("</extensionModel>")
+    return _document(lines)
 
 
 def serialize_catalog(catalog: OperationCatalog) -> str:
-    writer = _Writer()
-    pairs = [("schemaVersion", SCHEMA_VERSION)]
+    head = f'<operationCatalog schemaVersion="{SCHEMA_VERSION}"'
     if len(catalog) == 0:
-        writer.line(0, f"<operationCatalog{_attrs(pairs)}/>")
-        return writer.text()
-    writer.line(0, f"<operationCatalog{_attrs(pairs)}>")
+        return _document([_DECLARATION, head + "/>"])
+    lines = [_DECLARATION, head + ">"]
     for type_def in catalog:
-        type_pairs = [
-            ("name", type_def.name),
-            ("group", type_def.group),
-            ("targetKind", type_def.target_kind.value),
-            ("metamodel", type_def.defining_metamodel.value),
-        ]
-        if type_def.synthetic:
-            type_pairs.append(("synthetic", "true"))
-        writer.line(1, f"<operationType{_attrs(type_pairs)}>")
+        lines.append(
+            f"  <operationType name={_attr(type_def.name)} group={_attr(type_def.group)}"
+            f' targetKind="{type_def.target_kind.value}"'
+            f' metamodel="{type_def.defining_metamodel.value}"'
+            + (' synthetic="true">' if type_def.synthetic else ">")
+        )
         for step in type_def.recipe:
-            step_pairs = [("atomic", step.atomic.value), ("target", step.target)]
-            lines = [
-                (3, _leaf_line("arg", [("name", name)], step.args[name]))
-                for name in sorted(step.args)
-            ]
-            _write_container(writer, 2, "step", step_pairs, lines)
-        writer.line(1, "</operationType>")
-    writer.line(0, "</operationCatalog>")
-    return writer.text()
+            head = f'    <step atomic="{step.atomic.value}" target={_attr(step.target)}'
+            if step.args:
+                lines.append(head + ">")
+                _add_keyed(lines, "      ", "arg", "name", step.args)
+                lines.append("    </step>")
+            else:
+                lines.append(head + "/>")
+        lines.append("  </operationType>")
+    lines.append("</operationCatalog>")
+    return _document(lines)
 
 
 def serialize_trace(trace: MergeTrace) -> str:
     """Trace metadata as XML. Change sets are runtime data and stay out."""
-    writer = _Writer()
-    pairs = [("schemaVersion", SCHEMA_VERSION)]
+    head = f'<mergeTrace schemaVersion="{SCHEMA_VERSION}"'
     if trace.final_metamodel is not None:
-        pairs.append(("finalMetamodel", trace.final_metamodel.value))
+        head += f' finalMetamodel="{trace.final_metamodel.value}"'
     if not trace.entries:
-        writer.line(0, f"<mergeTrace{_attrs(pairs)}/>")
-        return writer.text()
-    writer.line(0, f"<mergeTrace{_attrs(pairs)}>")
+        return _document([_DECLARATION, head + "/>"])
+    lines = [_DECLARATION, head + ">"]
     for entry in trace.entries:
-        entry_pairs = [
-            ("kind", entry.kind.value),
-            ("variant", entry.variant_id),
-            ("subject", entry.subject),
-        ]
+        kind = entry.kind
+        line = (
+            f'  <entry kind="{kind.value}" variant={_attr(entry.variant_id)}'
+            f" subject={_attr(entry.subject)}"
+        )
         if entry.target:
-            entry_pairs.append(("target", entry.target))
-        if entry.kind is TraceEntryKind.EXCLUSION_APPLIED:
-            entry_pairs.append(("cascadeCount", str(entry.cascade_count)))
-        if entry.kind is TraceEntryKind.OPERATION_EXECUTED:
-            entry_pairs.append(("stepCount", str(entry.step_count)))
+            line += f" target={_attr(entry.target)}"
+        if kind is TraceEntryKind.EXCLUSION_APPLIED:
+            line += f' cascadeCount="{entry.cascade_count}"'
+        if kind is TraceEntryKind.OPERATION_EXECUTED:
+            line += f' stepCount="{entry.step_count}"'
         if entry.detail:
-            entry_pairs.append(("detail", entry.detail))
-        writer.line(1, f"<entry{_attrs(entry_pairs)}/>")
-    writer.line(0, "</mergeTrace>")
-    return writer.text()
+            line += f" detail={_attr(entry.detail)}"
+        lines.append(line + "/>")
+    lines.append("</mergeTrace>")
+    return _document(lines)
 
 
 def render_trace_text(trace: MergeTrace) -> str:

@@ -1,8 +1,11 @@
-"""The bundled data set: shipped files and family shape."""
+"""The bundled data set: shipped files, family shape and pinned outputs."""
+
+import hashlib
 
 import pytest
 
 from procline.catalog import builtin_catalog
+from procline.merge import merge_chain, merge_once
 from procline.studyline import (
     DATA_FILES,
     MASKING_VARIANT_ID,
@@ -19,7 +22,36 @@ from procline.xmlio import (
     serialize_catalog,
     serialize_extension,
     serialize_model,
+    serialize_trace,
 )
+
+# sha256 of the merged model and of the trace, as the canonical writer gives them
+STUDY_OUTPUT_SHA256 = {
+    "A": (
+        "2dff151520d8745d5f93f4bd45a517f91df87582e63bd6553e4c17a9b6bc9bdd",
+        "736754b763040435bb7f8ee20bf820544983e6ae9e934add855ab0ccf6143ad1",
+    ),
+    "B": (
+        "67dc15582f1cb0644c6a2e9b8049a346778d0bc842d8b89e45f161fded365bf0",
+        "5b903cebf187b2611ec2bcad141b6449d65ccbc4357ad23554ab28f7b9ab44e6",
+    ),
+    "Bund": (
+        "eadfa6224a8dde810ce95b75775ab5e983fb0cfce2045d3baa1252a4f554554e",
+        "9f8df78beda82040c1337a5152d94a5248d8e2c879f1a3e1e69e1aa383a808bd",
+    ),
+    "C": (
+        "4bcfb17c1bfee012e03cb963ad51e1f435f3591d2eda186cc8ea088ff1fff783",
+        "64d17511e23e86662c3cc818d8e9bbad15baa0a50309c3b6510aff1339086b74",
+    ),
+    "D": (
+        "4fbbfa8351b90f005c26fd90f4983127b96852de2f81cf88de4b0d899983d953",
+        "36f82ea54897184140d9877961429e5c107980c884a2f2e76e3324b93f495eaa",
+    ),
+    MASKING_VARIANT_ID: (
+        "1cb6fe0dc1df30cb510dc64ab0fd80e4b1972f41a7c2165cf321fa8836a70ef4",
+        "2d991c54c3f46e018a2933f021a890ec145d18d8743d2af6ae6ba7a663f6d237",
+    ),
+}
 
 
 def test_shipped_files_are_canonical():
@@ -69,3 +101,18 @@ def test_every_exemplar_type_is_in_the_catalog():
     for variant_id in VARIANT_IDS:
         for exemplar in variants.extensions[variant_id].exemplars:
             assert exemplar.type_name in catalog, (variant_id, exemplar.type_name)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("variant_id", sorted(STUDY_OUTPUT_SHA256))
+def test_study_merges_and_traces_keep_their_bytes(variant_id):
+    catalog = builtin_catalog()
+    if variant_id == MASKING_VARIANT_ID:
+        merged, trace = merge_once(reference_model(), masking_extension(), catalog)
+    else:
+        merged, trace = merge_chain(study_variant_set(), variant_id, catalog)
+    digests = (_sha256(serialize_model(merged)), _sha256(serialize_trace(trace)))
+    assert digests == STUDY_OUTPUT_SHA256[variant_id]

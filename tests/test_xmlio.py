@@ -306,6 +306,8 @@ def test_escaping_survives_round_trip():
         MetamodelVersion,
         ProcessElement,
         ProcessModel,
+        Reference,
+        ReferenceKind,
         TextBlock,
     )
 
@@ -317,11 +319,23 @@ def test_escaping_survives_round_trip():
                 ElementKind.SECTION,
                 'Q&A <"quoted">',
                 description="line one\nline two\ttabbed\rthree\r\nfour",
-                attributes={"note": 'x < y & "z"\nnext\rlast'},
-                text_blocks=(TextBlock("b1", "a < b & c > d\r"),),
+                attributes={"note": 'x < y & "z"\nnext\rlast', "k&<>\"'\r\n\t": "v"},
+                text_blocks=(
+                    TextBlock("b1", "a < b & c > d\r"),
+                    TextBlock("b&<>\"'\r\n\t2", "plain"),
+                ),
+            ),
+            ProcessElement("e2", ElementKind.SECTION, "plain"),
+        ],
+        [
+            Reference(
+                "r1",
+                ReferenceKind.TOPIC_ASSIGNMENT,
+                "e1",
+                "e2",
+                attributes={"order&<>\"'": '1 < 2 & "3"\r\n\t'},
             )
         ],
-        [],
     )
     assert parse_model(serialize_model(model)) == model
 
@@ -329,7 +343,7 @@ def test_escaping_survives_round_trip():
 def test_local_escaping_matches_saxutils():
     from xml.sax import saxutils
 
-    from procline.xmlio import _escape, _quoteattr
+    from procline.xmlio import _attr, _escape, _quoteattr, _text
 
     rng = random.Random(7)
     texts = [genmodels.random_text(rng) for _ in range(500)] + [
@@ -342,9 +356,14 @@ def test_local_escaping_matches_saxutils():
         "&amp; already &lt;escaped&gt;",
         "<a href=\"x\">'q'</a>\r\n\t",
     ]
+    # each special character alone, first and last, so both paths of _attr and _text run
+    for char in "&<>\"'\n\r\t":
+        texts += [char, f"{char}rest", f"rest{char}"]
     for text in texts:
         assert _escape(text) == saxutils.escape(text)
         assert _quoteattr(text) == saxutils.quoteattr(text)
+        assert _attr(text) == saxutils.quoteattr(text)
+        assert _text(text) == saxutils.escape(text).replace("\r", "&#13;")
 
 
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "\udfff", "\ufffe"])
@@ -369,6 +388,58 @@ def test_trace_serialization_shape(root, catalog):
     rendered = render_trace_text(trace)
     assert rendered.splitlines()[0].startswith(f"merge trace: {len(trace.entries)} entries")
     assert "UntypedChange" in rendered
+
+
+def test_trace_attributes_survive_escaping():
+    import xml.etree.ElementTree as ET
+
+    from procline.merge import MergeTrace, TraceEntry, TraceEntryKind
+    from procline.model import MetamodelVersion
+
+    hostile = "a&b<c>d\"e'f\rg\nh\ti"
+    entries = (
+        TraceEntry(TraceEntryKind.ASSET_ADDED, hostile, "s" + hostile),
+        TraceEntry(
+            TraceEntryKind.EXCLUSION_APPLIED, "V&1", hostile, target="t" + hostile, cascade_count=3
+        ),
+        TraceEntry(
+            TraceEntryKind.OPERATION_EXECUTED,
+            "V<2>",
+            "Op\"'",
+            target=hostile + "t",
+            detail=hostile,
+            step_count=2,
+        ),
+        TraceEntry(TraceEntryKind.UNTYPED_CHANGE, "\r\n\t", "masking", detail="&amp;" + hostile),
+    )
+    text = serialize_trace(MergeTrace(entries, MetamodelVersion.V1_3Z))
+    root = ET.fromstring(text)
+    assert root.attrib == {"schemaVersion": "1", "finalMetamodel": "1.3Z"}
+    assert [node.attrib for node in root] == [
+        {"kind": "AssetAdded", "variant": hostile, "subject": "s" + hostile},
+        {
+            "kind": "ExclusionApplied",
+            "variant": "V&1",
+            "subject": hostile,
+            "target": "t" + hostile,
+            "cascadeCount": "3",
+        },
+        {
+            "kind": "OperationExecuted",
+            "variant": "V<2>",
+            "subject": "Op\"'",
+            "target": hostile + "t",
+            "stepCount": "2",
+            "detail": hostile,
+        },
+        {
+            "kind": "UntypedChange",
+            "variant": "\r\n\t",
+            "subject": "masking",
+            "detail": "&amp;" + hostile,
+        },
+    ]
+    assert [node.tag for node in root] == ["entry"] * len(entries)
 
 
 def test_trace_step_counts_serialized(root, variants, catalog):
