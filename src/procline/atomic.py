@@ -5,8 +5,10 @@ names a target (element or reference id) and carries string arguments. The
 same checks back both entry points: :func:`validate_step` collects findings,
 :func:`apply_atomic` raises on the first one and otherwise returns the
 transformed model; :func:`apply_unchecked` is that body without the checks,
-for a step just validated. A step never touches anything beyond its target, the
-endpoints it rewires, and references cascaded by an element removal.
+for a step just validated. Both run one step body, which writes into a
+working model (a merge's own, or a copy of the input's maps). A step never
+touches anything beyond its target, the endpoints it rewires, and references
+cascaded by an element removal.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .model import (
     ProcessModel,
     Reference,
     ReferenceKind,
+    _WorkingModel,
     endpoint_kind_violation,
     ordering_number,
 )
@@ -71,13 +74,17 @@ class AtomicStep:
         object.__setattr__(self, "kind", AtomicKind(self.kind))
         object.__setattr__(self, "args", dict(self.args))
 
-    def arg(self, name: str) -> str:
-        try:
-            return self.args[name]
-        except KeyError:
-            raise MissingArgumentError(
-                f"{self.kind.value} step on {self.target!r}: missing argument {name!r}"
-            ) from None
+    @classmethod
+    def _trusted(cls, kind: AtomicKind, target: str, args: dict[str, str]) -> "AtomicStep":
+        """A step over a kind the caller took from a :class:`AtomicKind` and an args map it gives up.
+
+        Recipe expansion builds its steps here: a template's kind is already
+        an ``AtomicKind`` and each step gets a new args dict, so the coercion
+        and the copy of ``__post_init__`` are skipped.
+        """
+        step = object.__new__(cls)
+        step.__dict__.update(kind=kind, target=target, args=args)
+        return step
 
 
 def field_key(step_args: Mapping[str, str]) -> str:
@@ -299,67 +306,70 @@ def apply_atomic(model: ProcessModel, step: AtomicStep) -> ProcessModel:
 def apply_unchecked(model: ProcessModel, step: AtomicStep) -> ProcessModel:
     """The body of :func:`apply_atomic`, for a step that passed :func:`validate_step`.
 
-    A caller that has just validated the step on this very model (as
-    exemplar simulation does) uses it to skip a second validation. On a
-    step that was not validated the outcome is undefined.
+    A caller that has just validated the step on this very model uses it to
+    skip a second validation. On a step that was not validated the outcome
+    is undefined. The input model is never modified: the step is written
+    into a copy of its maps.
     """
-    kind = step.kind
+    work = _WorkingModel(model)
+    _apply_into(work, step)
+    return work.model
+
+
+def _apply_into(work: _WorkingModel, step: AtomicStep) -> None:
+    """Write a validated step into the working model: the one step body."""
+    kind, target, args = step.kind, step.target, step.args
     if kind is AtomicKind.RENAME_ELEMENT:
-        return model.replace_element(model.element(step.target).with_name(step.arg("newName")))
-    if kind in (AtomicKind.REPLACE_TEXT, AtomicKind.ADD_TEXT):
-        selector = step.arg("field")
-        text = step.arg("text")
-        if step.target in model.references:
-            ref = model.references[step.target]
-            key = step.arg("key")
+        work.put_element(target, work.elements[target].with_name(args["newName"]))
+    elif kind is AtomicKind.REPLACE_TEXT or kind is AtomicKind.ADD_TEXT:
+        text = args["text"]
+        ref = work.references.get(target)
+        if ref is not None:
+            key = args["key"]
             if kind is AtomicKind.ADD_TEXT:
-                text = _spliced(ref.attributes[key], text, step.arg("position"))
-            return model.replace_reference(ref.with_attribute(key, text))
-        elem = model.element(step.target)
+                text = _spliced(ref.attributes[key], text, args["position"])
+            work.put_reference(target, ref.with_attribute(key, text))
+            return
+        elem = work.elements[target]
+        selector = args["field"]
         if selector == FIELD_SELECTOR_DESCRIPTION:
             if kind is AtomicKind.ADD_TEXT:
-                text = _spliced(elem.description, text, step.arg("position"))
-            return model.replace_element(elem.with_description(text))
-        if selector == FIELD_SELECTOR_TEXT_BLOCK:
-            block_id = step.arg("blockId")
+                text = _spliced(elem.description, text, args["position"])
+            elem = elem.with_description(text)
+        elif selector == FIELD_SELECTOR_TEXT_BLOCK:
+            block_id = args["blockId"]
             if kind is AtomicKind.ADD_TEXT:
-                block = elem.find_block(block_id)
-                assert block is not None  # validated above
-                text = _spliced(block.text, text, step.arg("position"))
-            return model.replace_element(elem.with_block_text(block_id, text))
-        key = step.arg("key")
-        if kind is AtomicKind.ADD_TEXT:
-            text = _spliced(elem.attributes[key], text, step.arg("position"))
-        return model.replace_element(elem.with_attribute(key, text))
-    if kind is AtomicKind.SWAP_REFERENCES:
-        ref = model.reference(step.target)
-        return model.replace_reference(
-            ref.with_endpoints(
-                source=step.args.get("newSource"), target=step.args.get("newTarget")
-            )
+                text = _spliced(elem.find_block(block_id).text, text, args["position"])
+            elem = elem.with_block_text(block_id, text)
+        else:
+            key = args["key"]
+            if kind is AtomicKind.ADD_TEXT:
+                text = _spliced(elem.attributes[key], text, args["position"])
+            elem = elem.with_attribute(key, text)
+        work.put_element(target, elem)
+    elif kind is AtomicKind.SWAP_REFERENCES:
+        ref = work.references[target]
+        work.put_reference(
+            target, ref.with_endpoints(source=args.get("newSource"), target=args.get("newTarget"))
         )
-    if kind is AtomicKind.REMOVE_ELEMENT:
-        new_model, _ = model.remove_element(step.target)
-        return new_model
-    if kind is AtomicKind.REMOVE_REFERENCE:
-        return model.remove_reference(step.target)
-    if kind is AtomicKind.ADD_REFERENCE:
-        return model.add_reference(
-            Reference(
-                id=step.arg("refId"),
-                kind=ReferenceKind(step.arg("refKind")),
-                source=step.arg("source"),
-                target=step.arg("target"),
-            )
+    elif kind is AtomicKind.REMOVE_ELEMENT:
+        work.remove_element(target)
+    elif kind is AtomicKind.REMOVE_REFERENCE:
+        work.put_reference(target, None)
+    elif kind is AtomicKind.ADD_REFERENCE:
+        ref_id = args["refId"]
+        work.put_reference(
+            ref_id, Reference(ref_id, ReferenceKind(args["refKind"]), args["source"], args["target"])
         )
-    if kind is AtomicKind.CHANGE_ATTRIBUTE:
-        key, value = step.arg("key"), step.arg("value")
-        if step.target in model.references:
-            return model.replace_reference(model.references[step.target].with_attribute(key, value))
-        return model.replace_element(model.element(step.target).with_attribute(key, value))
-    if kind is AtomicKind.MOVE_ELEMENT:
-        elem = model.element(step.target)
-        return model.replace_element(
-            elem.with_attribute(ORDERING_ATTRIBUTE, step.arg("newOrderingNumber"))
-        )
-    raise AssertionError(f"unhandled atomic kind {kind!r}")
+    elif kind is AtomicKind.CHANGE_ATTRIBUTE:
+        key, value = args["key"], args["value"]
+        ref = work.references.get(target)
+        if ref is not None:
+            work.put_reference(target, ref.with_attribute(key, value))
+        else:
+            work.put_element(target, work.elements[target].with_attribute(key, value))
+    elif kind is AtomicKind.MOVE_ELEMENT:
+        elem = work.elements[target]
+        work.put_element(target, elem.with_attribute(ORDERING_ATTRIBUTE, args["newOrderingNumber"]))
+    else:
+        raise AssertionError(f"unhandled atomic kind {kind!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .atomic import AtomicKind, AtomicStep, apply_unchecked, validate_step
+from .atomic import AtomicKind, AtomicStep, _apply_into, validate_step
 from .errors import (
     DuplicateTypeNameError,
     Issue,
@@ -23,7 +23,7 @@ from .errors import (
     MissingArgumentError,
     UnknownOperationTypeError,
 )
-from .model import ElementKind, MetamodelVersion, ProcessModel, ReferenceKind
+from .model import ElementKind, MetamodelVersion, ProcessModel, ReferenceKind, _WorkingModel
 
 _PLACEHOLDER = re.compile(r"^\{([A-Za-z][A-Za-z0-9]*)\}$")
 
@@ -187,10 +187,10 @@ def expand_exemplar(catalog: OperationCatalog, exemplar: OperationExemplar) -> l
             ) from None
 
     return [
-        AtomicStep(
-            kind=template.atomic,
-            target=substitute(template.target),
-            args={k: substitute(v) for k, v in template.args.items()},
+        AtomicStep._trusted(
+            template.atomic,
+            substitute(template.target),
+            {k: substitute(v) for k, v in template.args.items()},
         )
         for template in type_def.recipe
     ]
@@ -221,7 +221,25 @@ def simulate_exemplar(
     and the model they produce. Each step is validated once, on the model
     the earlier steps produced, and then applied without a second check.
     When there are issues, the steps are empty and the model is ``model``.
+    ``model`` itself is never modified: the steps run on a copy of its maps.
     """
+    work = _WorkingModel(model)
+    issues, steps = _run_exemplar(catalog, work, exemplar)
+    if issues:
+        return issues, [], model
+    return [], steps, work.model
+
+
+def _run_exemplar(
+    catalog: OperationCatalog, work: _WorkingModel, exemplar: OperationExemplar
+) -> tuple[list[Issue], list[AtomicStep]]:
+    """The body of :func:`simulate_exemplar`: check the exemplar and write its steps into ``work``.
+
+    Returns the issues and the expanded steps (empty when there are
+    issues). A step that fails validation stops the run, so the steps
+    before it stay written: the caller rolls ``work`` back.
+    """
+    model = work.model
     type_def = catalog.get(exemplar.type_name)
     if type_def is None:
         unknown = Issue(
@@ -229,7 +247,7 @@ def simulate_exemplar(
             exemplar.type_name,
             "operation type is not in the catalog",
         )
-        return [unknown], [], model
+        return [unknown], []
     issues: list[Issue] = []
     if type_def.defining_metamodel > model.metamodel:
         issues.append(
@@ -301,15 +319,15 @@ def simulate_exemplar(
             )
         )
     if issues:
-        return issues, [], model
+        return issues, []
     steps = expand_exemplar(catalog, exemplar)
-    simulated = model
     for step in steps:
-        issues = validate_step(simulated, step)
+        # work.model reads the live maps, so each step sees the earlier ones
+        issues = validate_step(model, step)
         if issues:
-            return issues, [], model
-        simulated = apply_unchecked(simulated, step)
-    return [], steps, simulated
+            return issues, []
+        _apply_into(work, step)
+    return [], steps
 
 
 # ---------------------------------------------------------------------------

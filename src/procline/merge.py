@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .atomic import AtomicKind, AtomicStep, field_key
-from .catalog import OperationCatalog, OperationExemplar, simulate_exemplar
+from .atomic import AtomicKind, field_key
+from .catalog import OperationCatalog, OperationExemplar, _run_exemplar
 from .errors import (
     ConflictError,
     CycleError,
+    DuplicateIdError,
     Issue,
     IssueCode,
     IllegalTargetError,
@@ -34,8 +35,9 @@ from .model import (
     ProcessElement,
     ProcessModel,
     Reference,
+    _apply_change_set_into,
     _diff_models,
-    apply_change_set,
+    _WorkingModel,
     endpoint_kind_violation,
 )
 
@@ -151,13 +153,18 @@ class MergeTrace:
         return self.by_kind(TraceEntryKind.UNTYPED_CHANGE)
 
     def replay(self, root: ProcessModel) -> ProcessModel:
-        """Reconstruct the merged model from the recorded change sets."""
-        model = root
+        """Reconstruct the merged model from the recorded change sets.
+
+        The root's maps are copied once and every change set is applied into
+        them, with the per-id checks of :func:`apply_change_set`.
+        """
+        metamodel = root.metamodel
+        elements, references = dict(root.elements), dict(root.references)
         for entry in self.entries:
-            model = apply_change_set(model, entry.change_set)
+            metamodel = _apply_change_set_into(metamodel, elements, references, entry.change_set)
         if self.final_metamodel is not None:
-            model = model.with_metamodel(self.final_metamodel)
-        return model
+            metamodel = MetamodelVersion(self.final_metamodel)
+        return ProcessModel._trusted(metamodel, elements, references)
 
 
 def resolve_chain(variant_set: VariantSet, leaf_id: str) -> list[ExtensionModel]:
@@ -196,27 +203,33 @@ def _tagged(issues: Iterable[Issue], variant_id: str) -> list[Issue]:
 class _Derivation:
     """The working model of one merge and the trace entries recorded so far.
 
-    Each recorded change set runs from the model as of the previous one, so
-    a metamodel upgrade made up front lands in the first recorded entry. It
-    is diffed over the ids the entry touched only, so an entry costs what it
+    The base maps are copied once into a :class:`_WorkingModel`, which this
+    derivation owns: every asset, exclusion and step writes into it, and
+    the base model is never written. Each write logs the id and its old
+    value, so an exemplar that fails validation is rolled back,
+    and each recorded entry is diffed over exactly the ids written since the
+    previous one: its change set runs from the model as of that entry (the
+    logged old values over the live maps), so a metamodel upgrade made up
+    front lands in the first recorded entry, and an entry costs what it
     changes, not the size of the model.
     """
 
     def __init__(self, base: ProcessModel, variant_id: str):
         self.variant_id = variant_id
-        self.model = base
-        self._recorded = base
+        self.work = _WorkingModel(base)
+        self._recorded_metamodel = base.metamodel
         self.entries: list[TraceEntry] = []
 
-    def record(
-        self, kind: TraceEntryKind, subject: str, model: ProcessModel, touched: Iterable[str], **fields
-    ) -> None:
-        """Append an entry that moved the working model to ``model``, changing ``touched`` ids only."""
-        change_set = _diff_models(self._recorded, model, touched)
+    def record(self, kind: TraceEntryKind, subject: str, **fields) -> None:
+        """Append an entry for the writes since the previous one."""
+        work = self.work
+        before, touched = work.before(self._recorded_metamodel)
+        change_set = _diff_models(before, work.model, touched)
+        work.log.clear()
+        self._recorded_metamodel = work.model.metamodel
         self.entries.append(
             TraceEntry(kind, self.variant_id, subject, change_set=change_set, **fields)
         )
-        self.model = self._recorded = model
 
     def flag(self, subject: str, detail: str, target: str = "") -> None:
         """An ``UntypedChange`` entry; it changes nothing by itself."""
@@ -231,13 +244,15 @@ class _Derivation:
         )
 
     def add_element(self, elem: ProcessElement) -> None:
-        self.record(TraceEntryKind.ASSET_ADDED, elem.id, self.model.add_element(elem), (elem.id,))
+        self._claim(elem.id)
+        self.work.put_element(elem.id, elem)
+        self.record(TraceEntryKind.ASSET_ADDED, elem.id)
 
     def add_reference(self, ref: Reference) -> list[Issue]:
         """Add a declared reference, or add nothing and say which endpoints do not fit."""
         issues: list[Issue] = []
         for side, endpoint in (("source", ref.source), ("target", ref.target)):
-            elem = self.model.elements.get(endpoint)
+            elem = self.work.elements.get(endpoint)
             if elem is None:
                 message = f"new reference {side} {endpoint!r} does not resolve"
                 issues.append(Issue(IssueCode.DANGLING_REFERENCE, ref.id, message, self.variant_id))
@@ -248,41 +263,30 @@ class _Derivation:
                     Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation, self.variant_id)
                 )
         if not issues:
-            self.record(TraceEntryKind.ASSET_ADDED, ref.id, self.model.add_reference(ref), (ref.id,))
+            self._claim(ref.id)
+            self.work.put_reference(ref.id, ref)
+            self.record(TraceEntryKind.ASSET_ADDED, ref.id)
         return issues
+
+    def _claim(self, new_id: str) -> None:
+        # merge_once reports a taken id as an issue before it gets here; masking does not
+        if self.work.model.has_id(new_id):
+            raise DuplicateIdError(f"id {new_id!r} already in use")
 
     def exclude_element(self, element_id: str) -> ElementKind:
         """Remove an element and its incident references; returns the element's kind."""
-        kind = self.model.elements[element_id].kind
-        model, cascaded = self.model.remove_element(element_id)
-        self.record(
-            TraceEntryKind.EXCLUSION_APPLIED,
-            element_id,
-            model,
-            (element_id, *cascaded),
-            cascade_count=len(cascaded),
-        )
+        kind = self.work.elements[element_id].kind
+        cascaded = self.work.remove_element(element_id)
+        self.record(TraceEntryKind.EXCLUSION_APPLIED, element_id, cascade_count=len(cascaded))
         return kind
 
     def result(self) -> tuple[ProcessModel, MergeTrace]:
-        consistency = self.model.check_consistency()
+        # the working model is dropped with this derivation, so its maps can leave
+        model = self.work.model
+        consistency = model.check_consistency()
         if consistency:
             raise ValidationFailedError(_tagged(consistency, self.variant_id))
-        return self.model, MergeTrace(tuple(self.entries), final_metamodel=self.model.metamodel)
-
-
-def _touched_ids(steps: list[AtomicStep], before: ProcessModel, after: ProcessModel) -> set[str]:
-    """Every id the steps that took ``before`` to ``after`` can have changed.
-
-    A step changes its target, the reference an ``AddReference`` adds, and
-    the references an element removal cascades over, which only a diff of
-    the reference maps names.
-    """
-    touched = {step.target for step in steps}
-    touched.update(step.args["refId"] for step in steps if step.kind is AtomicKind.ADD_REFERENCE)
-    if any(step.kind is AtomicKind.REMOVE_ELEMENT for step in steps):
-        touched.update(before.references.keys() - after.references.keys())
-    return touched
+        return model, MergeTrace(tuple(self.entries), final_metamodel=model.metamodel)
 
 
 def merge_once(
@@ -306,19 +310,20 @@ def merge_once(
     variant = extension.variant_id
     issues: list[Issue] = []
     derivation = _Derivation(base, variant)
+    work = derivation.work
     if extension.metamodel > base.metamodel:
-        derivation.model = base.with_metamodel(extension.metamodel)
+        work.set_metamodel(extension.metamodel)
 
     # phase 1: integrate declared assets
     for elem in extension.new_elements:
-        if derivation.model.has_id(elem.id):
+        if work.model.has_id(elem.id):
             issues.append(
                 Issue(IssueCode.DUPLICATE_ID, elem.id, "new element id already in use", variant)
             )
             continue
         derivation.add_element(elem)
     for ref in extension.new_references:
-        if derivation.model.has_id(ref.id):
+        if work.model.has_id(ref.id):
             issues.append(
                 Issue(IssueCode.DUPLICATE_ID, ref.id, "new reference id already in use", variant)
             )
@@ -328,7 +333,7 @@ def merge_once(
     # phase 2: exclusions, cascading over incident references
     added_kinds = {elem.kind for elem in extension.new_elements}
     for excluded_id in extension.exclusions:
-        if excluded_id in derivation.model.elements:
+        if excluded_id in work.elements:
             kind = derivation.exclude_element(excluded_id)
             if kind in CONFIGURATION_CONTAINER_KINDS and kind in added_kinds:
                 derivation.flag(
@@ -336,23 +341,21 @@ def merge_once(
                     f"masking substitution: {kind.value} {excluded_id!r} excluded "
                     f"and replaced by newly added {kind.value} content",
                 )
-        elif excluded_id in derivation.model.references:
-            derivation.record(
-                TraceEntryKind.EXCLUSION_APPLIED,
-                excluded_id,
-                derivation.model.remove_reference(excluded_id),
-                (excluded_id,),
-            )
+        elif excluded_id in work.references:
+            work.put_reference(excluded_id, None)
+            derivation.record(TraceEntryKind.EXCLUSION_APPLIED, excluded_id)
         else:
             issues.append(
                 Issue(IssueCode.UNKNOWN_ID, excluded_id, "exclusion does not resolve", variant)
             )
 
-    # phase 3: exemplars in document order, each kept as its validation simulated it
+    # phase 3: exemplars in document order, each written into the working
+    # model as its validation runs, and rolled back if that fails
     replaced_fields: dict[tuple[str, str], str] = {}
     for exemplar in extension.exemplars:
-        exemplar_issues, steps, simulated = simulate_exemplar(catalog, derivation.model, exemplar)
+        exemplar_issues, steps = _run_exemplar(catalog, work, exemplar)
         if exemplar_issues:
+            work.rollback()
             issues.extend(_tagged(exemplar_issues, variant))
             continue
         for step in steps:
@@ -381,8 +384,6 @@ def merge_once(
         derivation.record(
             TraceEntryKind.OPERATION_EXECUTED,
             exemplar.type_name,
-            simulated,
-            _touched_ids(steps, derivation.model, simulated),
             target=exemplar.target,
             step_count=len(steps),
         )

@@ -6,17 +6,22 @@ intermediate state (merge bases, trace snapshots) without defensive copies.
 An update copies only the map it changes and shares the other one with the
 model it came from; only the public constructor copies and re-checks both.
 
+A merge does not pay one map copy per step: it copies the base maps once
+into a :class:`_WorkingModel`, writes every step into them, logs the old
+value of each id it writes so a failed exemplar can be undone, and keeps an
+element id -> incident reference ids index so a removal costs the element's
+degree. Only the finished maps leave it, wrapped as a ``ProcessModel``.
+
 Identity lives in one namespace: element ids and reference ids must not
 collide, so a bare id always resolves to exactly one thing.
 """
 
 from __future__ import annotations
 
-import operator
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from functools import partialmethod
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -40,17 +45,27 @@ class MetamodelVersion(str, Enum):
     def rank(self) -> int:
         return _METAMODEL_RANK[self]
 
-    def _by_rank(self, other: object, compare) -> bool:
-        if not isinstance(other, MetamodelVersion):
-            return NotImplemented
-        return compare(self.rank, other.rank)
-
     # written out rather than via functools.total_ordering: on a str mixin
     # that decorator finds str's comparisons and fills in nothing
-    __lt__ = partialmethod(_by_rank, compare=operator.lt)
-    __le__ = partialmethod(_by_rank, compare=operator.le)
-    __gt__ = partialmethod(_by_rank, compare=operator.gt)
-    __ge__ = partialmethod(_by_rank, compare=operator.ge)
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, MetamodelVersion):
+            return _METAMODEL_RANK[self] < _METAMODEL_RANK[other]
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if isinstance(other, MetamodelVersion):
+            return _METAMODEL_RANK[self] <= _METAMODEL_RANK[other]
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if isinstance(other, MetamodelVersion):
+            return _METAMODEL_RANK[self] > _METAMODEL_RANK[other]
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if isinstance(other, MetamodelVersion):
+            return _METAMODEL_RANK[self] >= _METAMODEL_RANK[other]
+        return NotImplemented
 
 
 _METAMODEL_RANK = {
@@ -237,14 +252,19 @@ class ProcessElement:
                 raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
             seen.add(block.id)
 
+    # The updates below build their result with _element_replace, which skips
+    # __post_init__: each checks only what it changes, and shares the rest.
+
     def with_name(self, name: str) -> "ProcessElement":
+        if not name:
+            raise ValueError(f"element {self.id!r}: name must be non-empty")
         return _element_replace(self, name=name)
 
     def with_description(self, description: str) -> "ProcessElement":
         return _element_replace(self, description=description)
 
     def with_kind(self, kind: ElementKind) -> "ProcessElement":
-        return _element_replace(self, kind=kind)
+        return _element_replace(self, kind=ElementKind(kind))
 
     def with_attribute(self, key: str, value: str) -> "ProcessElement":
         attrs = dict(self.attributes)
@@ -270,7 +290,13 @@ class ProcessElement:
         return _element_replace(self, text_blocks=blocks)
 
     def with_text_blocks(self, blocks: Iterable[TextBlock]) -> "ProcessElement":
-        return _element_replace(self, text_blocks=tuple(blocks))
+        blocks = tuple(blocks)
+        seen = set()
+        for block in blocks:
+            if block.id in seen:
+                raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
+            seen.add(block.id)
+        return _element_replace(self, text_blocks=blocks)
 
     @property
     def ordering_key(self) -> tuple[int, Decimal | int, str]:
@@ -282,16 +308,17 @@ class ProcessElement:
 
 
 def _element_replace(elem: ProcessElement, **updates) -> ProcessElement:
-    data = {
-        "id": elem.id,
-        "kind": elem.kind,
-        "name": elem.name,
-        "description": elem.description,
-        "attributes": elem.attributes,
-        "text_blocks": elem.text_blocks,
-    }
-    data.update(updates)
-    return ProcessElement(**data)
+    """``elem`` with ``updates`` applied, past the frozen ``__setattr__`` and unchecked."""
+    new = object.__new__(ProcessElement)
+    new.__dict__.update(elem.__dict__, **updates)
+    return new
+
+
+def _reference_replace(ref: "Reference", **updates) -> "Reference":
+    """``ref`` with ``updates`` applied, past the frozen ``__setattr__`` and unchecked."""
+    new = object.__new__(Reference)
+    new.__dict__.update(ref.__dict__, **updates)
+    return new
 
 
 @dataclass(frozen=True)
@@ -313,22 +340,20 @@ class Reference:
         object.__setattr__(self, "attributes", dict(self.attributes))
 
     def with_endpoints(self, source: str | None = None, target: str | None = None) -> "Reference":
-        return Reference(
-            id=self.id,
-            kind=self.kind,
-            source=source if source is not None else self.source,
-            target=target if target is not None else self.target,
-            attributes=self.attributes,
-        )
+        source = self.source if source is None else source
+        target = self.target if target is None else target
+        if not source or not target:
+            raise ValueError(f"reference {self.id!r}: source and target must be non-empty")
+        return _reference_replace(self, source=source, target=target)
 
     def with_attribute(self, key: str, value: str) -> "Reference":
         attrs = dict(self.attributes)
         attrs[key] = value
-        return Reference(self.id, self.kind, self.source, self.target, attrs)
+        return _reference_replace(self, attributes=attrs)
 
     def without_attribute(self, key: str) -> "Reference":
         attrs = {k: v for k, v in self.attributes.items() if k != key}
-        return Reference(self.id, self.kind, self.source, self.target, attrs)
+        return _reference_replace(self, attributes=attrs)
 
 
 @dataclass(frozen=True)
@@ -367,8 +392,11 @@ class ProcessModel:
         """A model over maps the caller has checked and will not change again.
 
         The functional updates below check the one id they change, and
-        :func:`apply_change_set` checks each id its change set names, so they
-        build their result here: no copy of either map, no re-check of every key.
+        :func:`apply_change_set` and :meth:`MergeTrace.replay` check each id
+        a change set names, so they build their result here: no copy of
+        either map, no re-check of every key. A :class:`_WorkingModel` reads
+        its live maps through such a model too; it hands that model out only
+        once it has stopped writing.
         """
         model = object.__new__(cls)
         object.__setattr__(model, "metamodel", metamodel)
@@ -541,6 +569,144 @@ def endpoint_kind_violation(kind: ReferenceKind, side: str, elem_kind: ElementKi
     )
 
 
+# -- the working model of a merge --------------------------------------------
+
+class _WorkingModel:
+    """A model's maps, copied once and then written in place.
+
+    ``model`` is a :class:`ProcessModel` over the live maps, for reading. It
+    changes under its holder, so it leaves only when the writing is done.
+    Every write appends ``(map, id, old value)`` to ``log`` (``None`` for an
+    id that was absent): :meth:`rollback` undoes the writes since the log was
+    last cleared, and :meth:`before` reads the maps as they were then.
+    ``incident`` maps each endpoint id to the ids of the references that name
+    it, so :meth:`remove_element` costs the element's degree.
+    """
+
+    __slots__ = ("elements", "references", "model", "incident", "log")
+
+    def __init__(self, model: ProcessModel):
+        self.elements = dict(model.elements)
+        self.references = dict(model.references)
+        self.model = ProcessModel._trusted(model.metamodel, self.elements, self.references)
+        self.incident: dict[str, set[str]] = {}
+        self.log: list[tuple[dict, str, ProcessElement | Reference | None]] = []
+        for ref in self.references.values():
+            self._link(ref)
+
+    def set_metamodel(self, metamodel: MetamodelVersion) -> None:
+        self.model = ProcessModel._trusted(metamodel, self.elements, self.references)
+
+    def _link(self, ref: Reference) -> None:
+        incident = self.incident
+        for endpoint in (ref.source, ref.target):
+            ids = incident.get(endpoint)
+            if ids is None:
+                incident[endpoint] = {ref.id}
+            else:
+                ids.add(ref.id)
+
+    def _unlink(self, ref: Reference) -> None:
+        incident = self.incident
+        for endpoint in (ref.source, ref.target):
+            ids = incident.get(endpoint)
+            if ids is not None:  # None on the second pass over a self-loop
+                ids.discard(ref.id)
+                if not ids:
+                    del incident[endpoint]
+
+    def _set_reference(self, ref_id: str, old: Reference | None, new: Reference | None) -> None:
+        if old is not None:
+            self._unlink(old)
+        if new is None:
+            del self.references[ref_id]
+        else:
+            self.references[ref_id] = new
+            self._link(new)
+
+    def put_element(self, element_id: str, element: ProcessElement | None) -> None:
+        """Set the element under ``element_id``, or remove it when ``element`` is None."""
+        elements = self.elements
+        self.log.append((elements, element_id, elements.get(element_id)))
+        if element is None:
+            del elements[element_id]
+        else:
+            elements[element_id] = element
+
+    def put_reference(self, reference_id: str, reference: Reference | None) -> None:
+        """Set the reference under ``reference_id``, or remove it when ``reference`` is None."""
+        old = self.references.get(reference_id)
+        self.log.append((self.references, reference_id, old))
+        self._set_reference(reference_id, old, reference)
+
+    def remove_element(self, element_id: str) -> tuple[str, ...]:
+        """Remove an element and its incident references; returns their ids, ascending."""
+        cascaded = tuple(sorted(self.incident.get(element_id, ())))
+        for reference_id in cascaded:
+            self.put_reference(reference_id, None)
+        self.put_element(element_id, None)
+        return cascaded
+
+    def rollback(self) -> None:
+        """Undo every logged write, newest first, and clear the log."""
+        references = self.references
+        for mapping, some_id, old in reversed(self.log):
+            if mapping is references:
+                self._set_reference(some_id, references.get(some_id), old)
+            elif old is None:
+                del mapping[some_id]
+            else:
+                mapping[some_id] = old
+        self.log.clear()
+
+    def before(self, metamodel: MetamodelVersion) -> tuple[ProcessModel, set[str]]:
+        """The model as of the last cleared log, and the ids written since.
+
+        The model is a read-only view: the first logged old value of each
+        written id over the live maps. It is valid until the next write.
+        """
+        references = self.references
+        old_elements: dict[str, ProcessElement | None] = {}
+        old_references: dict[str, Reference | None] = {}
+        for mapping, some_id, old in self.log:
+            (old_references if mapping is references else old_elements).setdefault(some_id, old)
+        view = ProcessModel._trusted(
+            metamodel, _Before(self.elements, old_elements), _Before(references, old_references)
+        )
+        return view, old_elements.keys() | old_references.keys()
+
+
+class _Before(Mapping):
+    """A live map read as it was before some writes: ``old`` values (``None``: absent) first."""
+
+    __slots__ = ("live", "old")
+
+    def __init__(self, live: Mapping, old: Mapping):
+        self.live = live
+        self.old = old
+
+    def get(self, key, default=None):
+        old = self.old
+        if key in old:
+            value = old[key]
+            return default if value is None else value
+        return self.live.get(key, default)
+
+    def __getitem__(self, key):
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __iter__(self):
+        old = self.old
+        yield from (key for key in self.live if key not in old)
+        yield from (key for key, value in old.items() if value is not None)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 # -- change sets -------------------------------------------------------------
 
 FIELD_KIND = "kind"
@@ -609,6 +775,24 @@ class ChangeSet:
         )
 
 
+# TEXT_BLOCK_ORDER_FIELD values: block ids joined by spaces, each with the
+# escape character and whitespace written as "\\<hex code point>;", so every id
+# round-trips and an id without either is written as it is
+_BLOCK_ID_ESCAPE = "\\"
+_ESCAPED_CHAR = re.compile(r"\\([0-9a-f]+);")
+
+
+def _block_order(block_ids: Iterable[str]) -> str:
+    return " ".join(
+        "".join(f"\\{ord(c):x};" if c.isspace() or c == _BLOCK_ID_ESCAPE else c for c in block_id)
+        for block_id in block_ids
+    )
+
+
+def _block_ids(order: str) -> list[str]:
+    return [_ESCAPED_CHAR.sub(lambda m: chr(int(m.group(1), 16)), token) for token in order.split()]
+
+
 def _diff_attributes(before: Mapping[str, str], after: Mapping[str, str]) -> Iterator[FieldChange]:
     for key in sorted(before.keys() | after.keys()):
         old, new = before.get(key), after.get(key)
@@ -624,18 +808,21 @@ def _diff_element(a: ProcessElement, b: ProcessElement) -> ElementChange | None:
         changes.append(FieldChange(FIELD_NAME, a.name, b.name))
     if a.description != b.description:
         changes.append(FieldChange(FIELD_DESCRIPTION, a.description, b.description))
-    changes.extend(_diff_attributes(a.attributes, b.attributes))
-    a_blocks = {blk.id: blk.text for blk in a.text_blocks}
-    b_blocks = {blk.id: blk.text for blk in b.text_blocks}
-    for block_id in sorted(a_blocks.keys() | b_blocks.keys()):
-        old, new = a_blocks.get(block_id), b_blocks.get(block_id)
-        if old != new:
-            changes.append(FieldChange(TEXT_BLOCK_FIELD_PREFIX + block_id, old, new))
-    a_order = [blk.id for blk in a.text_blocks]
-    b_order = [blk.id for blk in b.text_blocks]
-    if a_order != b_order:
-        # emitted last so application can reorder after per-block edits
-        changes.append(FieldChange(TEXT_BLOCK_ORDER_FIELD, " ".join(a_order), " ".join(b_order)))
+    # updates share the parts they leave alone, and a part is equal to itself
+    if a.attributes is not b.attributes:
+        changes.extend(_diff_attributes(a.attributes, b.attributes))
+    if a.text_blocks is not b.text_blocks:
+        a_blocks = {blk.id: blk.text for blk in a.text_blocks}
+        b_blocks = {blk.id: blk.text for blk in b.text_blocks}
+        for block_id in sorted(a_blocks.keys() | b_blocks.keys()):
+            old, new = a_blocks.get(block_id), b_blocks.get(block_id)
+            if old != new:
+                changes.append(FieldChange(TEXT_BLOCK_FIELD_PREFIX + block_id, old, new))
+        if list(a_blocks) != list(b_blocks):
+            # emitted last so application can reorder after per-block edits
+            changes.append(
+                FieldChange(TEXT_BLOCK_ORDER_FIELD, _block_order(a_blocks), _block_order(b_blocks))
+            )
     if not changes:
         return None
     return ElementChange(a.id, tuple(changes))
@@ -719,7 +906,7 @@ def _apply_element_change(elem: ProcessElement, change: ElementChange) -> Proces
             else:
                 elem = elem.with_block_text(block_id, fc.after)
         elif fc.field == TEXT_BLOCK_ORDER_FIELD:
-            wanted = (fc.after or "").split()
+            wanted = _block_ids(fc.after or "")
             by_id = {b.id: b for b in elem.text_blocks}
             if sorted(wanted) != sorted(by_id):
                 raise FieldNotFoundError(
@@ -754,11 +941,19 @@ def apply_change_set(model: ProcessModel, change_set: ChangeSet) -> ProcessModel
     change set does not fit the model it is applied to. Removals listed in
     the change set are literal; no cascading happens here.
     """
-    metamodel = model.metamodel
-    if change_set.metamodel_change is not None:
-        metamodel = change_set.metamodel_change[1]
-    elements = dict(model.elements)
-    references = dict(model.references)
+    elements, references = dict(model.elements), dict(model.references)
+    metamodel = _apply_change_set_into(model.metamodel, elements, references, change_set)
+    # every id was checked, and the two maps are this call's own copies
+    return ProcessModel._trusted(metamodel, elements, references)
+
+
+def _apply_change_set_into(
+    metamodel: MetamodelVersion,
+    elements: dict[str, ProcessElement],
+    references: dict[str, Reference],
+    change_set: ChangeSet,
+) -> MetamodelVersion:
+    """The body of :func:`apply_change_set`: writes into the two maps, returns the metamodel."""
     for reference_id in change_set.removed_references:
         if reference_id not in references:
             raise UnknownIdError(f"cannot remove unknown reference {reference_id!r}")
@@ -789,5 +984,6 @@ def apply_change_set(model: ProcessModel, change_set: ChangeSet) -> ProcessModel
         references[reference_change.reference_id] = _apply_reference_change(
             references[reference_change.reference_id], reference_change
         )
-    # every id was checked above, and the two maps are this call's own copies
-    return ProcessModel._trusted(MetamodelVersion(metamodel), elements, references)
+    if change_set.metamodel_change is None:
+        return metamodel
+    return MetamodelVersion(change_set.metamodel_change[1])

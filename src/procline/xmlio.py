@@ -11,12 +11,12 @@ elements and references sorted by id, attribute tags sorted by key, text
 blocks in model order, CR written as ``&#13;``. Canonical files are a fixed
 point of parse-then-serialize, which is what makes them diffable. Each
 writer appends finished lines, indents included, to one list and joins it
-once. Only a value holding a special character is escaped (``& < > "``, LF,
-CR and tab in attributes; ``& < >`` and CR in text); any other value is
-written as it is, and enum values and counts never need escaping. The
-joined document gets one scan for characters XML cannot carry at all,
-which raise :class:`IllegalCharacterError` instead of producing a broken
-file.
+once. Each value is scanned once, for the characters that need escaping
+(``& < > "``, LF, CR and tab in attributes; ``& < >`` and CR in text) and
+for those XML cannot carry at all; a value holding neither is written as
+it is, and enum values and counts are never scanned. A value holding a
+character XML cannot carry raises :class:`IllegalCharacterError`, naming
+its output line, instead of producing a broken file.
 
 Statistics exports (CSV and plain text) live here too, next to the other
 output formats.
@@ -28,7 +28,7 @@ import csv
 import io
 import re
 import xml.etree.ElementTree as ET
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from .analytics import UsageReport, top_n, unused_report
 from .atomic import AtomicKind
@@ -439,10 +439,20 @@ def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
 _DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 
 # characters XML 1.0 cannot carry, not even as character references
-_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-# values holding none of these are written as they are
-_ATTR_SPECIAL = re.compile('[&<>"\n\r\t]').search
-_TEXT_SPECIAL = re.compile("[&<>\r]").search
+_ILLEGAL = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_NOT_XML_CHAR = re.compile(f"[{_ILLEGAL}]")
+# values holding none of these are written as they are; any other goes to
+# the slow path, which escapes it or rejects a character XML cannot carry
+_ATTR_SPECIAL = re.compile(f'[&<>"\n\r\t{_ILLEGAL}]').search
+_TEXT_SPECIAL = re.compile(f"[&<>\r{_ILLEGAL}]").search
+
+
+class _Unwritable(Exception):
+    """A value holds a character XML cannot carry; :func:`_document` names it."""
+
+
+# a value escaper: _attr and _text, or their counterparts that let anything through
+_Escaper = Callable[[str], str]
 
 
 # the output of xml.sax.saxutils.escape and quoteattr, without importing
@@ -462,171 +472,209 @@ def _quoteattr(data: str) -> str:
     return '"{}"'.format(data.replace('"', "&quot;"))
 
 
+def _escape_text(data: str) -> str:
+    """``data`` as element text: escaped, and CR as ``&#13;`` (a literal CR reads back as LF)."""
+    return _escape(data).replace("\r", "&#13;")
+
+
 def _attr(value: str) -> str:
     """``_quoteattr(value)``; a value without special characters is only quoted."""
-    return f'"{value}"' if _ATTR_SPECIAL(value) is None else _quoteattr(value)
+    if _ATTR_SPECIAL(value) is None:
+        return f'"{value}"'
+    if _NOT_XML_CHAR.search(value) is not None:
+        raise _Unwritable
+    return _quoteattr(value)
 
 
 def _text(value: str) -> str:
-    """``value`` as element text: escaped, and CR as ``&#13;`` (a literal CR reads back as LF)."""
+    """``_escape_text(value)``; a value without special characters is written as it is."""
     if _TEXT_SPECIAL(value) is None:
         return value
-    return _escape(value).replace("\r", "&#13;")
+    if _NOT_XML_CHAR.search(value) is not None:
+        raise _Unwritable
+    return _escape_text(value)
 
 
-def _document(lines: list[str]) -> str:
-    """The finished lines as one document, after one scan for illegal characters."""
-    text = "\n".join(lines) + "\n"
+def _document(build: Callable[[Any, _Escaper, _Escaper], list[str]], subject: Any) -> str:
+    """The lines ``build(subject, attr, text)`` writes, as one document.
+
+    The writers take the value escapers as arguments. With :func:`_attr`
+    and :func:`_text` each value is scanned once; when one holds a character
+    XML cannot carry, the document is written again with escapers that let
+    it through, so the error names the first such character and its output
+    line.
+    """
+    try:
+        return "\n".join(build(subject, _attr, _text)) + "\n"
+    except _Unwritable:
+        pass
+    text = "\n".join(build(subject, _quoteattr, _escape_text)) + "\n"
     bad = _NOT_XML_CHAR.search(text)
-    if bad is not None:
-        start = bad.start()
-        line_no = text.count("\n", 0, start) + 1
-        line = text[text.rfind("\n", 0, start) + 1 : text.find("\n", start)].strip()
-        raise IllegalCharacterError(
-            f"character U+{ord(bad.group()):04X} cannot be written as XML "
-            f"(output line {line_no}: {line[:80]!r})"
-        )
-    return text
+    start = bad.start()
+    line_no = text.count("\n", 0, start) + 1
+    line = text[text.rfind("\n", 0, start) + 1 : text.find("\n", start)].strip()
+    raise IllegalCharacterError(
+        f"character U+{ord(bad.group()):04X} cannot be written as XML "
+        f"(output line {line_no}: {line[:80]!r})"
+    )
 
 
-def _add_keyed(lines: list[str], pad: str, tag: str, key: str, values: Mapping[str, str]) -> None:
+def _add_keyed(
+    lines: list[str], pad: str, tag: str, key: str, values: Mapping[str, str], attr: _Escaper, text: _Escaper
+) -> None:
     """One ``<tag key="name">value</tag>`` line per entry of ``values``, sorted by name."""
     for name in sorted(values):
         value = values[name]
-        head = f"{pad}<{tag} {key}={_attr(name)}"
-        lines.append(f"{head}>{_text(value)}</{tag}>" if value else head + "/>")
+        head = f"{pad}<{tag} {key}={attr(name)}"
+        lines.append(f"{head}>{text(value)}</{tag}>" if value else head + "/>")
 
 
-def _add_element(lines: list[str], pad: str, elem: ProcessElement) -> None:
-    head = f'{pad}<element id={_attr(elem.id)} kind="{elem.kind.value}" name={_attr(elem.name)}'
+def _add_element(lines: list[str], pad: str, elem: ProcessElement, attr: _Escaper, text: _Escaper) -> None:
+    head = f'{pad}<element id={attr(elem.id)} kind="{elem.kind.value}" name={attr(elem.name)}'
     if not (elem.description or elem.attributes or elem.text_blocks):
         lines.append(head + "/>")
         return
     lines.append(head + ">")
     inner = pad + "  "
     if elem.description:
-        lines.append(f"{inner}<description>{_text(elem.description)}</description>")
-    _add_keyed(lines, inner, "attribute", "key", elem.attributes)
+        lines.append(f"{inner}<description>{text(elem.description)}</description>")
+    _add_keyed(lines, inner, "attribute", "key", elem.attributes, attr, text)
     for block in elem.text_blocks:
-        opening = f"{inner}<textBlock id={_attr(block.id)}"
-        lines.append(f"{opening}>{_text(block.text)}</textBlock>" if block.text else opening + "/>")
+        opening = f"{inner}<textBlock id={attr(block.id)}"
+        lines.append(f"{opening}>{text(block.text)}</textBlock>" if block.text else opening + "/>")
     lines.append(pad + "</element>")
 
 
-def _add_reference(lines: list[str], pad: str, ref: Reference) -> None:
+def _add_reference(lines: list[str], pad: str, ref: Reference, attr: _Escaper, text: _Escaper) -> None:
     head = (
-        f'{pad}<reference id={_attr(ref.id)} kind="{ref.kind.value}"'
-        f" source={_attr(ref.source)} target={_attr(ref.target)}"
+        f'{pad}<reference id={attr(ref.id)} kind="{ref.kind.value}"'
+        f" source={attr(ref.source)} target={attr(ref.target)}"
     )
     if not ref.attributes:
         lines.append(head + "/>")
         return
     lines.append(head + ">")
-    _add_keyed(lines, pad + "  ", "attribute", "key", ref.attributes)
+    _add_keyed(lines, pad + "  ", "attribute", "key", ref.attributes, attr, text)
     lines.append(pad + "</reference>")
 
 
 def serialize_model(model: ProcessModel) -> str:
+    return _document(_model_lines, model)
+
+
+def _model_lines(model: ProcessModel, attr: _Escaper, text: _Escaper) -> list[str]:
     head = f'<processModel schemaVersion="{SCHEMA_VERSION}" metamodel="{model.metamodel.value}"'
     if not model.elements and not model.references:
-        return _document([_DECLARATION, head + "/>"])
+        return [_DECLARATION, head + "/>"]
     lines = [_DECLARATION, head + ">"]
     elements, references = model.elements, model.references
     for elem_id in sorted(elements):
-        _add_element(lines, "  ", elements[elem_id])
+        _add_element(lines, "  ", elements[elem_id], attr, text)
     for ref_id in sorted(references):
-        _add_reference(lines, "  ", references[ref_id])
+        _add_reference(lines, "  ", references[ref_id], attr, text)
     lines.append("</processModel>")
-    return _document(lines)
+    return lines
 
 
 def serialize_extension(ext: ExtensionModel) -> str:
+    return _document(_extension_lines, ext)
+
+
+def _extension_lines(ext: ExtensionModel, attr: _Escaper, text: _Escaper) -> list[str]:
     head = (
-        f'<extensionModel schemaVersion="{SCHEMA_VERSION}" id={_attr(ext.variant_id)}'
-        f' parent={_attr(ext.parent_id)} metamodel="{ext.metamodel.value}"'
+        f'<extensionModel schemaVersion="{SCHEMA_VERSION}" id={attr(ext.variant_id)}'
+        f' parent={attr(ext.parent_id)} metamodel="{ext.metamodel.value}"'
     )
     if not (ext.new_elements or ext.new_references or ext.exclusions or ext.exemplars):
-        return _document([_DECLARATION, head + "/>"])
+        return [_DECLARATION, head + "/>"]
     lines = [_DECLARATION, head + ">"]
     if ext.new_elements:
         lines.append("  <newElements>")
         for elem in ext.new_elements:
-            _add_element(lines, "    ", elem)
+            _add_element(lines, "    ", elem, attr, text)
         lines.append("  </newElements>")
     if ext.new_references:
         lines.append("  <newReferences>")
         for ref in ext.new_references:
-            _add_reference(lines, "    ", ref)
+            _add_reference(lines, "    ", ref, attr, text)
         lines.append("  </newReferences>")
     if ext.exclusions:
         lines.append("  <exclusions>")
-        lines.extend(f"    <exclude id={_attr(excluded_id)}/>" for excluded_id in ext.exclusions)
+        lines.extend(f"    <exclude id={attr(excluded_id)}/>" for excluded_id in ext.exclusions)
         lines.append("  </exclusions>")
     if ext.exemplars:
         lines.append("  <operations>")
         for exemplar in ext.exemplars:
-            head = f"    <exemplar type={_attr(exemplar.type_name)} target={_attr(exemplar.target)}"
+            head = f"    <exemplar type={attr(exemplar.type_name)} target={attr(exemplar.target)}"
             if exemplar.args:
                 lines.append(head + ">")
-                _add_keyed(lines, "      ", "arg", "name", exemplar.args)
+                _add_keyed(lines, "      ", "arg", "name", exemplar.args, attr, text)
                 lines.append("    </exemplar>")
             else:
                 lines.append(head + "/>")
         lines.append("  </operations>")
     lines.append("</extensionModel>")
-    return _document(lines)
+    return lines
 
 
 def serialize_catalog(catalog: OperationCatalog) -> str:
+    return _document(_catalog_lines, catalog)
+
+
+def _catalog_lines(catalog: OperationCatalog, attr: _Escaper, text: _Escaper) -> list[str]:
     head = f'<operationCatalog schemaVersion="{SCHEMA_VERSION}"'
     if len(catalog) == 0:
-        return _document([_DECLARATION, head + "/>"])
+        return [_DECLARATION, head + "/>"]
     lines = [_DECLARATION, head + ">"]
     for type_def in catalog:
         lines.append(
-            f"  <operationType name={_attr(type_def.name)} group={_attr(type_def.group)}"
+            f"  <operationType name={attr(type_def.name)} group={attr(type_def.group)}"
             f' targetKind="{type_def.target_kind.value}"'
             f' metamodel="{type_def.defining_metamodel.value}"'
             + (' synthetic="true">' if type_def.synthetic else ">")
         )
         for step in type_def.recipe:
-            head = f'    <step atomic="{step.atomic.value}" target={_attr(step.target)}'
+            head = f'    <step atomic="{step.atomic.value}" target={attr(step.target)}'
             if step.args:
                 lines.append(head + ">")
-                _add_keyed(lines, "      ", "arg", "name", step.args)
+                _add_keyed(lines, "      ", "arg", "name", step.args, attr, text)
                 lines.append("    </step>")
             else:
                 lines.append(head + "/>")
         lines.append("  </operationType>")
     lines.append("</operationCatalog>")
-    return _document(lines)
+    return lines
 
 
 def serialize_trace(trace: MergeTrace) -> str:
     """Trace metadata as XML. Change sets are runtime data and stay out."""
+    return _document(_trace_lines, trace)
+
+
+def _trace_lines(trace: MergeTrace, attr: _Escaper, text: _Escaper) -> list[str]:
     head = f'<mergeTrace schemaVersion="{SCHEMA_VERSION}"'
     if trace.final_metamodel is not None:
         head += f' finalMetamodel="{trace.final_metamodel.value}"'
     if not trace.entries:
-        return _document([_DECLARATION, head + "/>"])
+        return [_DECLARATION, head + "/>"]
     lines = [_DECLARATION, head + ">"]
     for entry in trace.entries:
         kind = entry.kind
         line = (
-            f'  <entry kind="{kind.value}" variant={_attr(entry.variant_id)}'
-            f" subject={_attr(entry.subject)}"
+            f'  <entry kind="{kind.value}" variant={attr(entry.variant_id)}'
+            f" subject={attr(entry.subject)}"
         )
         if entry.target:
-            line += f" target={_attr(entry.target)}"
+            line += f" target={attr(entry.target)}"
         if kind is TraceEntryKind.EXCLUSION_APPLIED:
             line += f' cascadeCount="{entry.cascade_count}"'
         if kind is TraceEntryKind.OPERATION_EXECUTED:
             line += f' stepCount="{entry.step_count}"'
         if entry.detail:
-            line += f" detail={_attr(entry.detail)}"
+            line += f" detail={attr(entry.detail)}"
         lines.append(line + "/>")
     lines.append("</mergeTrace>")
-    return _document(lines)
+    return lines
 
 
 def render_trace_text(trace: MergeTrace) -> str:

@@ -73,6 +73,11 @@ def random_decimal(rng: random.Random, *, finite: bool = False) -> str:
 
 _BLOCK_RICH_KINDS = (ElementKind.SECTION, ElementKind.CHAPTER)
 
+# text block ids may hold any character but must be non-empty: these hold the
+# whitespace a change set's block order has to carry
+_BLOCK_IDS = ("b1", "b 2", "b\t3")
+_FRESH_BLOCK_IDS = ("b\n7", " ", "\t")
+
 # kinds guaranteed to appear so extensions always find targets to aim at
 _GUARANTEED_KINDS = (
     ElementKind.SECTION,
@@ -100,7 +105,7 @@ def random_element(rng: random.Random, elem_id: str, kind: ElementKind) -> Proce
     blocks = ()
     if kind in _BLOCK_RICH_KINDS:
         blocks = tuple(
-            TextBlock(f"b{i}", random_text(rng)) for i in range(1, rng.randint(2, 4))
+            TextBlock(_BLOCK_IDS[i], random_text(rng)) for i in range(rng.randint(1, 3))
         )
     elif rng.random() < 0.1:
         blocks = (TextBlock("b1", random_text(rng)),)
@@ -665,7 +670,7 @@ def mutate_model(rng: random.Random, model: ProcessModel) -> ProcessModel:
         elif op == 8 and element_ids:
             elem = working.elements[rng.choice(element_ids)]
             block_ids = {b.id for b in elem.text_blocks}
-            fresh_block = next(b for b in ("b7", "b8", "b9") if b not in block_ids)
+            fresh_block = next(b for b in _FRESH_BLOCK_IDS if b not in block_ids)
             working = working.replace_element(
                 elem.with_text_blocks((*elem.text_blocks, TextBlock(fresh_block, random_text(rng))))
             )

@@ -1,6 +1,8 @@
 """Merge semantics: phases, tracing, masking, conflicts, chain resolution."""
 
 import collections
+import contextlib
+import copy
 import random
 import sys
 from unittest import mock
@@ -22,6 +24,7 @@ from procline.catalog import (
 from procline.errors import (
     ConflictError,
     CycleError,
+    DuplicateIdError,
     IllegalTargetError,
     MissingParentError,
     UnknownIdError,
@@ -31,6 +34,7 @@ from procline.errors import (
 from procline.merge import (
     ExtensionModel,
     MergeTrace,
+    TraceEntry,
     TraceEntryKind,
     VariantSet,
     apply_masking,
@@ -39,6 +43,7 @@ from procline.merge import (
     resolve_chain,
 )
 from procline.model import (
+    ChangeSet,
     ElementKind,
     MetamodelVersion,
     ProcessElement,
@@ -46,6 +51,7 @@ from procline.model import (
     Reference,
     ReferenceKind,
     TextBlock,
+    _WorkingModel,
     compare_models,
 )
 from procline.studyline import masking_extension
@@ -332,6 +338,18 @@ def test_apply_masking_preconditions():
                 Reference("bad", ReferenceKind.CONFIGURATION_ENTRY, "ptv1", "ghost")
             ],
         )
+    # a substitute never overwrites what the base already holds under its id
+    with pytest.raises(DuplicateIdError, match="'r2'"):
+        apply_masking(base, ["pm1"], [ProcessElement("r2", ElementKind.PROCESS_MODULE, "M")])
+    with pytest.raises(DuplicateIdError, match="'cfg1'"):
+        apply_masking(
+            base,
+            ["pm1"],
+            substitute_references=[
+                Reference("cfg1", ReferenceKind.CONFIGURATION_ENTRY, "ptv1", "pm1")
+            ],
+        )
+    assert base == _base()
 
 
 # -- work per step -------------------------------------------------------------------
@@ -402,6 +420,208 @@ def test_scoped_change_sets_equal_full_diffs_on_random_merges(catalog, seed, las
         return merge_once(base, ext, catalog, last_wins=last_wins)
 
     assert _outcome(derive) == _full_diff_outcome(derive)
+
+
+# -- the working model ----------------------------------------------------------------
+
+def _state(work):
+    """Everything a working model holds, copied: maps, incidence index, undo log, metamodel."""
+    return (
+        dict(work.elements),
+        dict(work.references),
+        {endpoint: set(ids) for endpoint, ids in work.incident.items()},
+        list(work.log),
+        work.model.metamodel,
+    )
+
+
+def _recount(references):
+    incident = collections.defaultdict(set)
+    for ref in references.values():
+        incident[ref.source].add(ref.id)
+        incident[ref.target].add(ref.id)
+    return dict(incident)
+
+
+def test_failing_exemplar_in_the_middle_leaves_the_working_model_as_it_was(catalog):
+    # the first step of each broken type applies, then the second fails on
+    # what the first did, so the exemplar has written something to undo
+    broken = [
+        OperationTypeDef(
+            name="RemoveThenRename",
+            group="Role Variations",
+            target_kind=ElementKind.ROLE,
+            defining_metamodel=MetamodelVersion.V1_3,
+            recipe=(
+                StepTemplate(AtomicKind.REMOVE_ELEMENT),
+                StepTemplate(AtomicKind.RENAME_ELEMENT, args={"newName": "gone"}),
+            ),
+        ),
+        OperationTypeDef(
+            name="SwapThenMissingBlock",
+            group="Role Variations",
+            target_kind=ReferenceKind.RESPONSIBILITY,
+            defining_metamodel=MetamodelVersion.V1_3,
+            recipe=(
+                StepTemplate(AtomicKind.SWAP_REFERENCES, args={"newTarget": "r2"}),
+                StepTemplate(AtomicKind.CHANGE_ATTRIBUTE, args={"key": "k", "value": "v"}),
+                StepTemplate(
+                    AtomicKind.REPLACE_TEXT,
+                    "sec1",
+                    {"field": "textBlock", "blockId": "nope", "text": "x"},
+                ),
+            ),
+        ),
+    ]
+    mixed = OperationCatalog([*catalog, *broken])
+    ext = _ext(
+        metamodel=MetamodelVersion.V1_3B,
+        new_references=(Reference("resp2", ReferenceKind.RESPONSIBILITY, "wp1", "r1"),),
+        exemplars=(
+            OperationExemplar("RenameRole", "r2", {"newName": "Second"}),
+            OperationExemplar("RemoveThenRename", "r1"),
+            OperationExemplar("ChangeRoleClass", "r1", {"roleClass": "b"}),
+            OperationExemplar("SwapThenMissingBlock", "resp1"),
+            OperationExemplar("RenameRole", "r1", {"newName": "First"}),
+        ),
+    )
+    before_call, after_call = [], []
+    run_exemplar = merge_module._run_exemplar
+
+    def observed(catalog, work, exemplar):
+        before_call.append(_state(work))
+        result = run_exemplar(catalog, work, exemplar)
+        after_call.append((bool(result[0]), _state(work)))
+        return result
+
+    with mock.patch.object(merge_module, "_run_exemplar", observed):
+        with pytest.raises(ValidationFailedError) as exc:
+            merge_once(_base(), ext, mixed)
+    assert [i.subject for i in exc.value.issues] == ["r1", "sec1"]
+    assert [failed for failed, _ in after_call] == [False, True, False, True, False]
+    for index in (1, 3):
+        # the failed exemplar wrote into the maps (r1 and its references, resp1) ...
+        assert after_call[index][1] != before_call[index]
+        # ... and the next one starts from exactly the state before it
+        assert before_call[index + 1] == before_call[index]
+    _, references, incident, log, metamodel = before_call[2]
+    assert incident == _recount(references) and log == []
+    assert metamodel is MetamodelVersion.V1_3B
+
+
+def test_merge_never_writes_the_base_model(catalog):
+    base = _base()
+    elements, references = copy.deepcopy(base.elements), copy.deepcopy(base.references)
+    ok = _ext(
+        exclusions=("r2", "cfg1"),
+        exemplars=(
+            OperationExemplar("RenameRole", "r1", {"newName": "Renamed"}),
+            OperationExemplar("ReplaceSectionText", "sec1", {"blockId": "b1", "text": "new"}),
+        ),
+    )
+    merged, _ = merge_once(base, ok, catalog)
+    assert merged != base
+    failing = _ext(
+        exclusions=("wp1",),
+        exemplars=(
+            OperationExemplar("RenameRole", "r1", {"newName": "Renamed"}),
+            OperationExemplar("RenameRole", "ghost", {"newName": "x"}),
+        ),
+    )
+    with pytest.raises(ValidationFailedError):
+        merge_once(base, failing, catalog)
+    assert base.elements == elements
+    assert base.references == references
+
+
+@contextlib.contextmanager
+def _checking_incidence():
+    """Recount the incidence index after every entry and every rollback; yields the entry kinds seen."""
+    record, rollback = merge_module._Derivation.record, _WorkingModel.rollback
+    checked = []
+
+    def checked_record(self, *args, **kwargs):
+        record(self, *args, **kwargs)
+        assert self.work.incident == _recount(self.work.references)
+        checked.append(args[0])
+
+    def checked_rollback(self):
+        rollback(self)
+        assert self.incident == _recount(self.references)
+
+    with mock.patch.object(merge_module._Derivation, "record", checked_record):
+        with mock.patch.object(_WorkingModel, "rollback", checked_rollback):
+            yield checked
+
+
+def test_incidence_index_matches_a_recount_on_the_study_family(root, variants, catalog):
+    with _checking_incidence() as checked:
+        for leaf in variants.variant_ids():
+            merge_chain(variants, leaf, catalog)
+        merge_once(root, masking_extension(), catalog)
+    assert TraceEntryKind.EXCLUSION_APPLIED in checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000), st.booleans())
+def test_incidence_index_matches_a_recount_after_every_entry(catalog, seed, clean):
+    rng = random.Random(seed)
+    base = genmodels.random_model(rng, max_elements=30)
+    ext = genmodels.random_extension(rng, base, catalog, max_exemplars=12, clean=clean)
+    with _checking_incidence():
+        _outcome(lambda: merge_once(base, ext, catalog))
+
+
+# -- replay --------------------------------------------------------------------------
+
+def test_every_study_chain_replays_to_its_merged_model(root, variants, catalog):
+    for leaf in variants.variant_ids():
+        for last_wins in (False, True):
+            merged, trace = merge_chain(variants, leaf, catalog, last_wins=last_wins)
+            assert trace.replay(root) == merged
+    merged, trace = merge_once(root, masking_extension(), catalog)
+    assert trace.replay(root) == merged
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000))
+def test_random_two_level_chains_replay(catalog, seed):
+    rng = random.Random(seed)
+    base = genmodels.random_model(rng, max_elements=30)
+    first = genmodels.random_extension(rng, base, catalog, max_exemplars=12, clean=True)
+    try:
+        middle, first_trace = merge_once(base, first, catalog, last_wins=True)
+        second = genmodels.random_extension(
+            rng, middle, catalog, variant_id="Y", parent_id="X", max_exemplars=12, clean=True
+        )
+        merged, second_trace = merge_once(middle, second, catalog, last_wins=True)
+    except ValidationFailedError:
+        return
+    trace = MergeTrace(first_trace.entries + second_trace.entries, merged.metamodel)
+    assert trace.replay(base) == merged
+    assert first_trace.replay(base) == middle
+
+
+def test_replay_rejects_a_misfit_change_set_in_the_middle(root, variants, catalog):
+    _, trace = merge_once(root, variants.extensions["Bund"], catalog)
+    middle = len(trace.entries) // 2
+    some_element = sorted(root.elements)[0]
+    misfits = [
+        (UnknownIdError, ChangeSet(removed_elements=("no-such-element",))),
+        (UnknownIdError, ChangeSet(removed_references=("no-such-reference",))),
+        (DuplicateIdError, ChangeSet(added_elements=(root.elements[some_element],))),
+    ]
+    for error, misfit in misfits:
+        entries = list(trace.entries)
+        entries.insert(middle, TraceEntry(TraceEntryKind.UNTYPED_CHANGE, "Bund", "misfit", change_set=misfit))
+        with pytest.raises(error):
+            MergeTrace(entries, trace.final_metamodel).replay(root)
+    # the same change set applied twice no longer fits the second time
+    added = next(e for e in trace.entries if e.kind is TraceEntryKind.ASSET_ADDED)
+    entries = list(trace.entries)
+    entries.insert(middle, added)
+    with pytest.raises(DuplicateIdError):
+        MergeTrace(entries, trace.final_metamodel).replay(root)
 
 
 # -- conflicts -----------------------------------------------------------------------

@@ -128,6 +128,26 @@ def test_duplicate_text_block_ids_rejected():
         _element("a", text_blocks=(TextBlock("b1", "x"), TextBlock("b1", "y")))
 
 
+def test_functional_updates_keep_their_input_checks():
+    # updates skip the constructor's re-check, but not the check of what they change
+    elem = _element("a", attributes={"k": "v"}, text_blocks=(TextBlock("b1", "x"),))
+    with pytest.raises(ValueError, match="name must be non-empty"):
+        elem.with_name("")
+    with pytest.raises(ValueError, match="duplicate text block id 'b1'"):
+        elem.with_text_blocks((TextBlock("b1", "x"), TextBlock("b1", "y")))
+    with pytest.raises(ValueError):
+        elem.with_kind("NoSuchKind")
+    assert elem.with_kind("Task").kind is ElementKind.TASK
+    ref = Reference("r", ReferenceKind.RESPONSIBILITY, "a", "b", {"k": "v"})
+    for endpoints in ({"source": ""}, {"target": ""}):
+        with pytest.raises(ValueError, match="source and target must be non-empty"):
+            ref.with_endpoints(**endpoints)
+    # and each shares the parts it leaves alone
+    renamed = elem.with_name("B")
+    assert renamed.attributes is elem.attributes and renamed.text_blocks is elem.text_blocks
+    assert ref.with_endpoints(target="c").attributes is ref.attributes
+
+
 def test_enum_coercion_from_strings():
     elem = ProcessElement(id="a", kind="Role", name="A")
     assert elem.kind is ElementKind.ROLE
@@ -371,3 +391,43 @@ def test_random_models_are_consistent(seed):
     model = genmodels.random_model(rng, max_elements=40)
     assert model.check_consistency() == []
     assert sorted(e.id for e in model.elements_in_order()) == sorted(model.elements)
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        ((("x y", "1"), ("z", "2")), (("z", "2"), ("x y", "1"))),
+        ((("b1", "1"),), (("b1", "1"), (" ", "2"))),
+        ((("\\", "1"), ("\\20;", "2"), ("a\tb", "3")), (("a\tb", "3"), ("\\20;", "2"), ("\\", "1"))),
+        ((("b\n7", "1"), (" ", "2")), ()),
+    ],
+)
+def test_block_order_round_trips_any_block_id(before, after):
+    def model(blocks):
+        sec = _element("sec", ElementKind.SECTION, text_blocks=tuple(TextBlock(*b) for b in blocks))
+        return ProcessModel.of(MetamodelVersion.V1_3, [sec])
+
+    a, b = model(before), model(after)
+    delta = compare_models(a, b)
+    assert delta.modified_elements[0].changes[-1].field == "textblock-order"
+    assert apply_change_set(a, delta) == b
+    assert apply_change_set(b, compare_models(b, a)) == a
+
+
+def test_block_order_of_plain_ids_is_space_separated():
+    sec = _element("sec", ElementKind.SECTION, text_blocks=(TextBlock("b1", "x"), TextBlock("b2", "y")))
+    one = ProcessModel.of(MetamodelVersion.V1_3, [sec])
+    swapped = one.replace_element(sec.with_text_blocks(reversed(sec.text_blocks)))
+    (change,) = compare_models(one, swapped).modified_elements[0].changes
+    assert (change.before, change.after) == ("b1 b2", "b2 b1")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=100_000))
+def test_change_set_carries_any_model_to_any_other(seed_a, seed_b):
+    # two unrelated models share ids ("n00", "r00", ...), so every field can differ
+    a = genmodels.random_model(random.Random(seed_a), max_elements=25)
+    rng = random.Random(seed_b)
+    b = genmodels.mutate_model(rng, genmodels.random_model(rng, max_elements=25))
+    assert apply_change_set(a, compare_models(a, b)) == b
+    assert apply_change_set(b, compare_models(b, a)) == a

@@ -7,13 +7,24 @@ from hypothesis import assume, given, settings, strategies as st
 
 import genmodels
 from procline.analytics import usage_report
+from procline.atomic import AtomicKind
+from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.errors import (
     IllegalCharacterError,
     MissingParentDeclarationError,
     ParseError,
     SchemaError,
 )
-from procline.merge import merge_once
+from procline.merge import ExtensionModel, MergeTrace, TraceEntry, TraceEntryKind, merge_once
+from procline.model import (
+    ElementKind,
+    MetamodelVersion,
+    ProcessElement,
+    ProcessModel,
+    Reference,
+    ReferenceKind,
+    TextBlock,
+)
 from procline.studyline import masking_extension
 from procline.xmlio import (
     CSV_HEADER,
@@ -366,14 +377,147 @@ def test_local_escaping_matches_saxutils():
         assert _text(text) == saxutils.escape(text).replace("\r", "&#13;")
 
 
+# One document per writer, with every value slot passed through put(slot, value),
+# so each slot can be made to hold a character XML cannot carry.
+
+def _hostile_elements(put):
+    lead = ProcessElement(
+        "a",
+        ElementKind.CHAPTER,
+        "Lead",
+        description="first\nsecond line",
+        attributes={"k": "v"},
+        text_blocks=(TextBlock("b0", "one\ntwo"),),
+    )
+    elem = ProcessElement(
+        put("element id", "e1"),
+        ElementKind.SECTION,
+        put("element name", "name " * 20),
+        description=put("element description", "multi\nline description"),
+        attributes={put("attribute key", "key"): put("attribute value", "value\nmore")},
+        text_blocks=(TextBlock(put("block id", "b1"), put("block text", "block\ntext")),),
+    )
+    return lead, elem
+
+
+def _hostile_model(put):
+    ref = Reference(
+        put("reference id", "r1"),
+        ReferenceKind.LITERATURE_LINK,
+        put("reference source", "a"),
+        put("reference target", "e1"),
+        {put("reference attribute key", "note"): put("reference attribute value", "n\nm")},
+    )
+    return serialize_model(ProcessModel.of(MetamodelVersion.V1_3, _hostile_elements(put), [ref]))
+
+
+def _hostile_trace(put):
+    entries = (
+        TraceEntry(TraceEntryKind.ASSET_ADDED, "V", "s"),
+        TraceEntry(
+            TraceEntryKind.OPERATION_EXECUTED,
+            put("trace variant", "V"),
+            put("trace subject", "Op"),
+            target=put("trace target", "t"),
+            detail=put("trace detail", "d"),
+            step_count=1,
+        ),
+    )
+    return serialize_trace(MergeTrace(entries, MetamodelVersion.V1_3B))
+
+
+def _hostile_extension(put):
+    ext = ExtensionModel(
+        variant_id=put("extension id", "X"),
+        parent_id=put("extension parent", "root"),
+        metamodel=MetamodelVersion.V1_3,
+        new_elements=_hostile_elements(lambda slot, value: value),
+        exclusions=(put("exclusion id", "gone"),),
+        exemplars=(
+            OperationExemplar(
+                put("exemplar type", "RenameRole"),
+                put("exemplar target", "r"),
+                {put("exemplar arg name", "newName"): put("exemplar arg value", "N\nline")},
+            ),
+        ),
+    )
+    return serialize_extension(ext)
+
+
+def _hostile_catalog(put):
+    step = StepTemplate(
+        AtomicKind.CHANGE_ATTRIBUTE,
+        put("step target", "{target}"),
+        {put("step arg name", "key"): put("step arg value", "k")},
+    )
+    type_def = OperationTypeDef(
+        put("type name", "T"), put("type group", "G"), ElementKind.ROLE, MetamodelVersion.V1_3, (step,)
+    )
+    return serialize_catalog(OperationCatalog([type_def]))
+
+
+_HOSTILE_WRITERS = (_hostile_model, _hostile_trace, _hostile_extension, _hostile_catalog)
+
+# (slot, character, message): every value slot of the four writers, each
+# message as the whole-document scan of the earlier writer worded it
+_ILLEGAL_CHARACTER_MESSAGES = [
+    ('reference id', '\x00', 'character U+0000 cannot be written as XML (output line 18: \'<reference id="r1\\x00!" kind="LiteratureLink" source="a" target="e1">\')'),
+    ('reference source', '\x01', 'character U+0001 cannot be written as XML (output line 18: \'<reference id="r1" kind="LiteratureLink" source="a\\x01!" target="e1">\')'),
+    ('reference target', '\x0b', 'character U+000B cannot be written as XML (output line 18: \'<reference id="r1" kind="LiteratureLink" source="a" target="e1\\x0b!">\')'),
+    ('reference attribute key', '\x1f', 'character U+001F cannot be written as XML (output line 19: \'<attribute key="note\\x1f!">n\')'),
+    ('reference attribute value', '\ud800', "character U+D800 cannot be written as XML (output line 20: 'm\\ud800!</attribute>')"),
+    ('element id', '\udfff', 'character U+DFFF cannot be written as XML (output line 10: \'<element id="e1\\udfff!" kind="Section" name="name name name name name name name name \')'),
+    ('element name', '\ufffe', 'character U+FFFE cannot be written as XML (output line 10: \'<element id="e1" kind="Section" name="name name name name name name name name na\')'),
+    ('element description', '\x00', "character U+0000 cannot be written as XML (output line 12: 'line description\\x00!</description>')"),
+    ('attribute key', '\x01', 'character U+0001 cannot be written as XML (output line 13: \'<attribute key="key\\x01!">value\')'),
+    ('attribute value', '\x0b', "character U+000B cannot be written as XML (output line 14: 'more\\x0b!</attribute>')"),
+    ('block id', '\x1f', 'character U+001F cannot be written as XML (output line 15: \'<textBlock id="b1\\x1f!">block\')'),
+    ('block text', '\ud800', "character U+D800 cannot be written as XML (output line 16: 'text\\ud800!</textBlock>')"),
+    ('trace variant', '\udfff', 'character U+DFFF cannot be written as XML (output line 4: \'<entry kind="OperationExecuted" variant="V\\udfff!" subject="Op" target="t" stepCount=\')'),
+    ('trace subject', '\ufffe', 'character U+FFFE cannot be written as XML (output line 4: \'<entry kind="OperationExecuted" variant="V" subject="Op\\ufffe!" target="t" stepCount=\')'),
+    ('trace target', '\x00', 'character U+0000 cannot be written as XML (output line 4: \'<entry kind="OperationExecuted" variant="V" subject="Op" target="t\\x00!" stepCount=\')'),
+    ('trace detail', '\x01', 'character U+0001 cannot be written as XML (output line 4: \'<entry kind="OperationExecuted" variant="V" subject="Op" target="t" stepCount="1\')'),
+    ('extension id', '\x0b', 'character U+000B cannot be written as XML (output line 2: \'<extensionModel schemaVersion="1" id="X\\x0b!" parent="root" metamodel="1.3">\')'),
+    ('extension parent', '\x1f', 'character U+001F cannot be written as XML (output line 2: \'<extensionModel schemaVersion="1" id="X" parent="root\\x1f!" metamodel="1.3">\')'),
+    ('exclusion id', '\ud800', 'character U+D800 cannot be written as XML (output line 21: \'<exclude id="gone\\ud800!"/>\')'),
+    ('exemplar type', '\udfff', 'character U+DFFF cannot be written as XML (output line 24: \'<exemplar type="RenameRole\\udfff!" target="r">\')'),
+    ('exemplar target', '\ufffe', 'character U+FFFE cannot be written as XML (output line 24: \'<exemplar type="RenameRole" target="r\\ufffe!">\')'),
+    ('exemplar arg name', '\x00', 'character U+0000 cannot be written as XML (output line 25: \'<arg name="newName\\x00!">N\')'),
+    ('exemplar arg value', '\x01', "character U+0001 cannot be written as XML (output line 26: 'line\\x01!</arg>')"),
+    ('step target', '\x0b', 'character U+000B cannot be written as XML (output line 4: \'<step atomic="ChangeAttribute" target="{target}\\x0b!">\')'),
+    ('step arg name', '\x1f', 'character U+001F cannot be written as XML (output line 5: \'<arg name="key\\x1f!">k</arg>\')'),
+    ('step arg value', '\ud800', 'character U+D800 cannot be written as XML (output line 5: \'<arg name="key">k\\ud800!</arg>\')'),
+    ('type name', '\udfff', 'character U+DFFF cannot be written as XML (output line 3: \'<operationType name="T\\udfff!" group="G" targetKind="Role" metamodel="1.3">\')'),
+    ('type group', '\ufffe', 'character U+FFFE cannot be written as XML (output line 3: \'<operationType name="T" group="G\\ufffe!" targetKind="Role" metamodel="1.3">\')'),
+]
+
+
+def test_every_value_slot_is_covered():
+    slots = []
+    for writer in _HOSTILE_WRITERS:
+        writer(lambda slot, value: slots.append(slot) or value)
+    assert sorted(slots) == sorted(slot for slot, _, _ in _ILLEGAL_CHARACTER_MESSAGES)
+    for writer in _HOSTILE_WRITERS:
+        assert "\n" in writer(lambda slot, value: value)
+
+
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "\udfff", "\ufffe"])
 def test_xml_illegal_characters_are_rejected_on_serialization(char):
-    from procline.model import ElementKind, MetamodelVersion, ProcessElement, ProcessModel
-
     elem = ProcessElement("e1", ElementKind.SECTION, "ok", description=f"a{char}b")
     model = ProcessModel.of(MetamodelVersion.V1_3, [elem], [])
     with pytest.raises(IllegalCharacterError, match=f"U\\+{ord(char):04X}"):
         serialize_model(model)
+    cases = [(slot, message) for slot, c, message in _ILLEGAL_CHARACTER_MESSAGES if c == char]
+    assert cases
+    for slot, message in cases:
+        for writer in _HOSTILE_WRITERS:
+            try:
+                writer(lambda s, value: f"{value}{char}!" if s == slot else value)
+            except IllegalCharacterError as err:
+                assert str(err) == message
+                break
+        else:
+            raise AssertionError(f"{slot}: no writer rejected {char!r}")
 
 
 # -- trace and stats renderings ----------------------------------------------------
