@@ -4,11 +4,10 @@ These are the building blocks operation types are assembled from. Each step
 names a target (element or reference id) and carries string arguments. The
 same checks back both entry points: :func:`validate_step` collects findings,
 :func:`apply_atomic` raises on the first one and otherwise returns the
-transformed model; :func:`apply_unchecked` is that body without the checks,
-for a step just validated. Both run one step body, which writes into a
-working model (a merge's own, or a copy of the input's maps). A step never
-touches anything beyond its target, the endpoints it rewires, and references
-cascaded by an element removal.
+transformed model. One step body, ``_apply_into``, writes a validated step
+into a working model: a merge's own, or for :func:`apply_atomic` a copy of
+the input's maps. A step never touches anything beyond its target, the
+endpoints it rewires, and references cascaded by an element removal.
 """
 
 from __future__ import annotations
@@ -295,22 +294,11 @@ def _spliced(current: str, addition: str, position: str) -> str:
 def apply_atomic(model: ProcessModel, step: AtomicStep) -> ProcessModel:
     """Apply one step, returning the transformed model.
 
-    The input model is never modified. Raises the exception matching the
-    first finding :func:`validate_step` reports; otherwise the result is
-    that of :func:`apply_unchecked`.
+    Raises the exception matching the first finding :func:`validate_step`
+    reports. The input model is never modified: the step is written into a
+    copy of its maps.
     """
     _raise_first(validate_step(model, step))
-    return apply_unchecked(model, step)
-
-
-def apply_unchecked(model: ProcessModel, step: AtomicStep) -> ProcessModel:
-    """The body of :func:`apply_atomic`, for a step that passed :func:`validate_step`.
-
-    A caller that has just validated the step on this very model uses it to
-    skip a second validation. On a step that was not validated the outcome
-    is undefined. The input model is never modified: the step is written
-    into a copy of its maps.
-    """
     work = _WorkingModel(model)
     _apply_into(work, step)
     return work.model

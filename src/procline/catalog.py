@@ -206,38 +206,22 @@ def validate_exemplar(
     recipe arguments are present. Only when all of that holds are the
     expanded steps validated (sequentially, so multi-step recipes see the
     effects of earlier steps). An empty result therefore guarantees that
-    expansion succeeds and every step applies. These are the issues of
-    :func:`simulate_exemplar`, which also hands back what the steps did.
+    expansion succeeds and every step applies. ``model`` itself is never
+    modified: the steps run on a copy of its maps.
     """
-    return simulate_exemplar(catalog, model, exemplar)[0]
-
-
-def simulate_exemplar(
-    catalog: OperationCatalog, model: ProcessModel, exemplar: OperationExemplar
-) -> tuple[list[Issue], list[AtomicStep], ProcessModel]:
-    """Check one exemplar and run its steps on ``model``.
-
-    Returns the issues :func:`validate_exemplar` reports, the expanded steps
-    and the model they produce. Each step is validated once, on the model
-    the earlier steps produced, and then applied without a second check.
-    When there are issues, the steps are empty and the model is ``model``.
-    ``model`` itself is never modified: the steps run on a copy of its maps.
-    """
-    work = _WorkingModel(model)
-    issues, steps = _run_exemplar(catalog, work, exemplar)
-    if issues:
-        return issues, [], model
-    return [], steps, work.model
+    return _run_exemplar(catalog, _WorkingModel(model), exemplar)[0]
 
 
 def _run_exemplar(
     catalog: OperationCatalog, work: _WorkingModel, exemplar: OperationExemplar
 ) -> tuple[list[Issue], list[AtomicStep]]:
-    """The body of :func:`simulate_exemplar`: check the exemplar and write its steps into ``work``.
+    """Check one exemplar and write its steps into ``work``.
 
-    Returns the issues and the expanded steps (empty when there are
-    issues). A step that fails validation stops the run, so the steps
-    before it stay written: the caller rolls ``work`` back.
+    Returns the issues :func:`validate_exemplar` reports and the expanded
+    steps (empty when there are issues). Each step is validated once, on
+    the model the earlier steps produced, and then applied without a second
+    check. A step that fails validation stops the run, so the steps before
+    it stay written: the caller rolls ``work`` back.
     """
     model = work.model
     type_def = catalog.get(exemplar.type_name)
@@ -259,57 +243,19 @@ def _run_exemplar(
             )
         )
     if type_def.targets_reference:
-        ref = model.references.get(exemplar.target)
-        if ref is None:
-            code = IssueCode.TYPE_MISMATCH if exemplar.target in model.elements else IssueCode.UNKNOWN_TARGET_ID
-            detail = (
-                "resolves to an element"
-                if exemplar.target in model.elements
-                else "does not resolve"
-            )
-            issues.append(
-                Issue(
-                    code,
-                    exemplar.target,
-                    f"{exemplar.type_name} targets {type_def.target_kind.value} references; "
-                    f"target {detail}",
-                )
-            )
-        elif ref.kind != type_def.target_kind:
-            issues.append(
-                Issue(
-                    IssueCode.TYPE_MISMATCH,
-                    exemplar.target,
-                    f"{exemplar.type_name} targets {type_def.target_kind.value} references, "
-                    f"got {ref.kind.value}",
-                )
-            )
+        plural, assets, others, other = "references", model.references, model.elements, "an element"
     else:
-        elem = model.elements.get(exemplar.target)
-        if elem is None:
-            code = IssueCode.TYPE_MISMATCH if exemplar.target in model.references else IssueCode.UNKNOWN_TARGET_ID
-            detail = (
-                "resolves to a reference"
-                if exemplar.target in model.references
-                else "does not resolve"
-            )
-            issues.append(
-                Issue(
-                    code,
-                    exemplar.target,
-                    f"{exemplar.type_name} targets {type_def.target_kind.value} elements; "
-                    f"target {detail}",
-                )
-            )
-        elif elem.kind != type_def.target_kind:
-            issues.append(
-                Issue(
-                    IssueCode.TYPE_MISMATCH,
-                    exemplar.target,
-                    f"{exemplar.type_name} targets {type_def.target_kind.value} elements, "
-                    f"got {elem.kind.value}",
-                )
-            )
+        plural, assets, others, other = "elements", model.elements, model.references, "a reference"
+    asset = assets.get(exemplar.target)
+    if asset is None or asset.kind != type_def.target_kind:
+        if asset is not None:
+            code, detail = IssueCode.TYPE_MISMATCH, f", got {asset.kind.value}"
+        elif exemplar.target in others:
+            code, detail = IssueCode.TYPE_MISMATCH, f"; target resolves to {other}"
+        else:
+            code, detail = IssueCode.UNKNOWN_TARGET_ID, "; target does not resolve"
+        message = f"{exemplar.type_name} targets {type_def.target_kind.value} {plural}{detail}"
+        issues.append(Issue(code, exemplar.target, message))
     for name in sorted(type_def.placeholders.difference(exemplar.args)):
         issues.append(
             Issue(

@@ -3,8 +3,11 @@
 Parsing is strict: unknown tags or attributes, missing required attributes,
 bad enum values, wrong schema versions, and duplicate ids are all rejected
 with :class:`SchemaError` (syntactic problems surface as
-:class:`ParseError`). Each tag's required and allowed attributes live in
-one per-tag table, ``_ATTRIBUTES``, the same under every parent.
+:class:`ParseError`). One table, ``_SCHEMA``, holds each tag's required and
+allowed attributes and what it may contain: the child tags allowed, or text
+only, or nothing; an entry is the same under every parent. One check,
+``_checked``, holds a node to that table as the node is visited: its tag
+is allowed under its parent, its attributes fit, and its content fits.
 
 Serialization is canonical: UTF-8 text, LF line ends, two-space indent,
 elements and references sorted by id, attribute tags sorted by key, text
@@ -28,7 +31,7 @@ import csv
 import io
 import re
 import xml.etree.ElementTree as ET
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from .analytics import UsageReport, top_n, unused_report
 from .atomic import AtomicKind
@@ -62,6 +65,70 @@ SCHEMA_VERSION = "1"
 # parsing
 # ---------------------------------------------------------------------------
 
+# content kinds of a tag that holds no child tags
+_LEAF = "leaf"  # text, no child tags
+_EMPTY = "empty"  # neither text nor child tags
+
+
+def _tag(
+    *required: str, optional: tuple[str, ...] = (), content: tuple[str, ...] | str = ()
+) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], tuple[str, ...] | str]:
+    return required, frozenset(required), frozenset(required + optional), content
+
+
+# tag -> (required attributes in message order, required set, allowed set,
+# content): the content is the tuple of child tags allowed, _LEAF or _EMPTY.
+# A tag has the same entry under every parent.
+_SCHEMA = {
+    "processModel": _tag("schemaVersion", "metamodel", content=("element", "reference")),
+    "element": _tag("id", "kind", "name", content=("description", "attribute", "textBlock")),
+    "reference": _tag("id", "kind", "source", "target", content=("attribute",)),
+    "description": _tag(content=_LEAF),
+    "attribute": _tag("key", content=_LEAF),
+    "textBlock": _tag("id", content=_LEAF),
+    "extensionModel": _tag(
+        "schemaVersion", "id", "metamodel", optional=("parent",),
+        content=("newElements", "newReferences", "exclusions", "operations"),
+    ),
+    "newElements": _tag(content=("element",)),
+    "newReferences": _tag(content=("reference",)),
+    "exclusions": _tag(content=("exclude",)),
+    "exclude": _tag("id", content=_EMPTY),
+    "operations": _tag(content=("exemplar",)),
+    "exemplar": _tag("type", "target", content=("arg",)),
+    "arg": _tag("name", content=_LEAF),
+    "operationCatalog": _tag("schemaVersion", content=("operationType",)),
+    "operationType": _tag(
+        "name", "group", "targetKind", "metamodel", optional=("synthetic",), content=("step",)
+    ),
+    "step": _tag("atomic", "target", content=("arg",)),
+}
+
+
+def _checked(node: ET.Element, source: str, parent: str | None) -> None:
+    """Check that ``node`` may stand under ``parent`` and that its attributes and content fit its tag."""
+    tag = node.tag
+    if parent is not None and tag not in _SCHEMA[parent][3]:
+        raise SchemaError(f"unexpected <{tag}> inside <{parent}>", path=source)
+    ordered, required, allowed, content = _SCHEMA[tag]
+    keys = node.attrib.keys()
+    if not required <= keys <= allowed:
+        for name in ordered:
+            if name not in keys:
+                raise SchemaError(f"<{tag}> lacks attribute {name!r}", path=source)
+        for name in keys:
+            if name not in allowed:
+                raise SchemaError(f"<{tag}> has unexpected attribute {name!r}", path=source)
+    if content is _LEAF:
+        if len(node):
+            raise SchemaError(f"<{tag}> must not have child tags", path=source)
+    elif content is _EMPTY:
+        if len(node) or (node.text or "").strip():
+            raise SchemaError(f"<{tag}> must be empty", path=source)
+    elif (node.text or "").strip():
+        raise SchemaError(f"<{tag}> holds unexpected text", path=source)
+
+
 def _root_node(text: str | bytes, expected_tag: str, source: str) -> ET.Element:
     # bytes are decoded by expat as their XML declaration says (UTF-8 without one)
     try:
@@ -73,82 +140,56 @@ def _root_node(text: str | bytes, expected_tag: str, source: str) -> ET.Element:
         # a declared encoding Python lacks, or one expat cannot use
         raise ParseError(f"cannot decode: {exc}", source=source) from exc
     if root.tag != expected_tag:
+        raise SchemaError(f"expected <{expected_tag}> document, got <{root.tag}>", path=source)
+    _checked(root, source, None)
+    version = root.attrib["schemaVersion"]
+    if version != SCHEMA_VERSION:
         raise SchemaError(
-            f"expected <{expected_tag}> document, got <{root.tag}>", path=source
+            f"<{root.tag}> declares schemaVersion {version!r}, expected {SCHEMA_VERSION!r}", path=source
+        )
+    if expected_tag == "extensionModel" and "parent" not in root.attrib:
+        raise MissingParentDeclarationError(
+            f"extension {root.attrib['id']!r} declares no parent", path=source
         )
     return root
 
 
-def _schema(
-    *required: str, optional: tuple[str, ...] = ()
-) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
-    return required, frozenset(required), frozenset(required + optional)
+_T = TypeVar("_T")
 
 
-# tag -> (required attributes in message order, required set, allowed set);
-# a tag has the same attributes under every parent
-_ATTRIBUTES = {
-    "processModel": _schema("schemaVersion", "metamodel"),
-    "element": _schema("id", "kind", "name"),
-    "reference": _schema("id", "kind", "source", "target"),
-    "description": _schema(),
-    "attribute": _schema("key"),
-    "textBlock": _schema("id"),
-    "extensionModel": _schema("schemaVersion", "id", "metamodel", optional=("parent",)),
-    "newElements": _schema(),
-    "newReferences": _schema(),
-    "exclusions": _schema(),
-    "exclude": _schema("id"),
-    "operations": _schema(),
-    "exemplar": _schema("type", "target"),
-    "arg": _schema("name"),
-    "operationCatalog": _schema("schemaVersion"),
-    "operationType": _schema("name", "group", "targetKind", "metamodel", optional=("synthetic",)),
-    "step": _schema("atomic", "target"),
-}
-# neither has optional attributes, so a valid node's keys equal these sets
-_EXEMPLAR_ATTRIBUTES = _ATTRIBUTES["exemplar"][2]
-_ARG_ATTRIBUTES = _ATTRIBUTES["arg"][2]
-
-
-def _check_attrs(node: ET.Element, source: str) -> None:
-    ordered, required, allowed = _ATTRIBUTES[node.tag]
-    keys = node.attrib.keys()
-    if required <= keys <= allowed:
-        return
-    for name in ordered:
-        if name not in keys:
-            raise SchemaError(f"<{node.tag}> lacks attribute {name!r}", path=source)
-    for name in keys:
-        if name not in allowed:
-            raise SchemaError(f"<{node.tag}> has unexpected attribute {name!r}", path=source)
-
-
-def _check_schema_version(node: ET.Element, source: str) -> None:
-    version = node.attrib.get("schemaVersion")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(
-            f"<{node.tag}> declares schemaVersion {version!r}, expected {SCHEMA_VERSION!r}",
-            path=source,
-        )
-
-
-def _no_stray_text(node: ET.Element, source: str) -> None:
-    if (node.text or "").strip():
-        raise SchemaError(f"<{node.tag}> holds unexpected text", path=source)
-
-
-def _leaf(node: ET.Element, source: str) -> str:
-    if len(node):
-        raise SchemaError(f"<{node.tag}> must not have child tags", path=source)
-    return node.text or ""
-
-
-def _metamodel(value: str, source: str) -> MetamodelVersion:
+def _enum(kind: Callable[[str], _T], value: str, what: str, source: str) -> _T:
     try:
-        return MetamodelVersion(value)
+        return kind(value)
     except ValueError:
-        raise SchemaError(f"unknown metamodel version {value!r}", path=source) from None
+        raise SchemaError(f"unknown {what} {value!r}", path=source) from None
+
+
+def _target_kind(value: str) -> ElementKind | ReferenceKind:
+    try:
+        return ElementKind(value)
+    except ValueError:
+        return ReferenceKind(value)
+
+
+def _build(cls: Callable[..., _T], source: str, /, **fields: Any) -> _T:
+    """``cls(**fields)``, with the ValueError of a check on the values as a SchemaError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path=source) from None
+
+
+# leaf tags that map a name to their text: tag -> (name attribute, what a repeat is called)
+_KEYS = {"attribute": ("key", "attribute key"), "arg": ("name", "argument")}
+
+
+def _keyed(values: dict[str, str], node: ET.Element, owner: str, source: str) -> None:
+    """Add the text of the checked leaf ``node`` to ``values`` under its name."""
+    key, what = _KEYS[node.tag]
+    name = node.attrib[key]
+    if name in values:
+        raise SchemaError(f"{owner} repeats {what} {name!r}", path=source)
+    values[name] = node.text or ""
 
 
 def _claim_id(seen: set[str], new_id: str, source: str) -> None:
@@ -157,133 +198,98 @@ def _claim_id(seen: set[str], new_id: str, source: str) -> None:
     seen.add(new_id)
 
 
-def _parse_element_node(node: ET.Element, seen: set[str], source: str) -> ProcessElement:
-    _check_attrs(node, source)
-    _no_stray_text(node, source)
-    elem_id = node.attrib["id"]
+def _element(node: ET.Element, seen: set[str], source: str) -> ProcessElement:
+    attrib = node.attrib
+    elem_id = attrib["id"]
     _claim_id(seen, elem_id, source)
-    try:
-        kind = ElementKind(node.attrib["kind"])
-    except ValueError:
-        raise SchemaError(f"unknown element kind {node.attrib['kind']!r}", path=source) from None
-    description = ""
-    saw_description = False
+    kind = _enum(ElementKind, attrib["kind"], "element kind", source)
+    description: str | None = None
     attributes: dict[str, str] = {}
     blocks: list[TextBlock] = []
     for child in node:
-        if child.tag == "description":
-            if saw_description:
-                raise SchemaError(f"element {elem_id!r} repeats <description>", path=source)
-            _check_attrs(child, source)
-            description = _leaf(child, source)
-            saw_description = True
-        elif child.tag == "attribute":
-            _check_attrs(child, source)
-            key = child.attrib["key"]
-            if key in attributes:
-                raise SchemaError(
-                    f"element {elem_id!r} repeats attribute key {key!r}", path=source
-                )
-            attributes[key] = _leaf(child, source)
+        _checked(child, source, "element")
+        if child.tag == "attribute":
+            _keyed(attributes, child, f"element {elem_id!r}", source)
         elif child.tag == "textBlock":
-            _check_attrs(child, source)
-            blocks.append(TextBlock(id=child.attrib["id"], text=_leaf(child, source)))
+            blocks.append(_build(TextBlock, source, id=child.attrib["id"], text=child.text or ""))
+        elif description is None:
+            description = child.text or ""
         else:
-            raise SchemaError(f"unexpected <{child.tag}> inside <element>", path=source)
-    try:
-        return ProcessElement(
-            id=elem_id,
-            kind=kind,
-            name=node.attrib["name"],
-            description=description,
-            attributes=attributes,
-            text_blocks=tuple(blocks),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=source) from None
+            raise SchemaError(f"element {elem_id!r} repeats <description>", path=source)
+    return _build(
+        ProcessElement,
+        source,
+        id=elem_id,
+        kind=kind,
+        name=attrib["name"],
+        description=description or "",
+        attributes=attributes,
+        text_blocks=tuple(blocks),
+    )
 
 
-def _parse_reference_node(node: ET.Element, seen: set[str], source: str) -> Reference:
-    _check_attrs(node, source)
-    _no_stray_text(node, source)
-    ref_id = node.attrib["id"]
+def _reference(node: ET.Element, seen: set[str], source: str) -> Reference:
+    attrib = node.attrib
+    ref_id = attrib["id"]
     _claim_id(seen, ref_id, source)
-    try:
-        kind = ReferenceKind(node.attrib["kind"])
-    except ValueError:
-        raise SchemaError(f"unknown reference kind {node.attrib['kind']!r}", path=source) from None
+    kind = _enum(ReferenceKind, attrib["kind"], "reference kind", source)
     attributes: dict[str, str] = {}
     for child in node:
-        if child.tag != "attribute":
-            raise SchemaError(f"unexpected <{child.tag}> inside <reference>", path=source)
-        _check_attrs(child, source)
-        key = child.attrib["key"]
-        if key in attributes:
-            raise SchemaError(f"reference {ref_id!r} repeats attribute key {key!r}", path=source)
-        attributes[key] = _leaf(child, source)
-    try:
-        return Reference(
-            id=ref_id,
-            kind=kind,
-            source=node.attrib["source"],
-            target=node.attrib["target"],
-            attributes=attributes,
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=source) from None
+        _checked(child, source, "reference")
+        _keyed(attributes, child, f"reference {ref_id!r}", source)
+    return _build(
+        Reference,
+        source,
+        id=ref_id,
+        kind=kind,
+        source=attrib["source"],
+        target=attrib["target"],
+        attributes=attributes,
+    )
 
 
 def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
     """Read a reference/process model document."""
     root = _root_node(text, "processModel", source)
-    _check_attrs(root, source)
-    _check_schema_version(root, source)
-    _no_stray_text(root, source)
-    metamodel = _metamodel(root.attrib["metamodel"], source)
+    metamodel = _enum(MetamodelVersion, root.attrib["metamodel"], "metamodel version", source)
     seen: set[str] = set()
     elements: list[ProcessElement] = []
     references: list[Reference] = []
     for child in root:
+        _checked(child, source, "processModel")
         if child.tag == "element":
-            elements.append(_parse_element_node(child, seen, source))
-        elif child.tag == "reference":
-            references.append(_parse_reference_node(child, seen, source))
+            elements.append(_element(child, seen, source))
         else:
-            raise SchemaError(f"unexpected <{child.tag}> inside <processModel>", path=source)
+            references.append(_reference(child, seen, source))
     return ProcessModel.of(metamodel, elements, references)
 
 
-def _parse_exemplar_node(node: ET.Element, source: str) -> OperationExemplar:
-    # exemplars and their args are nearly every node of an extension, so the
-    # checks of _check_attrs, _no_stray_text and _leaf run inline here, with
-    # their messages; attributes that do not match go to _check_attrs to be named
-    attrib = node.attrib
-    if attrib.keys() != _EXEMPLAR_ATTRIBUTES:
-        _check_attrs(node, source)
-    if (node.text or "").strip():
-        raise SchemaError("<exemplar> holds unexpected text", path=source)
-    args: dict[str, str] = {}
-    for child in node:
-        if child.tag != "arg":
-            raise SchemaError(f"unexpected <{child.tag}> inside <exemplar>", path=source)
-        child_attrib = child.attrib
-        if child_attrib.keys() != _ARG_ATTRIBUTES:
-            _check_attrs(child, source)
-        name = child_attrib["name"]
-        if name in args:
-            raise SchemaError(
-                f"exemplar of {attrib['type']!r} repeats argument {name!r}", path=source
-            )
-        if len(child):
-            raise SchemaError("<arg> must not have child tags", path=source)
-        args[name] = child.text or ""
-    type_name, target = attrib["type"], attrib["target"]
-    if type_name and target:
-        return OperationExemplar._trusted(type_name, target, args)
-    try:
-        return OperationExemplar(type_name=type_name, target=target, args=args)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=source) from None
+def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
+    # exemplars and their args are nearly every node of an extension, so
+    # the common case of _checked runs inline here: a node that fails this
+    # quicker test goes to _checked, which names what is wrong
+    exemplar_attributes, arg_attributes = _SCHEMA["exemplar"][2], _SCHEMA["arg"][2]
+    exemplars = []
+    for node in section:
+        attrib = node.attrib
+        if node.tag != "exemplar" or attrib.keys() != exemplar_attributes or (node.text or "").strip():
+            _checked(node, source, "operations")
+        args: dict[str, str] = {}
+        for child in node:
+            if child.tag != "arg" or child.attrib.keys() != arg_attributes or len(child):
+                _checked(child, source, "exemplar")
+            name = child.attrib["name"]
+            if name in args:
+                raise SchemaError(
+                    f"exemplar of {attrib['type']!r} repeats argument {name!r}", path=source
+                )
+            args[name] = child.text or ""
+        type_name, target = attrib["type"], attrib["target"]
+        if type_name and target:
+            exemplars.append(OperationExemplar._trusted(type_name, target, args))
+        else:
+            exemplars.append(_build(OperationExemplar, source, type_name=type_name, target=target, args=args))
+    return exemplars
 
 
 def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
@@ -294,141 +300,71 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
     :class:`MissingParentDeclarationError`.
     """
     root = _root_node(text, "extensionModel", source)
-    _check_attrs(root, source)
-    _check_schema_version(root, source)
-    _no_stray_text(root, source)
-    if "parent" not in root.attrib:
-        raise MissingParentDeclarationError(
-            f"extension {root.attrib['id']!r} declares no parent", path=source
-        )
-    metamodel = _metamodel(root.attrib["metamodel"], source)
+    attrib = root.attrib
+    metamodel = _enum(MetamodelVersion, attrib["metamodel"], "metamodel version", source)
     seen: set[str] = set()
-    sections_seen: set[str] = set()
-    new_elements: list[ProcessElement] = []
-    new_references: list[Reference] = []
-    exclusions: list[str] = []
-    exemplars: list[OperationExemplar] = []
+    sections: dict[str, list] = {}
     for section in root:
-        if section.tag in sections_seen:
-            raise SchemaError(f"repeated <{section.tag}> section", path=source)
-        sections_seen.add(section.tag)
-        _no_stray_text(section, source)
-        if section.tag == "newElements":
-            _check_attrs(section, source)
-            for child in section:
-                if child.tag != "element":
-                    raise SchemaError(
-                        f"unexpected <{child.tag}> inside <newElements>", path=source
-                    )
-                new_elements.append(_parse_element_node(child, seen, source))
-        elif section.tag == "newReferences":
-            _check_attrs(section, source)
-            for child in section:
-                if child.tag != "reference":
-                    raise SchemaError(
-                        f"unexpected <{child.tag}> inside <newReferences>", path=source
-                    )
-                new_references.append(_parse_reference_node(child, seen, source))
-        elif section.tag == "exclusions":
-            _check_attrs(section, source)
-            for child in section:
-                if child.tag != "exclude":
-                    raise SchemaError(
-                        f"unexpected <{child.tag}> inside <exclusions>", path=source
-                    )
-                _check_attrs(child, source)
-                if len(child) or (child.text or "").strip():
-                    raise SchemaError("<exclude> must be empty", path=source)
-                exclusions.append(child.attrib["id"])
-        elif section.tag == "operations":
-            _check_attrs(section, source)
-            for child in section:
-                if child.tag != "exemplar":
-                    raise SchemaError(
-                        f"unexpected <{child.tag}> inside <operations>", path=source
-                    )
-                exemplars.append(_parse_exemplar_node(child, source))
-        else:
-            raise SchemaError(f"unexpected <{section.tag}> inside <extensionModel>", path=source)
-    try:
-        return ExtensionModel(
-            variant_id=root.attrib["id"],
-            parent_id=root.attrib["parent"],
-            metamodel=metamodel,
-            new_elements=tuple(new_elements),
-            new_references=tuple(new_references),
-            exclusions=tuple(exclusions),
-            exemplars=tuple(exemplars),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=source) from None
-
-
-def _parse_step_node(node: ET.Element, source: str) -> StepTemplate:
-    _check_attrs(node, source)
-    _no_stray_text(node, source)
-    try:
-        atomic = AtomicKind(node.attrib["atomic"])
-    except ValueError:
-        raise SchemaError(f"unknown atomic kind {node.attrib['atomic']!r}", path=source) from None
-    args: dict[str, str] = {}
-    for child in node:
-        if child.tag != "arg":
-            raise SchemaError(f"unexpected <{child.tag}> inside <step>", path=source)
-        _check_attrs(child, source)
-        name = child.attrib["name"]
-        if name in args:
-            raise SchemaError(f"step repeats argument {name!r}", path=source)
-        args[name] = _leaf(child, source)
-    return StepTemplate(atomic=atomic, target=node.attrib["target"], args=args)
-
-
-def _target_kind(value: str, source: str) -> ElementKind | ReferenceKind:
-    try:
-        return ElementKind(value)
-    except ValueError:
-        pass
-    try:
-        return ReferenceKind(value)
-    except ValueError:
-        raise SchemaError(f"unknown target kind {value!r}", path=source) from None
+        tag = section.tag
+        if tag in sections:
+            raise SchemaError(f"repeated <{tag}> section", path=source)
+        _checked(section, source, "extensionModel")
+        if tag == "operations":
+            sections[tag] = _exemplars(section, source)
+            continue
+        sections[tag] = items = []
+        for child in section:
+            _checked(child, source, tag)
+            if tag == "newElements":
+                items.append(_element(child, seen, source))
+            elif tag == "newReferences":
+                items.append(_reference(child, seen, source))
+            else:
+                items.append(child.attrib["id"])
+    return _build(
+        ExtensionModel,
+        source,
+        variant_id=attrib["id"],
+        parent_id=attrib["parent"],
+        metamodel=metamodel,
+        new_elements=tuple(sections.get("newElements", ())),
+        new_references=tuple(sections.get("newReferences", ())),
+        exclusions=tuple(sections.get("exclusions", ())),
+        exemplars=tuple(sections.get("operations", ())),
+    )
 
 
 def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
     """Read an operation catalog document."""
     root = _root_node(text, "operationCatalog", source)
-    _check_attrs(root, source)
-    _check_schema_version(root, source)
-    _no_stray_text(root, source)
     type_defs: list[OperationTypeDef] = []
     for node in root:
-        if node.tag != "operationType":
-            raise SchemaError(f"unexpected <{node.tag}> inside <operationCatalog>", path=source)
-        _check_attrs(node, source)
-        _no_stray_text(node, source)
-        synthetic_raw = node.attrib.get("synthetic", "false")
-        if synthetic_raw not in ("true", "false"):
-            raise SchemaError(
-                f"synthetic must be 'true' or 'false', got {synthetic_raw!r}", path=source
-            )
+        _checked(node, source, "operationCatalog")
+        attrib = node.attrib
+        synthetic = attrib.get("synthetic", "false")
+        if synthetic not in ("true", "false"):
+            raise SchemaError(f"synthetic must be 'true' or 'false', got {synthetic!r}", path=source)
         recipe = []
-        for child in node:
-            if child.tag != "step":
-                raise SchemaError(f"unexpected <{child.tag}> inside <operationType>", path=source)
-            recipe.append(_parse_step_node(child, source))
-        try:
-            type_defs.append(
-                OperationTypeDef(
-                    name=node.attrib["name"],
-                    group=node.attrib["group"],
-                    target_kind=_target_kind(node.attrib["targetKind"], source),
-                    defining_metamodel=_metamodel(node.attrib["metamodel"], source),
-                    recipe=tuple(recipe),
-                    synthetic=synthetic_raw == "true",
-                )
+        for step in node:
+            _checked(step, source, "operationType")
+            atomic = _enum(AtomicKind, step.attrib["atomic"], "atomic kind", source)
+            args: dict[str, str] = {}
+            for child in step:
+                _checked(child, source, "step")
+                _keyed(args, child, "step", source)
+            recipe.append(StepTemplate(atomic=atomic, target=step.attrib["target"], args=args))
+        type_defs.append(
+            _build(
+                OperationTypeDef,
+                source,
+                name=attrib["name"],
+                group=attrib["group"],
+                target_kind=_enum(_target_kind, attrib["targetKind"], "target kind", source),
+                defining_metamodel=_enum(MetamodelVersion, attrib["metamodel"], "metamodel version", source),
+                recipe=tuple(recipe),
+                synthetic=synthetic == "true",
             )
-        except ValueError as exc:
-            raise SchemaError(str(exc), path=source) from None
+        )
     return OperationCatalog(type_defs)
 
 

@@ -148,8 +148,8 @@ def random_model(
     for index in range(rng.randint(1, count)):
         ref_kind = rng.choice(tuple(ReferenceKind))
         allowed_sources, allowed_targets = REFERENCE_CONSTRAINTS[ref_kind]
-        source_pool = [i for k in allowed_sources for i in by_kind.get(k, ())]
-        target_pool = [i for k in allowed_targets for i in by_kind.get(k, ())]
+        source_pool = [i for k in sorted(allowed_sources) for i in by_kind.get(k, ())]
+        target_pool = [i for k in sorted(allowed_targets) for i in by_kind.get(k, ())]
         if not source_pool or not target_pool:
             continue
         references.append(

@@ -200,6 +200,38 @@ def test_namespace_mismatch_both_ways(catalog):
     assert _codes(validate_exemplar(catalog, _base(), at_element)) == [("TypeMismatch", "r1")]
 
 
+def test_target_messages(catalog):
+    cases = [
+        (
+            OperationExemplar("RenameRole", "ghost", {"newName": "x"}),
+            "RenameRole targets Role elements; target does not resolve",
+        ),
+        (
+            OperationExemplar("RenameRole", "resp1", {"newName": "x"}),
+            "RenameRole targets Role elements; target resolves to a reference",
+        ),
+        (
+            OperationExemplar("RenameRole", "wp1", {"newName": "x"}),
+            "RenameRole targets Role elements, got WorkProduct",
+        ),
+        (
+            OperationExemplar("ChangeResponsibility", "ghost", {"newRole": "r1"}),
+            "ChangeResponsibility targets Responsibility references; target does not resolve",
+        ),
+        (
+            OperationExemplar("ChangeResponsibility", "r1", {"newRole": "r1"}),
+            "ChangeResponsibility targets Responsibility references; target resolves to an element",
+        ),
+        (
+            OperationExemplar("RemoveSupportingRole", "resp1"),
+            "RemoveSupportingRole targets SupportingRole references, got Responsibility",
+        ),
+    ]
+    for exemplar, message in cases:
+        issues = validate_exemplar(catalog, _base(MetamodelVersion.V1_3B), exemplar)
+        assert [issue.message for issue in issues] == [message]
+
+
 def test_missing_arguments_sorted(catalog):
     exemplar = OperationExemplar("AddProcessModule", "t1")
     model = ProcessModel.of(

@@ -260,6 +260,9 @@ _HOSTILE_ROOTS = {
     "undefined-entity": (_MODEL_HEAD + '  <element id="x1" kind="Role" name="&bogus;"/>\n</processModel>\n').encode(),
     "duplicate-element-id": (_MODEL_HEAD + _ROLE + _ROLE + "</processModel>\n").encode(),
     "nul-byte": b'<processModel schemaVersion="1"\x00 metamodel="1.3"/>',
+    "empty-text-block-id": (
+        _MODEL_HEAD + '  <element id="x1" kind="Section" name="A"><textBlock id=""/></element>\n</processModel>\n'
+    ).encode(),
 }
 
 

@@ -1,6 +1,8 @@
 """Parsing, canonical serialization, and the text/CSV renderings."""
 
+import copy
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,6 +15,7 @@ from procline.errors import (
     IllegalCharacterError,
     MissingParentDeclarationError,
     ParseError,
+    ProclineError,
     SchemaError,
 )
 from procline.merge import ExtensionModel, MergeTrace, TraceEntry, TraceEntryKind, merge_once
@@ -25,7 +28,7 @@ from procline.model import (
     ReferenceKind,
     TextBlock,
 )
-from procline.studyline import masking_extension
+from procline.studyline import DATA_FILES, fixture_text, masking_extension
 from procline.xmlio import (
     CSV_HEADER,
     export_stats_csv,
@@ -268,16 +271,396 @@ _ONE_DEFECT_EXTENSIONS = {
         _ext_doc('<exemplar type="RenameRole" target="r1"/>', root_attrs=' color="red"'),
         "<extensionModel> has unexpected attribute 'color'",
     ),
+    "repeated-section": (
+        f"{EXT_OPEN}<operations/><exclusions/><operations/></extensionModel>",
+        "repeated <operations> section",
+    ),
+    "unexpected-section": (
+        f"{EXT_OPEN}<widget/></extensionModel>",
+        "unexpected <widget> inside <extensionModel>",
+    ),
+    "section-stray-text": (
+        f"{EXT_OPEN}<newElements>loose words</newElements></extensionModel>",
+        "<newElements> holds unexpected text",
+    ),
+    "section-extra-attribute": (
+        f'{EXT_OPEN}<exclusions color="red"/></extensionModel>',
+        "<exclusions> has unexpected attribute 'color'",
+    ),
+    "exclude-text": (
+        f'{EXT_OPEN}<exclusions><exclude id="e1">junk</exclude></exclusions></extensionModel>',
+        "<exclude> must be empty",
+    ),
+    "exclude-child-tag": (
+        f'{EXT_OPEN}<exclusions><exclude id="e1"><b/></exclude></exclusions></extensionModel>',
+        "<exclude> must be empty",
+    ),
+    "exclude-lacks-id": (
+        f"{EXT_OPEN}<exclusions><exclude/></exclusions></extensionModel>",
+        "<exclude> lacks attribute 'id'",
+    ),
+    "new-elements-unexpected-child": (
+        f'{EXT_OPEN}<newElements><reference id="r" kind="Responsibility" source="a" target="b"/>'
+        "</newElements></extensionModel>",
+        "unexpected <reference> inside <newElements>",
+    ),
+    "new-references-unexpected-child": (
+        f'{EXT_OPEN}<newReferences><element id="e" kind="Role" name="R"/></newReferences></extensionModel>',
+        "unexpected <element> inside <newReferences>",
+    ),
+    "exclusions-unexpected-child": (
+        f'{EXT_OPEN}<exclusions><element id="e" kind="Role" name="R"/></exclusions></extensionModel>',
+        "unexpected <element> inside <exclusions>",
+    ),
+    "operations-unexpected-child": (
+        _ext_doc('<arg name="newName">Lead</arg>'),
+        "unexpected <arg> inside <operations>",
+    ),
+    "new-element-duplicate-id": (
+        f'{EXT_OPEN}<newElements><element id="e" kind="Role" name="R"/></newElements>'
+        '<newReferences><reference id="e" kind="Responsibility" source="a" target="b"/>'
+        "</newReferences></extensionModel>",
+        "duplicate id 'e' in document",
+    ),
+    "extension-lacks-id": (
+        '<extensionModel schemaVersion="1" parent="root" metamodel="1.3"/>',
+        "<extensionModel> lacks attribute 'id'",
+    ),
+    "extension-schema-version": (
+        '<extensionModel schemaVersion="0" id="X" parent="root" metamodel="1.3"/>',
+        "<extensionModel> declares schemaVersion '0', expected '1'",
+    ),
+    "extension-stray-text": (
+        f"{EXT_OPEN}loose words</extensionModel>",
+        "<extensionModel> holds unexpected text",
+    ),
+    "extension-unknown-metamodel": (
+        '<extensionModel schemaVersion="1" id="X" parent="root" metamodel="9"/>',
+        "unknown metamodel version '9'",
+    ),
+    "extension-empty-id": (
+        '<extensionModel schemaVersion="1" id="" parent="root" metamodel="1.3"/>',
+        "extension model needs a variant id",
+    ),
+    "extension-empty-parent": (
+        '<extensionModel schemaVersion="1" id="X" parent="" metamodel="1.3"/>',
+        "extension 'X' needs a parent id",
+    ),
+    "extension-wrong-root": (
+        '<processModel schemaVersion="1" metamodel="1.3"/>',
+        "expected <extensionModel> document, got <processModel>",
+    ),
+    "extension-empty-text-block-id": (
+        f'{EXT_OPEN}<newElements><element id="e" kind="Section" name="S"><textBlock id=""/>'
+        "</element></newElements></extensionModel>",
+        "text block id must be non-empty",
+    ),
 }
 
 
+def _element_doc(inner: str, attrs: str = 'id="e1" kind="Role" name="X"') -> str:
+    return _doc(f"  <element {attrs}>{inner}</element>")
+
+
+def _reference_doc(inner: str = "", attrs: str = 'id="r1" kind="Responsibility" source="w" target="e1"') -> str:
+    return _doc(
+        '  <element id="e1" kind="Role" name="X"/>\n'
+        '  <element id="w" kind="WorkProduct" name="W"/>\n'
+        f"  <reference {attrs}>{inner}</reference>"
+    )
+
+
+# one defect per model document, a document per SchemaError the parser raises
+_ONE_DEFECT_MODELS = {
+    "wrong-root": ('<operationCatalog schemaVersion="1"/>', "expected <processModel> document, got <operationCatalog>"),
+    "root-lacks-schema-version": ('<processModel metamodel="1.3"/>', "<processModel> lacks attribute 'schemaVersion'"),
+    "root-extra-attribute": (
+        '<processModel schemaVersion="1" metamodel="1.3" color="red"/>',
+        "<processModel> has unexpected attribute 'color'",
+    ),
+    "root-schema-version": (
+        '<processModel schemaVersion="2" metamodel="1.3"/>',
+        "<processModel> declares schemaVersion '2', expected '1'",
+    ),
+    "root-stray-text": (f"{MODEL_HEADER}loose words</processModel>", "<processModel> holds unexpected text"),
+    "unknown-metamodel": ('<processModel schemaVersion="1" metamodel="2.0"/>', "unknown metamodel version '2.0'"),
+    "root-unexpected-child": (_doc("  <widget/>"), "unexpected <widget> inside <processModel>"),
+    "element-lacks-name": (_doc('  <element id="e1" kind="Role"/>'), "<element> lacks attribute 'name'"),
+    "element-extra-attribute": (
+        _doc('  <element id="e1" kind="Role" name="X" color="red"/>'),
+        "<element> has unexpected attribute 'color'",
+    ),
+    "element-stray-text": (_element_doc("loose words"), "<element> holds unexpected text"),
+    "element-duplicate-id": (
+        _doc('  <element id="dup" kind="Role" name="A"/>\n  <element id="dup" kind="Role" name="B"/>'),
+        "duplicate id 'dup' in document",
+    ),
+    "unknown-element-kind": (_doc('  <element id="e1" kind="Gremlin" name="X"/>'), "unknown element kind 'Gremlin'"),
+    "element-unexpected-child": (_element_doc("<widget/>"), "unexpected <widget> inside <element>"),
+    "repeated-description": (
+        _element_doc("<description>one</description><description>two</description>"),
+        "element 'e1' repeats <description>",
+    ),
+    "description-extra-attribute": (
+        _element_doc('<description lang="de">one</description>'),
+        "<description> has unexpected attribute 'lang'",
+    ),
+    "description-child-tag": (_element_doc("<description><b/></description>"), "<description> must not have child tags"),
+    "attribute-lacks-key": (_element_doc("<attribute>v</attribute>"), "<attribute> lacks attribute 'key'"),
+    "attribute-child-tag": (
+        _element_doc('<attribute key="k"><b/></attribute>'),
+        "<attribute> must not have child tags",
+    ),
+    "repeated-attribute-key": (
+        _element_doc('<attribute key="k">1</attribute><attribute key="k">2</attribute>'),
+        "element 'e1' repeats attribute key 'k'",
+    ),
+    "text-block-lacks-id": (_element_doc("<textBlock>t</textBlock>"), "<textBlock> lacks attribute 'id'"),
+    "text-block-child-tag": (_element_doc('<textBlock id="b1"><b/></textBlock>'), "<textBlock> must not have child tags"),
+    "empty-text-block-id": (_element_doc('<textBlock id="">t</textBlock>'), "text block id must be non-empty"),
+    "duplicate-text-block-id": (
+        _element_doc('<textBlock id="b1">1</textBlock><textBlock id="b1">2</textBlock>'),
+        "element 'e1': duplicate text block id 'b1'",
+    ),
+    "empty-element-id": (_doc('  <element id="" kind="Role" name="X"/>'), "element id must be non-empty"),
+    "empty-element-name": (_doc('  <element id="e1" kind="Role" name=""/>'), "element 'e1': name must be non-empty"),
+    "reference-lacks-target": (
+        _reference_doc(attrs='id="r1" kind="Responsibility" source="w"'),
+        "<reference> lacks attribute 'target'",
+    ),
+    "reference-extra-attribute": (
+        _reference_doc(attrs='id="r1" kind="Responsibility" source="w" target="e1" color="red"'),
+        "<reference> has unexpected attribute 'color'",
+    ),
+    "reference-stray-text": (_reference_doc("loose words"), "<reference> holds unexpected text"),
+    "reference-duplicate-id": (
+        _reference_doc(attrs='id="e1" kind="Responsibility" source="w" target="e1"'),
+        "duplicate id 'e1' in document",
+    ),
+    "unknown-reference-kind": (
+        _reference_doc(attrs='id="r1" kind="Wires" source="w" target="e1"'),
+        "unknown reference kind 'Wires'",
+    ),
+    "reference-unexpected-child": (_reference_doc("<description/>"), "unexpected <description> inside <reference>"),
+    "reference-attribute-lacks-key": (_reference_doc("<attribute>v</attribute>"), "<attribute> lacks attribute 'key'"),
+    "reference-attribute-child-tag": (
+        _reference_doc('<attribute key="k"><b/></attribute>'),
+        "<attribute> must not have child tags",
+    ),
+    "reference-repeated-attribute-key": (
+        _reference_doc('<attribute key="k">1</attribute><attribute key="k">2</attribute>'),
+        "reference 'r1' repeats attribute key 'k'",
+    ),
+    "empty-reference-id": (
+        _reference_doc(attrs='id="" kind="Responsibility" source="w" target="e1"'),
+        "reference id must be non-empty",
+    ),
+    "empty-reference-source": (
+        _reference_doc(attrs='id="r1" kind="Responsibility" source="" target="e1"'),
+        "reference 'r1': source and target must be non-empty",
+    ),
+}
+
+
+CATALOG_OPEN = '<?xml version="1.0" encoding="UTF-8"?>\n<operationCatalog schemaVersion="1">'
+_TYPE_ATTRS = 'name="X" group="G" targetKind="Role" metamodel="1.3"'
+
+
+def _type_doc(inner: str = '<step atomic="RenameElement" target="{target}"/>', attrs: str = _TYPE_ATTRS) -> str:
+    return f"{CATALOG_OPEN}\n  <operationType {attrs}>{inner}</operationType>\n</operationCatalog>\n"
+
+
+def _step_doc(inner: str, attrs: str = 'atomic="RenameElement" target="{target}"') -> str:
+    return _type_doc(f"<step {attrs}>{inner}</step>")
+
+
+# one defect per catalog document, a document per SchemaError the parser raises
+_ONE_DEFECT_CATALOGS = {
+    "wrong-root": ('<processModel schemaVersion="1" metamodel="1.3"/>', "expected <operationCatalog> document, got <processModel>"),
+    "root-lacks-schema-version": ("<operationCatalog/>", "<operationCatalog> lacks attribute 'schemaVersion'"),
+    "root-extra-attribute": (
+        '<operationCatalog schemaVersion="1" color="red"/>',
+        "<operationCatalog> has unexpected attribute 'color'",
+    ),
+    "root-schema-version": (
+        '<operationCatalog schemaVersion="one"/>',
+        "<operationCatalog> declares schemaVersion 'one', expected '1'",
+    ),
+    "root-stray-text": (f"{CATALOG_OPEN}loose words</operationCatalog>", "<operationCatalog> holds unexpected text"),
+    "root-unexpected-child": (f"{CATALOG_OPEN}<step/></operationCatalog>", "unexpected <step> inside <operationCatalog>"),
+    "type-lacks-group": (
+        _type_doc(attrs='name="X" targetKind="Role" metamodel="1.3"'),
+        "<operationType> lacks attribute 'group'",
+    ),
+    "type-extra-attribute": (
+        _type_doc(attrs=_TYPE_ATTRS + ' color="red"'),
+        "<operationType> has unexpected attribute 'color'",
+    ),
+    "type-stray-text": (_type_doc("loose words"), "<operationType> holds unexpected text"),
+    "synthetic-flag": (
+        _type_doc(attrs=_TYPE_ATTRS + ' synthetic="maybe"'),
+        "synthetic must be 'true' or 'false', got 'maybe'",
+    ),
+    "type-unexpected-child": (_type_doc("<arg name='x'/>"), "unexpected <arg> inside <operationType>"),
+    "unknown-target-kind": (
+        _type_doc(attrs='name="X" group="G" targetKind="Gremlin" metamodel="1.3"'),
+        "unknown target kind 'Gremlin'",
+    ),
+    "unknown-metamodel": (
+        _type_doc(attrs='name="X" group="G" targetKind="Role" metamodel="1.4"'),
+        "unknown metamodel version '1.4'",
+    ),
+    "empty-type-name": (
+        _type_doc(attrs='name="" group="G" targetKind="Role" metamodel="1.3"'),
+        "operation type name must be non-empty",
+    ),
+    "empty-group": (
+        _type_doc(attrs='name="X" group="" targetKind="Role" metamodel="1.3"'),
+        "operation type 'X': group must be non-empty",
+    ),
+    "empty-recipe": (_type_doc(""), "operation type 'X': recipe must not be empty"),
+    "step-lacks-target": (_step_doc("", attrs='atomic="RenameElement"'), "<step> lacks attribute 'target'"),
+    "step-extra-attribute": (
+        _step_doc("", attrs='atomic="RenameElement" target="{target}" color="red"'),
+        "<step> has unexpected attribute 'color'",
+    ),
+    "step-stray-text": (_step_doc("loose words"), "<step> holds unexpected text"),
+    "unknown-atomic-kind": (
+        _step_doc("", attrs='atomic="Explode" target="{target}"'),
+        "unknown atomic kind 'Explode'",
+    ),
+    "step-unexpected-child": (_step_doc("<step/>"), "unexpected <step> inside <step>"),
+    "arg-lacks-name": (_step_doc("<arg>v</arg>"), "<arg> lacks attribute 'name'"),
+    "arg-extra-attribute": (_step_doc('<arg name="newName" lang="de">v</arg>'), "<arg> has unexpected attribute 'lang'"),
+    "arg-child-tag": (_step_doc('<arg name="newName"><b/></arg>'), "<arg> must not have child tags"),
+    "repeated-argument": (
+        _step_doc('<arg name="newName">a</arg><arg name="newName">b</arg>'),
+        "step repeats argument 'newName'",
+    ),
+}
+
 @pytest.mark.parametrize("name", sorted(_ONE_DEFECT_EXTENSIONS))
 def test_one_defect_extension_schema_errors(name):
-    text, message = _ONE_DEFECT_EXTENSIONS[name]
+    _assert_schema_error(parse_extension, *_ONE_DEFECT_EXTENSIONS[name])
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_DEFECT_MODELS))
+def test_one_defect_model_schema_errors(name):
+    _assert_schema_error(parse_model, *_ONE_DEFECT_MODELS[name])
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_DEFECT_CATALOGS))
+def test_one_defect_catalog_schema_errors(name):
+    _assert_schema_error(parse_catalog, *_ONE_DEFECT_CATALOGS[name])
+
+
+def _assert_schema_error(parse, text, message):
     with pytest.raises(SchemaError) as exc:
-        parse_extension(text, source="x.xml")
+        parse(text, source="x.xml")
     assert str(exc.value) == f"x.xml: {message}"
     assert type(exc.value) is SchemaError
+
+
+# -- single-node mutations of the shipped files ------------------------------------
+
+_PARSERS = {"processModel": parse_model, "extensionModel": parse_extension, "operationCatalog": parse_catalog}
+_MUTATIONS = (
+    "drop attribute",
+    "blank attribute",
+    "garble attribute",
+    "add attribute",
+    "stray text",
+    "whitespace text",
+    "unknown child",
+    "duplicate",
+    "move up",
+)
+
+
+def _applies(kind: str, has_attributes: bool, depth: int) -> bool:
+    if kind in ("drop attribute", "blank attribute", "garble attribute"):
+        return has_attributes
+    if kind == "duplicate":
+        return depth >= 1
+    if kind == "move up":
+        return depth >= 2
+    return True
+
+
+def _mutate(kind: str, node: ET.Element, parents: dict, names: list[str], rng: random.Random) -> None:
+    if kind in ("drop attribute", "blank attribute", "garble attribute"):
+        name = rng.choice(sorted(node.attrib))
+        if kind == "drop attribute":
+            del node.attrib[name]
+        elif kind == "blank attribute":
+            node.attrib[name] = ""
+        else:
+            value = node.attrib[name]
+            node.attrib[name] = rng.choice([value[::-1] + "~", value * 2, "?", f"x{rng.randint(0, 99)}"])
+    elif kind == "add attribute":
+        name = rng.choice([n for n in names if n not in node.attrib])
+        node.attrib[name] = rng.choice(["true", "x", "1", ""])
+    elif kind == "stray text":
+        node.text = (node.text or "") + "loose words"
+    elif kind == "whitespace text":
+        node.text = rng.choice([" ", "\n    ", "\t\n"])
+    elif kind == "unknown child":
+        node.insert(rng.randint(0, len(node)), ET.Element("widget"))
+    elif kind == "duplicate":
+        parent = parents[node]
+        parent.insert(list(parent).index(node) + 1, copy.deepcopy(node))
+    else:
+        parent = parents[node]
+        grandparent = parents[parent]
+        parent.remove(node)
+        grandparent.insert(list(grandparent).index(parent) + 1, node)
+
+
+def mutated_documents(seed: int, per_stratum: int) -> list[tuple[str, str, str, str]]:
+    """(label, mutation, root tag, document) for seeded single-node mutations of the shipped files.
+
+    Each mutation kind is drawn ``per_stratum`` times for each tag it
+    applies to, so rare tags and rare kinds are reached as often as common ones.
+    """
+    rng = random.Random(seed)
+    texts = {name: fixture_text(name) for name in sorted(DATA_FILES)}
+    names = ["color"]
+    nodes: dict[str, list[tuple[str, int, bool, int]]] = {}  # tag -> (file, index, has attributes, depth)
+    for file_name, text in texts.items():
+        depth = {}
+        for index, node in enumerate(ET.fromstring(text).iter()):
+            for child in node:
+                depth[child] = depth.get(node, 0) + 1
+            nodes.setdefault(node.tag, []).append((file_name, index, bool(node.attrib), depth.get(node, 0)))
+            names.extend(name for name in node.attrib if name not in names)
+    documents = []
+    for tag in sorted(nodes):
+        for kind in _MUTATIONS:
+            candidates = [(file_name, index) for file_name, index, *where in nodes[tag] if _applies(kind, *where)]
+            for _ in range(per_stratum if candidates else 0):
+                file_name, index = rng.choice(candidates)
+                root = ET.fromstring(texts[file_name])
+                node = list(root.iter())[index]
+                parents = {child: parent for parent in root.iter() for child in parent}
+                _mutate(kind, node, parents, names, rng)
+                label = f"{file_name}: {kind} on <{tag}> #{index}"
+                documents.append((label, kind, root.tag, ET.tostring(root, encoding="unicode")))
+    return documents
+
+
+def test_single_node_mutations_parse_or_raise_a_procline_error():
+    documents = mutated_documents(seed=1, per_stratum=3)
+    assert len(documents) > 300
+    failures = []
+    for label, kind, root_tag, text in documents:
+        try:
+            _PARSERS[root_tag](text)
+        except ProclineError as exc:
+            if kind == "whitespace text":  # whitespace is never content the schema forbids
+                failures.append(f"{label}: {exc!r}")
+        except Exception as exc:
+            failures.append(f"{label}: {exc!r}")
+    assert failures == []
 
 
 def test_catalog_synthetic_flag_and_steps():
