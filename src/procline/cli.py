@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import sys
 from pathlib import Path
@@ -237,6 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # procline's models, traces and reports hold no reference cycles, so
+    # reference counting frees them and the cyclic collector's passes over a
+    # parsed family find nothing; pause it for the command, then restore it
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValidationFailedError as exc:
@@ -257,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

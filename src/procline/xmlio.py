@@ -42,6 +42,7 @@ from .catalog import (
     StepTemplate,
 )
 from .errors import (
+    DuplicateTypeNameError,
     IllegalCharacterError,
     MissingParentDeclarationError,
     ParseError,
@@ -365,7 +366,10 @@ def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
                 synthetic=synthetic == "true",
             )
         )
-    return OperationCatalog(type_defs)
+    try:
+        return OperationCatalog(type_defs)
+    except DuplicateTypeNameError as exc:
+        raise DuplicateTypeNameError(f"{source}: {exc}" if source else str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -646,26 +650,26 @@ def export_stats_csv(report: UsageReport) -> str:
 
     Types without exemplars keep their zero rows so the output schema does
     not depend on the data. Exemplars of types missing from the catalog get
-    the reserved group ``(unknown)`` and an empty metamodel column.
+    the reserved group ``(unknown)`` and an empty metamodel column. Rows are
+    sorted by variant, group and type.
     """
-    rows = []
-    for (variant_id, type_name), count in report.cells.items():
-        rows.append(
-            (
-                variant_id,
-                report.type_groups[type_name],
-                type_name,
-                report.type_metamodels[type_name].value,
-                count,
-            )
-        )
+    # the catalog types in row order, sorted once for every variant
+    types = sorted(
+        (group, name, report.type_metamodels[name].value) for name, group in report.type_groups.items()
+    )
+    unknown: dict[str, list[tuple[str, str, str, str, int]]] = {}
     for (variant_id, type_name), count in report.unknown_types.items():
-        rows.append((variant_id, UNKNOWN_GROUP, type_name, "", count))
-    rows.sort()  # (variant, group, type) is unique, so the later columns never decide
+        unknown.setdefault(variant_id, []).append((variant_id, UNKNOWN_GROUP, type_name, "", count))
+    cells = report.cells
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
+    for variant_id in sorted(report.variant_ids):
+        rows = [(variant_id, group, name, mm, cells[variant_id, name]) for group, name, mm in types]
+        if variant_id in unknown:
+            rows += unknown[variant_id]
+            rows.sort()  # (group, type) is unique, so the later columns never decide
+        writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -95,8 +95,9 @@ def test_lookup_and_iteration(catalog):
 
 def test_duplicate_names_rejected(catalog):
     first = next(iter(catalog))
-    with pytest.raises(DuplicateTypeNameError):
+    with pytest.raises(DuplicateTypeNameError) as exc:
         OperationCatalog([first, first])
+    assert str(exc.value) == f"duplicate operation type name {first.name!r}"
 
 
 def test_known_definitions(catalog):

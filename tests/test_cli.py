@@ -1,6 +1,8 @@
 """Command line behavior, driven in-process through main(argv)."""
 
+import argparse
 import csv
+import gc
 import io
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from procline.atomic import AtomicKind
+from procline.analytics import usage_report
 from procline.cli import main
 from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.merge import ExtensionModel, merge_chain
@@ -72,10 +75,10 @@ def test_validate_ok(data_dir, capsys):
     assert captured.out.startswith("OK: variant 'D'")
 
 
-def test_validate_rejects_gated_operation(data_dir, tmp_path, capsys):
+def _gated_validation(data_dir, tmp_path):
+    """argv of a ``validate`` that fails: a 1.3 extension uses a type the 1.3B metamodel introduced."""
     root = parse_model((data_dir / "root.xml").read_text(encoding="utf-8"))
     role_id = next(e.id for e in root.elements.values() if e.kind is ElementKind.ROLE)
-    # a 1.3 extension may not use a type the 1.3B metamodel introduced
     ext = ExtensionModel(
         variant_id="Gated",
         parent_id="root",
@@ -84,7 +87,11 @@ def test_validate_rejects_gated_operation(data_dir, tmp_path, capsys):
     )
     path = tmp_path / "gated.xml"
     path.write_text(serialize_extension(ext), encoding="utf-8")
-    code = main(["validate", "--root", str(data_dir / "root.xml"), "--extension", str(path)])
+    return ["validate", "--root", str(data_dir / "root.xml"), "--extension", str(path)]
+
+
+def test_validate_rejects_gated_operation(data_dir, tmp_path, capsys):
+    code = main(_gated_validation(data_dir, tmp_path))
     captured = capsys.readouterr()
     assert code == 2
     assert "MetamodelGate" in captured.err
@@ -239,10 +246,14 @@ def test_missing_file(data_dir, capsys):
     assert "error:" in captured.err
 
 
-def test_malformed_xml(data_dir, tmp_path, capsys):
+def _malformed_merge(data_dir, tmp_path):
     bad = tmp_path / "bad.xml"
     bad.write_text("<extensionModel", encoding="utf-8")
-    code = main(["merge", "--root", str(data_dir / "root.xml"), "--extension", str(bad)])
+    return ["merge", "--root", str(data_dir / "root.xml"), "--extension", str(bad)]
+
+
+def test_malformed_xml(data_dir, tmp_path, capsys):
+    code = main(_malformed_merge(data_dir, tmp_path))
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err
@@ -275,6 +286,18 @@ def test_hostile_input_is_an_input_error(name, data_dir, tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_catalog_with_a_repeated_type_is_an_input_error(data_dir, tmp_path, capsys):
+    text = fixture_text("catalog.xml")
+    start = text.index("  <operationType ")
+    end = text.index("</operationType>\n", start) + len("</operationType>\n")
+    path = tmp_path / "twice.xml"
+    path.write_text(text[:end] + text[start:end] + text[end:], encoding="utf-8")
+    code = main(_args(data_dir, "validate", "ext-d.xml", extra=["--catalog", str(path)]))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {path}: duplicate operation type name 'AddActivityDescriptionPostfix'\n"
 
 
 def test_unknown_leaf(data_dir, capsys):
@@ -363,3 +386,96 @@ def test_cli_import_leaves_the_network_stack_out():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def gc_restored():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+# argv for one command per exit path of main, and the exit code it must give
+_EXIT_PATHS = {
+    "merge": (0, lambda d, t: _args(d, "merge", "ext-a.xml", extra=["--out", str(t / "a.xml")])),
+    "missing-file": (1, lambda d, t: _args(d, "merge", "no-such-file.xml")),
+    "malformed-xml": (1, _malformed_merge),
+    "usage-error": (1, lambda d, t: ["merge", "--frobnicate"]),
+    "validation-failure": (2, _gated_validation),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("path", sorted(_EXIT_PATHS))
+def test_main_leaves_the_collector_as_it_found_it(path, enabled, data_dir, tmp_path, capsys, gc_restored):
+    expected, argv = _EXIT_PATHS[path]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(argv(data_dir, tmp_path))
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    capsys.readouterr()
+    assert code == expected
+    assert gc.isenabled() is enabled
+
+
+def test_command_runs_with_the_collector_paused(data_dir, monkeypatch, capsys, gc_restored):
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return usage_report(*args)
+
+    monkeypatch.setattr("procline.cli.usage_report", spy)
+    gc.enable()
+    assert main(_args(data_dir, "stats", "ext-a.xml")) == 0
+    capsys.readouterr()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_paused_collector_has_nothing_of_procline_to_collect(data_dir, tmp_path, capsys, gc_restored):
+    study = [name for name in DATA_FILES if name.startswith("ext-")]
+    commands = {
+        "merge": (
+            0,
+            _args(
+                data_dir,
+                "merge",
+                "ext-bund.xml",
+                "ext-c.xml",
+                extra=["--leaf", "C", "--out", str(tmp_path / "c.xml"), "--trace", str(tmp_path / "t.xml")],
+            ),
+        ),
+        "validate": (0, _args(data_dir, "validate", "ext-d.xml")),
+        "validate-failing": (2, _gated_validation(data_dir, tmp_path)),
+        "stats-csv": (0, _args(data_dir, "stats", *study, extra=["--format", "csv"])),
+        "stats-text": (0, _args(data_dir, "stats", *study, extra=["--format", "text"])),
+        "catalog": (0, ["catalog"]),
+    }
+    garbage_types = {}
+    for name, (expected, argv) in commands.items():
+        gc.collect()
+        before = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it finds in gc.garbage
+        try:
+            assert main(argv) == expected, name
+            gc.collect()
+            garbage_types[name] = [type(obj) for obj in gc.garbage[before:]]
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[before:]
+        capsys.readouterr()
+    # the argument parser (argparse's objects, one class of them subclassed in
+    # procline.cli) is the only cyclic structure a command leaves behind
+    procline_types = {
+        name: {
+            t.__qualname__
+            for t in types
+            if t.__module__.split(".")[0] == "procline" and not issubclass(t, argparse.ArgumentParser)
+        }
+        for name, types in garbage_types.items()
+    }
+    assert procline_types == dict.fromkeys(commands, set())
+    counts = {name: len(types) for name, types in garbage_types.items()}
+    assert len(set(counts.values())) == 1, counts

@@ -1,6 +1,9 @@
 """Parsing, canonical serialization, and the text/CSV renderings."""
 
 import copy
+import csv
+import dataclasses
+import io
 import random
 import xml.etree.ElementTree as ET
 
@@ -12,13 +15,14 @@ from procline.analytics import usage_report
 from procline.atomic import AtomicKind
 from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.errors import (
+    DuplicateTypeNameError,
     IllegalCharacterError,
     MissingParentDeclarationError,
     ParseError,
     ProclineError,
     SchemaError,
 )
-from procline.merge import ExtensionModel, MergeTrace, TraceEntry, TraceEntryKind, merge_once
+from procline.merge import ExtensionModel, MergeTrace, TraceEntry, TraceEntryKind, VariantSet, merge_once
 from procline.model import (
     ElementKind,
     MetamodelVersion,
@@ -31,6 +35,7 @@ from procline.model import (
 from procline.studyline import DATA_FILES, fixture_text, masking_extension
 from procline.xmlio import (
     CSV_HEADER,
+    UNKNOWN_GROUP,
     export_stats_csv,
     parse_catalog,
     parse_extension,
@@ -554,6 +559,18 @@ def test_one_defect_catalog_schema_errors(name):
     _assert_schema_error(parse_catalog, *_ONE_DEFECT_CATALOGS[name])
 
 
+def test_catalog_duplicate_type_name_names_its_file():
+    step = '<step atomic="RenameElement" target="{target}"/>'
+    twice = f"<operationType {_TYPE_ATTRS}>{step}</operationType>" * 2
+    text = f"{CATALOG_OPEN}{twice}</operationCatalog>"
+    with pytest.raises(DuplicateTypeNameError) as exc:
+        parse_catalog(text, source="x.xml")
+    assert str(exc.value) == "x.xml: duplicate operation type name 'X'"
+    with pytest.raises(DuplicateTypeNameError) as exc:
+        parse_catalog(text)
+    assert str(exc.value) == "duplicate operation type name 'X'"
+
+
 def _assert_schema_error(parse, text, message):
     with pytest.raises(SchemaError) as exc:
         parse(text, source="x.xml")
@@ -995,6 +1012,84 @@ def test_stats_csv_layout(variants, catalog):
     )
     assert bund_role_class == ["Bund", "Role Variations", "ChangeRoleClass", "1.3B", str(declared)]
     assert declared > 0
+
+
+def _stats_csv_by_one_sort(report):
+    """The stats CSV as every row gathered first and sorted once."""
+    rows = [
+        (v, report.type_groups[t], t, report.type_metamodels[t].value, n)
+        for (v, t), n in report.cells.items()
+    ]
+    rows += [(v, UNKNOWN_GROUP, t, "", n) for (v, t), n in report.unknown_types.items()]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(sorted(rows))
+    return buffer.getvalue()
+
+
+def _one_step_type(name, group):
+    return OperationTypeDef(
+        name=name,
+        group=group,
+        target_kind=ElementKind.ROLE,
+        defining_metamodel=MetamodelVersion.V1_3,
+        recipe=(StepTemplate(AtomicKind.RENAME_ELEMENT, args={"newName": "{newName}"}),),
+    )
+
+
+def test_stats_csv_rows_sort_across_unknown_group_and_case():
+    # "(unknown)" sorts after "!early" and before "Roles"; "x" and "X" differ only by case
+    catalog = OperationCatalog(
+        [_one_step_type("Zap", "!early"), _one_step_type("Alpha", "Roles"), _one_step_type("Beta", "Roles")]
+    )
+    root = ProcessModel.of(MetamodelVersion.V1_3, [ProcessElement("r1", ElementKind.ROLE, "R")], [])
+
+    def ext(variant_id, *type_names):
+        exemplars = tuple(OperationExemplar(name, "r1", {"newName": "n"}) for name in type_names)
+        return ExtensionModel(variant_id, "root", MetamodelVersion.V1_3, exemplars=exemplars)
+
+    family = VariantSet.of(
+        root,
+        [
+            ext("x", "Beta", "HouseRule", "Zap", "Aardvark"),
+            ext("Empty"),
+            ext("X", "Alpha", "HouseRule", "HouseRule"),
+            ext("b", "Zap"),
+        ],
+    )
+    report = usage_report(family, catalog)
+    text = export_stats_csv(report)
+    assert text == _stats_csv_by_one_sort(report)
+    assert export_stats_csv(dataclasses.replace(report, variant_ids=report.variant_ids[::-1])) == text
+    rows = [tuple(row[:3]) for row in csv.reader(io.StringIO(text))][1:]
+    assert rows[:3] == [("Empty", "!early", "Zap"), ("Empty", "Roles", "Alpha"), ("Empty", "Roles", "Beta")]
+    assert rows[3:7] == [
+        ("X", "!early", "Zap"),
+        ("X", UNKNOWN_GROUP, "HouseRule"),
+        ("X", "Roles", "Alpha"),
+        ("X", "Roles", "Beta"),
+    ]
+    assert rows[-5:] == [
+        ("x", "!early", "Zap"),
+        ("x", UNKNOWN_GROUP, "Aardvark"),
+        ("x", UNKNOWN_GROUP, "HouseRule"),
+        ("x", "Roles", "Alpha"),
+        ("x", "Roles", "Beta"),
+    ]
+
+
+def test_study_stats_csv_is_the_one_sort_order(variants, catalog):
+    report = usage_report(variants, catalog)
+    assert export_stats_csv(report) == _stats_csv_by_one_sort(report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_stats_csv_is_the_one_sort_order(catalog, seed):
+    # drawn families hold a variant without exemplars and an exemplar of an unknown type
+    report = usage_report(genmodels.random_variant_set(random.Random(seed), catalog), catalog)
+    assert export_stats_csv(report) == _stats_csv_by_one_sort(report)
 
 
 def test_stats_text_rendering(variants, catalog):
