@@ -43,11 +43,6 @@ class UsageReport:
     def unused_types(self) -> tuple[str, ...]:
         return tuple(sorted(n for n, c in self.per_type_counts.items() if c == 0))
 
-    def group_total(self, variant_id: str, group: str) -> int:
-        return sum(
-            count for (v, g, _), count in self.matrix.items() if v == variant_id and g == group
-        )
-
 
 def usage_report(variant_set: VariantSet, catalog: OperationCatalog) -> UsageReport:
     """Count declared exemplars across all variants of the set.

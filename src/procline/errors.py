@@ -59,10 +59,6 @@ class UnknownIdError(ProclineError):
     pass
 
 
-class DanglingReferenceError(ProclineError):
-    pass
-
-
 class MissingArgumentError(ProclineError):
     pass
 

@@ -36,7 +36,7 @@ from .model import (
     ProcessModel,
     Reference,
     _apply_change_set_into,
-    _diff_models,
+    _change_set,
     _WorkingModel,
     endpoint_kind_violation,
 )
@@ -66,9 +66,6 @@ class ExtensionModel:
         object.__setattr__(self, "new_references", tuple(self.new_references))
         object.__setattr__(self, "exclusions", tuple(self.exclusions))
         object.__setattr__(self, "exemplars", tuple(self.exemplars))
-
-    def exemplar_count(self) -> int:
-        return len(self.exemplars)
 
 
 @dataclass(frozen=True)
@@ -206,12 +203,11 @@ class _Derivation:
     The base maps are copied once into a :class:`_WorkingModel`, which this
     derivation owns: every asset, exclusion and step writes into it, and
     the base model is never written. Each write logs the id and its old
-    value, so an exemplar that fails validation is rolled back,
-    and each recorded entry is diffed over exactly the ids written since the
-    previous one: its change set runs from the model as of that entry (the
-    logged old values over the live maps), so a metamodel upgrade made up
-    front lands in the first recorded entry, and an entry costs what it
-    changes, not the size of the model.
+    value, so an exemplar that fails validation is rolled back, and each
+    recorded entry is read off the log: an id's first logged value since the
+    previous entry is its "before", the live map holds its "after". So an
+    entry costs what it changes, not the size of the model, and a metamodel
+    upgrade made up front lands in the first recorded entry.
     """
 
     def __init__(self, base: ProcessModel, variant_id: str):
@@ -223,10 +219,20 @@ class _Derivation:
     def record(self, kind: TraceEntryKind, subject: str, **fields) -> None:
         """Append an entry for the writes since the previous one."""
         work = self.work
-        before, touched = work.before(self._recorded_metamodel)
-        change_set = _diff_models(before, work.model, touched)
+        elements, references = work.elements, work.references
+        old_elements: dict[str, ProcessElement | None] = {}
+        old_references: dict[str, Reference | None] = {}
+        for mapping, some_id, old in work.log:
+            (old_references if mapping is references else old_elements).setdefault(some_id, old)
         work.log.clear()
-        self._recorded_metamodel = work.model.metamodel
+        metamodel = work.model.metamodel
+        change_set = _change_set(
+            self._recorded_metamodel,
+            metamodel,
+            ((i, old_elements[i], elements.get(i)) for i in sorted(old_elements)),
+            ((i, old_references[i], references.get(i)) for i in sorted(old_references)),
+        )
+        self._recorded_metamodel = metamodel
         self.entries.append(
             TraceEntry(kind, self.variant_id, subject, change_set=change_set, **fields)
         )

@@ -1,16 +1,18 @@
 """Core process model: typed elements, typed references, and model diffs.
 
-A :class:`ProcessModel` is an immutable value. Every operation that would
-change a model returns a new one; callers can therefore hold on to any
-intermediate state (merge bases, trace snapshots) without defensive copies.
-An update copies only the map it changes and shares the other one with the
-model it came from; only the public constructor copies and re-checks both.
+A :class:`ProcessModel` is an immutable value: a metamodel version and two
+maps, read through lookups and :meth:`ProcessModel.check_consistency`. A new
+model comes from the public constructor (which copies and checks both maps),
+from :func:`apply_change_set`, or from a merge; callers can therefore hold on
+to any intermediate state (merge bases, trace snapshots) without defensive
+copies. Elements and references have their own ``with_*`` updates.
 
-A merge does not pay one map copy per step: it copies the base maps once
-into a :class:`_WorkingModel`, writes every step into them, logs the old
-value of each id it writes so a failed exemplar can be undone, and keeps an
-element id -> incident reference ids index so a removal costs the element's
-degree. Only the finished maps leave it, wrapped as a ``ProcessModel``.
+Every write of a merge goes through one path: the base maps are copied once
+into a :class:`_WorkingModel`, every step writes into them, the old value of
+each written id is logged (a failed exemplar is undone from the log, and a
+trace entry's change set is read off it), and an element id -> incident
+reference ids index makes a removal cost the element's degree. Only the
+finished maps leave it, wrapped as a ``ProcessModel``.
 
 Identity lives in one namespace: element ids and reference ids must not
 collide, so a bare id always resolves to exactly one thing.
@@ -25,7 +27,6 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
-    DanglingReferenceError,
     DuplicateIdError,
     FieldNotFoundError,
     Issue,
@@ -298,14 +299,6 @@ class ProcessElement:
             seen.add(block.id)
         return _element_replace(self, text_blocks=blocks)
 
-    @property
-    def ordering_key(self) -> tuple[int, Decimal | int, str]:
-        """Sort key for display order: ordering number first, id breaks ties."""
-        number = ordering_number(self.attributes.get(ORDERING_ATTRIBUTE, ""))
-        if number is None:
-            return (1, 0, self.id)
-        return (0, number, self.id)
-
 
 def _element_replace(elem: ProcessElement, **updates) -> ProcessElement:
     """``elem`` with ``updates`` applied, past the frozen ``__setattr__`` and unchecked."""
@@ -391,12 +384,11 @@ class ProcessModel:
     ) -> "ProcessModel":
         """A model over maps the caller has checked and will not change again.
 
-        The functional updates below check the one id they change, and
         :func:`apply_change_set` and :meth:`MergeTrace.replay` check each id
         a change set names, so they build their result here: no copy of
-        either map, no re-check of every key. A :class:`_WorkingModel` reads
-        its live maps through such a model too; it hands that model out only
-        once it has stopped writing.
+        either map, no re-check of every key. A :class:`_WorkingModel` wraps
+        its live maps so too, for the validation of each step to read; it
+        hands that model out only once it has stopped writing.
         """
         model = object.__new__(cls)
         object.__setattr__(model, "metamodel", metamodel)
@@ -440,90 +432,6 @@ class ProcessModel:
 
     def has_id(self, some_id: str) -> bool:
         return some_id in self.elements or some_id in self.references
-
-    def elements_in_order(self) -> list[ProcessElement]:
-        """Elements in display order (ordering number, then id)."""
-        return sorted(self.elements.values(), key=lambda e: e.ordering_key)
-
-    def resolve_reference(self, reference_id: str) -> tuple[ProcessElement, ProcessElement]:
-        """Return the (source, target) elements of a reference.
-
-        Raises :class:`UnknownIdError` for an unknown reference id and
-        :class:`DanglingReferenceError` when an endpoint does not resolve.
-        """
-        ref = self.reference(reference_id)
-        missing = [p for p in (ref.source, ref.target) if p not in self.elements]
-        if missing:
-            raise DanglingReferenceError(
-                f"reference {reference_id!r} has dangling endpoint(s): {missing}"
-            )
-        return self.elements[ref.source], self.elements[ref.target]
-
-    # -- functional updates --------------------------------------------------
-
-    def with_metamodel(self, metamodel: MetamodelVersion) -> "ProcessModel":
-        if metamodel == self.metamodel:
-            return self
-        return ProcessModel._trusted(MetamodelVersion(metamodel), self.elements, self.references)
-
-    def add_element(self, element: ProcessElement) -> "ProcessModel":
-        if self.has_id(element.id):
-            raise DuplicateIdError(f"id {element.id!r} already in use")
-        elements = dict(self.elements)
-        elements[element.id] = element
-        return ProcessModel._trusted(self.metamodel, elements, self.references)
-
-    def add_reference(self, reference: Reference) -> "ProcessModel":
-        if self.has_id(reference.id):
-            raise DuplicateIdError(f"id {reference.id!r} already in use")
-        references = dict(self.references)
-        references[reference.id] = reference
-        return ProcessModel._trusted(self.metamodel, self.elements, references)
-
-    def replace_element(self, element: ProcessElement) -> "ProcessModel":
-        if element.id not in self.elements:
-            raise UnknownIdError(f"no element with id {element.id!r}")
-        elements = dict(self.elements)
-        elements[element.id] = element
-        return ProcessModel._trusted(self.metamodel, elements, self.references)
-
-    def replace_reference(self, reference: Reference) -> "ProcessModel":
-        if reference.id not in self.references:
-            raise UnknownIdError(f"no reference with id {reference.id!r}")
-        references = dict(self.references)
-        references[reference.id] = reference
-        return ProcessModel._trusted(self.metamodel, self.elements, references)
-
-    def remove_element(self, element_id: str) -> tuple["ProcessModel", tuple[str, ...]]:
-        """Remove an element and every reference incident to it.
-
-        Returns the new model and the ids of the cascaded references, in
-        ascending id order.
-        """
-        if element_id not in self.elements:
-            raise UnknownIdError(f"no element with id {element_id!r}")
-        cascaded = tuple(
-            sorted(
-                ref.id
-                for ref in self.references.values()
-                if ref.source == element_id or ref.target == element_id
-            )
-        )
-        elements = dict(self.elements)
-        del elements[element_id]
-        references = self.references
-        if cascaded:
-            references = dict(references)
-            for reference_id in cascaded:
-                del references[reference_id]
-        return ProcessModel._trusted(self.metamodel, elements, references), cascaded
-
-    def remove_reference(self, reference_id: str) -> "ProcessModel":
-        if reference_id not in self.references:
-            raise UnknownIdError(f"no reference with id {reference_id!r}")
-        references = dict(self.references)
-        del references[reference_id]
-        return ProcessModel._trusted(self.metamodel, self.elements, references)
 
     # -- validation ----------------------------------------------------------
 
@@ -578,7 +486,8 @@ class _WorkingModel:
     changes under its holder, so it leaves only when the writing is done.
     Every write appends ``(map, id, old value)`` to ``log`` (``None`` for an
     id that was absent): :meth:`rollback` undoes the writes since the log was
-    last cleared, and :meth:`before` reads the maps as they were then.
+    last cleared, and a trace entry takes each id's first logged value as
+    the value before its writes.
     ``incident`` maps each endpoint id to the ids of the references that name
     it, so :meth:`remove_element` costs the element's degree.
     """
@@ -658,53 +567,6 @@ class _WorkingModel:
             else:
                 mapping[some_id] = old
         self.log.clear()
-
-    def before(self, metamodel: MetamodelVersion) -> tuple[ProcessModel, set[str]]:
-        """The model as of the last cleared log, and the ids written since.
-
-        The model is a read-only view: the first logged old value of each
-        written id over the live maps. It is valid until the next write.
-        """
-        references = self.references
-        old_elements: dict[str, ProcessElement | None] = {}
-        old_references: dict[str, Reference | None] = {}
-        for mapping, some_id, old in self.log:
-            (old_references if mapping is references else old_elements).setdefault(some_id, old)
-        view = ProcessModel._trusted(
-            metamodel, _Before(self.elements, old_elements), _Before(references, old_references)
-        )
-        return view, old_elements.keys() | old_references.keys()
-
-
-class _Before(Mapping):
-    """A live map read as it was before some writes: ``old`` values (``None``: absent) first."""
-
-    __slots__ = ("live", "old")
-
-    def __init__(self, live: Mapping, old: Mapping):
-        self.live = live
-        self.old = old
-
-    def get(self, key, default=None):
-        old = self.old
-        if key in old:
-            value = old[key]
-            return default if value is None else value
-        return self.live.get(key, default)
-
-    def __getitem__(self, key):
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def __iter__(self):
-        old = self.old
-        yield from (key for key in self.live if key not in old)
-        yield from (key for key, value in old.items() if value is not None)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 # -- change sets -------------------------------------------------------------
@@ -848,23 +710,30 @@ def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
     The result is empty exactly when ``a == b``, and applying it to ``a``
     yields ``b``. All parts are listed in ascending id order.
     """
-    ids = a.elements.keys() | b.elements.keys() | a.references.keys() | b.references.keys()
-    return _diff_models(a, b, ids)
+
+    def rows(old: Mapping, new: Mapping) -> Iterator[tuple]:
+        return ((some_id, old.get(some_id), new.get(some_id)) for some_id in sorted(old.keys() | new.keys()))
+
+    return _change_set(
+        a.metamodel, b.metamodel, rows(a.elements, b.elements), rows(a.references, b.references)
+    )
 
 
-def _diff_models(a: ProcessModel, b: ProcessModel, ids: Iterable[str]) -> ChangeSet:
-    """:func:`compare_models` restricted to ``ids`` (duplicates allowed).
+def _change_set(
+    old_metamodel: MetamodelVersion,
+    new_metamodel: MetamodelVersion,
+    element_rows: Iterable[tuple[str, ProcessElement | None, ProcessElement | None]],
+    reference_rows: Iterable[tuple[str, Reference | None, Reference | None]],
+) -> ChangeSet:
+    """The change set of ``(id, before, after)`` rows in ascending id order; ``None`` is absent.
 
-    Equal to the full comparison whenever every element and reference id on
-    which ``a`` and ``b`` differ is among ``ids``; the metamodel is always
-    compared. A merge passes the ids one trace entry touched.
+    :func:`compare_models` passes one row per id of either model, and a
+    merge's trace entry one per id written since the previous entry.
     """
-    ids = sorted(set(ids))
 
-    def parts(old: Mapping, new: Mapping, diff) -> tuple[tuple, tuple, tuple]:
+    def parts(rows: Iterable[tuple], diff) -> tuple[tuple, tuple, tuple]:
         added, removed, modified = [], [], []
-        for some_id in ids:
-            before, after = old.get(some_id), new.get(some_id)
+        for some_id, before, after in rows:
             # models share unchanged parts, and a part is equal to itself
             if before is after:
                 continue
@@ -877,11 +746,11 @@ def _diff_models(a: ProcessModel, b: ProcessModel, ids: Iterable[str]) -> Change
         return tuple(added), tuple(removed), tuple(modified)
 
     metamodel_change = None
-    if a.metamodel != b.metamodel:
-        metamodel_change = (a.metamodel, b.metamodel)
+    if old_metamodel != new_metamodel:
+        metamodel_change = (old_metamodel, new_metamodel)
     return ChangeSet(
-        *parts(a.elements, b.elements, _diff_element),
-        *parts(a.references, b.references, _diff_reference),
+        *parts(element_rows, _diff_element),
+        *parts(reference_rows, _diff_reference),
         metamodel_change=metamodel_change,
     )
 

@@ -7,7 +7,9 @@ with :class:`SchemaError` (syntactic problems surface as
 allowed attributes and what it may contain: the child tags allowed, or text
 only, or nothing; an entry is the same under every parent. One check,
 ``_checked``, holds a node to that table as the node is visited: its tag
-is allowed under its parent, its attributes fit, and its content fits.
+is allowed under its parent, its attributes fit, and its content fits. Text
+after a node's end tag (its ``tail``) belongs to the parent, and no tag that
+holds child tags holds text, so only whitespace may follow a child.
 
 Serialization is canonical: UTF-8 text, LF line ends, two-space indent,
 elements and references sorted by id, attribute tags sorted by key, text
@@ -109,8 +111,11 @@ _SCHEMA = {
 def _checked(node: ET.Element, source: str, parent: str | None) -> None:
     """Check that ``node`` may stand under ``parent`` and that its attributes and content fit its tag."""
     tag = node.tag
-    if parent is not None and tag not in _SCHEMA[parent][3]:
-        raise SchemaError(f"unexpected <{tag}> inside <{parent}>", path=source)
+    if parent is not None:
+        if tag not in _SCHEMA[parent][3]:
+            raise SchemaError(f"unexpected <{tag}> inside <{parent}>", path=source)
+        if not (node.tail or " ").isspace():
+            raise SchemaError(f"<{parent}> holds unexpected text", path=source)
     ordered, required, allowed, content = _SCHEMA[tag]
     keys = node.attrib.keys()
     if not required <= keys <= allowed:
@@ -273,11 +278,21 @@ def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
     exemplars = []
     for node in section:
         attrib = node.attrib
-        if node.tag != "exemplar" or attrib.keys() != exemplar_attributes or (node.text or "").strip():
+        if (
+            node.tag != "exemplar"
+            or attrib.keys() != exemplar_attributes
+            or (node.text or "").strip()
+            or not (node.tail or " ").isspace()
+        ):
             _checked(node, source, "operations")
         args: dict[str, str] = {}
         for child in node:
-            if child.tag != "arg" or child.attrib.keys() != arg_attributes or len(child):
+            if (
+                child.tag != "arg"
+                or child.attrib.keys() != arg_attributes
+                or len(child)
+                or not (child.tail or " ").isspace()
+            ):
                 _checked(child, source, "exemplar")
             name = child.attrib["name"]
             if name in args:

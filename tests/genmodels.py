@@ -291,10 +291,12 @@ def _aim_valid(rng: random.Random, catalog, effective_mm, pools: _Pools, replace
                 continue
             # bookkeeping so later exemplars in this extension stay plausible
             for template in type_def.recipe:
+                # a step aims at the exemplar's target or at one of its arguments
+                step_target = args.get(template.target[1:-1], target_id)
                 if template.atomic is AtomicKind.REMOVE_ELEMENT:
-                    pools.drop_element(target_id)
+                    pools.drop_element(step_target)
                 elif template.atomic is AtomicKind.REMOVE_REFERENCE:
-                    pools.references.pop(target_id, None)
+                    pools.references.pop(step_target, None)
                 elif template.atomic is AtomicKind.ADD_REFERENCE:
                     pools.references[args["refId"]] = Reference(
                         args["refId"],
@@ -625,66 +627,65 @@ def ill_typed_exemplar(rng: random.Random, model: ProcessModel, catalog):
 
 def mutate_model(rng: random.Random, model: ProcessModel) -> ProcessModel:
     """A randomly edited copy of the model, touching every change-set field."""
-    working = model
+    metamodel = model.metamodel
+    elements, references = dict(model.elements), dict(model.references)
     for _ in range(rng.randint(1, 8)):
         op = rng.randrange(12)
-        element_ids = sorted(working.elements)
-        reference_ids = sorted(working.references)
+        element_ids = sorted(elements)
+        reference_ids = sorted(references)
         if op == 0:
-            fresh = next(_fresh_ids("m", set(working.elements) | set(working.references)))
-            working = working.add_element(
-                random_element(rng, fresh, rng.choice(tuple(ElementKind)))
-            )
+            fresh = next(_fresh_ids("m", set(elements) | set(references)))
+            elements[fresh] = random_element(rng, fresh, rng.choice(tuple(ElementKind)))
         elif op == 1 and element_ids:
-            working, _ = working.remove_element(rng.choice(element_ids))
+            removed = rng.choice(element_ids)
+            del elements[removed]
+            for ref in list(references.values()):
+                if removed in (ref.source, ref.target):
+                    del references[ref.id]
         elif op == 2 and element_ids:
-            fresh = next(_fresh_ids("m", set(working.elements) | set(working.references)))
+            fresh = next(_fresh_ids("m", set(elements) | set(references)))
             ref_kind = rng.choice(tuple(ReferenceKind))
             # diff/patch does not need consistency; endpoints may dangle
-            working = working.add_reference(
-                Reference(fresh, ref_kind, rng.choice(element_ids), rng.choice(element_ids))
+            references[fresh] = Reference(
+                fresh, ref_kind, rng.choice(element_ids), rng.choice(element_ids)
             )
         elif op == 3 and reference_ids:
-            working = working.remove_reference(rng.choice(reference_ids))
+            del references[rng.choice(reference_ids)]
         elif op == 4 and element_ids:
-            elem = working.elements[rng.choice(element_ids)]
-            working = working.replace_element(elem.with_name(random_name(rng)))
+            elem = elements[rng.choice(element_ids)]
+            elements[elem.id] = elem.with_name(random_name(rng))
         elif op == 5 and element_ids:
-            elem = working.elements[rng.choice(element_ids)]
-            working = working.replace_element(elem.with_description(random_text(rng)))
+            elem = elements[rng.choice(element_ids)]
+            elements[elem.id] = elem.with_description(random_text(rng))
         elif op == 6 and element_ids:
-            elem = working.elements[rng.choice(element_ids)]
+            elem = elements[rng.choice(element_ids)]
             if elem.attributes and rng.random() < 0.4:
-                working = working.replace_element(
-                    elem.without_attribute(rng.choice(sorted(elem.attributes)))
-                )
+                elements[elem.id] = elem.without_attribute(rng.choice(sorted(elem.attributes)))
             else:
-                working = working.replace_element(
-                    elem.with_attribute(rng.choice(("note", "tag", "level")), random_text(rng))
+                elements[elem.id] = elem.with_attribute(
+                    rng.choice(("note", "tag", "level")), random_text(rng)
                 )
         elif op == 7 and element_ids:
-            elem = working.elements[rng.choice(element_ids)]
+            elem = elements[rng.choice(element_ids)]
             if elem.text_blocks:
                 block = rng.choice(elem.text_blocks)
-                working = working.replace_element(elem.with_block_text(block.id, random_text(rng)))
+                elements[elem.id] = elem.with_block_text(block.id, random_text(rng))
         elif op == 8 and element_ids:
-            elem = working.elements[rng.choice(element_ids)]
+            elem = elements[rng.choice(element_ids)]
             block_ids = {b.id for b in elem.text_blocks}
             fresh_block = next(b for b in _FRESH_BLOCK_IDS if b not in block_ids)
-            working = working.replace_element(
-                elem.with_text_blocks((*elem.text_blocks, TextBlock(fresh_block, random_text(rng))))
+            elements[elem.id] = elem.with_text_blocks(
+                (*elem.text_blocks, TextBlock(fresh_block, random_text(rng)))
             )
         elif op == 9 and element_ids:
-            elem = working.elements[rng.choice(element_ids)]
+            elem = elements[rng.choice(element_ids)]
             if len(elem.text_blocks) > 1:
                 shuffled = list(elem.text_blocks)
                 rng.shuffle(shuffled)
-                working = working.replace_element(elem.with_text_blocks(shuffled))
+                elements[elem.id] = elem.with_text_blocks(shuffled)
         elif op == 10 and reference_ids and element_ids:
-            ref = working.references[rng.choice(reference_ids)]
-            working = working.replace_reference(
-                ref.with_endpoints(source=rng.choice(element_ids))
-            )
+            ref = references[rng.choice(reference_ids)]
+            references[ref.id] = ref.with_endpoints(source=rng.choice(element_ids))
         elif op == 11:
-            working = working.with_metamodel(rng.choice(tuple(MetamodelVersion)))
-    return working
+            metamodel = rng.choice(tuple(MetamodelVersion))
+    return ProcessModel(metamodel, elements, references)

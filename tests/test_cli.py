@@ -271,6 +271,14 @@ _HOSTILE_ROOTS = {
     "undefined-entity": (_MODEL_HEAD + '  <element id="x1" kind="Role" name="&bogus;"/>\n</processModel>\n').encode(),
     "duplicate-element-id": (_MODEL_HEAD + _ROLE + _ROLE + "</processModel>\n").encode(),
     "nul-byte": b'<processModel schemaVersion="1"\x00 metamodel="1.3"/>',
+    "text-after-child-end-tags": (
+        b'<processModel schemaVersion="1" metamodel="1.3"><element id="e" kind="Role" name="R">'
+        b"<description>d</description>lost words</element>more lost</processModel>"
+    ),
+    "text-after-description": (
+        _MODEL_HEAD + '  <element id="x1" kind="Role" name="A"><description>d</description>lost</element>\n'
+        "</processModel>\n"
+    ).encode(),
     "empty-text-block-id": (
         _MODEL_HEAD + '  <element id="x1" kind="Section" name="A"><textBlock id=""/></element>\n</processModel>\n'
     ).encode(),

@@ -52,6 +52,7 @@ from procline.model import (
     ReferenceKind,
     TextBlock,
     _WorkingModel,
+    apply_change_set,
     compare_models,
 )
 from procline.studyline import masking_extension
@@ -391,35 +392,95 @@ def _outcome(derive):
         return repr(err)
 
 
-def _full_diff_outcome(derive):
-    """What ``derive()`` gives when every trace entry is diffed over all ids of both models."""
-    with mock.patch.object(merge_module, "_diff_models", lambda a, b, ids: compare_models(a, b)):
-        return _outcome(derive)
+def _assert_entries_replay_one_at_a_time(root, model, trace):
+    """Each entry's change set is the full diff across it, and the last step is ``model``."""
+    previous = root
+    for entry in trace.entries:
+        current = apply_change_set(previous, entry.change_set)
+        assert entry.change_set == compare_models(previous, current), entry
+        previous = current
+    assert ProcessModel(trace.final_metamodel, previous.elements, previous.references) == model
 
 
 def test_scoped_change_sets_equal_full_diffs_on_the_study_family(root, variants, catalog):
-    derivations = [
-        lambda leaf=leaf, last_wins=last_wins: merge_chain(variants, leaf, catalog, last_wins=last_wins)
-        for leaf in variants.variant_ids()
-        for last_wins in (False, True)
-    ]
-    derivations.append(lambda: merge_once(root, masking_extension(), catalog))
-    for derive in derivations:
-        model, trace = derive()
-        assert (model, trace) == _full_diff_outcome(derive)
+    for leaf in variants.variant_ids():
+        for last_wins in (False, True):
+            model, trace = merge_chain(variants, leaf, catalog, last_wins=last_wins)
+            _assert_entries_replay_one_at_a_time(root, model, trace)
+    model, trace = merge_once(root, masking_extension(), catalog)
+    _assert_entries_replay_one_at_a_time(root, model, trace)
+
+
+def _text_step():
+    return StepTemplate(
+        AtomicKind.REPLACE_TEXT, "{target}", {"field": "textBlock", "blockId": "{blockId}", "text": "{text}"}
+    )
+
+
+#: recipes whose steps write one id twice, so an entry's "before" is the
+#: first value logged for that id, not a later one
+_MULTI_STEP_TYPES = (
+    OperationTypeDef(
+        "DoubleWrite", "Role Variations", ElementKind.SECTION, MetamodelVersion.V1_3,
+        (_text_step(), _text_step()),
+    ),
+    OperationTypeDef(
+        "RenameThenRemove", "Role Variations", ElementKind.ROLE, MetamodelVersion.V1_3,
+        (
+            StepTemplate(AtomicKind.RENAME_ELEMENT, args={"newName": "{newName}"}),
+            StepTemplate(AtomicKind.REMOVE_ELEMENT),
+        ),
+    ),
+    OperationTypeDef(
+        "AddThenRemoveConfigurationEntry", "Role Variations", ElementKind.PROJECT_TYPE_VARIANT,
+        MetamodelVersion.V1_3,
+        (
+            StepTemplate(
+                AtomicKind.ADD_REFERENCE,
+                args={
+                    "refId": "{refId}",
+                    "refKind": ReferenceKind.CONFIGURATION_ENTRY.value,
+                    "source": "{target}",
+                    "target": "{module}",
+                },
+            ),
+            StepTemplate(AtomicKind.REMOVE_REFERENCE, "{refId}"),
+        ),
+    ),
+)
+
+
+def test_scoped_change_sets_equal_full_diffs_when_steps_write_one_id_twice():
+    catalog = OperationCatalog(_MULTI_STEP_TYPES)
+    ext = _ext(
+        exemplars=(
+            OperationExemplar("DoubleWrite", "sec1", {"blockId": "b1", "text": "twice"}),
+            OperationExemplar("RenameThenRemove", "r1", {"newName": "Gone"}),
+            OperationExemplar("AddThenRemoveConfigurationEntry", "ptv1", {"refId": "q1", "module": "pm1"}),
+        )
+    )
+    base = _base()
+    model, trace = merge_once(base, ext, catalog)
+    assert [entry.step_count for entry in trace.entries] == [2, 2, 2]
+    assert model.elements["sec1"].text_blocks[0].text == "twice"
+    assert "r1" not in model.elements and "resp1" not in model.references
+    assert trace.entries[2].change_set.is_empty()
+    assert base == _base()
+    _assert_entries_replay_one_at_a_time(base, model, trace)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000_000), st.booleans(), st.booleans())
 def test_scoped_change_sets_equal_full_diffs_on_random_merges(catalog, seed, last_wins, clean):
+    catalog = OperationCatalog((*catalog, *_MULTI_STEP_TYPES))
     rng = random.Random(seed)
     base = genmodels.random_model(rng, max_elements=30)
     ext = genmodels.random_extension(rng, base, catalog, max_exemplars=12, clean=clean)
-
-    def derive():
-        return merge_once(base, ext, catalog, last_wins=last_wins)
-
-    assert _outcome(derive) == _full_diff_outcome(derive)
+    try:
+        model, trace = merge_once(base, ext, catalog, last_wins=last_wins)
+    except (ConflictError, ValidationFailedError):
+        return
+    _assert_entries_replay_one_at_a_time(base, model, trace)
 
 
 # -- the working model ----------------------------------------------------------------

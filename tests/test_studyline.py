@@ -91,7 +91,7 @@ def test_reference_model_size():
 
 def test_declared_exemplar_counts():
     variants = study_variant_set()
-    counts = {v: variants.extensions[v].exemplar_count() for v in VARIANT_IDS}
+    counts = {v: len(variants.extensions[v].exemplars) for v in VARIANT_IDS}
     assert counts == {"Bund": 167, "A": 17, "B": 72, "C": 84, "D": 0}
 
 

@@ -355,6 +355,22 @@ _ONE_DEFECT_EXTENSIONS = {
         '<processModel schemaVersion="1" metamodel="1.3"/>',
         "expected <extensionModel> document, got <processModel>",
     ),
+    "exemplar-tail": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"/>loose words'),
+        "<operations> holds unexpected text",
+    ),
+    "arg-tail": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"><arg name="newName">Lead</arg>loose words</exemplar>'),
+        "<exemplar> holds unexpected text",
+    ),
+    "exclude-tail": (
+        f'{EXT_OPEN}<exclusions><exclude id="e1"/>loose words</exclusions></extensionModel>',
+        "<exclusions> holds unexpected text",
+    ),
+    "section-tail": (
+        f"{EXT_OPEN}<exclusions/>loose words</extensionModel>",
+        "<extensionModel> holds unexpected text",
+    ),
     "extension-empty-text-block-id": (
         f'{EXT_OPEN}<newElements><element id="e" kind="Section" name="S"><textBlock id=""/>'
         "</element></newElements></extensionModel>",
@@ -396,6 +412,8 @@ _ONE_DEFECT_MODELS = {
         "<element> has unexpected attribute 'color'",
     ),
     "element-stray-text": (_element_doc("loose words"), "<element> holds unexpected text"),
+    "element-tail": (_doc('  <element id="e1" kind="Role" name="X"/>more lost'), "<processModel> holds unexpected text"),
+    "description-tail": (_element_doc("<description>d</description>lost words"), "<element> holds unexpected text"),
     "element-duplicate-id": (
         _doc('  <element id="dup" kind="Role" name="A"/>\n  <element id="dup" kind="Role" name="B"/>'),
         "duplicate id 'dup' in document",
@@ -438,6 +456,10 @@ _ONE_DEFECT_MODELS = {
         "<reference> has unexpected attribute 'color'",
     ),
     "reference-stray-text": (_reference_doc("loose words"), "<reference> holds unexpected text"),
+    "reference-attribute-tail": (
+        _reference_doc('<attribute key="k">v</attribute>loose words'),
+        "<reference> holds unexpected text",
+    ),
     "reference-duplicate-id": (
         _reference_doc(attrs='id="e1" kind="Responsibility" source="w" target="e1"'),
         "duplicate id 'e1' in document",
@@ -502,6 +524,15 @@ _ONE_DEFECT_CATALOGS = {
         "<operationType> has unexpected attribute 'color'",
     ),
     "type-stray-text": (_type_doc("loose words"), "<operationType> holds unexpected text"),
+    "type-tail": (
+        f'{CATALOG_OPEN}<operationType {_TYPE_ATTRS}><step atomic="RenameElement" target="{{target}}"/>'
+        "</operationType>loose words</operationCatalog>",
+        "<operationCatalog> holds unexpected text",
+    ),
+    "step-tail": (
+        _type_doc('<step atomic="RenameElement" target="{target}"/>loose words'),
+        "<operationType> holds unexpected text",
+    ),
     "synthetic-flag": (
         _type_doc(attrs=_TYPE_ATTRS + ' synthetic="maybe"'),
         "synthetic must be 'true' or 'false', got 'maybe'",
@@ -538,6 +569,7 @@ _ONE_DEFECT_CATALOGS = {
     "arg-lacks-name": (_step_doc("<arg>v</arg>"), "<arg> lacks attribute 'name'"),
     "arg-extra-attribute": (_step_doc('<arg name="newName" lang="de">v</arg>'), "<arg> has unexpected attribute 'lang'"),
     "arg-child-tag": (_step_doc('<arg name="newName"><b/></arg>'), "<arg> must not have child tags"),
+    "arg-tail": (_step_doc('<arg name="newName">v</arg>loose words'), "<step> holds unexpected text"),
     "repeated-argument": (
         _step_doc('<arg name="newName">a</arg><arg name="newName">b</arg>'),
         "step repeats argument 'newName'",
@@ -588,6 +620,8 @@ _MUTATIONS = (
     "add attribute",
     "stray text",
     "whitespace text",
+    "stray tail",
+    "whitespace tail",
     "unknown child",
     "duplicate",
     "move up",
@@ -597,7 +631,7 @@ _MUTATIONS = (
 def _applies(kind: str, has_attributes: bool, depth: int) -> bool:
     if kind in ("drop attribute", "blank attribute", "garble attribute"):
         return has_attributes
-    if kind == "duplicate":
+    if kind in ("duplicate", "stray tail", "whitespace tail"):
         return depth >= 1
     if kind == "move up":
         return depth >= 2
@@ -621,6 +655,10 @@ def _mutate(kind: str, node: ET.Element, parents: dict, names: list[str], rng: r
         node.text = (node.text or "") + "loose words"
     elif kind == "whitespace text":
         node.text = rng.choice([" ", "\n    ", "\t\n"])
+    elif kind == "stray tail":
+        node.tail = rng.choice(["loose words", (node.tail or "") + "loose words", "x\n  "])
+    elif kind == "whitespace tail":
+        node.tail = rng.choice(["", " ", "\n    ", "\t\n"])
     elif kind == "unknown child":
         node.insert(rng.randint(0, len(node)), ET.Element("widget"))
     elif kind == "duplicate":
@@ -673,10 +711,13 @@ def test_single_node_mutations_parse_or_raise_a_procline_error():
         try:
             _PARSERS[root_tag](text)
         except ProclineError as exc:
-            if kind == "whitespace text":  # whitespace is never content the schema forbids
+            if kind.startswith("whitespace"):  # whitespace is never content the schema forbids
                 failures.append(f"{label}: {exc!r}")
         except Exception as exc:
             failures.append(f"{label}: {exc!r}")
+        else:
+            if kind == "stray tail":  # no tag that holds child tags holds text
+                failures.append(f"{label}: parsed")
     assert failures == []
 
 
