@@ -73,18 +73,6 @@ class AtomicStep:
         object.__setattr__(self, "kind", AtomicKind(self.kind))
         object.__setattr__(self, "args", dict(self.args))
 
-    @classmethod
-    def _trusted(cls, kind: AtomicKind, target: str, args: dict[str, str]) -> "AtomicStep":
-        """A step over a kind the caller took from a :class:`AtomicKind` and an args map it gives up.
-
-        Recipe expansion builds its steps here: a template's kind is already
-        an ``AtomicKind`` and each step gets a new args dict, so the coercion
-        and the copy of ``__post_init__`` are skipped.
-        """
-        step = object.__new__(cls)
-        step.__dict__.update(kind=kind, target=target, args=args)
-        return step
-
 
 def field_key(step_args: Mapping[str, str]) -> str:
     """Canonical identity of the text field a ReplaceText/AddText step hits.

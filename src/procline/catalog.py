@@ -23,7 +23,7 @@ from .errors import (
     MissingArgumentError,
     UnknownOperationTypeError,
 )
-from .model import ElementKind, MetamodelVersion, ProcessModel, ReferenceKind, _WorkingModel
+from .model import ElementKind, MetamodelVersion, ProcessModel, ReferenceKind, _trusted, _WorkingModel
 
 _PLACEHOLDER = re.compile(r"^\{([A-Za-z][A-Za-z0-9]*)\}$")
 
@@ -44,12 +44,18 @@ class StepTemplate:
         object.__setattr__(self, "args", dict(self.args))
 
     def placeholders(self) -> frozenset[str]:
-        names = set()
-        for value in (self.target, *self.args.values()):
-            match = _PLACEHOLDER.match(value)
-            if match and match.group(1) != TARGET_PLACEHOLDER:
-                names.add(match.group(1))
-        return frozenset(names)
+        names = {_placeholder(value) for value in (self.target, *self.args.values())}
+        return frozenset(names - {None, TARGET_PLACEHOLDER})
+
+
+def _placeholder(value: str) -> str | None:
+    """The name of the placeholder ``value`` is, or None for a literal."""
+    match = _PLACEHOLDER.match(value)
+    return match.group(1) if match else None
+
+
+# a recipe value bound once per type: (its placeholder name or None, the value as written)
+_Bound = tuple[str | None, str]
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,23 @@ class OperationTypeDef:
             names |= template.placeholders()
         return frozenset(names)
 
+    @cached_property
+    def _bound_recipe(self) -> tuple[tuple[AtomicKind, _Bound, tuple[tuple[str, _Bound], ...]], ...]:
+        """The recipe with every value bound once: ``(atomic, target, ((key, value), ...))``.
+
+        Each value is ``(placeholder name, value)``, the name None for a
+        literal, so expansion looks names up and matches no pattern. Cached
+        like :attr:`placeholders`.
+        """
+        return tuple(
+            (
+                template.atomic,
+                (_placeholder(template.target), template.target),
+                tuple((key, (_placeholder(value), value)) for key, value in template.args.items()),
+            )
+            for template in self.recipe
+        )
+
     @property
     def targets_reference(self) -> bool:
         return isinstance(self.target_kind, ReferenceKind)
@@ -105,19 +128,9 @@ class OperationExemplar:
             raise ValueError(f"exemplar of {self.type_name!r}: target must be non-empty")
         object.__setattr__(self, "args", dict(self.args))
 
-    @classmethod
-    def _trusted(cls, type_name: str, target: str, args: dict[str, str]) -> "OperationExemplar":
-        """An exemplar over values the caller has checked and an args map it gives up.
 
-        Only the extension parser builds exemplars here: it has checked that
-        ``type_name`` and ``target`` are non-empty and owns ``args``, so the
-        checks and the copy of ``__post_init__`` are skipped.
-        """
-        exemplar = object.__new__(cls)
-        object.__setattr__(exemplar, "type_name", type_name)
-        object.__setattr__(exemplar, "target", target)
-        object.__setattr__(exemplar, "args", args)
-        return exemplar
+_new_step = _trusted(AtomicStep)
+_new_exemplar = _trusted(OperationExemplar)
 
 
 class OperationCatalog:
@@ -170,30 +183,22 @@ class OperationCatalog:
 def expand_exemplar(catalog: OperationCatalog, exemplar: OperationExemplar) -> list[AtomicStep]:
     """Instantiate the recipe of an exemplar's type with its arguments."""
     type_def = catalog.lookup(exemplar.type_name)
-
-    def substitute(value: str) -> str:
-        match = _PLACEHOLDER.match(value)
-        if not match:
-            return value
-        name = match.group(1)
-        if name == TARGET_PLACEHOLDER:
-            return exemplar.target
-        try:
-            return exemplar.args[name]
-        except KeyError:
-            raise MissingArgumentError(
-                f"exemplar of {exemplar.type_name!r} on {exemplar.target!r}: "
-                f"missing argument {name!r}"
-            ) from None
-
-    return [
-        AtomicStep._trusted(
-            template.atomic,
-            substitute(template.target),
-            {k: substitute(v) for k, v in template.args.items()},
-        )
-        for template in type_def.recipe
-    ]
+    given = {**exemplar.args, TARGET_PLACEHOLDER: exemplar.target}
+    try:
+        # trusted: a template's kind is an AtomicKind, and each step gets a new args dict
+        return [
+            _new_step(
+                kind=atomic,
+                target=given[target_name] if target_name else target,
+                args={key: given[name] if name else value for key, (name, value) in args},
+            )
+            for atomic, (target_name, target), args in type_def._bound_recipe
+        ]
+    except KeyError as exc:
+        raise MissingArgumentError(
+            f"exemplar of {exemplar.type_name!r} on {exemplar.target!r}: "
+            f"missing argument {exc.args[0]!r}"
+        ) from None
 
 
 def validate_exemplar(

@@ -37,6 +37,8 @@ from .model import (
     Reference,
     _apply_change_set_into,
     _change_set,
+    _new_model,
+    _trusted,
     _WorkingModel,
     endpoint_kind_violation,
 )
@@ -130,6 +132,9 @@ class TraceEntry:
     change_set: ChangeSet = _EMPTY_CHANGE_SET
 
 
+_new_entry = _trusted(TraceEntry)
+
+
 @dataclass(frozen=True)
 class MergeTrace:
     """Ordered audit log of one merge (or one merged chain)."""
@@ -161,7 +166,7 @@ class MergeTrace:
             metamodel = _apply_change_set_into(metamodel, elements, references, entry.change_set)
         if self.final_metamodel is not None:
             metamodel = MetamodelVersion(self.final_metamodel)
-        return ProcessModel._trusted(metamodel, elements, references)
+        return _new_model(metamodel, elements, references)
 
 
 def resolve_chain(variant_set: VariantSet, leaf_id: str) -> list[ExtensionModel]:
@@ -208,6 +213,10 @@ class _Derivation:
     previous entry is its "before", the live map holds its "after". So an
     entry costs what it changes, not the size of the model, and a metamodel
     upgrade made up front lands in the first recorded entry.
+
+    Entries and their change sets are trusted builds (``model._trusted``):
+    every value in them was checked by the step or the merge that wrote it,
+    and each build takes every field of its dataclass.
     """
 
     def __init__(self, base: ProcessModel, variant_id: str):
@@ -216,36 +225,49 @@ class _Derivation:
         self._recorded_metamodel = base.metamodel
         self.entries: list[TraceEntry] = []
 
-    def record(self, kind: TraceEntryKind, subject: str, **fields) -> None:
+    def record(
+        self,
+        kind: TraceEntryKind,
+        subject: str,
+        *,
+        target: str = "",
+        cascade_count: int = 0,
+        step_count: int = 0,
+    ) -> None:
         """Append an entry for the writes since the previous one."""
         work = self.work
-        elements, references = work.elements, work.references
-        old_elements: dict[str, ProcessElement | None] = {}
-        old_references: dict[str, Reference | None] = {}
-        for mapping, some_id, old in work.log:
-            (old_references if mapping is references else old_elements).setdefault(some_id, old)
-        work.log.clear()
+        log = work.log
+        element_rows: list | tuple = ()
+        reference_rows: list | tuple = ()
+        if len(log) == 1:  # most entries write one id: no grouping, no sort
+            mapping, some_id, old = log[0]
+            row = ((some_id, old, mapping.get(some_id)),)
+            if mapping is work.references:
+                reference_rows = row
+            else:
+                element_rows = row
+        elif log:
+            elements, references = work.elements, work.references
+            old_elements: dict[str, ProcessElement | None] = {}
+            old_references: dict[str, Reference | None] = {}
+            for mapping, some_id, old in log:
+                (old_references if mapping is references else old_elements).setdefault(some_id, old)
+            element_rows = [(i, old_elements[i], elements.get(i)) for i in sorted(old_elements)]
+            reference_rows = [(i, old_references[i], references.get(i)) for i in sorted(old_references)]
+        log.clear()
         metamodel = work.model.metamodel
-        change_set = _change_set(
-            self._recorded_metamodel,
-            metamodel,
-            ((i, old_elements[i], elements.get(i)) for i in sorted(old_elements)),
-            ((i, old_references[i], references.get(i)) for i in sorted(old_references)),
-        )
+        change_set = _change_set(self._recorded_metamodel, metamodel, element_rows, reference_rows)
         self._recorded_metamodel = metamodel
         self.entries.append(
-            TraceEntry(kind, self.variant_id, subject, change_set=change_set, **fields)
+            _new_entry(kind, self.variant_id, subject, target, "", cascade_count, step_count, change_set)
         )
 
     def flag(self, subject: str, detail: str, target: str = "") -> None:
         """An ``UntypedChange`` entry; it changes nothing by itself."""
         self.entries.append(
-            TraceEntry(
-                TraceEntryKind.UNTYPED_CHANGE,
-                self.variant_id,
-                subject,
-                target=target,
-                detail=detail,
+            _new_entry(
+                TraceEntryKind.UNTYPED_CHANGE, self.variant_id, subject, target, detail,
+                0, 0, _EMPTY_CHANGE_SET,
             )
         )
 

@@ -14,6 +14,13 @@ trace entry's change set is read off it), and an element id -> incident
 reference ids index makes a removal cost the element's degree. Only the
 finished maps leave it, wrapped as a ``ProcessModel``.
 
+Values the engine has already checked are built by trusted build
+functions (:func:`_trusted`): each takes every field of its dataclass and
+stores it as the frozen ``__init__`` does, but runs no ``__post_init__``
+check, coercion or copy. The working model's view, applied change sets and
+replays, each trace entry and its change set and nested changes, expanded
+steps and parsed exemplars are built so.
+
 Identity lives in one namespace: element ids and reference ids must not
 collide, so a bare id always resolves to exactly one thing.
 """
@@ -21,10 +28,10 @@ collide, so a bare id always resolves to exactly one thing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     DuplicateIdError,
@@ -33,6 +40,8 @@ from .errors import (
     IssueCode,
     UnknownIdError,
 )
+
+_D = TypeVar("_D")
 
 
 class MetamodelVersion(str, Enum):
@@ -210,6 +219,35 @@ def ordering_number(raw: str) -> Decimal | None:
     return number if number.is_finite() else None
 
 
+def _trusted(cls: type[_D]) -> Callable[..., _D]:
+    """A function that builds the dataclass ``cls`` from values the caller has checked.
+
+    It takes every field of ``cls`` in order, none optional, and stores each
+    through ``object.__setattr__``, as the frozen ``__init__`` does, so an
+    instance is laid out as a constructed one is. It skips the constructor's
+    call and ``__post_init__`` with its checks, coercions and copies: the
+    caller passes checked values of each field's type and gives up any map it
+    passes. A build cannot leave out a field, not even one added to ``cls``
+    later.
+    """
+    names = [f.name for f in fields(cls)]
+    source = "\n".join(
+        [f"def _trusted_{cls.__name__}({', '.join(names)}):", "    __obj = __new(__cls)"]
+        + [f"    __store(__obj, {name!r}, {name})" for name in names]
+        + ["    return __obj"]
+    )
+    namespace = {"__new": object.__new__, "__store": object.__setattr__, "__cls": cls}
+    exec(source, namespace)
+    return namespace[f"_trusted_{cls.__name__}"]
+
+
+def _replaced(obj: _D, **updates: Any) -> _D:
+    """``obj`` with ``updates`` applied, past the frozen ``__setattr__`` and unchecked."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **updates)
+    return new
+
+
 @dataclass(frozen=True)
 class TextBlock:
     """One named block of running text inside an element."""
@@ -253,28 +291,28 @@ class ProcessElement:
                 raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
             seen.add(block.id)
 
-    # The updates below build their result with _element_replace, which skips
+    # The updates below build their result with _replaced, which skips
     # __post_init__: each checks only what it changes, and shares the rest.
 
     def with_name(self, name: str) -> "ProcessElement":
         if not name:
             raise ValueError(f"element {self.id!r}: name must be non-empty")
-        return _element_replace(self, name=name)
+        return _replaced(self, name=name)
 
     def with_description(self, description: str) -> "ProcessElement":
-        return _element_replace(self, description=description)
+        return _replaced(self, description=description)
 
     def with_kind(self, kind: ElementKind) -> "ProcessElement":
-        return _element_replace(self, kind=ElementKind(kind))
+        return _replaced(self, kind=ElementKind(kind))
 
     def with_attribute(self, key: str, value: str) -> "ProcessElement":
         attrs = dict(self.attributes)
         attrs[key] = value
-        return _element_replace(self, attributes=attrs)
+        return _replaced(self, attributes=attrs)
 
     def without_attribute(self, key: str) -> "ProcessElement":
         attrs = {k: v for k, v in self.attributes.items() if k != key}
-        return _element_replace(self, attributes=attrs)
+        return _replaced(self, attributes=attrs)
 
     def find_block(self, block_id: str) -> TextBlock | None:
         for block in self.text_blocks:
@@ -288,7 +326,7 @@ class ProcessElement:
         blocks = tuple(
             TextBlock(b.id, text) if b.id == block_id else b for b in self.text_blocks
         )
-        return _element_replace(self, text_blocks=blocks)
+        return _replaced(self, text_blocks=blocks)
 
     def with_text_blocks(self, blocks: Iterable[TextBlock]) -> "ProcessElement":
         blocks = tuple(blocks)
@@ -297,21 +335,7 @@ class ProcessElement:
             if block.id in seen:
                 raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
             seen.add(block.id)
-        return _element_replace(self, text_blocks=blocks)
-
-
-def _element_replace(elem: ProcessElement, **updates) -> ProcessElement:
-    """``elem`` with ``updates`` applied, past the frozen ``__setattr__`` and unchecked."""
-    new = object.__new__(ProcessElement)
-    new.__dict__.update(elem.__dict__, **updates)
-    return new
-
-
-def _reference_replace(ref: "Reference", **updates) -> "Reference":
-    """``ref`` with ``updates`` applied, past the frozen ``__setattr__`` and unchecked."""
-    new = object.__new__(Reference)
-    new.__dict__.update(ref.__dict__, **updates)
-    return new
+        return _replaced(self, text_blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -337,16 +361,16 @@ class Reference:
         target = self.target if target is None else target
         if not source or not target:
             raise ValueError(f"reference {self.id!r}: source and target must be non-empty")
-        return _reference_replace(self, source=source, target=target)
+        return _replaced(self, source=source, target=target)
 
     def with_attribute(self, key: str, value: str) -> "Reference":
         attrs = dict(self.attributes)
         attrs[key] = value
-        return _reference_replace(self, attributes=attrs)
+        return _replaced(self, attributes=attrs)
 
     def without_attribute(self, key: str) -> "Reference":
         attrs = {k: v for k, v in self.attributes.items() if k != key}
-        return _reference_replace(self, attributes=attrs)
+        return _replaced(self, attributes=attrs)
 
 
 @dataclass(frozen=True)
@@ -374,27 +398,6 @@ class ProcessModel:
             )
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "references", references)
-
-    @classmethod
-    def _trusted(
-        cls,
-        metamodel: MetamodelVersion,
-        elements: dict[str, ProcessElement],
-        references: dict[str, Reference],
-    ) -> "ProcessModel":
-        """A model over maps the caller has checked and will not change again.
-
-        :func:`apply_change_set` and :meth:`MergeTrace.replay` check each id
-        a change set names, so they build their result here: no copy of
-        either map, no re-check of every key. A :class:`_WorkingModel` wraps
-        its live maps so too, for the validation of each step to read; it
-        hands that model out only once it has stopped writing.
-        """
-        model = object.__new__(cls)
-        object.__setattr__(model, "metamodel", metamodel)
-        object.__setattr__(model, "elements", elements)
-        object.__setattr__(model, "references", references)
-        return model
 
     @classmethod
     def of(
@@ -461,6 +464,9 @@ class ProcessModel:
         return issues
 
 
+_new_model = _trusted(ProcessModel)
+
+
 def endpoint_kind_violation(kind: ReferenceKind, side: str, elem_kind: ElementKind) -> str | None:
     """Why an element of ``elem_kind`` may not be the ``side`` end of a ``kind`` reference.
 
@@ -497,14 +503,14 @@ class _WorkingModel:
     def __init__(self, model: ProcessModel):
         self.elements = dict(model.elements)
         self.references = dict(model.references)
-        self.model = ProcessModel._trusted(model.metamodel, self.elements, self.references)
+        self.model = _new_model(model.metamodel, self.elements, self.references)
         self.incident: dict[str, set[str]] = {}
         self.log: list[tuple[dict, str, ProcessElement | Reference | None]] = []
         for ref in self.references.values():
             self._link(ref)
 
     def set_metamodel(self, metamodel: MetamodelVersion) -> None:
-        self.model = ProcessModel._trusted(metamodel, self.elements, self.references)
+        self.model = _new_model(metamodel, self.elements, self.references)
 
     def _link(self, ref: Reference) -> None:
         incident = self.incident
@@ -637,6 +643,12 @@ class ChangeSet:
         )
 
 
+_new_field_change = _trusted(FieldChange)
+_new_element_change = _trusted(ElementChange)
+_new_reference_change = _trusted(ReferenceChange)
+_new_change_set = _trusted(ChangeSet)
+
+
 # TEXT_BLOCK_ORDER_FIELD values: block ids joined by spaces, each with the
 # escape character and whitespace written as "\\<hex code point>;", so every id
 # round-trips and an id without either is written as it is
@@ -655,53 +667,54 @@ def _block_ids(order: str) -> list[str]:
     return [_ESCAPED_CHAR.sub(lambda m: chr(int(m.group(1), 16)), token) for token in order.split()]
 
 
-def _diff_attributes(before: Mapping[str, str], after: Mapping[str, str]) -> Iterator[FieldChange]:
+def _diff_attributes(before: Mapping[str, str], after: Mapping[str, str], changes: list[FieldChange]) -> None:
     for key in sorted(before.keys() | after.keys()):
         old, new = before.get(key), after.get(key)
         if old != new:
-            yield FieldChange(ATTRIBUTE_FIELD_PREFIX + key, old, new)
+            changes.append(_new_field_change(ATTRIBUTE_FIELD_PREFIX + key, old, new))
 
 
 def _diff_element(a: ProcessElement, b: ProcessElement) -> ElementChange | None:
     changes: list[FieldChange] = []
     if a.kind != b.kind:
-        changes.append(FieldChange(FIELD_KIND, a.kind.value, b.kind.value))
+        changes.append(_new_field_change(FIELD_KIND, a.kind.value, b.kind.value))
     if a.name != b.name:
-        changes.append(FieldChange(FIELD_NAME, a.name, b.name))
+        changes.append(_new_field_change(FIELD_NAME, a.name, b.name))
     if a.description != b.description:
-        changes.append(FieldChange(FIELD_DESCRIPTION, a.description, b.description))
+        changes.append(_new_field_change(FIELD_DESCRIPTION, a.description, b.description))
     # updates share the parts they leave alone, and a part is equal to itself
     if a.attributes is not b.attributes:
-        changes.extend(_diff_attributes(a.attributes, b.attributes))
+        _diff_attributes(a.attributes, b.attributes, changes)
     if a.text_blocks is not b.text_blocks:
         a_blocks = {blk.id: blk.text for blk in a.text_blocks}
         b_blocks = {blk.id: blk.text for blk in b.text_blocks}
         for block_id in sorted(a_blocks.keys() | b_blocks.keys()):
             old, new = a_blocks.get(block_id), b_blocks.get(block_id)
             if old != new:
-                changes.append(FieldChange(TEXT_BLOCK_FIELD_PREFIX + block_id, old, new))
+                changes.append(_new_field_change(TEXT_BLOCK_FIELD_PREFIX + block_id, old, new))
         if list(a_blocks) != list(b_blocks):
             # emitted last so application can reorder after per-block edits
             changes.append(
-                FieldChange(TEXT_BLOCK_ORDER_FIELD, _block_order(a_blocks), _block_order(b_blocks))
+                _new_field_change(TEXT_BLOCK_ORDER_FIELD, _block_order(a_blocks), _block_order(b_blocks))
             )
     if not changes:
         return None
-    return ElementChange(a.id, tuple(changes))
+    return _new_element_change(a.id, tuple(changes))
 
 
 def _diff_reference(a: Reference, b: Reference) -> ReferenceChange | None:
     changes: list[FieldChange] = []
     if a.kind != b.kind:
-        changes.append(FieldChange(FIELD_KIND, a.kind.value, b.kind.value))
+        changes.append(_new_field_change(FIELD_KIND, a.kind.value, b.kind.value))
     if a.source != b.source:
-        changes.append(FieldChange(FIELD_SOURCE, a.source, b.source))
+        changes.append(_new_field_change(FIELD_SOURCE, a.source, b.source))
     if a.target != b.target:
-        changes.append(FieldChange(FIELD_TARGET, a.target, b.target))
-    changes.extend(_diff_attributes(a.attributes, b.attributes))
+        changes.append(_new_field_change(FIELD_TARGET, a.target, b.target))
+    if a.attributes is not b.attributes:
+        _diff_attributes(a.attributes, b.attributes, changes)
     if not changes:
         return None
-    return ReferenceChange(a.id, tuple(changes))
+    return _new_reference_change(a.id, tuple(changes))
 
 
 def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
@@ -711,47 +724,66 @@ def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
     yields ``b``. All parts are listed in ascending id order.
     """
 
-    def rows(old: Mapping, new: Mapping) -> Iterator[tuple]:
-        return ((some_id, old.get(some_id), new.get(some_id)) for some_id in sorted(old.keys() | new.keys()))
+    def rows(old: Mapping, new: Mapping) -> list[tuple]:
+        return [(some_id, old.get(some_id), new.get(some_id)) for some_id in sorted(old.keys() | new.keys())]
 
     return _change_set(
         a.metamodel, b.metamodel, rows(a.elements, b.elements), rows(a.references, b.references)
     )
 
 
+_Row = tuple[str, ProcessElement | Reference | None, ProcessElement | Reference | None]
+
+
+def _parts(rows: Sequence[_Row], diff) -> tuple[tuple, tuple, tuple]:
+    """The added values, removed ids and changes of ``rows``."""
+    if len(rows) == 1:  # most trace entries: no lists
+        ((some_id, before, after),) = rows
+        if before is after:
+            return (), (), ()
+        if before is None:
+            return (after,), (), ()
+        if after is None:
+            return (), (some_id,), ()
+        change = diff(before, after)
+        return (), (), () if change is None else (change,)
+    added, removed, modified = [], [], []
+    for some_id, before, after in rows:
+        # models share unchanged parts, and a part is equal to itself
+        if before is after:
+            continue
+        if before is None:
+            added.append(after)
+        elif after is None:
+            removed.append(some_id)
+        elif (change := diff(before, after)) is not None:
+            modified.append(change)
+    return tuple(added), tuple(removed), tuple(modified)
+
+
 def _change_set(
     old_metamodel: MetamodelVersion,
     new_metamodel: MetamodelVersion,
-    element_rows: Iterable[tuple[str, ProcessElement | None, ProcessElement | None]],
-    reference_rows: Iterable[tuple[str, Reference | None, Reference | None]],
+    element_rows: Sequence[_Row],
+    reference_rows: Sequence[_Row],
 ) -> ChangeSet:
     """The change set of ``(id, before, after)`` rows in ascending id order; ``None`` is absent.
 
     :func:`compare_models` passes one row per id of either model, and a
-    merge's trace entry one per id written since the previous entry.
+    merge's trace entry one per id written since the previous entry. A map
+    without rows leaves its three parts empty without a pass.
     """
-
-    def parts(rows: Iterable[tuple], diff) -> tuple[tuple, tuple, tuple]:
-        added, removed, modified = [], [], []
-        for some_id, before, after in rows:
-            # models share unchanged parts, and a part is equal to itself
-            if before is after:
-                continue
-            if before is None:
-                added.append(after)
-            elif after is None:
-                removed.append(some_id)
-            elif (change := diff(before, after)) is not None:
-                modified.append(change)
-        return tuple(added), tuple(removed), tuple(modified)
-
-    metamodel_change = None
-    if old_metamodel != new_metamodel:
-        metamodel_change = (old_metamodel, new_metamodel)
-    return ChangeSet(
-        *parts(element_rows, _diff_element),
-        *parts(reference_rows, _diff_reference),
-        metamodel_change=metamodel_change,
+    added_elements = removed_elements = modified_elements = ()
+    added_references = removed_references = modified_references = ()
+    if element_rows:
+        added_elements, removed_elements, modified_elements = _parts(element_rows, _diff_element)
+    if reference_rows:
+        added_references, removed_references, modified_references = _parts(reference_rows, _diff_reference)
+    metamodel_change = None if old_metamodel == new_metamodel else (old_metamodel, new_metamodel)
+    return _new_change_set(
+        added_elements, removed_elements, modified_elements,
+        added_references, removed_references, modified_references,
+        metamodel_change,
     )
 
 
@@ -813,7 +845,7 @@ def apply_change_set(model: ProcessModel, change_set: ChangeSet) -> ProcessModel
     elements, references = dict(model.elements), dict(model.references)
     metamodel = _apply_change_set_into(model.metamodel, elements, references, change_set)
     # every id was checked, and the two maps are this call's own copies
-    return ProcessModel._trusted(metamodel, elements, references)
+    return _new_model(metamodel, elements, references)
 
 
 def _apply_change_set_into(

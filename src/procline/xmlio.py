@@ -9,7 +9,9 @@ only, or nothing; an entry is the same under every parent. One check,
 ``_checked``, holds a node to that table as the node is visited: its tag
 is allowed under its parent, its attributes fit, and its content fits. Text
 after a node's end tag (its ``tail``) belongs to the parent, and no tag that
-holds child tags holds text, so only whitespace may follow a child.
+holds child tags holds text, so only whitespace may follow a child. That
+is XML's whitespace: space, tab, CR and LF. A no-break space, U+2028 or
+U+3000 where no text may stand is unexpected text, as any other character.
 
 Serialization is canonical: UTF-8 text, LF line ends, two-space indent,
 elements and references sorted by id, attribute tags sorted by key, text
@@ -42,6 +44,7 @@ from .catalog import (
     OperationExemplar,
     OperationTypeDef,
     StepTemplate,
+    _new_exemplar,
 )
 from .errors import (
     DuplicateTypeNameError,
@@ -108,13 +111,23 @@ _SCHEMA = {
 }
 
 
+def _blank(text: str | None) -> bool:
+    """Whether ``text`` is absent or holds XML whitespace only.
+
+    ``str.isspace`` also takes U+00A0, U+2028, U+3000 and others. Among the
+    ASCII characters a parsed document can hold, it takes exactly space,
+    tab, CR and LF, and ``isascii`` costs no pass.
+    """
+    return not text or (text.isspace() and text.isascii())
+
+
 def _checked(node: ET.Element, source: str, parent: str | None) -> None:
     """Check that ``node`` may stand under ``parent`` and that its attributes and content fit its tag."""
     tag = node.tag
     if parent is not None:
         if tag not in _SCHEMA[parent][3]:
             raise SchemaError(f"unexpected <{tag}> inside <{parent}>", path=source)
-        if not (node.tail or " ").isspace():
+        if not _blank(node.tail):
             raise SchemaError(f"<{parent}> holds unexpected text", path=source)
     ordered, required, allowed, content = _SCHEMA[tag]
     keys = node.attrib.keys()
@@ -129,9 +142,9 @@ def _checked(node: ET.Element, source: str, parent: str | None) -> None:
         if len(node):
             raise SchemaError(f"<{tag}> must not have child tags", path=source)
     elif content is _EMPTY:
-        if len(node) or (node.text or "").strip():
+        if len(node) or not _blank(node.text):
             raise SchemaError(f"<{tag}> must be empty", path=source)
-    elif (node.text or "").strip():
+    elif not _blank(node.text):
         raise SchemaError(f"<{tag}> holds unexpected text", path=source)
 
 
@@ -273,25 +286,28 @@ def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
 def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
     # exemplars and their args are nearly every node of an extension, so
     # the common case of _checked runs inline here: a node that fails this
-    # quicker test goes to _checked, which names what is wrong
+    # quicker test goes to _checked, which names what is wrong (the text
+    # tests are _blank's, inline)
     exemplar_attributes, arg_attributes = _SCHEMA["exemplar"][2], _SCHEMA["arg"][2]
     exemplars = []
     for node in section:
         attrib = node.attrib
+        text, tail = node.text, node.tail
         if (
             node.tag != "exemplar"
             or attrib.keys() != exemplar_attributes
-            or (node.text or "").strip()
-            or not (node.tail or " ").isspace()
+            or (text and not (text.isspace() and text.isascii()))
+            or (tail and not (tail.isspace() and tail.isascii()))
         ):
             _checked(node, source, "operations")
         args: dict[str, str] = {}
         for child in node:
+            tail = child.tail
             if (
                 child.tag != "arg"
                 or child.attrib.keys() != arg_attributes
                 or len(child)
-                or not (child.tail or " ").isspace()
+                or (tail and not (tail.isspace() and tail.isascii()))
             ):
                 _checked(child, source, "exemplar")
             name = child.attrib["name"]
@@ -301,8 +317,8 @@ def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
                 )
             args[name] = child.text or ""
         type_name, target = attrib["type"], attrib["target"]
-        if type_name and target:
-            exemplars.append(OperationExemplar._trusted(type_name, target, args))
+        if type_name and target:  # the checks of __post_init__; and args is this node's own
+            exemplars.append(_new_exemplar(type_name, target, args))
         else:
             exemplars.append(_build(OperationExemplar, source, type_name=type_name, target=target, args=args))
     return exemplars

@@ -1,13 +1,14 @@
 """Operation catalog contents, expansion, and exemplar type checking."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import genmodels
 import oracle
-from procline.atomic import AtomicKind, apply_atomic
+from procline.atomic import AtomicKind, AtomicStep, apply_atomic
 from procline.catalog import (
     OPERATION_GROUPS,
     OperationCatalog,
@@ -27,6 +28,7 @@ from procline.model import (
     Reference,
     ReferenceKind,
 )
+from procline.xmlio import parse_catalog
 
 EXPECTED_GROUPS = [
     "Discipline Variations",
@@ -148,6 +150,114 @@ def test_expand_keeps_non_placeholder_literals():
     catalog = OperationCatalog([type_def])
     (step,) = expand_exemplar(catalog, OperationExemplar("Decorate", "r1", {"newName": "x"}))
     assert step.args == {"newName": "pre {newName} post"}
+
+
+def _expanded_by_pattern(type_def, exemplar):
+    """A recipe expanded by matching each value against the placeholder pattern, value by value."""
+
+    def substitute(value):
+        match = re.match(r"^\{([A-Za-z][A-Za-z0-9]*)\}$", value)
+        if not match:
+            return value
+        name = match.group(1)
+        if name == "target":
+            return exemplar.target
+        if name not in exemplar.args:
+            raise MissingArgumentError(
+                f"exemplar of {exemplar.type_name!r} on {exemplar.target!r}: missing argument {name!r}"
+            )
+        return exemplar.args[name]
+
+    return [
+        AtomicStep(t.atomic, substitute(t.target), {k: substitute(v) for k, v in t.args.items()})
+        for t in type_def.recipe
+    ]
+
+
+def _assert_expands_as_by_pattern(catalog, exemplar):
+    try:
+        expected = _expanded_by_pattern(catalog.lookup(exemplar.type_name), exemplar)
+    except MissingArgumentError as exc:
+        with pytest.raises(MissingArgumentError) as raised:
+            expand_exemplar(catalog, exemplar)
+        assert str(raised.value) == str(exc)
+        return
+    steps = expand_exemplar(catalog, exemplar)
+    assert steps == expected
+    assert repr(steps) == repr(expected)  # the args of each step in recipe order, too
+
+
+# values an exemplar may carry that look like placeholders, or are one
+_TRICKY_VALUES = ("{target}", "{newName}", "{}", "{a b}", "{text}", "", "plain")
+
+
+def _random_exemplar(rng, type_def):
+    names = sorted(type_def.placeholders)
+    args = {name: rng.choice(_TRICKY_VALUES + (genmodels.random_text(rng),)) for name in names}
+    for name in rng.sample(names, rng.randint(0, len(names))) if rng.random() < 0.3 else ():
+        del args[name]
+    if rng.random() < 0.3:
+        args[rng.choice(("target", "extra", "text"))] = rng.choice(_TRICKY_VALUES)
+    return OperationExemplar(type_def.name, rng.choice(("t1", "{target}", "{x}", "a b")), args)
+
+
+def test_bound_expansion_equals_pattern_expansion_on_every_builtin_step(catalog):
+    rng = random.Random(5)
+    assert len(list(catalog)) == 69
+    for type_def in catalog:
+        full = {name: f"value of {name}" for name in type_def.placeholders}
+        _assert_expands_as_by_pattern(catalog, OperationExemplar(type_def.name, "t1", full))
+        for name in sorted(type_def.placeholders):  # each argument missing in turn
+            partial = {k: v for k, v in full.items() if k != name}
+            _assert_expands_as_by_pattern(catalog, OperationExemplar(type_def.name, "t1", partial))
+        for _ in range(20):
+            _assert_expands_as_by_pattern(catalog, _random_exemplar(rng, type_def))
+
+
+_TRICKY_CATALOG = """<?xml version="1.0" encoding="UTF-8"?>
+<operationCatalog schemaVersion="1">
+  <operationType name="Tricky" group="G" targetKind="Role" metamodel="1.3">
+    <step atomic="ChangeAttribute" target="{target}">
+      <arg name="key">{a b}</arg>
+      <arg name="value">{value}</arg>
+      <arg name="empty">{}</arg>
+      <arg name="digit">{1x}</arg>
+      <arg name="inner">x{value}</arg>
+      <arg name="self">{target}</arg>
+    </step>
+    <step atomic="RenameElement" target="{other}">
+      <arg name="newName">{value}</arg>
+      <arg name="literal">value</arg>
+    </step>
+    <step atomic="MoveElement" target="literal-id"/>
+  </operationType>
+</operationCatalog>
+"""
+
+
+def test_bound_expansion_equals_pattern_expansion_on_a_parsed_catalog():
+    catalog = parse_catalog(_TRICKY_CATALOG)
+    type_def = catalog.lookup("Tricky")
+    assert type_def.placeholders == frozenset({"value", "other"})
+    exemplars = [
+        OperationExemplar("Tricky", "r1", {"value": "{target}", "other": "{value}"}),
+        OperationExemplar("Tricky", "r1", {"value": "v", "other": "o", "target": "not the target", "a b": "x"}),
+        OperationExemplar("Tricky", "{other}", {"value": "{}", "other": "{a b}"}),
+        OperationExemplar("Tricky", "r1", {"other": "o"}),
+        OperationExemplar("Tricky", "r1", {"value": "v"}),
+        OperationExemplar("Tricky", "r1"),
+    ]
+    for exemplar in exemplars:
+        _assert_expands_as_by_pattern(catalog, exemplar)
+    first, second, third = expand_exemplar(catalog, exemplars[0])
+    assert first.args == {
+        "key": "{a b}", "value": "{target}", "empty": "{}", "digit": "{1x}", "inner": "x{value}", "self": "r1",
+    }
+    assert (second.target, second.args) == ("{value}", {"newName": "{target}", "literal": "value"})
+    assert third.target == "literal-id"
+    with pytest.raises(MissingArgumentError) as raised:
+        expand_exemplar(catalog, exemplars[3])
+    assert str(raised.value) == "exemplar of 'Tricky' on 'r1': missing argument 'value'"
 
 
 # -- type checking ------------------------------------------------------------------

@@ -279,6 +279,7 @@ _HOSTILE_ROOTS = {
         _MODEL_HEAD + '  <element id="x1" kind="Role" name="A"><description>d</description>lost</element>\n'
         "</processModel>\n"
     ).encode(),
+    "no-break-space-after-an-element": (_MODEL_HEAD + _ROLE[:-1] + "\u00a0\n</processModel>\n").encode(),
     "empty-text-block-id": (
         _MODEL_HEAD + '  <element id="x1" kind="Section" name="A"><textBlock id=""/></element>\n</processModel>\n'
     ).encode(),

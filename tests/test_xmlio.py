@@ -376,6 +376,27 @@ _ONE_DEFECT_EXTENSIONS = {
         "</element></newElements></extensionModel>",
         "text block id must be non-empty",
     ),
+    # str.isspace() takes these, XML does not: they are text like any other
+    "exemplar-no-break-space-text": (
+        _ext_doc('<exemplar type="RenameRole" target="r1">\u00a0<arg name="newName">Lead</arg></exemplar>'),
+        "<exemplar> holds unexpected text",
+    ),
+    "exemplar-line-separator-tail": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"/>\u2028'),
+        "<operations> holds unexpected text",
+    ),
+    "arg-ideographic-space-tail": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"><arg name="newName">Lead</arg>\u3000</exemplar>'),
+        "<exemplar> holds unexpected text",
+    ),
+    "exclude-no-break-space-text": (
+        f'{EXT_OPEN}<exclusions><exclude id="e1">\u00a0</exclude></exclusions></extensionModel>',
+        "<exclude> must be empty",
+    ),
+    "section-no-break-space-tail": (
+        f"{EXT_OPEN}<exclusions/>\n\u00a0\n</extensionModel>",
+        "<extensionModel> holds unexpected text",
+    ),
 }
 
 
@@ -414,6 +435,22 @@ _ONE_DEFECT_MODELS = {
     "element-stray-text": (_element_doc("loose words"), "<element> holds unexpected text"),
     "element-tail": (_doc('  <element id="e1" kind="Role" name="X"/>more lost'), "<processModel> holds unexpected text"),
     "description-tail": (_element_doc("<description>d</description>lost words"), "<element> holds unexpected text"),
+    "root-no-break-space-text": (
+        f'{MODEL_HEADER}\u00a0<element id="e1" kind="Role" name="X"/></processModel>',
+        "<processModel> holds unexpected text",
+    ),
+    "element-line-separator-tail": (
+        _doc('  <element id="e1" kind="Role" name="X"/>\u2028'),
+        "<processModel> holds unexpected text",
+    ),
+    "element-ideographic-space-text": (
+        _element_doc("\u3000<description>d</description>"),
+        "<element> holds unexpected text",
+    ),
+    "description-no-break-space-tail": (
+        _element_doc("<description>d</description> \u00a0 "),
+        "<element> holds unexpected text",
+    ),
     "element-duplicate-id": (
         _doc('  <element id="dup" kind="Role" name="A"/>\n  <element id="dup" kind="Role" name="B"/>'),
         "duplicate id 'dup' in document",
@@ -570,6 +607,18 @@ _ONE_DEFECT_CATALOGS = {
     "arg-extra-attribute": (_step_doc('<arg name="newName" lang="de">v</arg>'), "<arg> has unexpected attribute 'lang'"),
     "arg-child-tag": (_step_doc('<arg name="newName"><b/></arg>'), "<arg> must not have child tags"),
     "arg-tail": (_step_doc('<arg name="newName">v</arg>loose words'), "<step> holds unexpected text"),
+    "type-no-break-space-text": (
+        _type_doc('\u00a0<step atomic="RenameElement" target="{target}"/>'),
+        "<operationType> holds unexpected text",
+    ),
+    "step-line-separator-tail": (
+        _type_doc('<step atomic="RenameElement" target="{target}"/>\u2028'),
+        "<operationType> holds unexpected text",
+    ),
+    "arg-ideographic-space-tail": (
+        _step_doc('<arg name="newName">v</arg>\u3000'),
+        "<step> holds unexpected text",
+    ),
     "repeated-argument": (
         _step_doc('<arg name="newName">a</arg><arg name="newName">b</arg>'),
         "step repeats argument 'newName'",
@@ -622,16 +671,24 @@ _MUTATIONS = (
     "whitespace text",
     "stray tail",
     "whitespace tail",
+    "non-XML whitespace text",
+    "non-XML whitespace tail",
     "unknown child",
     "duplicate",
     "move up",
 )
 
 
+# whitespace to str.isspace(), text to XML
+_NON_XML_WHITESPACE = ("\u00a0", "\u2028", "\u3000", "\n  \u00a0\n  ", "\x85")
+# the tags that hold text
+_TEXT_TAGS = frozenset({"description", "attribute", "textBlock", "arg"})
+
+
 def _applies(kind: str, has_attributes: bool, depth: int) -> bool:
     if kind in ("drop attribute", "blank attribute", "garble attribute"):
         return has_attributes
-    if kind in ("duplicate", "stray tail", "whitespace tail"):
+    if kind in ("duplicate", "stray tail", "whitespace tail", "non-XML whitespace tail"):
         return depth >= 1
     if kind == "move up":
         return depth >= 2
@@ -659,6 +716,10 @@ def _mutate(kind: str, node: ET.Element, parents: dict, names: list[str], rng: r
         node.tail = rng.choice(["loose words", (node.tail or "") + "loose words", "x\n  "])
     elif kind == "whitespace tail":
         node.tail = rng.choice(["", " ", "\n    ", "\t\n"])
+    elif kind == "non-XML whitespace text":
+        node.text = rng.choice(_NON_XML_WHITESPACE)
+    elif kind == "non-XML whitespace tail":
+        node.tail = rng.choice(_NON_XML_WHITESPACE)
     elif kind == "unknown child":
         node.insert(rng.randint(0, len(node)), ET.Element("widget"))
     elif kind == "duplicate":
@@ -672,7 +733,7 @@ def _mutate(kind: str, node: ET.Element, parents: dict, names: list[str], rng: r
 
 
 def mutated_documents(seed: int, per_stratum: int) -> list[tuple[str, str, str, str]]:
-    """(label, mutation, root tag, document) for seeded single-node mutations of the shipped files.
+    """(label, mutation, tag, root tag, document) for seeded single-node mutations of the shipped files.
 
     Each mutation kind is drawn ``per_stratum`` times for each tag it
     applies to, so rare tags and rare kinds are reached as often as common ones.
@@ -699,7 +760,7 @@ def mutated_documents(seed: int, per_stratum: int) -> list[tuple[str, str, str, 
                 parents = {child: parent for parent in root.iter() for child in parent}
                 _mutate(kind, node, parents, names, rng)
                 label = f"{file_name}: {kind} on <{tag}> #{index}"
-                documents.append((label, kind, root.tag, ET.tostring(root, encoding="unicode")))
+                documents.append((label, kind, tag, root.tag, ET.tostring(root, encoding="unicode")))
     return documents
 
 
@@ -707,18 +768,46 @@ def test_single_node_mutations_parse_or_raise_a_procline_error():
     documents = mutated_documents(seed=1, per_stratum=3)
     assert len(documents) > 300
     failures = []
-    for label, kind, root_tag, text in documents:
+    for label, kind, tag, root_tag, text in documents:
         try:
             _PARSERS[root_tag](text)
         except ProclineError as exc:
             if kind.startswith("whitespace"):  # whitespace is never content the schema forbids
                 failures.append(f"{label}: {exc!r}")
+            elif kind == "non-XML whitespace text" and tag in _TEXT_TAGS:
+                failures.append(f"{label}: {exc!r}")
+            elif kind.startswith("non-XML") and type(exc) is not SchemaError:
+                failures.append(f"{label}: {exc!r}")
         except Exception as exc:
             failures.append(f"{label}: {exc!r}")
         else:
-            if kind == "stray tail":  # no tag that holds child tags holds text
+            if kind in ("stray tail", "non-XML whitespace tail"):  # no tag that holds child tags holds text
+                failures.append(f"{label}: parsed")
+            elif kind == "non-XML whitespace text" and tag not in _TEXT_TAGS:
                 failures.append(f"{label}: parsed")
     assert failures == []
+
+
+def test_text_values_keep_non_xml_whitespace():
+    spaces = "\u00a0\u2028\u3000\x85"
+    model = ProcessModel.of(
+        MetamodelVersion.V1_3,
+        [
+            ProcessElement(
+                "e1",
+                ElementKind.SECTION,
+                spaces,
+                description=spaces,
+                attributes={"k": spaces},
+                text_blocks=(TextBlock("b1", spaces),),
+            )
+        ],
+    )
+    assert parse_model(serialize_model(model)) == model
+    ext = ExtensionModel(
+        "X", "root", MetamodelVersion.V1_3, exemplars=(OperationExemplar("RenameRole", "r1", {"newName": spaces}),)
+    )
+    assert parse_extension(serialize_extension(ext)) == ext
 
 
 def test_catalog_synthetic_flag_and_steps():
