@@ -25,7 +25,7 @@ from .errors import (
 )
 from .model import ElementKind, MetamodelVersion, ProcessModel, ReferenceKind, _trusted, _WorkingModel
 
-_PLACEHOLDER = re.compile(r"^\{([A-Za-z][A-Za-z0-9]*)\}$")
+_PLACEHOLDER = re.compile(r"\{([A-Za-z][A-Za-z0-9]*)\}")
 
 #: Placeholder bound to the exemplar's target id rather than a named argument.
 TARGET_PLACEHOLDER = "target"
@@ -50,7 +50,7 @@ class StepTemplate:
 
 def _placeholder(value: str) -> str | None:
     """The name of the placeholder ``value`` is, or None for a literal."""
-    match = _PLACEHOLDER.match(value)
+    match = _PLACEHOLDER.fullmatch(value)  # not match with "$": "$" also matches before a final LF
     return match.group(1) if match else None
 
 

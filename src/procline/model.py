@@ -5,7 +5,8 @@ maps, read through lookups and :meth:`ProcessModel.check_consistency`. A new
 model comes from the public constructor (which copies and checks both maps),
 from :func:`apply_change_set`, or from a merge; callers can therefore hold on
 to any intermediate state (merge bases, trace snapshots) without defensive
-copies. Elements and references have their own ``with_*`` updates.
+copies. Elements and references have their own ``with_*`` updates; each
+builds a new object from the fields (:func:`_replacer`) and changes none.
 
 Every write of a merge goes through one path: the base maps are copied once
 into a :class:`_WorkingModel`, every step writes into them, the old value of
@@ -219,6 +220,20 @@ def ordering_number(raw: str) -> Decimal | None:
     return number if number.is_finite() else None
 
 
+def _compiled(
+    cls: type[_D], name: str, params: str, values: Iterable[str], **namespace: Any
+) -> Callable[..., _D]:
+    """The function ``name(params)`` that stores each of ``values``, given as source, in a new ``cls``."""
+    source = "\n".join(
+        [f"def {name}({params}):", "    __obj = __new(__cls)"]
+        + [f"    __store(__obj, {f.name!r}, {value})" for f, value in zip(fields(cls), values, strict=True)]
+        + ["    return __obj"]
+    )
+    namespace.update(__new=object.__new__, __store=object.__setattr__, __cls=cls)
+    exec(source, namespace)
+    return namespace[name]
+
+
 def _trusted(cls: type[_D]) -> Callable[..., _D]:
     """A function that builds the dataclass ``cls`` from values the caller has checked.
 
@@ -231,21 +246,28 @@ def _trusted(cls: type[_D]) -> Callable[..., _D]:
     later.
     """
     names = [f.name for f in fields(cls)]
-    source = "\n".join(
-        [f"def _trusted_{cls.__name__}({', '.join(names)}):", "    __obj = __new(__cls)"]
-        + [f"    __store(__obj, {name!r}, {name})" for name in names]
-        + ["    return __obj"]
+    return _compiled(cls, f"_trusted_{cls.__name__}", ", ".join(names), names)
+
+
+_KEEP = object()  # the default of every parameter of a _replacer function
+
+
+def _replacer(cls: type[_D]) -> Callable[..., _D]:
+    """A function ``(obj, **updates)`` that builds ``obj`` of class ``cls`` with ``updates`` applied.
+
+    Every field not updated is read off ``obj``, and the result is stored
+    field by field, as :func:`_trusted` builds: unchecked, laid out as a
+    constructed instance, and holding nothing but the fields. ``obj`` itself
+    is only read, so what else it holds stays with it.
+    """
+    names = [f.name for f in fields(cls)]
+    return _compiled(
+        cls,
+        f"_replace_{cls.__name__}",
+        "__src, *, " + ", ".join(f"{name}=__keep" for name in names),
+        [f"__src.{name} if {name} is __keep else {name}" for name in names],
+        __keep=_KEEP,
     )
-    namespace = {"__new": object.__new__, "__store": object.__setattr__, "__cls": cls}
-    exec(source, namespace)
-    return namespace[f"_trusted_{cls.__name__}"]
-
-
-def _replaced(obj: _D, **updates: Any) -> _D:
-    """``obj`` with ``updates`` applied, past the frozen ``__setattr__`` and unchecked."""
-    new = object.__new__(type(obj))
-    new.__dict__.update(obj.__dict__, **updates)
-    return new
 
 
 @dataclass(frozen=True)
@@ -291,28 +313,28 @@ class ProcessElement:
                 raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
             seen.add(block.id)
 
-    # The updates below build their result with _replaced, which skips
-    # __post_init__: each checks only what it changes, and shares the rest.
+    # The updates below build their result with _replace_element, which
+    # skips __post_init__: each checks only what it changes, and shares the rest.
 
     def with_name(self, name: str) -> "ProcessElement":
         if not name:
             raise ValueError(f"element {self.id!r}: name must be non-empty")
-        return _replaced(self, name=name)
+        return _replace_element(self, name=name)
 
     def with_description(self, description: str) -> "ProcessElement":
-        return _replaced(self, description=description)
+        return _replace_element(self, description=description)
 
     def with_kind(self, kind: ElementKind) -> "ProcessElement":
-        return _replaced(self, kind=ElementKind(kind))
+        return _replace_element(self, kind=ElementKind(kind))
 
     def with_attribute(self, key: str, value: str) -> "ProcessElement":
         attrs = dict(self.attributes)
         attrs[key] = value
-        return _replaced(self, attributes=attrs)
+        return _replace_element(self, attributes=attrs)
 
     def without_attribute(self, key: str) -> "ProcessElement":
         attrs = {k: v for k, v in self.attributes.items() if k != key}
-        return _replaced(self, attributes=attrs)
+        return _replace_element(self, attributes=attrs)
 
     def find_block(self, block_id: str) -> TextBlock | None:
         for block in self.text_blocks:
@@ -326,7 +348,7 @@ class ProcessElement:
         blocks = tuple(
             TextBlock(b.id, text) if b.id == block_id else b for b in self.text_blocks
         )
-        return _replaced(self, text_blocks=blocks)
+        return _replace_element(self, text_blocks=blocks)
 
     def with_text_blocks(self, blocks: Iterable[TextBlock]) -> "ProcessElement":
         blocks = tuple(blocks)
@@ -335,7 +357,7 @@ class ProcessElement:
             if block.id in seen:
                 raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
             seen.add(block.id)
-        return _replaced(self, text_blocks=blocks)
+        return _replace_element(self, text_blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -361,16 +383,16 @@ class Reference:
         target = self.target if target is None else target
         if not source or not target:
             raise ValueError(f"reference {self.id!r}: source and target must be non-empty")
-        return _replaced(self, source=source, target=target)
+        return _replace_reference(self, source=source, target=target)
 
     def with_attribute(self, key: str, value: str) -> "Reference":
         attrs = dict(self.attributes)
         attrs[key] = value
-        return _replaced(self, attributes=attrs)
+        return _replace_reference(self, attributes=attrs)
 
     def without_attribute(self, key: str) -> "Reference":
         attrs = {k: v for k, v in self.attributes.items() if k != key}
-        return _replaced(self, attributes=attrs)
+        return _replace_reference(self, attributes=attrs)
 
 
 @dataclass(frozen=True)
@@ -465,6 +487,8 @@ class ProcessModel:
 
 
 _new_model = _trusted(ProcessModel)
+_replace_element = _replacer(ProcessElement)
+_replace_reference = _replacer(Reference)
 
 
 def endpoint_kind_violation(kind: ReferenceKind, side: str, elem_kind: ElementKind) -> str | None:

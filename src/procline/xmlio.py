@@ -18,12 +18,22 @@ elements and references sorted by id, attribute tags sorted by key, text
 blocks in model order, CR written as ``&#13;``. Canonical files are a fixed
 point of parse-then-serialize, which is what makes them diffable. Each
 writer appends finished lines, indents included, to one list and joins it
-once. Each value is scanned once, for the characters that need escaping
-(``& < > "``, LF, CR and tab in attributes; ``& < >`` and CR in text) and
-for those XML cannot carry at all; a value holding neither is written as
-it is, and enum values and counts are never scanned. A value holding a
-character XML cannot carry raises :class:`IllegalCharacterError`, naming
+once; an element or reference is one entry, its lines joined by LF. Each
+value is scanned once, for the characters that need escaping (``& < > "``,
+LF, CR and tab in attributes; ``& < >`` and CR in text) and for those XML
+cannot carry at all; a value holding neither is written as it is, and enum
+values (read as ``_value_``) and counts are never scanned. A value holding
+a character XML cannot carry raises :class:`IllegalCharacterError`, naming
 its output line, instead of producing a broken file.
+
+Elements and references, their attribute maps included, are never changed
+in place: an update builds a new object. So :func:`serialize_model` keeps
+each one's block on the object the first time it writes that block without
+error, and joins kept blocks in id order. A merged model shares the assets
+its merge left alone with its base, and formats only the ones it made. The
+kept block is no field: ``==``, ``repr`` and ``compare_models`` do not see
+it, and it lives in the instance's own attribute storage (no new gc-tracked
+object on CPython 3.11).
 
 Statistics exports (CSV and plain text) live here too, next to the other
 output formats.
@@ -467,7 +477,7 @@ def _text(value: str) -> str:
 
 
 def _document(build: Callable[[Any, _Escaper, _Escaper], list[str]], subject: Any) -> str:
-    """The lines ``build(subject, attr, text)`` writes, as one document.
+    """The lines ``build(subject, attr, text)`` writes, joined by LF, as one document.
 
     The writers take the value escapers as arguments. With :func:`_attr`
     and :func:`_text` each value is scanned once; when one holds a character
@@ -490,43 +500,51 @@ def _document(build: Callable[[Any, _Escaper, _Escaper], list[str]], subject: An
     )
 
 
-def _add_keyed(
-    lines: list[str], pad: str, tag: str, key: str, values: Mapping[str, str], attr: _Escaper, text: _Escaper
-) -> None:
-    """One ``<tag key="name">value</tag>`` line per entry of ``values``, sorted by name."""
+def _keyed_lines(
+    pad: str, tag: str, key: str, values: Mapping[str, str], attr: _Escaper, text: _Escaper
+) -> str:
+    """One ``<tag key="name">value</tag>`` line per entry of ``values``, sorted by name, each after an LF."""
+    block = ""
     for name in sorted(values):
         value = values[name]
-        head = f"{pad}<{tag} {key}={attr(name)}"
-        lines.append(f"{head}>{text(value)}</{tag}>" if value else head + "/>")
+        head = f"\n{pad}<{tag} {key}={attr(name)}"
+        block += f"{head}>{text(value)}</{tag}>" if value else head + "/>"
+    return block
 
 
-def _add_element(lines: list[str], pad: str, elem: ProcessElement, attr: _Escaper, text: _Escaper) -> None:
-    head = f'{pad}<element id={attr(elem.id)} kind="{elem.kind.value}" name={attr(elem.name)}'
-    if not (elem.description or elem.attributes or elem.text_blocks):
-        lines.append(head + "/>")
-        return
-    lines.append(head + ">")
+def _element_block(elem: ProcessElement, pad: str, attr: _Escaper, text: _Escaper) -> str:
+    """The lines of ``elem`` indented by ``pad``, as one string."""
+    head = f'{pad}<element id={attr(elem.id)} kind="{elem.kind._value_}" name={attr(elem.name)}'
+    description, attributes, blocks = elem.description, elem.attributes, elem.text_blocks
+    if not (description or attributes or blocks):
+        return head + "/>"
     inner = pad + "  "
-    if elem.description:
-        lines.append(f"{inner}<description>{text(elem.description)}</description>")
-    _add_keyed(lines, inner, "attribute", "key", elem.attributes, attr, text)
-    for block in elem.text_blocks:
-        opening = f"{inner}<textBlock id={attr(block.id)}"
-        lines.append(f"{opening}>{text(block.text)}</textBlock>" if block.text else opening + "/>")
-    lines.append(pad + "</element>")
+    block = head + ">"
+    if description:
+        block += f"\n{inner}<description>{text(description)}</description>"
+    if attributes:
+        block += _keyed_lines(inner, "attribute", "key", attributes, attr, text)
+    for text_block in blocks:
+        opening = f"\n{inner}<textBlock id={attr(text_block.id)}"
+        block += f"{opening}>{text(text_block.text)}</textBlock>" if text_block.text else opening + "/>"
+    return f"{block}\n{pad}</element>"
 
 
-def _add_reference(lines: list[str], pad: str, ref: Reference, attr: _Escaper, text: _Escaper) -> None:
+def _reference_block(ref: Reference, pad: str, attr: _Escaper, text: _Escaper) -> str:
+    """The lines of ``ref`` indented by ``pad``, as one string."""
     head = (
-        f'{pad}<reference id={attr(ref.id)} kind="{ref.kind.value}"'
+        f'{pad}<reference id={attr(ref.id)} kind="{ref.kind._value_}"'
         f" source={attr(ref.source)} target={attr(ref.target)}"
     )
     if not ref.attributes:
-        lines.append(head + "/>")
-        return
-    lines.append(head + ">")
-    _add_keyed(lines, pad + "  ", "attribute", "key", ref.attributes, attr, text)
-    lines.append(pad + "</reference>")
+        return head + "/>"
+    attributes = _keyed_lines(pad + "  ", "attribute", "key", ref.attributes, attr, text)
+    return f"{head}>{attributes}\n{pad}</reference>"
+
+
+# the attribute under which serialize_model keeps an element's or reference's
+# block, written by the checking escapers _attr and _text
+_KEPT_BLOCK = "_xmlio_block"
 
 
 def serialize_model(model: ProcessModel) -> str:
@@ -534,15 +552,22 @@ def serialize_model(model: ProcessModel) -> str:
 
 
 def _model_lines(model: ProcessModel, attr: _Escaper, text: _Escaper) -> list[str]:
-    head = f'<processModel schemaVersion="{SCHEMA_VERSION}" metamodel="{model.metamodel.value}"'
+    head = f'<processModel schemaVersion="{SCHEMA_VERSION}" metamodel="{model.metamodel._value_}"'
     if not model.elements and not model.references:
         return [_DECLARATION, head + "/>"]
     lines = [_DECLARATION, head + ">"]
-    elements, references = model.elements, model.references
-    for elem_id in sorted(elements):
-        _add_element(lines, "  ", elements[elem_id], attr, text)
-    for ref_id in sorted(references):
-        _add_reference(lines, "  ", references[ref_id], attr, text)
+    # a kept block is the same for every pair of escapers, but only a block
+    # the checking ones wrote is known to hold no character XML cannot carry
+    keep = attr is _attr
+    for assets, write in ((model.elements, _element_block), (model.references, _reference_block)):
+        for some_id in sorted(assets):
+            asset = assets[some_id]
+            block = getattr(asset, _KEPT_BLOCK, None)
+            if block is None:
+                block = write(asset, "  ", attr, text)
+                if keep:
+                    object.__setattr__(asset, _KEPT_BLOCK, block)
+            lines.append(block)
     lines.append("</processModel>")
     return lines
 
@@ -554,20 +579,18 @@ def serialize_extension(ext: ExtensionModel) -> str:
 def _extension_lines(ext: ExtensionModel, attr: _Escaper, text: _Escaper) -> list[str]:
     head = (
         f'<extensionModel schemaVersion="{SCHEMA_VERSION}" id={attr(ext.variant_id)}'
-        f' parent={attr(ext.parent_id)} metamodel="{ext.metamodel.value}"'
+        f' parent={attr(ext.parent_id)} metamodel="{ext.metamodel._value_}"'
     )
     if not (ext.new_elements or ext.new_references or ext.exclusions or ext.exemplars):
         return [_DECLARATION, head + "/>"]
     lines = [_DECLARATION, head + ">"]
     if ext.new_elements:
         lines.append("  <newElements>")
-        for elem in ext.new_elements:
-            _add_element(lines, "    ", elem, attr, text)
+        lines.extend(_element_block(elem, "    ", attr, text) for elem in ext.new_elements)
         lines.append("  </newElements>")
     if ext.new_references:
         lines.append("  <newReferences>")
-        for ref in ext.new_references:
-            _add_reference(lines, "    ", ref, attr, text)
+        lines.extend(_reference_block(ref, "    ", attr, text) for ref in ext.new_references)
         lines.append("  </newReferences>")
     if ext.exclusions:
         lines.append("  <exclusions>")
@@ -578,9 +601,8 @@ def _extension_lines(ext: ExtensionModel, attr: _Escaper, text: _Escaper) -> lis
         for exemplar in ext.exemplars:
             head = f"    <exemplar type={attr(exemplar.type_name)} target={attr(exemplar.target)}"
             if exemplar.args:
-                lines.append(head + ">")
-                _add_keyed(lines, "      ", "arg", "name", exemplar.args, attr, text)
-                lines.append("    </exemplar>")
+                args = _keyed_lines("      ", "arg", "name", exemplar.args, attr, text)
+                lines.append(f"{head}>{args}\n    </exemplar>")
             else:
                 lines.append(head + "/>")
         lines.append("  </operations>")
@@ -600,16 +622,15 @@ def _catalog_lines(catalog: OperationCatalog, attr: _Escaper, text: _Escaper) ->
     for type_def in catalog:
         lines.append(
             f"  <operationType name={attr(type_def.name)} group={attr(type_def.group)}"
-            f' targetKind="{type_def.target_kind.value}"'
-            f' metamodel="{type_def.defining_metamodel.value}"'
+            f' targetKind="{type_def.target_kind._value_}"'
+            f' metamodel="{type_def.defining_metamodel._value_}"'
             + (' synthetic="true">' if type_def.synthetic else ">")
         )
         for step in type_def.recipe:
-            head = f'    <step atomic="{step.atomic.value}" target={attr(step.target)}'
+            head = f'    <step atomic="{step.atomic._value_}" target={attr(step.target)}'
             if step.args:
-                lines.append(head + ">")
-                _add_keyed(lines, "      ", "arg", "name", step.args, attr, text)
-                lines.append("    </step>")
+                args = _keyed_lines("      ", "arg", "name", step.args, attr, text)
+                lines.append(f"{head}>{args}\n    </step>")
             else:
                 lines.append(head + "/>")
         lines.append("  </operationType>")
@@ -625,14 +646,14 @@ def serialize_trace(trace: MergeTrace) -> str:
 def _trace_lines(trace: MergeTrace, attr: _Escaper, text: _Escaper) -> list[str]:
     head = f'<mergeTrace schemaVersion="{SCHEMA_VERSION}"'
     if trace.final_metamodel is not None:
-        head += f' finalMetamodel="{trace.final_metamodel.value}"'
+        head += f' finalMetamodel="{trace.final_metamodel._value_}"'
     if not trace.entries:
         return [_DECLARATION, head + "/>"]
     lines = [_DECLARATION, head + ">"]
     for entry in trace.entries:
         kind = entry.kind
         line = (
-            f'  <entry kind="{kind.value}" variant={attr(entry.variant_id)}'
+            f'  <entry kind="{kind._value_}" variant={attr(entry.variant_id)}'
             f" subject={attr(entry.subject)}"
         )
         if entry.target:
@@ -650,10 +671,10 @@ def _trace_lines(trace: MergeTrace, attr: _Escaper, text: _Escaper) -> list[str]
 
 def render_trace_text(trace: MergeTrace) -> str:
     """One line per trace entry, for terminal output."""
-    final = trace.final_metamodel.value if trace.final_metamodel else "unchanged"
+    final = trace.final_metamodel._value_ if trace.final_metamodel else "unchanged"
     lines = [f"merge trace: {len(trace.entries)} entries, final metamodel {final}"]
     for entry in trace.entries:
-        parts = [f"[{entry.variant_id}] {entry.kind.value} {entry.subject}"]
+        parts = [f"[{entry.variant_id}] {entry.kind._value_} {entry.subject}"]
         if entry.target:
             parts.append(f"on {entry.target}")
         if entry.kind is TraceEntryKind.EXCLUSION_APPLIED:

@@ -15,7 +15,10 @@ those at all, and serialization rejects them.
 import dataclasses
 import itertools
 import random
+import sys
+from pathlib import Path
 
+from procline import model as model_module
 from procline.atomic import AtomicKind
 from procline.catalog import OperationExemplar
 from procline.merge import ExtensionModel, VariantSet
@@ -30,6 +33,7 @@ from procline.model import (
     ReferenceKind,
     TextBlock,
 )
+from procline.xmlio import parse_extension, parse_model
 
 _WORDS = (
     "analysis", "baseline", "draft", "review", "handover", "estimate",
@@ -689,3 +693,16 @@ def mutate_model(rng: random.Random, model: ProcessModel) -> ProcessModel:
         elif op == 11:
             metamodel = rng.choice(tuple(MetamodelVersion))
     return ProcessModel(metamodel, elements, references)
+
+
+def scaled_variant_set(k: int) -> VariantSet:
+    """The benchmark's scaled family with ``k`` copies (``perfbench/gen.py``, seed 0), parsed."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(perfbench))
+    files = gen.scaled_family(Path(model_module.__file__).parent / "data", k, 0)
+    root = parse_model(files.pop("root.xml"))
+    return VariantSet.of(root, [parse_extension(text) for text in files.values()])

@@ -156,7 +156,7 @@ def _expanded_by_pattern(type_def, exemplar):
     """A recipe expanded by matching each value against the placeholder pattern, value by value."""
 
     def substitute(value):
-        match = re.match(r"^\{([A-Za-z][A-Za-z0-9]*)\}$", value)
+        match = re.fullmatch(r"\{([A-Za-z][A-Za-z0-9]*)\}", value)
         if not match:
             return value
         name = match.group(1)
@@ -223,6 +223,8 @@ _TRICKY_CATALOG = """<?xml version="1.0" encoding="UTF-8"?>
       <arg name="empty">{}</arg>
       <arg name="digit">{1x}</arg>
       <arg name="inner">x{value}</arg>
+      <arg name="newline">{text}
+</arg>
       <arg name="self">{target}</arg>
     </step>
     <step atomic="RenameElement" target="{other}">
@@ -251,7 +253,8 @@ def test_bound_expansion_equals_pattern_expansion_on_a_parsed_catalog():
         _assert_expands_as_by_pattern(catalog, exemplar)
     first, second, third = expand_exemplar(catalog, exemplars[0])
     assert first.args == {
-        "key": "{a b}", "value": "{target}", "empty": "{}", "digit": "{1x}", "inner": "x{value}", "self": "r1",
+        "key": "{a b}", "value": "{target}", "empty": "{}", "digit": "{1x}", "inner": "x{value}",
+        "newline": "{text}\n", "self": "r1",
     }
     assert (second.target, second.args) == ("{value}", {"newName": "{target}", "literal": "value"})
     assert third.target == "literal-id"

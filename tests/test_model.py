@@ -1,5 +1,7 @@
 """Core model invariants: construction, lookup, consistency, diff/patch."""
 
+import dataclasses
+import gc
 import hashlib
 import itertools
 import operator
@@ -131,6 +133,57 @@ def test_functional_updates_keep_their_input_checks():
     renamed = elem.with_name("B")
     assert renamed.attributes is elem.attributes and renamed.text_blocks is elem.text_blocks
     assert ref.with_endpoints(target="c").attributes is ref.attributes
+
+
+# each update, and the tracked objects it must make besides its result: a
+# new text block tuple, and a new text block
+_UPDATES = {
+    "with_name": (lambda elem, ref: elem.with_name("B"), 0),
+    "with_description": (lambda elem, ref: elem.with_description("d"), 0),
+    "with_kind": (lambda elem, ref: elem.with_kind(ElementKind.TASK), 0),
+    "with_attribute": (lambda elem, ref: elem.with_attribute("k", "w"), 0),
+    "without_attribute": (lambda elem, ref: elem.without_attribute("k"), 0),
+    "with_block_text": (lambda elem, ref: elem.with_block_text("b1", "y"), 2),
+    "with_text_blocks": (lambda elem, ref: elem.with_text_blocks(elem.text_blocks[::-1]), 1),
+    "with_endpoints": (lambda elem, ref: ref.with_endpoints(target="c"), 0),
+    "reference with_attribute": (lambda elem, ref: ref.with_attribute("k", "w"), 0),
+    "reference without_attribute": (lambda elem, ref: ref.without_attribute("k"), 0),
+}
+
+
+@pytest.mark.parametrize("update, parts", _UPDATES.values(), ids=_UPDATES)
+def test_an_update_adds_no_tracked_object_a_constructed_one_lacks(update, parts):
+    # an update is built from the fields: it creates no __dict__ on its
+    # source or its result, and takes nothing else the source holds
+    def sources(i):
+        blocks = (TextBlock("b1", "x"), TextBlock("b2", "z"))
+        elem = _element(f"e{i}", attributes={"k": "v"}, text_blocks=blocks)
+        return elem, Reference(f"r{i}", ReferenceKind.RESPONSIBILITY, elem.id, "b", {"k": "v"})
+
+    def constructed_twin(value):
+        return type(value)(**{f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+
+    pairs = [sources(i) for i in range(500)]
+    for elem, ref in pairs:
+        object.__setattr__(elem, "_held", "what only the source holds")
+        object.__setattr__(ref, "_held", "what only the source holds")
+    updated = [update(elem, ref) for elem, ref in pairs]
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        twins = [constructed_twin(value) for value in updated]
+        constructed = len(gc.get_objects()) - before
+        del twins
+        before = len(gc.get_objects())
+        again = [update(elem, ref) for elem, ref in pairs]
+        made = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert again == updated
+    assert constructed == len(pairs) + 1  # one per element, and the list
+    assert made == constructed + parts * len(pairs)
+    assert not any(hasattr(value, "_held") for value in again)
 
 
 def test_enum_coercion_from_strings():

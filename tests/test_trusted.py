@@ -10,10 +10,8 @@ import dataclasses
 import gc
 import inspect
 import random
-import sys
 import types
 import typing
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +21,7 @@ from procline import catalog as catalog_module, merge as merge_module, model as 
 from procline.atomic import AtomicStep
 from procline.catalog import OperationExemplar, expand_exemplar
 from procline.errors import ConflictError, ValidationFailedError
-from procline.merge import TraceEntry, VariantSet, apply_masking, merge_chain, merge_once
+from procline.merge import TraceEntry, apply_masking, merge_chain, merge_once
 from procline.model import (
     ChangeSet,
     ElementChange,
@@ -37,7 +35,7 @@ from procline.model import (
     compare_models,
 )
 from procline.studyline import DATA_FILES, fixture_text, masking_extension
-from procline.xmlio import parse_extension, parse_model
+from procline.xmlio import parse_extension
 
 _TRUSTED_TYPES = (
     TraceEntry,
@@ -128,20 +126,9 @@ def test_masking_traces_equal_their_twins(root, catalog):
     _assert_merge_like_twins(model, trace, root)
 
 
-def _scaled_family(k: int) -> dict[str, str]:
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    sys.path.insert(0, str(perfbench))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(perfbench))
-    return gen.scaled_family(Path(model_module.__file__).parent / "data", k, 0)
-
-
 def test_scaled_family_traces_equal_their_twins(catalog):
-    files = _scaled_family(2)
-    root = parse_model(files.pop("root.xml"))
-    variant_set = VariantSet.of(root, [parse_extension(text) for text in files.values()])
+    variant_set = genmodels.scaled_variant_set(2)
+    root = variant_set.root
     for leaf in variant_set.variant_ids():
         model, trace = merge_chain(variant_set, leaf, catalog)
         _assert_merge_like_twins(model, trace, root)
