@@ -3,9 +3,10 @@
 An operation type binds a name to a target kind, the metamodel version that
 introduced it, and a recipe of atomic step templates. An exemplar names a
 type, a concrete target, and argument values; expansion substitutes the
-arguments into the recipe. Types whose recipes are not publicly documented
-ship as clearly flagged ``Synthetic...`` placeholder entries so catalog
-counts and groups stay complete.
+arguments into the recipe. The built-in catalog is the shipped
+``data/catalog.xml``; types whose recipes are not publicly documented are
+clearly flagged ``Synthetic...`` placeholder entries there so catalog counts
+and groups stay complete.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class StepTemplate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "atomic", AtomicKind(self.atomic))
         object.__setattr__(self, "args", dict(self.args))
-
-    def placeholders(self) -> frozenset[str]:
-        names = {_placeholder(value) for value in (self.target, *self.args.values())}
-        return frozenset(names - {None, TARGET_PLACEHOLDER})
 
 
 def _placeholder(value: str) -> str | None:
@@ -86,10 +83,11 @@ class OperationTypeDef:
         ``__dict__``, past the frozen ``__setattr__``, and equality, hash and
         repr read only the fields.
         """
-        names: set[str] = set()
-        for template in self.recipe:
-            names |= template.placeholders()
-        return frozenset(names)
+        names: set[str | None] = set()
+        for _, (target_name, _), args in self._bound_recipe:
+            names.add(target_name)
+            names.update(name for _, (name, _) in args)
+        return frozenset(names - {None, TARGET_PLACEHOLDER})
 
     @cached_property
     def _bound_recipe(self) -> tuple[tuple[AtomicKind, _Bound, tuple[tuple[str, _Bound], ...]], ...]:
@@ -97,7 +95,7 @@ class OperationTypeDef:
 
         Each value is ``(placeholder name, value)``, the name None for a
         literal, so expansion looks names up and matches no pattern. Cached
-        like :attr:`placeholders`.
+        like :attr:`placeholders`, which reads it.
         """
         return tuple(
             (
@@ -281,215 +279,10 @@ def _run_exemplar(
     return [], steps
 
 
-# ---------------------------------------------------------------------------
-# Built-in catalog
-# ---------------------------------------------------------------------------
-
-GROUP_DISCIPLINE = "Discipline Variations"
-GROUP_WORK_PRODUCT = "Work Product Variations"
-GROUP_TOPIC = "Topic Variations"
-GROUP_ACTIVITY = "Activity Variations"
-GROUP_TASK = "Task Variations"
-GROUP_ROLE = "Role Variations"
-GROUP_TAILORING = "Tailoring Variations"
-GROUP_DECISION_GATE = "Decision Gate Variations"
-GROUP_DESCRIPTION_REPLACEMENTS = "Description Replacements"
-GROUP_DESCRIPTION_ADD_ONS = "Description Add-ons"
-GROUP_DESCRIPTION_REARRANGEMENTS = "Description Re-Arragements"
-GROUP_DESCRIPTION_REMOVEMENTS = "Description Removements"
-GROUP_TOOL_METHOD = "Tool/Method Ref. Variations"
-GROUP_MAPPING = "Mapping Variations"
-GROUP_APPENDIX = "Appendix Variations"
-
-OPERATION_GROUPS = (
-    GROUP_DISCIPLINE,
-    GROUP_WORK_PRODUCT,
-    GROUP_TOPIC,
-    GROUP_ACTIVITY,
-    GROUP_TASK,
-    GROUP_ROLE,
-    GROUP_TAILORING,
-    GROUP_DECISION_GATE,
-    GROUP_DESCRIPTION_REPLACEMENTS,
-    GROUP_DESCRIPTION_ADD_ONS,
-    GROUP_DESCRIPTION_REARRANGEMENTS,
-    GROUP_DESCRIPTION_REMOVEMENTS,
-    GROUP_TOOL_METHOD,
-    GROUP_MAPPING,
-    GROUP_APPENDIX,
-)
-
-_MM13 = MetamodelVersion.V1_3
-_MM13B = MetamodelVersion.V1_3B
-
-
-def _step(atomic: AtomicKind, **args: str) -> StepTemplate:
-    return StepTemplate(atomic=atomic, target="{target}", args=args)
-
-
-def _rename() -> tuple[StepTemplate, ...]:
-    return (_step(AtomicKind.RENAME_ELEMENT, newName="{newName}"),)
-
-
-def _replace_description() -> tuple[StepTemplate, ...]:
-    return (_step(AtomicKind.REPLACE_TEXT, field="description", text="{text}"),)
-
-
-def _replace_block() -> tuple[StepTemplate, ...]:
-    return (_step(AtomicKind.REPLACE_TEXT, field="textBlock", blockId="{blockId}", text="{text}"),)
-
-
-def _add_description(position: str) -> tuple[StepTemplate, ...]:
-    return (_step(AtomicKind.ADD_TEXT, field="description", position=position, text="{text}"),)
-
-
-def _add_block(position: str) -> tuple[StepTemplate, ...]:
-    return (
-        _step(
-            AtomicKind.ADD_TEXT,
-            field="textBlock",
-            blockId="{blockId}",
-            position=position,
-            text="{text}",
-        ),
-    )
-
-
-def _move() -> tuple[StepTemplate, ...]:
-    return (_step(AtomicKind.MOVE_ELEMENT, newOrderingNumber="{newOrderingNumber}"),)
-
-
-def _remove_element() -> tuple[StepTemplate, ...]:
-    return (_step(AtomicKind.REMOVE_ELEMENT),)
-
-
-def _remove_reference() -> tuple[StepTemplate, ...]:
-    return (_step(AtomicKind.REMOVE_REFERENCE),)
-
-
-def _set_attribute(key: str, value: str = "{value}") -> tuple[StepTemplate, ...]:
-    return (_step(AtomicKind.CHANGE_ATTRIBUTE, key=key, value=value),)
-
-
-def _named_types() -> list[OperationTypeDef]:
-    t = OperationTypeDef
-    return [
-        # -- discipline level -------------------------------------------------
-        t("ChangeDisciplineNumber", GROUP_DISCIPLINE, ElementKind.DISCIPLINE, _MM13B, _move()),
-        t("AddDisciplineDescriptionPrefix", GROUP_DISCIPLINE, ElementKind.DISCIPLINE, _MM13, _add_description("prefix")),
-        t("AddDisciplineDescriptionPostfix", GROUP_DISCIPLINE, ElementKind.DISCIPLINE, _MM13, _add_description("postfix")),
-        # -- work products ----------------------------------------------------
-        t("RenameWorkProduct", GROUP_WORK_PRODUCT, ElementKind.WORK_PRODUCT, _MM13, _rename()),
-        t("DeleteWorkProduct", GROUP_WORK_PRODUCT, ElementKind.WORK_PRODUCT, _MM13B, _remove_element()),
-        t("ChangeWorkProduktDiscipline", GROUP_WORK_PRODUCT, ElementKind.WORK_PRODUCT, _MM13B, _set_attribute("discipline", "{newDiscipline}")),
-        # -- topics -----------------------------------------------------------
-        t("RemoveTopicAssignment", GROUP_TOPIC, ReferenceKind.TOPIC_ASSIGNMENT, _MM13B, _remove_reference()),
-        t("ArrangeSubTopic", GROUP_TOPIC, ElementKind.SUB_TOPIC, _MM13, _move()),
-        # -- activities and tasks ----------------------------------------------
-        t("AddActivityDescriptionPrefix", GROUP_ACTIVITY, ElementKind.ACTIVITY, _MM13, _add_description("prefix")),
-        t("AddActivityDescriptionPostfix", GROUP_ACTIVITY, ElementKind.ACTIVITY, _MM13, _add_description("postfix")),
-        t("RemoveTask", GROUP_TASK, ElementKind.TASK, _MM13B, _remove_element()),
-        t("RenameTask", GROUP_TASK, ElementKind.TASK, _MM13B, _rename()),
-        t("ReplaceTaskDescription", GROUP_TASK, ElementKind.TASK, _MM13B, _replace_description()),
-        # -- roles and responsibilities -----------------------------------------
-        t("RenameRole", GROUP_ROLE, ElementKind.ROLE, _MM13, _rename()),
-        t("ReplaceRoleDescription", GROUP_ROLE, ElementKind.ROLE, _MM13B, _replace_description()),
-        t("ChangeRoleClass", GROUP_ROLE, ElementKind.ROLE, _MM13B, _set_attribute("roleClass", "{roleClass}")),
-        t("ChangeResponsibility", GROUP_ROLE, ReferenceKind.RESPONSIBILITY, _MM13, (_step(AtomicKind.SWAP_REFERENCES, newTarget="{newRole}"),)),
-        t("RemoveResponsibility", GROUP_ROLE, ReferenceKind.RESPONSIBILITY, _MM13, _remove_reference()),
-        t("RemoveSupportingRole", GROUP_ROLE, ReferenceKind.SUPPORTING_ROLE, _MM13B, _remove_reference()),
-        t("AddRoleDescriptionPrefix", GROUP_ROLE, ElementKind.ROLE, _MM13, _add_description("prefix")),
-        t("RefineRole", GROUP_ROLE, ElementKind.ROLE, _MM13, _set_attribute("refines", "{baseRole}")),
-        # -- tailoring and dependencies -----------------------------------------
-        t("AddProcessModule", GROUP_TAILORING, ElementKind.PROJECT_TYPE_VARIANT, _MM13, (
-            StepTemplate(
-                atomic=AtomicKind.ADD_REFERENCE,
-                target="{target}",
-                args={
-                    "refId": "{refId}",
-                    "refKind": ReferenceKind.CONFIGURATION_ENTRY.value,
-                    "source": "{target}",
-                    "target": "{module}",
-                },
-            ),
-        )),
-        t("RenameCreatingDependency", GROUP_TAILORING, ReferenceKind.CREATING_DEPENDENCY, _MM13B, _set_attribute("name", "{newName}")),
-        t("RenameTailoringDependency", GROUP_TAILORING, ReferenceKind.TAILORING_DEPENDENCY, _MM13B, _set_attribute("name", "{newName}")),
-        t("ReplaceTailoringDependencyDescription", GROUP_TAILORING, ReferenceKind.TAILORING_DEPENDENCY, _MM13B, (
-            _step(AtomicKind.REPLACE_TEXT, field="attribute", key="description", text="{text}"),
-        )),
-        # -- decision gates -----------------------------------------------------
-        t("AddDecisionGateDescriptionPrefix", GROUP_DECISION_GATE, ElementKind.DECISION_GATE, _MM13, _add_description("prefix")),
-        # -- running text -------------------------------------------------------
-        t("ReplaceSectionText", GROUP_DESCRIPTION_REPLACEMENTS, ElementKind.SECTION, _MM13, _replace_block()),
-        t("AddChapterTextPrefix", GROUP_DESCRIPTION_ADD_ONS, ElementKind.CHAPTER, _MM13, _add_block("prefix")),
-        t("AddSectionTextPrefix", GROUP_DESCRIPTION_ADD_ONS, ElementKind.SECTION, _MM13, _add_block("prefix")),
-        t("ArrangeSection", GROUP_DESCRIPTION_REARRANGEMENTS, ElementKind.SECTION, _MM13, _move()),
-        t("ChangeSectionNumber", GROUP_DESCRIPTION_REARRANGEMENTS, ElementKind.SECTION, _MM13B, _move()),
-        t("RemoveChapter", GROUP_DESCRIPTION_REMOVEMENTS, ElementKind.CHAPTER, _MM13B, _remove_element()),
-        # -- appendix material ---------------------------------------------------
-        t("RemoveLiteratureReference", GROUP_APPENDIX, ElementKind.LITERATURE_REFERENCE, _MM13B, _remove_element()),
-        t("RemoveGlossaryItem", GROUP_APPENDIX, ElementKind.GLOSSARY_ITEM, _MM13B, _remove_element()),
-        t("ReplaceGlossaryItemDescription", GROUP_APPENDIX, ElementKind.GLOSSARY_ITEM, _MM13B, _replace_description()),
-        t("RemoveAbbreviation", GROUP_APPENDIX, ElementKind.ABBREVIATION, _MM13B, _remove_element()),
-    ]
-
-
-#: (name, group, target kind, defining metamodel) for the placeholder types.
-_SYNTHETIC_SPECS: tuple[tuple[str, str, ElementKind, MetamodelVersion], ...] = (
-    ("SyntheticDisciplineOp01", GROUP_DISCIPLINE, ElementKind.DISCIPLINE, _MM13),
-    ("SyntheticDisciplineOp02", GROUP_DISCIPLINE, ElementKind.DISCIPLINE, _MM13B),
-    ("SyntheticWorkProductOp01", GROUP_WORK_PRODUCT, ElementKind.WORK_PRODUCT, _MM13),
-    ("SyntheticWorkProductOp02", GROUP_WORK_PRODUCT, ElementKind.WORK_PRODUCT, _MM13B),
-    ("SyntheticWorkProductOp03", GROUP_WORK_PRODUCT, ElementKind.WORK_PRODUCT, _MM13B),
-    ("SyntheticWorkProductOp04", GROUP_WORK_PRODUCT, ElementKind.WORK_PRODUCT, _MM13B),
-    ("SyntheticTopicOp01", GROUP_TOPIC, ElementKind.TOPIC, _MM13),
-    ("SyntheticTopicOp02", GROUP_TOPIC, ElementKind.TOPIC, _MM13),
-    ("SyntheticTopicOp03", GROUP_TOPIC, ElementKind.TOPIC, _MM13),
-    ("SyntheticTopicOp04", GROUP_TOPIC, ElementKind.TOPIC, _MM13B),
-    ("SyntheticActivityOp01", GROUP_ACTIVITY, ElementKind.ACTIVITY, _MM13),
-    ("SyntheticActivityOp02", GROUP_ACTIVITY, ElementKind.ACTIVITY, _MM13B),
-    ("SyntheticRoleOp01", GROUP_ROLE, ElementKind.ROLE, _MM13),
-    ("SyntheticTailoringOp01", GROUP_TAILORING, ElementKind.PROCESS_MODULE, _MM13),
-    ("SyntheticTailoringOp02", GROUP_TAILORING, ElementKind.PROCESS_MODULE, _MM13B),
-    ("SyntheticTailoringOp03", GROUP_TAILORING, ElementKind.PROCESS_MODULE, _MM13B),
-    ("SyntheticDecisionGateOp01", GROUP_DECISION_GATE, ElementKind.DECISION_GATE, _MM13),
-    ("SyntheticDecisionGateOp02", GROUP_DECISION_GATE, ElementKind.DECISION_GATE, _MM13B),
-    ("SyntheticDecisionGateOp03", GROUP_DECISION_GATE, ElementKind.DECISION_GATE, _MM13B),
-    ("SyntheticDescriptionReplacementOp01", GROUP_DESCRIPTION_REPLACEMENTS, ElementKind.SECTION, _MM13),
-    ("SyntheticDescriptionReplacementOp02", GROUP_DESCRIPTION_REPLACEMENTS, ElementKind.SECTION, _MM13),
-    ("SyntheticDescriptionAddOnOp01", GROUP_DESCRIPTION_ADD_ONS, ElementKind.CHAPTER, _MM13),
-    ("SyntheticDescriptionAddOnOp02", GROUP_DESCRIPTION_ADD_ONS, ElementKind.CHAPTER, _MM13),
-    ("SyntheticDescriptionRearrangementOp01", GROUP_DESCRIPTION_REARRANGEMENTS, ElementKind.SECTION, _MM13),
-    ("SyntheticDescriptionRearrangementOp02", GROUP_DESCRIPTION_REARRANGEMENTS, ElementKind.SECTION, _MM13B),
-    ("SyntheticDescriptionRemovementOp01", GROUP_DESCRIPTION_REMOVEMENTS, ElementKind.SECTION, _MM13B),
-    ("SyntheticDescriptionRemovementOp02", GROUP_DESCRIPTION_REMOVEMENTS, ElementKind.SECTION, _MM13B),
-    ("SyntheticToolMethodRefOp01", GROUP_TOOL_METHOD, ElementKind.METHOD_REFERENCE, _MM13),
-    ("SyntheticToolMethodRefOp02", GROUP_TOOL_METHOD, ElementKind.TOOL_REFERENCE, _MM13),
-    ("SyntheticToolMethodRefOp03", GROUP_TOOL_METHOD, ElementKind.METHOD_REFERENCE, _MM13),
-    ("SyntheticMappingOp01", GROUP_MAPPING, ElementKind.MAPPING_ENTRY, _MM13B),
-    ("SyntheticMappingOp02", GROUP_MAPPING, ElementKind.MAPPING_ENTRY, _MM13B),
-    ("SyntheticAppendixOp01", GROUP_APPENDIX, ElementKind.APPENDIX_ENTRY, _MM13B),
-)
-
-
-def _synthetic_types() -> list[OperationTypeDef]:
-    types = []
-    for name, group, target_kind, metamodel in _SYNTHETIC_SPECS:
-        marker_key = name[0].lower() + name[1:]
-        types.append(
-            OperationTypeDef(
-                name=name,
-                group=group,
-                target_kind=target_kind,
-                defining_metamodel=metamodel,
-                recipe=_set_attribute(marker_key),
-                synthetic=True,
-            )
-        )
-    return types
-
-
 def builtin_catalog() -> OperationCatalog:
     """The catalog shipped with the package: 69 types, 33 of them placeholders."""
-    return OperationCatalog(_named_types() + _synthetic_types())
+    # imported here: both modules import this one
+    from .studyline import fixture_text
+    from .xmlio import parse_catalog
+
+    return parse_catalog(fixture_text("catalog.xml"), source="catalog.xml")

@@ -761,16 +761,6 @@ _Row = tuple[str, ProcessElement | Reference | None, ProcessElement | Reference 
 
 def _parts(rows: Sequence[_Row], diff) -> tuple[tuple, tuple, tuple]:
     """The added values, removed ids and changes of ``rows``."""
-    if len(rows) == 1:  # most trace entries: no lists
-        ((some_id, before, after),) = rows
-        if before is after:
-            return (), (), ()
-        if before is None:
-            return (after,), (), ()
-        if after is None:
-            return (), (some_id,), ()
-        change = diff(before, after)
-        return (), (), () if change is None else (change,)
     added, removed, modified = [], [], []
     for some_id, before, after in rows:
         # models share unchanged parts, and a part is equal to itself

@@ -8,7 +8,8 @@ the five variants declare 167, 17, 72, 84, and 0 operation exemplars.
 
 The XML files under ``procline/data`` are the data set; this module only
 loads them. Each file is canonical: serializing what it parses to gives
-back its exact bytes (``catalog.xml`` is the built-in catalog serialized).
+back its exact bytes. ``catalog.xml`` is the built-in catalog itself:
+:func:`procline.catalog.builtin_catalog` reads it through :func:`fixture_text`.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import gc
+import hashlib
 import io
 import os
 import subprocess
@@ -165,6 +166,18 @@ def test_catalog_csv_header(capsys):
     lines = captured.out.splitlines()
     assert lines[0] == "name,group,targetKind,definingMetamodel,synthetic,steps"
     assert len(lines) == 1 + 69
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["catalog"], "572a41636342c14264116778148decd9fd11273cc77a8ce3d26335e67de56cda"),
+        (["catalog", "--format", "csv"], "387424f3220d912468e2f2572932ba273d6bb54678825b7cec96b5110fc3a3b7"),
+    ],
+)
+def test_catalog_listing_bytes(argv, sha256, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
 
 
 def test_catalog_csv_quotes_a_group_with_a_comma(tmp_path, capsys):
