@@ -33,7 +33,6 @@ class UsageReport:
     unknown_types: Mapping[tuple[str, str], int] = field(default_factory=dict)
     type_groups: Mapping[str, str] = field(default_factory=dict)
     type_metamodels: Mapping[str, MetamodelVersion] = field(default_factory=dict)
-    type_synthetic: Mapping[str, bool] = field(default_factory=dict)
 
     @property
     def used_types(self) -> tuple[str, ...]:
@@ -86,7 +85,6 @@ def usage_report(variant_set: VariantSet, catalog: OperationCatalog) -> UsageRep
         unknown_types=unknown,
         type_groups={t.name: t.group for t in type_defs},
         type_metamodels={t.name: t.defining_metamodel for t in type_defs},
-        type_synthetic={t.name: t.synthetic for t in type_defs},
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .atomic import AtomicKind, AtomicStep, _apply_into, validate_step
@@ -279,8 +279,12 @@ def _run_exemplar(
     return [], steps
 
 
+@cache
 def builtin_catalog() -> OperationCatalog:
-    """The catalog shipped with the package: 69 types, 33 of them placeholders."""
+    """The catalog shipped with the package: 69 types, 33 of them placeholders.
+
+    Parsed on the first call; the catalog is immutable, so later calls share it.
+    """
     # imported here: both modules import this one
     from .studyline import fixture_text
     from .xmlio import parse_catalog

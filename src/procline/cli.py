@@ -7,7 +7,8 @@ usage statistics, and ``catalog`` lists operation types.
 Exit codes: 0 on success, 1 for usage and I/O problems (bad flags,
 unreadable or malformed files, unknown variant names), 2 when the inputs
 parse but do not validate (typing issues, conflicts, broken family trees).
-Diagnostics go to stderr; requested output goes to stdout or ``--out``.
+Diagnostics go to stderr; requested output goes to stdout or ``--out``, as
+UTF-8 bytes whatever the locale's encoding.
 """
 
 from __future__ import annotations
@@ -67,9 +68,14 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Write requested output as UTF-8, the encoding the XML declares, whatever the locale's."""
+    data = text.encode("utf-8")
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-    else:
+        Path(out).write_bytes(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # text written before stays ahead of these bytes
+        sys.stdout.buffer.write(data)
+    else:  # a text-only stream, such as an io.StringIO under redirect_stdout
         sys.stdout.write(text)
 
 
@@ -108,7 +114,7 @@ def _cmd_merge(args) -> int:
     leaf, model, trace = _merge_for(args)
     _write_output(serialize_model(model), args.out)
     if args.trace:
-        Path(args.trace).write_text(serialize_trace(trace), encoding="utf-8", newline="")
+        _write_output(serialize_trace(trace), args.trace)
     print(
         f"merged variant {leaf!r}: {len(model.elements)} elements, "
         f"{len(model.references)} references, metamodel {model.metamodel.value}, "
@@ -121,10 +127,11 @@ def _cmd_merge(args) -> int:
 def _cmd_validate(args) -> int:
     leaf, model, trace = _merge_for(args)
     untyped = len(trace.untyped_changes())
-    print(
+    _write_output(
         f"OK: variant {leaf!r} validates and merges "
         f"({len(trace)} trace entries, {untyped} untyped changes, "
-        f"final metamodel {model.metamodel.value})"
+        f"final metamodel {model.metamodel.value})\n",
+        None,
     )
     return _EXIT_OK
 

@@ -18,19 +18,15 @@ from .catalog import OperationCatalog, OperationExemplar, _run_exemplar
 from .errors import (
     ConflictError,
     CycleError,
-    DuplicateIdError,
     Issue,
     IssueCode,
-    IllegalTargetError,
     MissingParentError,
-    UnknownIdError,
     UnknownVariantError,
     ValidationFailedError,
 )
 from .model import (
     CONFIGURATION_CONTAINER_KINDS,
     ChangeSet,
-    ElementKind,
     MetamodelVersion,
     ProcessElement,
     ProcessModel,
@@ -271,43 +267,6 @@ class _Derivation:
             )
         )
 
-    def add_element(self, elem: ProcessElement) -> None:
-        self._claim(elem.id)
-        self.work.put_element(elem.id, elem)
-        self.record(TraceEntryKind.ASSET_ADDED, elem.id)
-
-    def add_reference(self, ref: Reference) -> list[Issue]:
-        """Add a declared reference, or add nothing and say which endpoints do not fit."""
-        issues: list[Issue] = []
-        for side, endpoint in (("source", ref.source), ("target", ref.target)):
-            elem = self.work.elements.get(endpoint)
-            if elem is None:
-                message = f"new reference {side} {endpoint!r} does not resolve"
-                issues.append(Issue(IssueCode.DANGLING_REFERENCE, ref.id, message, self.variant_id))
-                continue
-            violation = endpoint_kind_violation(ref.kind, side, elem.kind)
-            if violation:
-                issues.append(
-                    Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation, self.variant_id)
-                )
-        if not issues:
-            self._claim(ref.id)
-            self.work.put_reference(ref.id, ref)
-            self.record(TraceEntryKind.ASSET_ADDED, ref.id)
-        return issues
-
-    def _claim(self, new_id: str) -> None:
-        # merge_once reports a taken id as an issue before it gets here; masking does not
-        if self.work.model.has_id(new_id):
-            raise DuplicateIdError(f"id {new_id!r} already in use")
-
-    def exclude_element(self, element_id: str) -> ElementKind:
-        """Remove an element and its incident references; returns the element's kind."""
-        kind = self.work.elements[element_id].kind
-        cascaded = self.work.remove_element(element_id)
-        self.record(TraceEntryKind.EXCLUSION_APPLIED, element_id, cascade_count=len(cascaded))
-        return kind
-
     def result(self) -> tuple[ProcessModel, MergeTrace]:
         # the working model is dropped with this derivation, so its maps can leave
         model = self.work.model
@@ -349,20 +308,36 @@ def merge_once(
                 Issue(IssueCode.DUPLICATE_ID, elem.id, "new element id already in use", variant)
             )
             continue
-        derivation.add_element(elem)
+        work.put_element(elem.id, elem)
+        derivation.record(TraceEntryKind.ASSET_ADDED, elem.id)
     for ref in extension.new_references:
         if work.model.has_id(ref.id):
             issues.append(
                 Issue(IssueCode.DUPLICATE_ID, ref.id, "new reference id already in use", variant)
             )
             continue
-        issues.extend(derivation.add_reference(ref))
+        found = len(issues)
+        for side, endpoint in (("source", ref.source), ("target", ref.target)):
+            elem = work.elements.get(endpoint)
+            if elem is None:
+                message = f"new reference {side} {endpoint!r} does not resolve"
+                issues.append(Issue(IssueCode.DANGLING_REFERENCE, ref.id, message, variant))
+            elif violation := endpoint_kind_violation(ref.kind, side, elem.kind):
+                issues.append(Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation, variant))
+        if len(issues) == found:  # a reference that does not fit is not added
+            work.put_reference(ref.id, ref)
+            derivation.record(TraceEntryKind.ASSET_ADDED, ref.id)
 
-    # phase 2: exclusions, cascading over incident references
+    # phase 2: exclusions, cascading over incident references; excluding a
+    # configuration container while adding one of its kind is masking, the
+    # one substitution no typed operation expresses, so it is flagged
     added_kinds = {elem.kind for elem in extension.new_elements}
     for excluded_id in extension.exclusions:
-        if excluded_id in work.elements:
-            kind = derivation.exclude_element(excluded_id)
+        excluded = work.elements.get(excluded_id)
+        if excluded is not None:
+            cascaded = work.remove_element(excluded_id)
+            derivation.record(TraceEntryKind.EXCLUSION_APPLIED, excluded_id, cascade_count=len(cascaded))
+            kind = excluded.kind
             if kind in CONFIGURATION_CONTAINER_KINDS and kind in added_kinds:
                 derivation.flag(
                     excluded_id,
@@ -436,52 +411,3 @@ def merge_chain(
         entries.extend(trace.entries)
     return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
 
-
-def apply_masking(
-    base: ProcessModel,
-    exclusions: Iterable[str],
-    substitutes: Iterable[ProcessElement] = (),
-    substitute_references: Iterable[Reference] = (),
-    *,
-    variant_id: str = "masking",
-) -> tuple[ProcessModel, MergeTrace]:
-    """Substitute configuration containers: exclude, then stand in copies.
-
-    Every exclusion must name a configuration container (a project type
-    variant or a process module); anything else raises
-    :class:`IllegalTargetError`. Each substitution is flagged with an
-    ``UntypedChange`` trace entry because no typed operation describes it.
-    """
-    exclusions = list(exclusions)
-    seen: set[str] = set()
-    for excluded_id in exclusions:
-        if excluded_id in seen:
-            # the first exclusion removes it, so the repeat does not resolve (as in merge_once)
-            raise UnknownIdError(f"masking exclusion {excluded_id!r} is repeated and does not resolve")
-        seen.add(excluded_id)
-        elem = base.elements.get(excluded_id)
-        if elem is None:
-            if excluded_id in base.references:
-                raise IllegalTargetError(
-                    f"masking exclusion {excluded_id!r} is a reference, not a configuration container"
-                )
-            raise UnknownIdError(f"masking exclusion {excluded_id!r} does not resolve")
-        if elem.kind not in CONFIGURATION_CONTAINER_KINDS:
-            raise IllegalTargetError(
-                f"masking exclusion {excluded_id!r} is a {elem.kind.value}, not a configuration container"
-            )
-    derivation = _Derivation(base, variant_id)
-    for elem in substitutes:
-        derivation.add_element(elem)
-    for ref in substitute_references:
-        ref_issues = derivation.add_reference(ref)
-        if ref_issues:
-            raise ValidationFailedError(ref_issues)
-    for excluded_id in exclusions:
-        kind = derivation.exclude_element(excluded_id)
-        derivation.flag(
-            excluded_id,
-            f"masking substitution: {kind.value} {excluded_id!r} excluded "
-            f"in favor of substitute content",
-        )
-    return derivation.result()

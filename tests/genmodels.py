@@ -302,11 +302,12 @@ def _aim_valid(rng: random.Random, catalog, effective_mm, pools: _Pools, replace
                 elif template.atomic is AtomicKind.REMOVE_REFERENCE:
                     pools.references.pop(step_target, None)
                 elif template.atomic is AtomicKind.ADD_REFERENCE:
-                    pools.references[args["refId"]] = Reference(
-                        args["refId"],
-                        ReferenceKind(template.args["refKind"]),
-                        target_id,
-                        args["module"],
+                    ref = {
+                        key: args.get(value[1:-1], target_id) if value.startswith("{") else value
+                        for key, value in template.args.items()
+                    }
+                    pools.references[ref["refId"]] = Reference(
+                        ref["refId"], ReferenceKind(ref["refKind"]), ref["source"], ref["target"]
                     )
             for loc in locations:
                 replaced[loc] = type_def.name

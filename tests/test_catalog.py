@@ -60,6 +60,10 @@ def test_catalog_size_and_split(catalog):
     assert sum(t.synthetic for t in catalog) == 33
 
 
+def test_builtin_catalog_is_parsed_once(catalog):
+    assert builtin_catalog() is builtin_catalog() is catalog
+
+
 def test_group_vocabulary(catalog):
     assert catalog.groups() == sorted(EXPECTED_GROUPS)
     assert all(t.group in EXPECTED_GROUPS for t in catalog)

@@ -17,7 +17,7 @@ from procline.analytics import usage_report
 from procline.cli import main
 from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.merge import ExtensionModel, merge_chain
-from procline.model import ElementKind, MetamodelVersion
+from procline.model import ElementKind, MetamodelVersion, ProcessElement
 from procline.studyline import DATA_FILES, fixture_text, study_variant_set
 from procline.xmlio import parse_model, serialize_catalog, serialize_extension, serialize_model
 
@@ -397,17 +397,52 @@ def test_merge_output_is_canonical(data_dir, tmp_path, capsys, catalog):
     assert text == serialize_model(expected)
 
 
-def test_cli_import_leaves_the_network_stack_out():
-    # a fresh interpreter, since this one has imported much more by now
+def _fresh_interpreter_env(**extra):
+    """Environment for a child interpreter that imports this procline."""
     import procline
 
     src = str(Path(procline.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def test_cli_import_leaves_the_network_stack_out():
+    # a fresh interpreter, since this one has imported much more by now
     probe = "import sys, procline.cli; print(sorted({'urllib.request', 'http.client'} & sys.modules.keys()))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_fresh_interpreter_env(), check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdout_is_utf8_whatever_the_stream_encoding(encoding, data_dir, tmp_path):
+    # a variant id and an element name neither encoding can hold
+    role = ProcessElement("role-cm", ElementKind.ROLE, "Änderungsverantwortlicher")
+    ext = ExtensionModel("Änderung", "root", MetamodelVersion.V1_3, new_elements=(role,))
+    ext_path = tmp_path / "ext-aenderung.xml"
+    ext_path.write_text(serialize_extension(ext), encoding="utf-8", newline="")
+    inputs = ("--root", str(data_dir / "root.xml"), "--extension", str(ext_path))
+    env = _fresh_interpreter_env(PYTHONIOENCODING=encoding)
+
+    def run(*argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "procline.cli", *argv], capture_output=True, env=env
+        )
+        assert (result.returncode, b"Traceback" in result.stderr) == (0, False), result.stderr
+        return result.stdout
+
+    merged = tmp_path / "merged.xml"
+    assert run("merge", *inputs, "--out", str(merged)) == b""
+    assert run("merge", *inputs) == merged.read_bytes()
+    assert parse_model(merged.read_bytes()).elements["role-cm"].name == role.name
+    for fmt in ("text", "csv"):
+        stats = tmp_path / f"stats.{fmt}"
+        assert run("stats", *inputs, "--format", fmt, "--out", str(stats)) == b""
+        assert run("stats", *inputs, "--format", fmt) == stats.read_bytes()
+        assert ext.variant_id.encode("utf-8") in stats.read_bytes()
+    assert run("validate", *inputs).startswith("OK: variant 'Änderung' validates".encode("utf-8"))
+    assert run("catalog").count(b"\n") == 69
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import genmodels
 from procline import xmlio
 from procline.errors import ConflictError, IllegalCharacterError, ValidationFailedError
-from procline.merge import apply_masking, merge_chain, merge_once
+from procline.merge import ExtensionModel, merge_chain, merge_once
 from procline.model import (
     ElementKind,
     ProcessElement,
@@ -86,7 +86,10 @@ def test_masked_models_are_written_as_without_kept_blocks(catalog):
     _assert_written_as_unkept(model)
     container = next(e for e in root.elements.values() if e.kind is ElementKind.PROCESS_MODULE)
     stand_in = ProcessElement("stand-in", ElementKind.PROCESS_MODULE, "Stand-in")
-    model, _ = apply_masking(root, [container.id], [stand_in])
+    masking = ExtensionModel(
+        "mask", "root", root.metamodel, new_elements=(stand_in,), exclusions=(container.id,)
+    )
+    model, _ = merge_once(root, masking, catalog)
     _assert_written_as_unkept(model)
 
 

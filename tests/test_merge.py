@@ -25,7 +25,6 @@ from procline.errors import (
     ConflictError,
     CycleError,
     DuplicateIdError,
-    IllegalTargetError,
     MissingParentError,
     UnknownIdError,
     UnknownVariantError,
@@ -37,7 +36,6 @@ from procline.merge import (
     TraceEntry,
     TraceEntryKind,
     VariantSet,
-    apply_masking,
     merge_chain,
     merge_once,
     resolve_chain,
@@ -306,53 +304,6 @@ def test_plain_element_exclusion_is_not_masking(catalog):
     assert trace.untyped_changes() == []
 
 
-def test_apply_masking_direct(catalog):
-    base = _base()
-    merged, trace = apply_masking(
-        base,
-        ["pm1"],
-        [ProcessElement("pm9", ElementKind.PROCESS_MODULE, "Stand-in")],
-        [Reference("cfg9", ReferenceKind.CONFIGURATION_ENTRY, "ptv1", "pm9")],
-    )
-    assert "pm1" not in merged.elements
-    assert merged.references["cfg9"].target == "pm9"
-    assert len(trace.untyped_changes()) == 1
-    assert merged.check_consistency() == []
-    assert trace.replay(base) == merged
-
-
-def test_apply_masking_preconditions():
-    base = _base()
-    with pytest.raises(UnknownIdError):
-        apply_masking(base, ["ghost"])
-    with pytest.raises(IllegalTargetError):
-        apply_masking(base, ["resp1"])  # a reference
-    with pytest.raises(IllegalTargetError):
-        apply_masking(base, ["r1"])  # not a configuration container
-    with pytest.raises(UnknownIdError, match="repeated"):
-        apply_masking(base, ["pm1", "pm1"])
-    with pytest.raises(ValidationFailedError):
-        apply_masking(
-            base,
-            ["pm1"],
-            substitute_references=[
-                Reference("bad", ReferenceKind.CONFIGURATION_ENTRY, "ptv1", "ghost")
-            ],
-        )
-    # a substitute never overwrites what the base already holds under its id
-    with pytest.raises(DuplicateIdError, match="'r2'"):
-        apply_masking(base, ["pm1"], [ProcessElement("r2", ElementKind.PROCESS_MODULE, "M")])
-    with pytest.raises(DuplicateIdError, match="'cfg1'"):
-        apply_masking(
-            base,
-            ["pm1"],
-            substitute_references=[
-                Reference("cfg1", ReferenceKind.CONFIGURATION_ENTRY, "ptv1", "pm1")
-            ],
-        )
-    assert base == _base()
-
-
 # -- work per step -------------------------------------------------------------------
 
 def _count_calls(monkeypatch, function, counts):
@@ -417,6 +368,22 @@ def _text_step():
     )
 
 
+#: removes the target, then reuses its id for a new reference: the id
+#: leaves the element map and enters the reference map in one entry
+_REUSE_ID_STEPS = (
+    StepTemplate(AtomicKind.REMOVE_ELEMENT),
+    StepTemplate(
+        AtomicKind.ADD_REFERENCE,
+        "{module}",
+        {
+            "refId": "{target}",
+            "refKind": ReferenceKind.MODULE_CONTAINMENT.value,
+            "source": "{module}",
+            "target": "{newRole}",
+        },
+    ),
+)
+
 #: recipes whose steps write one id twice, so an entry's "before" is the
 #: first value logged for that id, not a later one
 _MULTI_STEP_TYPES = (
@@ -447,6 +414,9 @@ _MULTI_STEP_TYPES = (
             StepTemplate(AtomicKind.REMOVE_REFERENCE, "{refId}"),
         ),
     ),
+    OperationTypeDef(
+        "RemoveThenReuseId", "Role Variations", ElementKind.WORK_PRODUCT, MetamodelVersion.V1_3, _REUSE_ID_STEPS
+    ),
 )
 
 
@@ -467,6 +437,36 @@ def test_scoped_change_sets_equal_full_diffs_when_steps_write_one_id_twice():
     assert trace.entries[2].change_set.is_empty()
     assert base == _base()
     _assert_entries_replay_one_at_a_time(base, model, trace)
+
+
+def test_an_id_moved_from_the_element_map_to_the_reference_map_is_recorded_and_rolled_back():
+    catalog = OperationCatalog(_MULTI_STEP_TYPES)
+    base = _base()
+    args = {"module": "pm1", "newRole": "r2"}
+    ext = _ext(exemplars=(OperationExemplar("RemoveThenReuseId", "wp1", args),))
+    model, trace = merge_once(base, ext, catalog)
+    (entry,) = trace.entries
+    assert entry.change_set == compare_models(base, model)
+    assert entry.change_set.removed_elements == ("wp1",)
+    assert entry.change_set.removed_references == ("resp1",)  # it named wp1
+    moved = Reference("wp1", ReferenceKind.MODULE_CONTAINMENT, "pm1", "r2")
+    assert entry.change_set.added_references == (moved,)
+    assert trace.replay(base) == model
+
+    # a later step that fails undoes the writes to both maps
+    failing = OperationTypeDef(
+        "RemoveThenReuseIdThenRename", "Role Variations", ElementKind.WORK_PRODUCT, MetamodelVersion.V1_3,
+        (*_REUSE_ID_STEPS, StepTemplate(AtomicKind.RENAME_ELEMENT, args={"newName": "gone"})),
+    )
+    work = _WorkingModel(base)
+    before = _state(work)
+    issues, steps = merge_module._run_exemplar(
+        OperationCatalog([failing]), work, OperationExemplar(failing.name, "wp1", args)
+    )
+    assert [i.subject for i in issues] == ["wp1"] and steps == []
+    assert work.references["wp1"] == moved
+    work.rollback()
+    assert _state(work) == before
 
 
 @settings(max_examples=100, deadline=None)

@@ -21,7 +21,7 @@ from procline import catalog as catalog_module, merge as merge_module, model as 
 from procline.atomic import AtomicStep
 from procline.catalog import OperationExemplar, expand_exemplar
 from procline.errors import ConflictError, ValidationFailedError
-from procline.merge import TraceEntry, apply_masking, merge_chain, merge_once
+from procline.merge import ExtensionModel, TraceEntry, merge_chain, merge_once
 from procline.model import (
     ChangeSet,
     ElementChange,
@@ -122,7 +122,11 @@ def test_masking_traces_equal_their_twins(root, catalog):
     _assert_merge_like_twins(model, trace, root)
     container = next(e for e in root.elements.values() if e.kind is ElementKind.PROCESS_MODULE)
     stand_in = ProcessElement("stand-in", ElementKind.PROCESS_MODULE, "Stand-in")
-    model, trace = apply_masking(root, [container.id], [stand_in])
+    masking = ExtensionModel(
+        "mask", "root", root.metamodel, new_elements=(stand_in,), exclusions=(container.id,)
+    )
+    model, trace = merge_once(root, masking, catalog)
+    assert len(trace.untyped_changes()) == 1
     _assert_merge_like_twins(model, trace, root)
 
 
