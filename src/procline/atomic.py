@@ -48,6 +48,21 @@ class AtomicKind(str, Enum):
     MOVE_ELEMENT = "MoveElement"
 
 
+# The kinds as module constants, for the two dispatches below: on Python
+# 3.11 every attribute read on an Enum class goes through the hook that
+# EnumType.__getattr__ installs, several times as slow as a plain class
+# attribute, and each step is compared with up to nine kinds twice, once to
+# validate it and once to apply it.
+_RENAME_ELEMENT = AtomicKind.RENAME_ELEMENT
+_REPLACE_TEXT = AtomicKind.REPLACE_TEXT
+_ADD_TEXT = AtomicKind.ADD_TEXT
+_SWAP_REFERENCES = AtomicKind.SWAP_REFERENCES
+_REMOVE_ELEMENT = AtomicKind.REMOVE_ELEMENT
+_REMOVE_REFERENCE = AtomicKind.REMOVE_REFERENCE
+_ADD_REFERENCE = AtomicKind.ADD_REFERENCE
+_CHANGE_ATTRIBUTE = AtomicKind.CHANGE_ATTRIBUTE
+_MOVE_ELEMENT = AtomicKind.MOVE_ELEMENT
+
 # Text-bearing field selectors used by ReplaceText and AddText.
 FIELD_SELECTOR_DESCRIPTION = "description"
 FIELD_SELECTOR_TEXT_BLOCK = "textBlock"
@@ -191,11 +206,11 @@ def _endpoint_issues(
 def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
     """Everything that would make :func:`apply_atomic` fail on this model."""
     kind = step.kind
-    if kind is AtomicKind.RENAME_ELEMENT:
+    if kind is _RENAME_ELEMENT:
         return _missing_args(step, "newName") or _element_target_issues(model, step)
-    if kind in (AtomicKind.REPLACE_TEXT, AtomicKind.ADD_TEXT):
+    if kind in (_REPLACE_TEXT, _ADD_TEXT):
         issues = _text_field_issues(model, step)
-        if kind is AtomicKind.ADD_TEXT:
+        if kind is _ADD_TEXT:
             position = step.args.get("position")
             if not position:
                 issues.extend(_missing_args(step, "position"))
@@ -204,7 +219,7 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
                     _issue(IssueCode.ILLEGAL_TARGET, step, f"position must be prefix or postfix, got {position!r}")
                 )
         return issues
-    if kind is AtomicKind.SWAP_REFERENCES:
+    if kind is _SWAP_REFERENCES:
         issues = _reference_target_issues(model, step)
         new_source = step.args.get("newSource")
         new_target = step.args.get("newTarget")
@@ -217,11 +232,11 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
         ref_kind = model.references[step.target].kind
         endpoints = (("source", new_source), ("target", new_target))
         return _endpoint_issues(model, step, ref_kind, endpoints, prefix="new ")
-    if kind is AtomicKind.REMOVE_ELEMENT:
+    if kind is _REMOVE_ELEMENT:
         return _element_target_issues(model, step)
-    if kind is AtomicKind.REMOVE_REFERENCE:
+    if kind is _REMOVE_REFERENCE:
         return _reference_target_issues(model, step)
-    if kind is AtomicKind.ADD_REFERENCE:
+    if kind is _ADD_REFERENCE:
         issues = _missing_args(step, "refId", "refKind", "source", "target")
         if not model.has_id(step.target):
             issues.append(_issue(IssueCode.UNKNOWN_ID, step, "anchor target does not resolve"))
@@ -237,14 +252,14 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
             )
         endpoints = (("source", step.args["source"]), ("target", step.args["target"]))
         return issues + _endpoint_issues(model, step, ref_kind, endpoints)
-    if kind is AtomicKind.CHANGE_ATTRIBUTE:
+    if kind is _CHANGE_ATTRIBUTE:
         issues = _missing_args(step, "key")
         if "value" not in step.args:
             issues.append(_issue(IssueCode.MISSING_ARGUMENT, step, "argument 'value' is required"))
         if not model.has_id(step.target):
             issues.append(_issue(IssueCode.UNKNOWN_ID, step, "target does not resolve"))
         return issues
-    if kind is AtomicKind.MOVE_ELEMENT:
+    if kind is _MOVE_ELEMENT:
         issues = _missing_args(step, "newOrderingNumber")
         if not issues and ordering_number(step.args["newOrderingNumber"]) is None:
             issues.append(
@@ -295,56 +310,56 @@ def apply_atomic(model: ProcessModel, step: AtomicStep) -> ProcessModel:
 def _apply_into(work: _WorkingModel, step: AtomicStep) -> None:
     """Write a validated step into the working model: the one step body."""
     kind, target, args = step.kind, step.target, step.args
-    if kind is AtomicKind.RENAME_ELEMENT:
+    if kind is _RENAME_ELEMENT:
         work.put_element(target, work.elements[target].with_name(args["newName"]))
-    elif kind is AtomicKind.REPLACE_TEXT or kind is AtomicKind.ADD_TEXT:
+    elif kind is _REPLACE_TEXT or kind is _ADD_TEXT:
         text = args["text"]
         ref = work.references.get(target)
         if ref is not None:
             key = args["key"]
-            if kind is AtomicKind.ADD_TEXT:
+            if kind is _ADD_TEXT:
                 text = _spliced(ref.attributes[key], text, args["position"])
             work.put_reference(target, ref.with_attribute(key, text))
             return
         elem = work.elements[target]
         selector = args["field"]
         if selector == FIELD_SELECTOR_DESCRIPTION:
-            if kind is AtomicKind.ADD_TEXT:
+            if kind is _ADD_TEXT:
                 text = _spliced(elem.description, text, args["position"])
             elem = elem.with_description(text)
         elif selector == FIELD_SELECTOR_TEXT_BLOCK:
             block_id = args["blockId"]
-            if kind is AtomicKind.ADD_TEXT:
+            if kind is _ADD_TEXT:
                 text = _spliced(elem.find_block(block_id).text, text, args["position"])
             elem = elem.with_block_text(block_id, text)
         else:
             key = args["key"]
-            if kind is AtomicKind.ADD_TEXT:
+            if kind is _ADD_TEXT:
                 text = _spliced(elem.attributes[key], text, args["position"])
             elem = elem.with_attribute(key, text)
         work.put_element(target, elem)
-    elif kind is AtomicKind.SWAP_REFERENCES:
+    elif kind is _SWAP_REFERENCES:
         ref = work.references[target]
         work.put_reference(
             target, ref.with_endpoints(source=args.get("newSource"), target=args.get("newTarget"))
         )
-    elif kind is AtomicKind.REMOVE_ELEMENT:
+    elif kind is _REMOVE_ELEMENT:
         work.remove_element(target)
-    elif kind is AtomicKind.REMOVE_REFERENCE:
+    elif kind is _REMOVE_REFERENCE:
         work.put_reference(target, None)
-    elif kind is AtomicKind.ADD_REFERENCE:
+    elif kind is _ADD_REFERENCE:
         ref_id = args["refId"]
         work.put_reference(
             ref_id, Reference(ref_id, ReferenceKind(args["refKind"]), args["source"], args["target"])
         )
-    elif kind is AtomicKind.CHANGE_ATTRIBUTE:
+    elif kind is _CHANGE_ATTRIBUTE:
         key, value = args["key"], args["value"]
         ref = work.references.get(target)
         if ref is not None:
             work.put_reference(target, ref.with_attribute(key, value))
         else:
             work.put_element(target, work.elements[target].with_attribute(key, value))
-    elif kind is AtomicKind.MOVE_ELEMENT:
+    elif kind is _MOVE_ELEMENT:
         elem = work.elements[target]
         work.put_element(target, elem.with_attribute(ORDERING_ATTRIBUTE, args["newOrderingNumber"]))
     else:

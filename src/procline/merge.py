@@ -33,6 +33,7 @@ from .model import (
     Reference,
     _apply_change_set_into,
     _change_set,
+    _new_change_set,
     _new_model,
     _trusted,
     _WorkingModel,
@@ -206,9 +207,10 @@ class _Derivation:
     the base model is never written. Each write logs the id and its old
     value, so an exemplar that fails validation is rolled back, and each
     recorded entry is read off the log: an id's first logged value since the
-    previous entry is its "before", the live map holds its "after". So an
-    entry costs what it changes, not the size of the model, and a metamodel
-    upgrade made up front lands in the first recorded entry.
+    previous entry is its "before", the live map holds its "after", and the
+    entry's change set lists the id, with its "after" asset, when the two
+    differ. So an entry costs what it changes, not the size of the model,
+    and a metamodel upgrade made up front lands in the first recorded entry.
 
     Entries and their change sets are trusted builds (``model._trusted``):
     every value in them was checked by the step or the merge that wrote it,
@@ -233,16 +235,25 @@ class _Derivation:
         """Append an entry for the writes since the previous one."""
         work = self.work
         log = work.log
-        element_rows: list | tuple = ()
-        reference_rows: list | tuple = ()
-        if len(log) == 1:  # most entries write one id: no grouping, no sort
-            mapping, some_id, old = log[0]
-            row = ((some_id, old, mapping.get(some_id)),)
-            if mapping is work.references:
-                reference_rows = row
+        metamodel = work.model.metamodel
+        if len(log) == 1 and metamodel is self._recorded_metamodel:
+            # most entries write one id: their change set is built straight
+            # from that write, as _parts would build it, with no grouping or rows
+            mapping, some_id, before = log[0]
+            after = mapping.get(some_id)
+            if before is None:
+                parts = ((after,), (), ())
+            elif after is None:
+                parts = ((), (some_id,), ())
+            elif before is not after and before != after:
+                parts = ((), (), (after,))
             else:
-                element_rows = row
-        elif log:
+                parts = ((), (), ())
+            if mapping is work.references:
+                change_set = _new_change_set((), (), (), *parts, None)
+            else:
+                change_set = _new_change_set(*parts, (), (), (), None)
+        else:
             elements, references = work.elements, work.references
             old_elements: dict[str, ProcessElement | None] = {}
             old_references: dict[str, Reference | None] = {}
@@ -250,9 +261,8 @@ class _Derivation:
                 (old_references if mapping is references else old_elements).setdefault(some_id, old)
             element_rows = [(i, old_elements[i], elements.get(i)) for i in sorted(old_elements)]
             reference_rows = [(i, old_references[i], references.get(i)) for i in sorted(old_references)]
+            change_set = _change_set(self._recorded_metamodel, metamodel, element_rows, reference_rows)
         log.clear()
-        metamodel = work.model.metamodel
-        change_set = _change_set(self._recorded_metamodel, metamodel, element_rows, reference_rows)
         self._recorded_metamodel = metamodel
         self.entries.append(
             _new_entry(kind, self.variant_id, subject, target, "", cascade_count, step_count, change_set)

@@ -1,4 +1,4 @@
-"""Core process model: typed elements, typed references, and model diffs.
+"""Core process model: typed elements, typed references, and change sets.
 
 A :class:`ProcessModel` is an immutable value: a metamodel version and two
 maps, read through lookups and :meth:`ProcessModel.check_consistency`. A new
@@ -19,8 +19,12 @@ Values the engine has already checked are built by trusted build
 functions (:func:`_trusted`): each takes every field of its dataclass and
 stores it as the frozen ``__init__`` does, but runs no ``__post_init__``
 check, coercion or copy. The working model's view, applied change sets and
-replays, each trace entry and its change set and nested changes, expanded
-steps and parsed exemplars are built so.
+replays, each trace entry and its change set, expanded steps and parsed
+exemplars are built so.
+
+A change set names what changed asset by asset: it holds each added or
+modified element and reference as the later model holds it, and each
+removed one by id, so applying it writes those assets and patches no field.
 
 Identity lives in one namespace: element ids and reference ids must not
 collide, so a bare id always resolves to exactly one thing.
@@ -28,7 +32,6 @@ collide, so a bare id always resolves to exactly one thing.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -601,47 +604,20 @@ class _WorkingModel:
 
 # -- change sets -------------------------------------------------------------
 
-FIELD_KIND = "kind"
-FIELD_NAME = "name"
-FIELD_DESCRIPTION = "description"
-FIELD_SOURCE = "source"
-FIELD_TARGET = "target"
-ATTRIBUTE_FIELD_PREFIX = "attribute:"
-TEXT_BLOCK_FIELD_PREFIX = "textblock:"
-TEXT_BLOCK_ORDER_FIELD = "textblock-order"
-
-
-@dataclass(frozen=True)
-class FieldChange:
-    """A before/after pair for one logical field. ``None`` means absent."""
-
-    field: str
-    before: str | None
-    after: str | None
-
-
-@dataclass(frozen=True)
-class ElementChange:
-    element_id: str
-    changes: tuple[FieldChange, ...]
-
-
-@dataclass(frozen=True)
-class ReferenceChange:
-    reference_id: str
-    changes: tuple[FieldChange, ...]
-
-
 @dataclass(frozen=True)
 class ChangeSet:
-    """Difference between two models, applicable with :func:`apply_change_set`."""
+    """Difference between two models, applicable with :func:`apply_change_set`.
+
+    Added and modified assets are held as they are in the later model (the
+    same frozen objects, shared with it), removed ones by id.
+    """
 
     added_elements: tuple[ProcessElement, ...] = ()
     removed_elements: tuple[str, ...] = ()
-    modified_elements: tuple[ElementChange, ...] = ()
+    modified_elements: tuple[ProcessElement, ...] = ()
     added_references: tuple[Reference, ...] = ()
     removed_references: tuple[str, ...] = ()
-    modified_references: tuple[ReferenceChange, ...] = ()
+    modified_references: tuple[Reference, ...] = ()
     metamodel_change: tuple[MetamodelVersion, MetamodelVersion] | None = None
 
     def is_empty(self) -> bool:
@@ -667,85 +643,16 @@ class ChangeSet:
         )
 
 
-_new_field_change = _trusted(FieldChange)
-_new_element_change = _trusted(ElementChange)
-_new_reference_change = _trusted(ReferenceChange)
 _new_change_set = _trusted(ChangeSet)
 
 
-# TEXT_BLOCK_ORDER_FIELD values: block ids joined by spaces, each with the
-# escape character and whitespace written as "\\<hex code point>;", so every id
-# round-trips and an id without either is written as it is
-_BLOCK_ID_ESCAPE = "\\"
-_ESCAPED_CHAR = re.compile(r"\\([0-9a-f]+);")
-
-
-def _block_order(block_ids: Iterable[str]) -> str:
-    return " ".join(
-        "".join(f"\\{ord(c):x};" if c.isspace() or c == _BLOCK_ID_ESCAPE else c for c in block_id)
-        for block_id in block_ids
-    )
-
-
-def _block_ids(order: str) -> list[str]:
-    return [_ESCAPED_CHAR.sub(lambda m: chr(int(m.group(1), 16)), token) for token in order.split()]
-
-
-def _diff_attributes(before: Mapping[str, str], after: Mapping[str, str], changes: list[FieldChange]) -> None:
-    for key in sorted(before.keys() | after.keys()):
-        old, new = before.get(key), after.get(key)
-        if old != new:
-            changes.append(_new_field_change(ATTRIBUTE_FIELD_PREFIX + key, old, new))
-
-
-def _diff_element(a: ProcessElement, b: ProcessElement) -> ElementChange | None:
-    changes: list[FieldChange] = []
-    if a.kind != b.kind:
-        changes.append(_new_field_change(FIELD_KIND, a.kind.value, b.kind.value))
-    if a.name != b.name:
-        changes.append(_new_field_change(FIELD_NAME, a.name, b.name))
-    if a.description != b.description:
-        changes.append(_new_field_change(FIELD_DESCRIPTION, a.description, b.description))
-    # updates share the parts they leave alone, and a part is equal to itself
-    if a.attributes is not b.attributes:
-        _diff_attributes(a.attributes, b.attributes, changes)
-    if a.text_blocks is not b.text_blocks:
-        a_blocks = {blk.id: blk.text for blk in a.text_blocks}
-        b_blocks = {blk.id: blk.text for blk in b.text_blocks}
-        for block_id in sorted(a_blocks.keys() | b_blocks.keys()):
-            old, new = a_blocks.get(block_id), b_blocks.get(block_id)
-            if old != new:
-                changes.append(_new_field_change(TEXT_BLOCK_FIELD_PREFIX + block_id, old, new))
-        if list(a_blocks) != list(b_blocks):
-            # emitted last so application can reorder after per-block edits
-            changes.append(
-                _new_field_change(TEXT_BLOCK_ORDER_FIELD, _block_order(a_blocks), _block_order(b_blocks))
-            )
-    if not changes:
-        return None
-    return _new_element_change(a.id, tuple(changes))
-
-
-def _diff_reference(a: Reference, b: Reference) -> ReferenceChange | None:
-    changes: list[FieldChange] = []
-    if a.kind != b.kind:
-        changes.append(_new_field_change(FIELD_KIND, a.kind.value, b.kind.value))
-    if a.source != b.source:
-        changes.append(_new_field_change(FIELD_SOURCE, a.source, b.source))
-    if a.target != b.target:
-        changes.append(_new_field_change(FIELD_TARGET, a.target, b.target))
-    if a.attributes is not b.attributes:
-        _diff_attributes(a.attributes, b.attributes, changes)
-    if not changes:
-        return None
-    return _new_reference_change(a.id, tuple(changes))
-
-
 def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
-    """Minimal field-level difference between two models.
+    """The difference between two models, asset by asset.
 
-    The result is empty exactly when ``a == b``, and applying it to ``a``
-    yields ``b``. All parts are listed in ascending id order.
+    An asset of ``b`` is listed as modified when it differs from the asset
+    ``a`` holds under its id. The result is empty exactly when ``a == b``,
+    and applying it to ``a`` yields ``b``. All parts are listed in
+    ascending id order.
     """
 
     def rows(old: Mapping, new: Mapping) -> list[tuple]:
@@ -759,19 +666,19 @@ def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
 _Row = tuple[str, ProcessElement | Reference | None, ProcessElement | Reference | None]
 
 
-def _parts(rows: Sequence[_Row], diff) -> tuple[tuple, tuple, tuple]:
-    """The added values, removed ids and changes of ``rows``."""
+def _parts(rows: Sequence[_Row]) -> tuple[tuple, tuple, tuple]:
+    """The added assets, removed ids and modified assets of ``rows``."""
     added, removed, modified = [], [], []
     for some_id, before, after in rows:
-        # models share unchanged parts, and a part is equal to itself
+        # models share unchanged assets, and an asset is equal to itself
         if before is after:
             continue
         if before is None:
             added.append(after)
         elif after is None:
             removed.append(some_id)
-        elif (change := diff(before, after)) is not None:
-            modified.append(change)
+        elif before != after:
+            modified.append(after)
     return tuple(added), tuple(removed), tuple(modified)
 
 
@@ -784,69 +691,10 @@ def _change_set(
     """The change set of ``(id, before, after)`` rows in ascending id order; ``None`` is absent.
 
     :func:`compare_models` passes one row per id of either model, and a
-    merge's trace entry one per id written since the previous entry. A map
-    without rows leaves its three parts empty without a pass.
+    merge's trace entry one per id written since the previous entry.
     """
-    added_elements = removed_elements = modified_elements = ()
-    added_references = removed_references = modified_references = ()
-    if element_rows:
-        added_elements, removed_elements, modified_elements = _parts(element_rows, _diff_element)
-    if reference_rows:
-        added_references, removed_references, modified_references = _parts(reference_rows, _diff_reference)
     metamodel_change = None if old_metamodel == new_metamodel else (old_metamodel, new_metamodel)
-    return _new_change_set(
-        added_elements, removed_elements, modified_elements,
-        added_references, removed_references, modified_references,
-        metamodel_change,
-    )
-
-
-def _apply_element_change(elem: ProcessElement, change: ElementChange) -> ProcessElement:
-    for fc in change.changes:
-        if fc.field == FIELD_KIND:
-            elem = elem.with_kind(ElementKind(fc.after))
-        elif fc.field == FIELD_NAME:
-            elem = elem.with_name(fc.after or "")
-        elif fc.field == FIELD_DESCRIPTION:
-            elem = elem.with_description(fc.after or "")
-        elif fc.field.startswith(ATTRIBUTE_FIELD_PREFIX):
-            key = fc.field[len(ATTRIBUTE_FIELD_PREFIX):]
-            elem = elem.without_attribute(key) if fc.after is None else elem.with_attribute(key, fc.after)
-        elif fc.field.startswith(TEXT_BLOCK_FIELD_PREFIX):
-            block_id = fc.field[len(TEXT_BLOCK_FIELD_PREFIX):]
-            if fc.after is None:
-                elem = elem.with_text_blocks(b for b in elem.text_blocks if b.id != block_id)
-            elif elem.find_block(block_id) is None:
-                elem = elem.with_text_blocks((*elem.text_blocks, TextBlock(block_id, fc.after)))
-            else:
-                elem = elem.with_block_text(block_id, fc.after)
-        elif fc.field == TEXT_BLOCK_ORDER_FIELD:
-            wanted = _block_ids(fc.after or "")
-            by_id = {b.id: b for b in elem.text_blocks}
-            if sorted(wanted) != sorted(by_id):
-                raise FieldNotFoundError(
-                    f"element {elem.id!r}: block order {wanted} does not match blocks {sorted(by_id)}"
-                )
-            elem = elem.with_text_blocks(by_id[block_id] for block_id in wanted)
-        else:
-            raise FieldNotFoundError(f"element {elem.id!r}: unknown field {fc.field!r}")
-    return elem
-
-
-def _apply_reference_change(ref: Reference, change: ReferenceChange) -> Reference:
-    for fc in change.changes:
-        if fc.field == FIELD_KIND:
-            ref = Reference(ref.id, ReferenceKind(fc.after), ref.source, ref.target, ref.attributes)
-        elif fc.field == FIELD_SOURCE:
-            ref = ref.with_endpoints(source=fc.after)
-        elif fc.field == FIELD_TARGET:
-            ref = ref.with_endpoints(target=fc.after)
-        elif fc.field.startswith(ATTRIBUTE_FIELD_PREFIX):
-            key = fc.field[len(ATTRIBUTE_FIELD_PREFIX):]
-            ref = ref.without_attribute(key) if fc.after is None else ref.with_attribute(key, fc.after)
-        else:
-            raise FieldNotFoundError(f"reference {ref.id!r}: unknown field {fc.field!r}")
-    return ref
+    return _new_change_set(*_parts(element_rows), *_parts(reference_rows), metamodel_change)
 
 
 def apply_change_set(model: ProcessModel, change_set: ChangeSet) -> ProcessModel:
@@ -885,20 +733,14 @@ def _apply_change_set_into(
         if ref.id in references or ref.id in elements:
             raise DuplicateIdError(f"cannot add reference {ref.id!r}: id already in use")
         references[ref.id] = ref
-    for element_change in change_set.modified_elements:
-        if element_change.element_id not in elements:
-            raise UnknownIdError(f"cannot modify unknown element {element_change.element_id!r}")
-        elements[element_change.element_id] = _apply_element_change(
-            elements[element_change.element_id], element_change
-        )
-    for reference_change in change_set.modified_references:
-        if reference_change.reference_id not in references:
-            raise UnknownIdError(
-                f"cannot modify unknown reference {reference_change.reference_id!r}"
-            )
-        references[reference_change.reference_id] = _apply_reference_change(
-            references[reference_change.reference_id], reference_change
-        )
+    for elem in change_set.modified_elements:
+        if elem.id not in elements:
+            raise UnknownIdError(f"cannot modify unknown element {elem.id!r}")
+        elements[elem.id] = elem
+    for ref in change_set.modified_references:
+        if ref.id not in references:
+            raise UnknownIdError(f"cannot modify unknown reference {ref.id!r}")
+        references[ref.id] = ref
     if change_set.metamodel_change is None:
         return metamodel
     return MetamodelVersion(change_set.metamodel_change[1])

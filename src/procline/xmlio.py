@@ -57,6 +57,7 @@ from .catalog import (
     _new_exemplar,
 )
 from .errors import (
+    DuplicateIdError,
     DuplicateTypeNameError,
     IllegalCharacterError,
     MissingParentDeclarationError,
@@ -573,6 +574,19 @@ def _model_lines(model: ProcessModel, attr: _Escaper, text: _Escaper) -> list[st
 
 
 def serialize_extension(ext: ExtensionModel) -> str:
+    """The canonical document of ``ext``.
+
+    A document names each new element and reference id once, and its parser
+    rejects a repeat, so an extension that repeats one raises
+    :class:`DuplicateIdError` here rather than being written as a document
+    that does not parse back. A merge reports such an extension as a
+    ``DuplicateId`` issue.
+    """
+    seen: set[str] = set()
+    for asset in (*ext.new_elements, *ext.new_references):
+        if asset.id in seen:
+            raise DuplicateIdError(f"extension {ext.variant_id!r} declares id {asset.id!r} more than once")
+        seen.add(asset.id)
     return _document(_extension_lines, ext)
 
 

@@ -77,8 +77,8 @@ def random_decimal(rng: random.Random, *, finite: bool = False) -> str:
 
 _BLOCK_RICH_KINDS = (ElementKind.SECTION, ElementKind.CHAPTER)
 
-# text block ids may hold any character but must be non-empty: these hold the
-# whitespace a change set's block order has to carry
+# text block ids may hold any character but must be non-empty: these hold
+# whitespace, which the XML writer and every change set must carry unchanged
 _BLOCK_IDS = ("b1", "b 2", "b\t3")
 _FRESH_BLOCK_IDS = ("b\n7", " ", "\t")
 
@@ -510,7 +510,8 @@ def random_extension(
         )
 
     # clean extensions must not exclude what their own new references rely on,
-    # and must not exclude anything twice (the second hit would not resolve)
+    # and must not exclude anything twice (the second hit would not resolve),
+    # not even a reference an excluded element's cascade has already removed
     pinned = {r.source for r in new_references} | {r.target for r in new_references}
     for _ in range(rng.randint(0, 2)):
         roll = rng.random()
@@ -524,7 +525,9 @@ def random_extension(
                 exclusions.append(rng.choice(candidates))
         elif model.references:
             candidates = sorted(
-                i for i in model.references if not clean or i not in exclusions
+                i
+                for i, r in model.references.items()
+                if not clean or not {i, r.source, r.target}.intersection(exclusions)
             )
             if candidates:
                 exclusions.append(rng.choice(candidates))
@@ -627,7 +630,7 @@ def ill_typed_exemplar(rng: random.Random, model: ProcessModel, catalog):
 
 
 # ---------------------------------------------------------------------------
-# Model mutation (for diff/patch round trips)
+# Model mutation (for change-set round trips)
 # ---------------------------------------------------------------------------
 
 def mutate_model(rng: random.Random, model: ProcessModel) -> ProcessModel:
@@ -650,7 +653,7 @@ def mutate_model(rng: random.Random, model: ProcessModel) -> ProcessModel:
         elif op == 2 and element_ids:
             fresh = next(_fresh_ids("m", set(elements) | set(references)))
             ref_kind = rng.choice(tuple(ReferenceKind))
-            # diff/patch does not need consistency; endpoints may dangle
+            # change sets do not need consistency; endpoints may dangle
             references[fresh] = Reference(
                 fresh, ref_kind, rng.choice(element_ids), rng.choice(element_ids)
             )

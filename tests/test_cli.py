@@ -16,8 +16,9 @@ from procline.atomic import AtomicKind
 from procline.analytics import usage_report
 from procline.cli import main
 from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
-from procline.merge import ExtensionModel, merge_chain
-from procline.model import ElementKind, MetamodelVersion, ProcessElement
+from procline.errors import DuplicateIdError, IssueCode, ValidationFailedError
+from procline.merge import ExtensionModel, merge_chain, merge_once
+from procline.model import ElementKind, MetamodelVersion, ProcessElement, Reference, ReferenceKind
 from procline.studyline import DATA_FILES, fixture_text, study_variant_set
 from procline.xmlio import parse_model, serialize_catalog, serialize_extension, serialize_model
 
@@ -536,3 +537,36 @@ def test_paused_collector_has_nothing_of_procline_to_collect(data_dir, tmp_path,
     assert procline_types == dict.fromkeys(commands, set())
     counts = {name: len(types) for name, types in garbage_types.items()}
     assert len(set(counts.values())) == 1, counts
+
+
+def test_an_extension_repeating_an_id_is_refused_on_every_route(data_dir, tmp_path, capsys, catalog):
+    # the type admits two new assets under one id; no route merges or writes it
+    root = parse_model((data_dir / "root.xml").read_text(encoding="utf-8"))
+    first = ProcessElement("x", ElementKind.ROLE, "First")
+    repeats = {
+        "element": ExtensionModel("Twice", "root", "1.3", new_elements=(first, ProcessElement("x", "Role", "Again"))),
+        "reference": ExtensionModel(
+            "Twice",
+            "root",
+            "1.3",
+            new_elements=(first,),
+            new_references=(Reference("x", ReferenceKind.SUPPORTING_ROLE, "x", "x"),),
+        ),
+    }
+    for ext in repeats.values():
+        # the library's merge: a DuplicateId issue, which the CLI reports with exit 2
+        with pytest.raises(ValidationFailedError) as failed:
+            merge_once(root, ext, catalog)
+        assert [(i.code, i.subject) for i in failed.value.issues] == [(IssueCode.DUPLICATE_ID, "x")]
+        # the writer: no document, since a document that repeats an id does not parse
+        with pytest.raises(DuplicateIdError, match="declares id 'x' more than once"):
+            serialize_extension(ext)
+    # such a document, written by hand, is malformed: exit 1
+    single = serialize_extension(ExtensionModel("Twice", "root", "1.3", new_elements=(first,)))
+    line = '    <element id="x" kind="Role" name="First"/>\n'
+    assert line in single
+    path = tmp_path / "twice.xml"
+    path.write_text(single.replace(line, line * 2), encoding="utf-8")
+    code = main(["validate", "--root", str(data_dir / "root.xml"), "--extension", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: duplicate id 'x' in document\n"

@@ -923,3 +923,20 @@ def test_merged_models_replay_and_stay_consistent(catalog, seed):
         return
     assert merged.check_consistency() == []
     assert trace.replay(base) == merged
+
+
+def test_clean_random_extensions_merge(catalog):
+    # every declaration of a clean extension is built to validate, so each
+    # must reach the success path; before the generator skipped references an
+    # excluded element's cascade had removed, 12 of these 400 excluded such a
+    # reference again and failed with UnknownId
+    failures = {}
+    for seed in range(400):
+        rng = random.Random(seed)
+        base = genmodels.random_model(rng, max_elements=30)
+        ext = genmodels.random_extension(rng, base, catalog, max_exemplars=12, clean=True)
+        try:
+            merge_once(base, ext, catalog)
+        except (ValidationFailedError, ConflictError) as exc:
+            failures[seed] = str(exc)
+    assert failures == {}

@@ -1,4 +1,4 @@
-"""Core model invariants: construction, lookup, consistency, diff/patch."""
+"""Core model invariants: construction, lookup, consistency, change sets."""
 
 import dataclasses
 import gc
@@ -13,19 +13,16 @@ from hypothesis import given, settings, strategies as st
 import genmodels
 from procline.errors import (
     DuplicateIdError,
-    FieldNotFoundError,
     UnknownIdError,
 )
+from procline.merge import TraceEntryKind, _Derivation
 from procline.model import (
     ChangeSet,
-    ElementChange,
     ElementKind,
-    FieldChange,
     MetamodelVersion,
     ProcessElement,
     ProcessModel,
     Reference,
-    ReferenceChange,
     ReferenceKind,
     TextBlock,
     _WorkingModel,
@@ -286,7 +283,7 @@ def test_check_consistency_flags_each_bad_endpoint():
     ]
 
 
-# -- diff and patch ---------------------------------------------------------------
+# -- change sets ------------------------------------------------------------------
 
 def test_compare_models_empty_iff_equal():
     model = _wp_role_pair()
@@ -297,7 +294,7 @@ def test_compare_models_empty_iff_equal():
     assert delta.change_count() == 1
 
 
-def test_compare_models_lists_field_changes():
+def test_compare_models_lists_the_modified_asset():
     base = _wp_role_pair()
     changed = _with(
         base,
@@ -307,13 +304,9 @@ def test_compare_models_lists_field_changes():
         .with_attribute("roleClass", "supporting")
     )
     delta = compare_models(base, changed)
-    (mod,) = delta.modified_elements
-    assert mod.element_id == "role"
-    assert [(c.field, c.before, c.after) for c in mod.changes] == [
-        ("name", "ROLE", "New Name"),
-        ("description", "", "now described"),
-        ("attribute:roleClass", None, "supporting"),
-    ]
+    assert delta == ChangeSet(modified_elements=(changed.elements["role"],))
+    # the later model's own asset, not a copy of it
+    assert delta.modified_elements[0] is changed.elements["role"]
 
 
 def test_compare_models_tracks_block_text_and_order():
@@ -325,8 +318,7 @@ def test_compare_models_tracks_block_text_and_order():
         one, one.elements["sec"].with_text_blocks((TextBlock("b2", "y"), TextBlock("b1", "z")))
     )
     delta = compare_models(one, swapped)
-    (mod,) = delta.modified_elements
-    assert [c.field for c in mod.changes] == ["textblock:b1", "textblock-order"]
+    assert delta == ChangeSet(modified_elements=(swapped.elements["sec"],))
     assert apply_change_set(one, delta) == swapped
 
 
@@ -351,29 +343,112 @@ def test_apply_change_set_rejects_misfits():
     with pytest.raises(DuplicateIdError, match="'role'"):
         apply_change_set(model, ChangeSet(added_references=(clash,)))
     with pytest.raises(UnknownIdError, match="'nope'"):
-        apply_change_set(
-            model,
-            ChangeSet(modified_elements=(ElementChange("nope", (FieldChange("name", "A", "B"),)),)),
-        )
+        apply_change_set(model, ChangeSet(modified_elements=(_element("nope"),)))
     with pytest.raises(UnknownIdError, match="'nope'"):
         apply_change_set(
             model,
-            ChangeSet(
-                modified_references=(ReferenceChange("nope", (FieldChange("source", "wp", "x"),)),)
-            ),
+            ChangeSet(modified_references=(Reference("nope", ReferenceKind.RESPONSIBILITY, "wp", "role"),)),
         )
 
 
-def test_apply_change_set_rejects_block_order_mismatch():
-    sec = _element("sec", ElementKind.SECTION, text_blocks=(TextBlock("b1", "x"),))
-    model = ProcessModel.of(MetamodelVersion.V1_3, [sec])
-    broken = ChangeSet(
-        modified_elements=(
-            ElementChange("sec", (FieldChange("textblock-order", "b1", "b1 b9"),)),
-        )
-    )
-    with pytest.raises(FieldNotFoundError):
-        apply_change_set(model, broken)
+def test_apply_change_set_rejects_a_modified_asset_of_the_other_map():
+    # a modified asset must be in its own map under its id: the element
+    # and reference maps share one namespace, but a change set names the map
+    model = _wp_role_pair()
+    with pytest.raises(UnknownIdError, match="cannot modify unknown element 'resp'"):
+        apply_change_set(model, ChangeSet(modified_elements=(_element("resp"),)))
+    as_reference = Reference("wp", ReferenceKind.RESPONSIBILITY, "wp", "role")
+    with pytest.raises(UnknownIdError, match="cannot modify unknown reference 'wp'"):
+        apply_change_set(model, ChangeSet(modified_references=(as_reference,)))
+
+
+# -- one fixed case per kind of write ------------------------------------------------
+#
+# Each case writes into a merge's working model and names the change set it
+# must give by hand, so compare_models and a trace entry recorded off the
+# undo log are both checked against a value neither of them built.
+
+_BLOCKS = (TextBlock("b1", "x"), TextBlock("b2", "y"))
+_WP = _element("wp", ElementKind.WORK_PRODUCT, attributes={"k": "v"}, text_blocks=_BLOCKS)
+_ROLE = _element("role")
+_SPARE = _element("spare")
+_RESP = Reference("resp", ReferenceKind.RESPONSIBILITY, "wp", "role", {"k": "v"})
+_BASE = ProcessModel.of(MetamodelVersion.V1_3, [_WP, _ROLE, _SPARE], [_RESP])
+
+_RENAMED = _ROLE.with_name("Lead")
+_ATTRIBUTE_SET = _WP.with_attribute("j", "w")
+_ATTRIBUTE_UNSET = _WP.without_attribute("k")
+_REFERENCE_ATTRIBUTE_UNSET = _RESP.without_attribute("k")
+_BLOCK_ADDED = _WP.with_text_blocks((*_BLOCKS, TextBlock("b3", "z")))
+_BLOCK_REMOVED = _WP.with_text_blocks(_BLOCKS[:1])
+_BLOCKS_REORDERED = _WP.with_text_blocks(_BLOCKS[::-1])
+_ENDPOINT_MOVED = _RESP.with_endpoints(target="spare")
+_ELEMENT_KIND_CHANGED = _SPARE.with_kind(ElementKind.TASK)
+_REFERENCE_KIND_CHANGED = Reference("resp", ReferenceKind.SUPPORTING_ROLE, "wp", "role", {"k": "v"})
+_SPARE_AS_REFERENCE = Reference("spare", ReferenceKind.SUPPORTING_ROLE, "wp", "role")
+_RESP_AS_ELEMENT = _element("resp", ElementKind.TASK)
+
+
+def _putting(*assets):
+    def write(work):
+        for asset in assets:
+            put = work.put_element if isinstance(asset, ProcessElement) else work.put_reference
+            put(asset.id, asset)
+
+    return write
+
+
+_WRITES = {
+    "rename": (_putting(_RENAMED), ChangeSet(modified_elements=(_RENAMED,))),
+    "attribute set": (_putting(_ATTRIBUTE_SET), ChangeSet(modified_elements=(_ATTRIBUTE_SET,))),
+    "attribute unset": (_putting(_ATTRIBUTE_UNSET), ChangeSet(modified_elements=(_ATTRIBUTE_UNSET,))),
+    "reference attribute unset": (
+        _putting(_REFERENCE_ATTRIBUTE_UNSET),
+        ChangeSet(modified_references=(_REFERENCE_ATTRIBUTE_UNSET,)),
+    ),
+    "text block added": (_putting(_BLOCK_ADDED), ChangeSet(modified_elements=(_BLOCK_ADDED,))),
+    "text block removed": (_putting(_BLOCK_REMOVED), ChangeSet(modified_elements=(_BLOCK_REMOVED,))),
+    "text blocks reordered": (_putting(_BLOCKS_REORDERED), ChangeSet(modified_elements=(_BLOCKS_REORDERED,))),
+    "endpoint moved": (_putting(_ENDPOINT_MOVED), ChangeSet(modified_references=(_ENDPOINT_MOVED,))),
+    "element kind changed": (_putting(_ELEMENT_KIND_CHANGED), ChangeSet(modified_elements=(_ELEMENT_KIND_CHANGED,))),
+    "reference kind changed": (
+        _putting(_REFERENCE_KIND_CHANGED),
+        ChangeSet(modified_references=(_REFERENCE_KIND_CHANGED,)),
+    ),
+    "element id moved to the reference map": (
+        lambda work: (work.remove_element("spare"), _putting(_SPARE_AS_REFERENCE)(work)),
+        ChangeSet(removed_elements=("spare",), added_references=(_SPARE_AS_REFERENCE,)),
+    ),
+    "reference id moved to the element map": (
+        lambda work: (work.put_reference("resp", None), _putting(_RESP_AS_ELEMENT)(work)),
+        ChangeSet(added_elements=(_RESP_AS_ELEMENT,), removed_references=("resp",)),
+    ),
+    "equal value written": (_putting(_element("role")), ChangeSet()),
+    "renamed and renamed back": (_putting(_RENAMED, _element("role")), ChangeSet()),
+    "several writes to one id": (
+        _putting(_RENAMED, _RENAMED.with_attribute("j", "w")),
+        ChangeSet(modified_elements=(_RENAMED.with_attribute("j", "w"),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("write, expected", _WRITES.values(), ids=_WRITES)
+def test_each_kind_of_write_gives_its_change_set(write, expected):
+    derivation = _Derivation(_BASE, "X")
+    work = derivation.work
+    write(work)
+    after = ProcessModel(_BASE.metamodel, dict(work.elements), dict(work.references))
+    derivation.record(TraceEntryKind.OPERATION_EXECUTED, "Write")
+    (entry,) = derivation.entries
+    for change_set in (entry.change_set, compare_models(_BASE, after)):
+        assert change_set == expected
+        # each added or modified asset is the later model's own
+        for asset in (*change_set.added_elements, *change_set.modified_elements):
+            assert after.elements[asset.id] is asset
+        for asset in (*change_set.added_references, *change_set.modified_references):
+            assert after.references[asset.id] is asset
+    assert apply_change_set(_BASE, expected) == after
+    assert apply_change_set(after, compare_models(after, _BASE)) == _BASE
 
 
 @settings(max_examples=80, deadline=None)
@@ -411,17 +486,19 @@ def test_block_order_round_trips_any_block_id(before, after):
 
     a, b = model(before), model(after)
     delta = compare_models(a, b)
-    assert delta.modified_elements[0].changes[-1].field == "textblock-order"
+    assert delta == ChangeSet(modified_elements=(b.elements["sec"],))
     assert apply_change_set(a, delta) == b
     assert apply_change_set(b, compare_models(b, a)) == a
 
 
-def test_block_order_of_plain_ids_is_space_separated():
+def test_a_block_reorder_alone_is_a_modification():
     sec = _element("sec", ElementKind.SECTION, text_blocks=(TextBlock("b1", "x"), TextBlock("b2", "y")))
     one = ProcessModel.of(MetamodelVersion.V1_3, [sec])
     swapped = _with(one, sec.with_text_blocks(reversed(sec.text_blocks)))
-    (change,) = compare_models(one, swapped).modified_elements[0].changes
-    assert (change.before, change.after) == ("b1 b2", "b2 b1")
+    # the same two block objects, in the other order
+    assert set(swapped.elements["sec"].text_blocks) == set(sec.text_blocks)
+    (modified,) = compare_models(one, swapped).modified_elements
+    assert [block.id for block in modified.text_blocks] == ["b2", "b1"]
 
 
 @settings(max_examples=80, deadline=None)
