@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping
 
 from .catalog import OperationCatalog
@@ -53,6 +54,7 @@ def usage_report(variant_set: VariantSet, catalog: OperationCatalog) -> UsageRep
     variant_ids = tuple(variant_set.variant_ids())
     type_defs = list(catalog)  # sorted by name, once
     type_names = [t.name for t in type_defs]
+    by_name = dict(zip(type_names, type_defs))
 
     per_type = dict.fromkeys(type_names, 0)
     cells = dict.fromkeys(itertools.product(variant_ids, type_names), 0)
@@ -65,8 +67,8 @@ def usage_report(variant_set: VariantSet, catalog: OperationCatalog) -> UsageRep
     for variant_id in variant_ids:
         exemplars = variant_set.extensions[variant_id].exemplars
         variant_totals[variant_id] = len(exemplars)
-        for type_name, count in Counter(x.type_name for x in exemplars).items():
-            type_def = catalog.get(type_name)
+        for type_name, count in Counter(map(attrgetter("type_name"), exemplars)).items():
+            type_def = by_name.get(type_name)
             if type_def is None:
                 unknown[(variant_id, type_name)] = count
                 continue

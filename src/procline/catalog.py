@@ -181,22 +181,27 @@ class OperationCatalog:
 def expand_exemplar(catalog: OperationCatalog, exemplar: OperationExemplar) -> list[AtomicStep]:
     """Instantiate the recipe of an exemplar's type with its arguments."""
     type_def = catalog.lookup(exemplar.type_name)
-    given = {**exemplar.args, TARGET_PLACEHOLDER: exemplar.target}
     try:
-        # trusted: a template's kind is an AtomicKind, and each step gets a new args dict
-        return [
-            _new_step(
-                kind=atomic,
-                target=given[target_name] if target_name else target,
-                args={key: given[name] if name else value for key, (name, value) in args},
-            )
-            for atomic, (target_name, target), args in type_def._bound_recipe
-        ]
+        return _expand(type_def, exemplar)
     except KeyError as exc:
         raise MissingArgumentError(
             f"exemplar of {exemplar.type_name!r} on {exemplar.target!r}: "
             f"missing argument {exc.args[0]!r}"
         ) from None
+
+
+def _expand(type_def: OperationTypeDef, exemplar: OperationExemplar) -> list[AtomicStep]:
+    """The steps of ``type_def``'s recipe for ``exemplar``; KeyError names a missing argument."""
+    given = {**exemplar.args, TARGET_PLACEHOLDER: exemplar.target}
+    # trusted: a template's kind is an AtomicKind, and each step gets a new args dict
+    return [
+        _new_step(
+            kind=atomic,
+            target=given[target_name] if target_name else target,
+            args={key: given[name] if name else value for key, (name, value) in args},
+        )
+        for atomic, (target_name, target), args in type_def._bound_recipe
+    ]
 
 
 def validate_exemplar(
@@ -259,17 +264,19 @@ def _run_exemplar(
             code, detail = IssueCode.UNKNOWN_TARGET_ID, "; target does not resolve"
         message = f"{exemplar.type_name} targets {type_def.target_kind.value} {plural}{detail}"
         issues.append(Issue(code, exemplar.target, message))
-    for name in sorted(type_def.placeholders.difference(exemplar.args)):
-        issues.append(
-            Issue(
-                IssueCode.MISSING_ARGUMENT,
-                exemplar.type_name,
-                f"exemplar on {exemplar.target!r} lacks argument {name!r}",
+    placeholders = type_def.placeholders
+    if not exemplar.args.keys() >= placeholders:
+        for name in sorted(placeholders.difference(exemplar.args)):
+            issues.append(
+                Issue(
+                    IssueCode.MISSING_ARGUMENT,
+                    exemplar.type_name,
+                    f"exemplar on {exemplar.target!r} lacks argument {name!r}",
+                )
             )
-        )
     if issues:
         return issues, []
-    steps = expand_exemplar(catalog, exemplar)
+    steps = _expand(type_def, exemplar)  # every placeholder is given
     for step in steps:
         # work.model reads the live maps, so each step sees the earlier ones
         issues = validate_step(model, step)

@@ -36,13 +36,15 @@ it, and it lives in the instance's own attribute storage (no new gc-tracked
 object on CPython 3.11).
 
 Statistics exports (CSV and plain text) live here too, next to the other
-output formats.
+output formats. The CSV writer quotes each distinct field once through the
+``csv`` module (a variant id, a type's group, name and metamodel columns)
+and builds each row from those quoted pieces, so the output is the text a
+``csv.writer`` writes for the same rows, built without a call per row.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import re
 import xml.etree.ElementTree as ET
 from typing import Any, Callable, Mapping, TypeVar
@@ -297,37 +299,38 @@ def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
 def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
     # exemplars and their args are nearly every node of an extension, so
     # the common case of _checked runs inline here: a node that fails this
-    # quicker test goes to _checked, which names what is wrong (the text
-    # tests are _blank's, inline)
-    exemplar_attributes, arg_attributes = _SCHEMA["exemplar"][2], _SCHEMA["arg"][2]
+    # quicker test goes to _checked, which names what is wrong. A node whose
+    # attributes are as many as its tag allows and include the ones it needs
+    # holds exactly those; the text tests are _blank's, inline.
     exemplars = []
     for node in section:
         attrib = node.attrib
+        type_name, target = attrib.get("type"), attrib.get("target")
         text, tail = node.text, node.tail
         if (
             node.tag != "exemplar"
-            or attrib.keys() != exemplar_attributes
+            or len(attrib) != 2
+            or type_name is None
+            or target is None
             or (text and not (text.isspace() and text.isascii()))
             or (tail and not (tail.isspace() and tail.isascii()))
         ):
             _checked(node, source, "operations")
         args: dict[str, str] = {}
         for child in node:
-            tail = child.tail
+            child_attrib = child.attrib
+            name, tail = child_attrib.get("name"), child.tail
             if (
                 child.tag != "arg"
-                or child.attrib.keys() != arg_attributes
+                or len(child_attrib) != 1
+                or name is None
                 or len(child)
                 or (tail and not (tail.isspace() and tail.isascii()))
             ):
                 _checked(child, source, "exemplar")
-            name = child.attrib["name"]
             if name in args:
-                raise SchemaError(
-                    f"exemplar of {attrib['type']!r} repeats argument {name!r}", path=source
-                )
+                raise SchemaError(f"exemplar of {type_name!r} repeats argument {name!r}", path=source)
             args[name] = child.text or ""
-        type_name, target = attrib["type"], attrib["target"]
         if type_name and target:  # the checks of __post_init__; and args is this node's own
             exemplars.append(_new_exemplar(type_name, target, args))
         else:
@@ -711,32 +714,48 @@ CSV_HEADER = ("variantId", "operationGroup", "operationType", "definingMetamodel
 UNKNOWN_GROUP = "(unknown)"
 
 
+class _Lines(list):
+    """A list that a csv writer can write its lines into."""
+
+    write = list.append
+
+
 def export_stats_csv(report: UsageReport) -> str:
     """Usage statistics as CSV, one row per variant and operation type.
 
-    Types without exemplars keep their zero rows so the output schema does
-    not depend on the data. Exemplars of types missing from the catalog get
-    the reserved group ``(unknown)`` and an empty metamodel column. Rows are
-    sorted by variant, group and type.
+    The header comes first. Types without exemplars keep their zero rows so
+    the output schema does not depend on the data. Exemplars of types
+    missing from the catalog get the reserved group ``(unknown)`` and an
+    empty metamodel column. Rows are sorted by variant, group and type.
+    Fields are quoted as a default ``csv.writer`` quotes them, and each row
+    ends with CRLF.
     """
-    # the catalog types in row order, sorted once for every variant
-    types = sorted(
-        (group, name, report.type_metamodels[name].value) for name, group in report.type_groups.items()
-    )
-    unknown: dict[str, list[tuple[str, str, str, str, int]]] = {}
-    for (variant_id, type_name), count in report.unknown_types.items():
-        unknown.setdefault(variant_id, []).append((variant_id, UNKNOWN_GROUP, type_name, "", count))
-    cells = report.cells
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+    lines = _Lines()
+    writer = csv.writer(lines)
     writer.writerow(CSV_HEADER)
+
+    def cells(*fields: str) -> str:
+        # csv quotes a field by its own characters, so each distinct field is
+        # quoted once: a row that ends in an empty field, less its line end,
+        # is the fields each followed by the delimiter
+        writer.writerow((*fields, ""))
+        return lines.pop()[:-2]
+
+    # the catalog types in row order as (group, name, cells), sorted once
+    types = sorted(
+        (group, name, cells(group, name, report.type_metamodels[name].value))
+        for name, group in report.type_groups.items()
+    )
+    unknown: dict[str, list[tuple[str, str, str]]] = {}
+    for variant_id, name in report.unknown_types:
+        unknown.setdefault(variant_id, []).append((UNKNOWN_GROUP, name, cells(UNKNOWN_GROUP, name, "")))
+    counts = {**report.cells, **report.unknown_types}
     for variant_id in sorted(report.variant_ids):
-        rows = [(variant_id, group, name, mm, cells[variant_id, name]) for group, name, mm in types]
-        if variant_id in unknown:
-            rows += unknown[variant_id]
-            rows.sort()  # (group, type) is unique, so the later columns never decide
-        writer.writerows(rows)
-    return buffer.getvalue()
+        prefix = cells(variant_id)
+        # (group, type) is unique, so the cells never decide the order
+        rows = sorted(types + unknown[variant_id]) if variant_id in unknown else types
+        lines += [f"{prefix}{columns}{counts[variant_id, name]}\r\n" for _, name, columns in rows]
+    return "".join(lines)
 
 
 def _format_count_table(rows: list[tuple[str, str]], indent: str = "  ") -> list[str]:

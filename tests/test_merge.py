@@ -324,7 +324,8 @@ def test_each_executed_step_is_validated_once_and_each_exemplar_expanded_once(
 ):
     counts = collections.Counter()
     _count_calls(monkeypatch, atomic.validate_step, counts)
-    _count_calls(monkeypatch, catalog_module.expand_exemplar, counts)
+    # every expansion, expand_exemplar's and the merge's own, goes through _expand
+    _count_calls(monkeypatch, catalog_module._expand, counts)
     executed_steps = executed_exemplars = 0
     for leaf in variants.variant_ids():
         _, trace = merge_chain(variants, leaf, catalog)
@@ -333,7 +334,7 @@ def test_each_executed_step_is_validated_once_and_each_exemplar_expanded_once(
         executed_exemplars += len(executed)
     assert executed_exemplars > 0
     assert counts["validate_step"] == executed_steps
-    assert counts["expand_exemplar"] == executed_exemplars
+    assert counts["_expand"] == executed_exemplars
 
 
 def _outcome(derive):

@@ -239,8 +239,17 @@ _ONE_DEFECT_EXTENSIONS = {
         _ext_doc('<exemplar type="RenameRole" target="r1" color="red"/>'),
         "<exemplar> has unexpected attribute 'color'",
     ),
+    # as many attributes as the tag takes, but not the ones it needs
+    "exemplar-misnamed-attribute": (
+        _ext_doc('<exemplar type="RenameRole" color="red"/>'),
+        "<exemplar> lacks attribute 'target'",
+    ),
     "arg-lacks-name": (
         _ext_doc('<exemplar type="RenameRole" target="r1"><arg>Lead</arg></exemplar>'),
+        "<arg> lacks attribute 'name'",
+    ),
+    "arg-misnamed-attribute": (
+        _ext_doc('<exemplar type="RenameRole" target="r1"><arg lang="de">Lead</arg></exemplar>'),
         "<arg> lacks attribute 'name'",
     ),
     "arg-extra-attribute": (
@@ -1223,6 +1232,41 @@ def test_study_stats_csv_is_the_one_sort_order(variants, catalog):
 def test_stats_csv_is_the_one_sort_order(catalog, seed):
     # drawn families hold a variant without exemplars and an exemplar of an unknown type
     report = usage_report(genmodels.random_variant_set(random.Random(seed), catalog), catalog)
+    assert export_stats_csv(report) == _stats_csv_by_one_sort(report)
+
+
+# fields csv must quote (comma, quote, CR, LF), spaces at either end, non-ASCII
+_CSV_FIELD = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "é", "中", "\u2028"]), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stats_csv_quotes_hostile_fields(data):
+    groups = data.draw(st.dictionaries(_CSV_FIELD, _CSV_FIELD, min_size=1, max_size=4), label="type -> group")
+    unknown = data.draw(st.lists(_CSV_FIELD.filter(lambda n: n not in groups), min_size=1, max_size=3))
+    variant_ids = data.draw(
+        st.lists(_CSV_FIELD.filter(lambda v: v != "root"), min_size=2, max_size=4, unique=True), label="variants"
+    )
+    catalog = OperationCatalog([_one_step_type(name, group) for name, group in groups.items()])
+    root = ProcessModel.of(MetamodelVersion.V1_3, [ProcessElement("r1", ElementKind.ROLE, "R")], [])
+    type_names = st.lists(st.sampled_from([*groups, *unknown]), max_size=6)
+    # the first variant declares nothing, the second at least one unknown type
+    declared = [[], [unknown[0], *data.draw(type_names)], *(data.draw(type_names) for _ in variant_ids[2:])]
+    family = VariantSet.of(
+        root,
+        [
+            ExtensionModel(
+                variant_id,
+                "root",
+                MetamodelVersion.V1_3,
+                exemplars=tuple(OperationExemplar(name, "r1", {"newName": "n"}) for name in names),
+            )
+            for variant_id, names in zip(variant_ids, declared)
+        ],
+    )
+    report = usage_report(family, catalog)
     assert export_stats_csv(report) == _stats_csv_by_one_sort(report)
 
 
