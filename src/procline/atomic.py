@@ -72,7 +72,7 @@ POSITION_PREFIX = "prefix"
 POSITION_POSTFIX = "postfix"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicStep:
     """One atomic transformation: a kind, a target id, and string args.
 

@@ -111,7 +111,7 @@ class OperationTypeDef:
         return isinstance(self.target_kind, ReferenceKind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperationExemplar:
     """A concrete use of an operation type inside an extension model."""
 

@@ -28,7 +28,7 @@ class IssueCode(str, Enum):
     CONFLICT = "Conflict"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Issue:
     """One validation finding.
 

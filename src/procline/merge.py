@@ -109,7 +109,7 @@ class TraceEntryKind(str, Enum):
     UNTYPED_CHANGE = "UntypedChange"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One audited merge effect.
 

@@ -20,7 +20,10 @@ functions (:func:`_trusted`): each takes every field of its dataclass and
 stores it as the frozen ``__init__`` does, but runs no ``__post_init__``
 check, coercion or copy. The working model's view, applied change sets and
 replays, each trace entry and its change set, expanded steps and parsed
-exemplars are built so.
+exemplars are built so. The records a family holds by the thousand (text
+blocks, change sets, trace entries, steps, exemplars, issues) are slotted:
+no instance has a ``__dict__``. Elements and references keep theirs, since
+the XML writer keeps each one's finished block in it.
 
 A change set names what changed asset by asset: it holds each added or
 modified element and reference as the later model holds it, and each
@@ -273,7 +276,7 @@ def _replacer(cls: type[_D]) -> Callable[..., _D]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextBlock:
     """One named block of running text inside an element."""
 
@@ -604,7 +607,7 @@ class _WorkingModel:
 
 # -- change sets -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeSet:
     """Difference between two models, applicable with :func:`apply_change_set`.
 

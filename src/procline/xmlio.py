@@ -35,6 +35,11 @@ kept block is no field: ``==``, ``repr`` and ``compare_models`` do not see
 it, and it lives in the instance's own attribute storage (no new gc-tracked
 object on CPython 3.11).
 
+Parsed exemplars share one string per type name and per argument name:
+both come from the catalog's fixed vocabulary, so the parser interns them,
+and a family of thousands of exemplars holds each name once. Targets and
+argument values are model ids and free text and are kept as parsed.
+
 Statistics exports (CSV and plain text) live here too, next to the other
 output formats. The CSV writer quotes each distinct field once through the
 ``csv`` module (a variant id, a type's group, name and metamodel columns)
@@ -47,6 +52,7 @@ from __future__ import annotations
 import csv
 import re
 import xml.etree.ElementTree as ET
+from sys import intern
 from typing import Any, Callable, Mapping, TypeVar
 
 from .analytics import UsageReport, top_n, unused_report
@@ -301,7 +307,9 @@ def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
     # the common case of _checked runs inline here: a node that fails this
     # quicker test goes to _checked, which names what is wrong. A node whose
     # attributes are as many as its tag allows and include the ones it needs
-    # holds exactly those; the text tests are _blank's, inline.
+    # holds exactly those; the text tests are _blank's, inline. Type names
+    # and argument names are interned, targets and argument values are not
+    # (see the module docstring).
     exemplars = []
     for node in section:
         attrib = node.attrib
@@ -330,7 +338,8 @@ def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
                 _checked(child, source, "exemplar")
             if name in args:
                 raise SchemaError(f"exemplar of {type_name!r} repeats argument {name!r}", path=source)
-            args[name] = child.text or ""
+            args[intern(name)] = child.text or ""
+        type_name = intern(type_name)
         if type_name and target:  # the checks of __post_init__; and args is this node's own
             exemplars.append(_new_exemplar(type_name, target, args))
         else:

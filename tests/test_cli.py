@@ -18,7 +18,7 @@ from procline.cli import main
 from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.errors import DuplicateIdError, IssueCode, ValidationFailedError
 from procline.merge import ExtensionModel, merge_chain, merge_once
-from procline.model import ElementKind, MetamodelVersion, ProcessElement, Reference, ReferenceKind
+from procline.model import ElementKind, MetamodelVersion, ProcessElement, ProcessModel, Reference, ReferenceKind
 from procline.studyline import DATA_FILES, fixture_text, study_variant_set
 from procline.xmlio import parse_model, serialize_catalog, serialize_extension, serialize_model
 
@@ -98,6 +98,26 @@ def test_validate_rejects_gated_operation(data_dir, tmp_path, capsys):
     assert code == 2
     assert "MetamodelGate" in captured.err
     assert "validation failed" in captured.err
+
+
+def test_validate_reports_every_issue_of_an_inconsistent_root(tmp_path, capsys):
+    root = ProcessModel.of(
+        MetamodelVersion.V1_3,
+        [ProcessElement("r1", ElementKind.ROLE, "Role")],
+        [Reference("bad", ReferenceKind.RESPONSIBILITY, "r1", "ghost")],
+    )
+    (tmp_path / "root.xml").write_text(serialize_model(root), encoding="utf-8")
+    ext = ExtensionModel("V", "root", MetamodelVersion.V1_3)
+    (tmp_path / "v.xml").write_text(serialize_extension(ext), encoding="utf-8")
+    code = main(["validate", "--root", str(tmp_path / "root.xml"), "--extension", str(tmp_path / "v.xml")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "[V] KindConstraintViolation(bad): Responsibility source must be one of ['WorkProduct'], got Role",
+        "[V] DanglingReference(bad): target 'ghost' does not resolve to an element",
+        "validation failed: 2 issue(s)",
+    ]
 
 
 def test_stats_csv(data_dir, capsys):

@@ -831,6 +831,27 @@ def test_invalid_merge_leaves_inputs_alone(catalog):
     assert compare_models(base, _base()) == snapshot  # unchanged
 
 
+def test_an_inconsistent_root_fails_even_an_empty_merge(catalog):
+    # the consistency check covers the whole merged model, so what its base
+    # already breaks fails the merge, tagged with the variant being merged
+    root = ProcessModel.of(
+        MetamodelVersion.V1_3,
+        [ProcessElement("r1", ElementKind.ROLE, "Role")],
+        [Reference("bad", ReferenceKind.RESPONSIBILITY, "r1", "ghost")],
+    )
+    ext = ExtensionModel("V", "root", MetamodelVersion.V1_3)
+    expected = [
+        "[V] KindConstraintViolation(bad): Responsibility source must be one of ['WorkProduct'], got Role",
+        "[V] DanglingReference(bad): target 'ghost' does not resolve to an element",
+    ]
+    with pytest.raises(ValidationFailedError) as once:
+        merge_once(root, ext, catalog)
+    with pytest.raises(ValidationFailedError) as chain:
+        merge_chain(VariantSet.of(root, [ext]), "V", catalog)
+    for raised in (once, chain):
+        assert [str(issue) for issue in raised.value.issues] == expected
+
+
 # -- chain resolution -----------------------------------------------------------------
 
 def test_resolve_chain_order(variants):

@@ -6,9 +6,11 @@ must be indistinguishable from the same value built through its public
 constructor, and each build must set every field of its dataclass.
 """
 
+import copy
 import dataclasses
 import gc
 import inspect
+import pickle
 import random
 import types
 import typing
@@ -18,16 +20,19 @@ from hypothesis import given, settings, strategies as st
 
 import genmodels
 from procline import catalog as catalog_module, merge as merge_module, model as model_module, xmlio
-from procline.atomic import AtomicStep
+from procline.atomic import AtomicKind, AtomicStep
 from procline.catalog import OperationExemplar, expand_exemplar
-from procline.errors import ConflictError, ValidationFailedError
-from procline.merge import ExtensionModel, TraceEntry, merge_chain, merge_once
+from procline.errors import ConflictError, Issue, IssueCode, ValidationFailedError
+from procline.merge import ExtensionModel, TraceEntry, TraceEntryKind, merge_chain, merge_once
 from procline.model import (
     ChangeSet,
     ElementKind,
+    MetamodelVersion,
     ProcessElement,
     ProcessModel,
     Reference,
+    ReferenceKind,
+    TextBlock,
     apply_change_set,
     compare_models,
 )
@@ -67,6 +72,70 @@ def _conforms(value, hint) -> bool:
     return all(_conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items())
 
 
+def _state(value) -> list[tuple[str, object]]:
+    """The fields ``value`` holds, ``(name, value)`` in field order; reading an unset one raises."""
+    return [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+
+
+def _assert_holds_only_its_fields(value) -> None:
+    """``value`` stores its fields, in order, and nothing else.
+
+    A slotted class has one slot per field, in field order, and its
+    instances have no ``__dict__``; any other keeps exactly its fields in its
+    ``__dict__``.
+    """
+    cls = type(value)
+    names = [f.name for f in dataclasses.fields(cls)]
+    if "__slots__" in vars(cls):
+        assert cls.__slots__ == tuple(names)
+        assert not hasattr(value, "__dict__")
+    else:
+        assert list(vars(value)) == names
+
+
+def _slotted_records() -> dict:
+    """One instance of each slotted record class, nested records and maps included."""
+    element = ProcessElement("e1", ElementKind.ROLE, "Role", "d", {"k": "v"}, (TextBlock("b1", "x"),))
+    reference = Reference("r1", ReferenceKind.RESPONSIBILITY, "w1", "e1", {"k": "v"})
+    change_set = ChangeSet(
+        added_elements=(element,),
+        removed_elements=("gone",),
+        modified_references=(reference,),
+        metamodel_change=(MetamodelVersion.V1_3, MetamodelVersion.V1_3B),
+    )
+    return {
+        OperationExemplar: OperationExemplar("RenameRole", "e1", {"newName": "Lead"}),
+        AtomicStep: AtomicStep(AtomicKind.RENAME_ELEMENT, "e1", {"newName": "Lead"}),
+        TraceEntry: TraceEntry(
+            TraceEntryKind.OPERATION_EXECUTED, "V", "RenameRole", "e1", "", 0, 1, change_set
+        ),
+        ChangeSet: change_set,
+        TextBlock: TextBlock("b1", "x"),
+        Issue: Issue(IssueCode.DANGLING_REFERENCE, "r1", "target 'x' does not resolve", "V"),
+    }
+
+
+@pytest.mark.parametrize("cls", list(_slotted_records()), ids=lambda cls: cls.__name__)
+def test_a_slotted_record_copies_pickles_and_stays_frozen(cls):
+    record = _slotted_records()[cls]
+    _assert_holds_only_its_fields(record)
+    assert "__slots__" in vars(cls)
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is cls
+        assert other == record and _state(other) == _state(record)
+        _assert_holds_only_its_fields(other)
+    name = dataclasses.fields(cls)[0].name
+    for target in (record, copies[-1]):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, getattr(target, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(target, name)
+        with pytest.raises(AttributeError):
+            object.__setattr__(target, "extra", 1)  # past the frozen check: no __dict__ to take it
+
+
 def _assert_like(value, twin) -> None:
     """``value`` and ``twin`` are of one type, hold the same fields in order, and read and compare alike.
 
@@ -84,8 +153,9 @@ def _assert_like(value, twin) -> None:
         assert value == twin
         return
     names = [f.name for f in dataclasses.fields(value)]
-    assert list(vars(value)) == names == list(vars(twin))
-    assert vars(value) == vars(twin)
+    _assert_holds_only_its_fields(value)
+    _assert_holds_only_its_fields(twin)
+    assert _state(value) == _state(twin)
     assert repr(value) == repr(twin)
     assert value == twin and twin == value
     hints = typing.get_type_hints(type(value))
@@ -200,7 +270,8 @@ def test_a_trusted_build_takes_every_field_and_cannot_skip_one(cls):
     assert all(p.default is inspect.Parameter.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
     values = [f"value of {name}" for name in names]
     built = build(*values)
-    assert list(vars(built)) == names and list(vars(built).values()) == values
+    _assert_holds_only_its_fields(built)
+    assert _state(built) == list(zip(names, values))
     for skipped in names:
         with pytest.raises(TypeError):
             build(**{name: value for name, value in zip(names, values) if name != skipped})

@@ -92,6 +92,36 @@ def test_catalog_round_trip(catalog):
     assert serialize_catalog(parse_catalog(text)) == text
 
 
+def test_parsed_type_and_argument_names_are_shared_strings():
+    # type and argument names come from the catalog's small vocabulary, so
+    # documents parsed apart, from text or from bytes, share one string per
+    # name; targets and argument values are only equal to their text
+    exemplars = (
+        OperationExemplar("RenameRole", "r1", {"newName": "Lead"}),
+        OperationExemplar("RenameRole", "r2", {"newName": "Lead"}),
+        OperationExemplar("Umbenennen\u00e4", "r1", {"neuerName\u00e4": "x", "newName": "Lead"}),
+    )
+    written = [
+        ExtensionModel(variant_id, "root", MetamodelVersion.V1_3, exemplars=exemplars) for variant_id in "XY"
+    ]
+    parsed = [
+        parse_extension(serialize_extension(written[0])),
+        parse_extension(serialize_extension(written[1]).encode("utf-8")),
+        parse_extension(fixture_text("ext-a.xml")),
+        parse_extension(fixture_text("ext-bund.xml").encode("utf-8")),
+    ]
+    assert parsed[:2] == written
+    shared_names: dict[str, str] = {}
+    shared_keys: dict[str, str] = {}
+    repeats = 0
+    for exemplar in (exemplar for ext in parsed for exemplar in ext.exemplars):
+        repeats += exemplar.type_name in shared_names
+        assert shared_names.setdefault(exemplar.type_name, exemplar.type_name) is exemplar.type_name
+        for key in exemplar.args:
+            assert shared_keys.setdefault(key, key) is key
+    assert repeats > len(shared_names)  # the names do repeat across the documents
+
+
 def test_serialized_model_shape():
     from procline.model import (
         ElementKind,
