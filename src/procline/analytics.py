@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .catalog import OperationCatalog
 from .merge import VariantSet
-from .model import MetamodelVersion
+from .model import MetamodelVersion, _gc_paused
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class UsageReport:
         return tuple(sorted(n for n, c in self.per_type_counts.items() if c == 0))
 
 
+@_gc_paused
 def usage_report(variant_set: VariantSet, catalog: OperationCatalog) -> UsageReport:
     """Count declared exemplars across all variants of the set.
 

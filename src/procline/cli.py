@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import io
 import sys
 from pathlib import Path
@@ -34,7 +33,7 @@ from .errors import (
     ValidationFailedError,
 )
 from .merge import MergeTrace, VariantSet, merge_chain
-from .model import MetamodelVersion, ProcessModel
+from .model import MetamodelVersion, ProcessModel, _gc_paused
 from .xmlio import (
     export_stats_csv,
     parse_catalog,
@@ -243,13 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # procline's models, traces and reports hold no reference cycles, so
-    # reference counting frees them and the cyclic collector's passes over a
-    # parsed family find nothing; pause it for the command, then restore it
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
+@_gc_paused
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command; its errors become a message and an exit code."""
     try:
         return args.func(args)
     except ValidationFailedError as exc:
@@ -270,9 +265,12 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+
+
+def main(argv: list[str] | None = None) -> int:
+    # the command runs with the cyclic collector paused; a usage error exits
+    # from argument parsing, before the pause
+    return _run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -35,10 +35,12 @@ collide, so a bare id always resolves to exactly one thing.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from functools import wraps
+from typing import Any, Callable, Iterable, Mapping, ParamSpec, Sequence, TypeVar
 
 from .errors import (
     DuplicateIdError,
@@ -49,6 +51,8 @@ from .errors import (
 )
 
 _D = TypeVar("_D")
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
 
 
 class MetamodelVersion(str, Enum):
@@ -224,6 +228,30 @@ def ordering_number(raw: str) -> Decimal | None:
         return None
     # Decimal also parses NaN, sNaN and Infinity: no position, and NaN does not even compare
     return number if number.is_finite() else None
+
+
+def _gc_paused(func: Callable[_P, _R]) -> Callable[_P, _R]:
+    """``func``, run with Python's cyclic garbage collector paused.
+
+    What parsing and counting build holds no reference cycles, so reference
+    counting frees it and the collector's passes over it find nothing. The
+    caller's setting comes back on every exit, a raise included, and a call
+    nested in a paused one leaves the collector off. The setting is
+    process-wide: every thread runs paused while this call does, and one
+    that disables the collector meanwhile may find it on again afterwards.
+    """
+
+    @wraps(func)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _compiled(

@@ -81,6 +81,7 @@ from .model import (
     Reference,
     ReferenceKind,
     TextBlock,
+    _gc_paused,
 )
 
 SCHEMA_VERSION = "1"
@@ -286,6 +287,7 @@ def _reference(node: ET.Element, seen: set[str], source: str) -> Reference:
     )
 
 
+@_gc_paused
 def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
     """Read a reference/process model document."""
     root = _root_node(text, "processModel", source)
@@ -339,14 +341,13 @@ def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
             if name in args:
                 raise SchemaError(f"exemplar of {type_name!r} repeats argument {name!r}", path=source)
             args[intern(name)] = child.text or ""
-        type_name = intern(type_name)
-        if type_name and target:  # the checks of __post_init__; and args is this node's own
-            exemplars.append(_new_exemplar(type_name, target, args))
-        else:
-            exemplars.append(_build(OperationExemplar, source, type_name=type_name, target=target, args=args))
+        if not (type_name and target):  # __post_init__'s checks, which name the empty one
+            _build(OperationExemplar, source, type_name=type_name, target=target)
+        exemplars.append(_new_exemplar(intern(type_name), target, args))  # args is this node's own
     return exemplars
 
 
+@_gc_paused
 def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
     """Read an extension model document.
 
@@ -389,6 +390,7 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
     )
 
 
+@_gc_paused
 def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
     """Read an operation catalog document."""
     root = _root_node(text, "operationCatalog", source)

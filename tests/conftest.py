@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from procline.catalog import builtin_catalog
@@ -17,3 +19,11 @@ def root():
 @pytest.fixture(scope="session")
 def variants():
     return study_variant_set()
+
+
+@pytest.fixture
+def gc_restored():
+    """Give the collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()

@@ -466,13 +466,6 @@ def test_stdout_is_utf8_whatever_the_stream_encoding(encoding, data_dir, tmp_pat
     assert run("catalog").count(b"\n") == 69
 
 
-@pytest.fixture
-def gc_restored():
-    was_enabled = gc.isenabled()
-    yield
-    (gc.enable if was_enabled else gc.disable)()
-
-
 # argv for one command per exit path of main, and the exit code it must give
 _EXIT_PATHS = {
     "merge": (0, lambda d, t: _args(d, "merge", "ext-a.xml", extra=["--out", str(t / "a.xml")])),
