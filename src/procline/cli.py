@@ -4,9 +4,10 @@ Four subcommands: ``merge`` derives a variant and writes the merged model,
 ``validate`` runs the same pipeline but only reports, ``stats`` exports
 usage statistics, and ``catalog`` lists operation types.
 
-Exit codes: 0 on success, 1 for usage and I/O problems (bad flags,
-unreadable or malformed files, unknown variant names), 2 when the inputs
-parse but do not validate (typing issues, conflicts, broken family trees).
+Exit codes: 0 on success, 2 when the inputs parse but do not validate
+(typing issues, conflicts, broken family trees), and 1 for every other
+procline error and for usage and I/O problems (bad flags, unreadable or
+malformed files, unknown variant names).
 Diagnostics go to stderr; requested output goes to stdout or ``--out``, as
 UTF-8 bytes whatever the locale's encoding.
 """
@@ -25,11 +26,8 @@ from .errors import (
     ConflictError,
     CycleError,
     DuplicateIdError,
-    DuplicateTypeNameError,
     MissingParentError,
-    ParseError,
-    SchemaError,
-    UnknownVariantError,
+    ProclineError,
     ValidationFailedError,
 )
 from .merge import MergeTrace, VariantSet, merge_chain
@@ -255,14 +253,7 @@ def _run(args: argparse.Namespace) -> int:
     except (ConflictError, CycleError, MissingParentError, DuplicateIdError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return _EXIT_INVALID
-    except (
-        _UsageError,
-        ParseError,
-        SchemaError,
-        DuplicateTypeNameError,
-        UnknownVariantError,
-        OSError,
-    ) as exc:
+    except (ProclineError, OSError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -32,8 +32,6 @@ from .model import (
     ProcessModel,
     Reference,
     _apply_change_set_into,
-    _change_set,
-    _new_change_set,
     _new_model,
     _trusted,
     _WorkingModel,
@@ -199,93 +197,6 @@ def _tagged(issues: Iterable[Issue], variant_id: str) -> list[Issue]:
     ]
 
 
-class _Derivation:
-    """The working model of one merge and the trace entries recorded so far.
-
-    The base maps are copied once into a :class:`_WorkingModel`, which this
-    derivation owns: every asset, exclusion and step writes into it, and
-    the base model is never written. Each write logs the id and its old
-    value, so an exemplar that fails validation is rolled back, and each
-    recorded entry is read off the log: an id's first logged value since the
-    previous entry is its "before", the live map holds its "after", and the
-    entry's change set lists the id, with its "after" asset, when the two
-    differ. So an entry costs what it changes, not the size of the model,
-    and a metamodel upgrade made up front lands in the first recorded entry.
-
-    Entries and their change sets are trusted builds (``model._trusted``):
-    every value in them was checked by the step or the merge that wrote it,
-    and each build takes every field of its dataclass.
-    """
-
-    def __init__(self, base: ProcessModel, variant_id: str):
-        self.variant_id = variant_id
-        self.work = _WorkingModel(base)
-        self._recorded_metamodel = base.metamodel
-        self.entries: list[TraceEntry] = []
-
-    def record(
-        self,
-        kind: TraceEntryKind,
-        subject: str,
-        *,
-        target: str = "",
-        cascade_count: int = 0,
-        step_count: int = 0,
-    ) -> None:
-        """Append an entry for the writes since the previous one."""
-        work = self.work
-        log = work.log
-        metamodel = work.model.metamodel
-        if len(log) == 1 and metamodel is self._recorded_metamodel:
-            # most entries write one id: their change set is built straight
-            # from that write, as _parts would build it, with no grouping or rows
-            mapping, some_id, before = log[0]
-            after = mapping.get(some_id)
-            if before is None:
-                parts = ((after,), (), ())
-            elif after is None:
-                parts = ((), (some_id,), ())
-            elif before is not after and before != after:
-                parts = ((), (), (after,))
-            else:
-                parts = ((), (), ())
-            if mapping is work.references:
-                change_set = _new_change_set((), (), (), *parts, None)
-            else:
-                change_set = _new_change_set(*parts, (), (), (), None)
-        else:
-            elements, references = work.elements, work.references
-            old_elements: dict[str, ProcessElement | None] = {}
-            old_references: dict[str, Reference | None] = {}
-            for mapping, some_id, old in log:
-                (old_references if mapping is references else old_elements).setdefault(some_id, old)
-            element_rows = [(i, old_elements[i], elements.get(i)) for i in sorted(old_elements)]
-            reference_rows = [(i, old_references[i], references.get(i)) for i in sorted(old_references)]
-            change_set = _change_set(self._recorded_metamodel, metamodel, element_rows, reference_rows)
-        log.clear()
-        self._recorded_metamodel = metamodel
-        self.entries.append(
-            _new_entry(kind, self.variant_id, subject, target, "", cascade_count, step_count, change_set)
-        )
-
-    def flag(self, subject: str, detail: str, target: str = "") -> None:
-        """An ``UntypedChange`` entry; it changes nothing by itself."""
-        self.entries.append(
-            _new_entry(
-                TraceEntryKind.UNTYPED_CHANGE, self.variant_id, subject, target, detail,
-                0, 0, _EMPTY_CHANGE_SET,
-            )
-        )
-
-    def result(self) -> tuple[ProcessModel, MergeTrace]:
-        # the working model is dropped with this derivation, so its maps can leave
-        model = self.work.model
-        consistency = model.check_consistency()
-        if consistency:
-            raise ValidationFailedError(_tagged(consistency, self.variant_id))
-        return model, MergeTrace(tuple(self.entries), final_metamodel=model.metamodel)
-
-
 def merge_once(
     base: ProcessModel,
     extension: ExtensionModel,
@@ -303,11 +214,35 @@ def merge_once(
     conflict. ``last_wins=True`` downgrades that to an ``UntypedChange``
     trace entry and lets the later exemplar win. A conflict is raised as
     soon as it is seen, even when other validation issues are pending.
+
+    The base maps are copied once into a :class:`~procline.model._WorkingModel`:
+    every asset, exclusion and step writes into it, and the base is never
+    written. An exemplar that fails validation is rolled back, and each
+    recorded entry takes the working model's change set of the writes since
+    the previous one, so an entry costs what it changes, not the size of the
+    model, and a metamodel upgrade made up front lands in the first entry.
+    Entries and their change sets are trusted builds (``model._trusted``):
+    every value in them was checked by the step or the merge that wrote it.
     """
     variant = extension.variant_id
     issues: list[Issue] = []
-    derivation = _Derivation(base, variant)
-    work = derivation.work
+    work = _WorkingModel(base)
+    entries: list[TraceEntry] = []
+
+    def record(
+        kind: TraceEntryKind, subject: str, *, target: str = "", cascade_count: int = 0, step_count: int = 0
+    ) -> None:
+        """Append an entry for the writes since the previous one."""
+        entries.append(
+            _new_entry(kind, variant, subject, target, "", cascade_count, step_count, work.change_set())
+        )
+
+    def flag(subject: str, detail: str, target: str = "") -> None:
+        """Append an ``UntypedChange`` entry; it changes nothing by itself."""
+        entries.append(
+            _new_entry(TraceEntryKind.UNTYPED_CHANGE, variant, subject, target, detail, 0, 0, _EMPTY_CHANGE_SET)
+        )
+
     if extension.metamodel > base.metamodel:
         work.set_metamodel(extension.metamodel)
 
@@ -319,7 +254,7 @@ def merge_once(
             )
             continue
         work.put_element(elem.id, elem)
-        derivation.record(TraceEntryKind.ASSET_ADDED, elem.id)
+        record(TraceEntryKind.ASSET_ADDED, elem.id)
     for ref in extension.new_references:
         if work.model.has_id(ref.id):
             issues.append(
@@ -336,7 +271,7 @@ def merge_once(
                 issues.append(Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation, variant))
         if len(issues) == found:  # a reference that does not fit is not added
             work.put_reference(ref.id, ref)
-            derivation.record(TraceEntryKind.ASSET_ADDED, ref.id)
+            record(TraceEntryKind.ASSET_ADDED, ref.id)
 
     # phase 2: exclusions, cascading over incident references; excluding a
     # configuration container while adding one of its kind is masking, the
@@ -346,17 +281,17 @@ def merge_once(
         excluded = work.elements.get(excluded_id)
         if excluded is not None:
             cascaded = work.remove_element(excluded_id)
-            derivation.record(TraceEntryKind.EXCLUSION_APPLIED, excluded_id, cascade_count=len(cascaded))
+            record(TraceEntryKind.EXCLUSION_APPLIED, excluded_id, cascade_count=len(cascaded))
             kind = excluded.kind
             if kind in CONFIGURATION_CONTAINER_KINDS and kind in added_kinds:
-                derivation.flag(
+                flag(
                     excluded_id,
                     f"masking substitution: {kind.value} {excluded_id!r} excluded "
                     f"and replaced by newly added {kind.value} content",
                 )
         elif excluded_id in work.references:
             work.put_reference(excluded_id, None)
-            derivation.record(TraceEntryKind.EXCLUSION_APPLIED, excluded_id)
+            record(TraceEntryKind.EXCLUSION_APPLIED, excluded_id)
         else:
             issues.append(
                 Issue(IssueCode.UNKNOWN_ID, excluded_id, "exclusion does not resolve", variant)
@@ -385,7 +320,7 @@ def merge_once(
                     element_id=location[0],
                     field=location[1],
                 )
-            derivation.flag(
+            flag(
                 exemplar.type_name,
                 f"conflict override (last wins): {exemplar.type_name} replaces "
                 f"{location[1]!r} of {location[0]!r} already written by {earlier}",
@@ -394,7 +329,7 @@ def merge_once(
         for step in steps:
             if step.kind is AtomicKind.REPLACE_TEXT:
                 replaced_fields[(step.target, field_key(step.args))] = exemplar.type_name
-        derivation.record(
+        record(
             TraceEntryKind.OPERATION_EXECUTED,
             exemplar.type_name,
             target=exemplar.target,
@@ -403,7 +338,12 @@ def merge_once(
 
     if issues:
         raise ValidationFailedError(issues)
-    return derivation.result()
+    # the working model is dropped on return, so its maps can leave
+    model = work.model
+    consistency = model.check_consistency()
+    if consistency:
+        raise ValidationFailedError(_tagged(consistency, variant))
+    return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
 
 
 def merge_chain(

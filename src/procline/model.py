@@ -9,11 +9,14 @@ copies. Elements and references have their own ``with_*`` updates; each
 builds a new object from the fields (:func:`_replacer`) and changes none.
 
 Every write of a merge goes through one path: the base maps are copied once
-into a :class:`_WorkingModel`, every step writes into them, the old value of
-each written id is logged (a failed exemplar is undone from the log, and a
-trace entry's change set is read off it), and an element id -> incident
-reference ids index makes a removal cost the element's degree. Only the
-finished maps leave it, wrapped as a ``ProcessModel``.
+into a :class:`_WorkingModel`, every step writes into them, and the working
+model records its own writes. Per map it keeps each written id's value from
+before the first write since its last change set: a failed exemplar is
+undone by giving each id that value back (:meth:`_WorkingModel.rollback`),
+and a trace entry's change set compares it with the live value
+(:meth:`_WorkingModel.change_set`). An element id -> incident reference ids
+index makes a removal cost the element's degree. Only the finished maps
+leave it, wrapped as a ``ProcessModel``.
 
 Values the engine has already checked are built by trusted build
 functions (:func:`_trusted`): each takes every field of its dataclass and
@@ -548,22 +551,27 @@ class _WorkingModel:
 
     ``model`` is a :class:`ProcessModel` over the live maps, for reading. It
     changes under its holder, so it leaves only when the writing is done.
-    Every write appends ``(map, id, old value)`` to ``log`` (``None`` for an
-    id that was absent): :meth:`rollback` undoes the writes since the log was
-    last cleared, and a trace entry takes each id's first logged value as
-    the value before its writes.
+    The undo log is one dict per map, ``old_elements`` and ``old_references``:
+    each id written since the last :meth:`change_set` maps to its value
+    before the first of those writes (``None`` for an id that was absent).
+    :meth:`rollback` gives each id that value back, and :meth:`change_set`
+    compares it with the live value.
     ``incident`` maps each endpoint id to the ids of the references that name
     it, so :meth:`remove_element` costs the element's degree.
     """
 
-    __slots__ = ("elements", "references", "model", "incident", "log")
+    __slots__ = (
+        "elements", "references", "model", "incident", "old_elements", "old_references", "_recorded_metamodel"
+    )
 
     def __init__(self, model: ProcessModel):
         self.elements = dict(model.elements)
         self.references = dict(model.references)
         self.model = _new_model(model.metamodel, self.elements, self.references)
         self.incident: dict[str, set[str]] = {}
-        self.log: list[tuple[dict, str, ProcessElement | Reference | None]] = []
+        self.old_elements: dict[str, ProcessElement | None] = {}
+        self.old_references: dict[str, Reference | None] = {}
+        self._recorded_metamodel = model.metamodel
         for ref in self.references.values():
             self._link(ref)
 
@@ -600,7 +608,7 @@ class _WorkingModel:
     def put_element(self, element_id: str, element: ProcessElement | None) -> None:
         """Set the element under ``element_id``, or remove it when ``element`` is None."""
         elements = self.elements
-        self.log.append((elements, element_id, elements.get(element_id)))
+        self.old_elements.setdefault(element_id, elements.get(element_id))
         if element is None:
             del elements[element_id]
         else:
@@ -609,7 +617,7 @@ class _WorkingModel:
     def put_reference(self, reference_id: str, reference: Reference | None) -> None:
         """Set the reference under ``reference_id``, or remove it when ``reference`` is None."""
         old = self.references.get(reference_id)
-        self.log.append((self.references, reference_id, old))
+        self.old_references.setdefault(reference_id, old)
         self._set_reference(reference_id, old, reference)
 
     def remove_element(self, element_id: str) -> tuple[str, ...]:
@@ -621,16 +629,48 @@ class _WorkingModel:
         return cascaded
 
     def rollback(self) -> None:
-        """Undo every logged write, newest first, and clear the log."""
-        references = self.references
-        for mapping, some_id, old in reversed(self.log):
-            if mapping is references:
-                self._set_reference(some_id, references.get(some_id), old)
-            elif old is None:
-                del mapping[some_id]
+        """Give every id written since the last change set its value from then back, and clear the log."""
+        elements, references = self.elements, self.references
+        for element_id, old in self.old_elements.items():
+            if old is None:
+                elements.pop(element_id, None)  # absent if it was added and removed again
             else:
-                mapping[some_id] = old
-        self.log.clear()
+                elements[element_id] = old
+        for reference_id, old in self.old_references.items():
+            current = references.get(reference_id)
+            if current is not old:
+                self._set_reference(reference_id, current, old)
+        self.old_elements.clear()
+        self.old_references.clear()
+
+    def change_set(self) -> ChangeSet:
+        """The change set of the writes since the last one, which clears the log.
+
+        It lists each logged id whose live value differs from its logged one,
+        so it costs what was written, not the size of the model, and a
+        metamodel change since the last change set lands in this one.
+        """
+        old_elements, old_references = self.old_elements, self.old_references
+        metamodel = self.model.metamodel
+        if len(old_elements) + len(old_references) == 1 and metamodel is self._recorded_metamodel:
+            # most entries write one id: its change set is built from that one
+            # row, with no sorting and no metamodel comparison
+            is_element = bool(old_elements)
+            ((some_id, before),) = (old_elements if is_element else old_references).items()
+            parts = _parts(((some_id, before, (self.elements if is_element else self.references).get(some_id)),))
+            if is_element:
+                change_set = _new_change_set(*parts, (), (), (), None)
+            else:
+                change_set = _new_change_set((), (), (), *parts, None)
+        else:
+            elements, references = self.elements, self.references
+            element_rows = [(i, old_elements[i], elements.get(i)) for i in sorted(old_elements)]
+            reference_rows = [(i, old_references[i], references.get(i)) for i in sorted(old_references)]
+            change_set = _change_set(self._recorded_metamodel, metamodel, element_rows, reference_rows)
+        old_elements.clear()
+        old_references.clear()
+        self._recorded_metamodel = metamodel
+        return change_set
 
 
 # -- change sets -------------------------------------------------------------

@@ -14,9 +14,10 @@ import pytest
 
 from procline.atomic import AtomicKind
 from procline.analytics import usage_report
+from procline import cli
 from procline.cli import main
 from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
-from procline.errors import DuplicateIdError, IssueCode, ValidationFailedError
+from procline.errors import DuplicateIdError, Issue, IssueCode, ProclineError, ValidationFailedError
 from procline.merge import ExtensionModel, merge_chain, merge_once
 from procline.model import ElementKind, MetamodelVersion, ProcessElement, ProcessModel, Reference, ReferenceKind
 from procline.studyline import DATA_FILES, fixture_text, study_variant_set
@@ -406,6 +407,30 @@ def test_bad_usage_exits_one(capsys):
         main(["merge", "--frobnicate"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def _error_classes(cls):
+    yield cls
+    for subclass in cls.__subclasses__():
+        yield from _error_classes(subclass)
+
+
+@pytest.mark.parametrize("error_class", sorted(_error_classes(ProclineError), key=lambda c: c.__name__))
+def test_every_procline_error_of_a_command_has_an_exit_code(error_class, monkeypatch, capsys):
+    if error_class is ValidationFailedError:
+        error = error_class([Issue(IssueCode.UNKNOWN_ID, "x", "boom")])
+    else:
+        error = error_class("boom")
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_catalog", failing)
+    code = main(["catalog"])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert "error: " in err or "validation failed: " in err
+    assert "Traceback" not in err
 
 
 def test_merge_output_is_canonical(data_dir, tmp_path, capsys, catalog):

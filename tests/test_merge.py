@@ -492,7 +492,7 @@ def _state(work):
         dict(work.elements),
         dict(work.references),
         {endpoint: set(ids) for endpoint, ids in work.incident.items()},
-        list(work.log),
+        (dict(work.old_elements), dict(work.old_references)),
         work.model.metamodel,
     )
 
@@ -567,7 +567,7 @@ def test_failing_exemplar_in_the_middle_leaves_the_working_model_as_it_was(catal
         # ... and the next one starts from exactly the state before it
         assert before_call[index + 1] == before_call[index]
     _, references, incident, log, metamodel = before_call[2]
-    assert incident == _recount(references) and log == []
+    assert incident == _recount(references) and log == ({}, {})
     assert metamodel is MetamodelVersion.V1_3B
 
 
@@ -598,20 +598,21 @@ def test_merge_never_writes_the_base_model(catalog):
 
 @contextlib.contextmanager
 def _checking_incidence():
-    """Recount the incidence index after every entry and every rollback; yields the entry kinds seen."""
-    record, rollback = merge_module._Derivation.record, _WorkingModel.rollback
+    """Recount the incidence index after every change set and every rollback; yields the change sets seen."""
+    change_set, rollback = _WorkingModel.change_set, _WorkingModel.rollback
     checked = []
 
-    def checked_record(self, *args, **kwargs):
-        record(self, *args, **kwargs)
-        assert self.work.incident == _recount(self.work.references)
-        checked.append(args[0])
+    def checked_change_set(self):
+        result = change_set(self)
+        assert self.incident == _recount(self.references)
+        checked.append(result)
+        return result
 
     def checked_rollback(self):
         rollback(self)
         assert self.incident == _recount(self.references)
 
-    with mock.patch.object(merge_module._Derivation, "record", checked_record):
+    with mock.patch.object(_WorkingModel, "change_set", checked_change_set):
         with mock.patch.object(_WorkingModel, "rollback", checked_rollback):
             yield checked
 
@@ -621,7 +622,7 @@ def test_incidence_index_matches_a_recount_on_the_study_family(root, variants, c
         for leaf in variants.variant_ids():
             merge_chain(variants, leaf, catalog)
         merge_once(root, masking_extension(), catalog)
-    assert TraceEntryKind.EXCLUSION_APPLIED in checked
+    assert any(change_set.removed_elements for change_set in checked)
 
 
 @settings(max_examples=80, deadline=None)

@@ -15,7 +15,6 @@ from procline.errors import (
     DuplicateIdError,
     UnknownIdError,
 )
-from procline.merge import TraceEntryKind, _Derivation
 from procline.model import (
     ChangeSet,
     ElementKind,
@@ -429,18 +428,19 @@ _WRITES = {
         _putting(_RENAMED, _RENAMED.with_attribute("j", "w")),
         ChangeSet(modified_elements=(_RENAMED.with_attribute("j", "w"),)),
     ),
+    "added and removed again": (
+        lambda work: (_putting(_element("new"))(work), work.put_element("new", None)),
+        ChangeSet(),
+    ),
 }
 
 
 @pytest.mark.parametrize("write, expected", _WRITES.values(), ids=_WRITES)
 def test_each_kind_of_write_gives_its_change_set(write, expected):
-    derivation = _Derivation(_BASE, "X")
-    work = derivation.work
+    work = _WorkingModel(_BASE)
     write(work)
     after = ProcessModel(_BASE.metamodel, dict(work.elements), dict(work.references))
-    derivation.record(TraceEntryKind.OPERATION_EXECUTED, "Write")
-    (entry,) = derivation.entries
-    for change_set in (entry.change_set, compare_models(_BASE, after)):
+    for change_set in (work.change_set(), compare_models(_BASE, after)):
         assert change_set == expected
         # each added or modified asset is the later model's own
         for asset in (*change_set.added_elements, *change_set.modified_elements):
@@ -449,6 +449,62 @@ def test_each_kind_of_write_gives_its_change_set(write, expected):
             assert after.references[asset.id] is asset
     assert apply_change_set(_BASE, expected) == after
     assert apply_change_set(after, compare_models(after, _BASE)) == _BASE
+
+
+def _random_writes(rng, work, ids, count):
+    """``count`` random writes to ``work``, each to one of ``ids``.
+
+    The few ids are written again and again, move between the two maps, and
+    are added and removed; a written asset often equals the one it replaces,
+    so writes also undo each other.
+    """
+    endpoints = [some_id for some_id in ids if some_id.startswith("n")] + ["fresh0"]
+    for _ in range(count):
+        some_id = rng.choice(ids)
+        action = rng.randrange(4)
+        if action == 0:  # put an element, moving the id out of the reference map
+            if some_id in work.references:
+                work.put_reference(some_id, None)
+            kind = rng.choice((ElementKind.ROLE, ElementKind.TASK))
+            work.put_element(some_id, ProcessElement(some_id, kind, rng.choice("AB")))
+        elif action == 1:  # put a reference, moving the id out of the element map
+            if some_id in work.elements:
+                work.remove_element(some_id)
+            kind = rng.choice((ReferenceKind.RESPONSIBILITY, ReferenceKind.TOOL_LINK))
+            work.put_reference(some_id, Reference(some_id, kind, rng.choice(endpoints), rng.choice(endpoints)))
+        elif action == 2 and some_id in work.elements:
+            work.remove_element(some_id)
+        elif action == 3 and some_id in work.references:
+            work.put_reference(some_id, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000))
+def test_working_model_change_sets_and_rollbacks_follow_random_writes(seed):
+    rng = random.Random(seed)
+    base = genmodels.random_model(rng, max_elements=12)
+    ids = [*rng.sample(sorted(base.elements), 4), *sorted(base.references)[:3], "fresh0", "fresh1"]
+    work = _WorkingModel(base)
+    before = base
+    for _ in range(6):
+        _random_writes(rng, work, ids, rng.randint(0, 6))
+        if rng.random() < 0.2:
+            work.set_metamodel(rng.choice(tuple(MetamodelVersion)))
+        after = ProcessModel(work.model.metamodel, dict(work.elements), dict(work.references))
+        change_set = work.change_set()
+        assert change_set == compare_models(before, after)
+        for asset in (*change_set.added_elements, *change_set.modified_elements):
+            assert after.elements[asset.id] is asset
+        for asset in (*change_set.added_references, *change_set.modified_references):
+            assert after.references[asset.id] is asset
+        # writes since that change set are undone, and the next one starts from it
+        incident = {endpoint: set(refs) for endpoint, refs in work.incident.items()}
+        _random_writes(rng, work, ids, rng.randint(1, 6))
+        work.rollback()
+        assert work.elements == after.elements and work.references == after.references
+        # a fresh working model indexes the references from scratch
+        assert work.incident == incident == _WorkingModel(after).incident
+        before = after
 
 
 @settings(max_examples=80, deadline=None)
