@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import sys
 from pathlib import Path
@@ -71,7 +72,11 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_bytes(data)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # text written before stays ahead of these bytes
-        sys.stdout.buffer.write(data)
+        # an unbuffered stdout (python -u) is a raw stream, whose write may
+        # take only part of the data and return the count it took
+        view = memoryview(data)
+        while view:
+            view = view[sys.stdout.buffer.write(view) :]
     else:  # a text-only stream, such as an io.StringIO under redirect_stdout
         sys.stdout.write(text)
 
@@ -259,9 +264,17 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the command runs with the cyclic collector paused; a usage error exits
-    # from argument parsing, before the pause
-    return _run(build_parser().parse_args(argv))
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic collector paused (a usage error exits
+    earlier, from argument parsing). As the process entry (``argv`` None)
+    ``main`` then freezes the heap, so interpreter shutdown's collections
+    skip it; ``main(argv)`` freezes nothing.
+    """
+    code = _run(build_parser().parse_args(argv))
+    if argv is None:
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -444,12 +444,13 @@ def test_merge_output_is_canonical(data_dir, tmp_path, capsys, catalog):
 
 
 def _fresh_interpreter_env(**extra):
-    """Environment for a child interpreter that imports this procline."""
+    """Environment for a child interpreter that imports this procline; a variable given as None is unset."""
     import procline
 
     src = str(Path(procline.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+    env = dict(os.environ, PYTHONPATH=pythonpath, **extra)
+    return {name: value for name, value in env.items() if value is not None}
 
 
 def test_cli_import_leaves_the_network_stack_out():
@@ -491,6 +492,56 @@ def test_stdout_is_utf8_whatever_the_stream_encoding(encoding, data_dir, tmp_pat
     assert run("catalog").count(b"\n") == 69
 
 
+_STUDY_EXTENSIONS = sorted(name for name in DATA_FILES if name.startswith("ext-"))
+
+
+class _Trickle(io.RawIOBase):
+    """A raw stream whose write takes at most 4 KiB of the data and returns that count, as a pipe's may."""
+
+    def __init__(self):
+        self.taken = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        part = bytes(data[:4096])
+        self.taken += part
+        return len(part)
+
+
+def test_stdout_gets_every_byte_from_a_raw_stream_that_takes_a_part(data_dir, tmp_path, monkeypatch):
+    # under python -u, sys.stdout.buffer is such a raw stream
+    raw = _Trickle()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    argv = _args(data_dir, "stats", *_STUDY_EXTENSIONS, extra=["--format", "csv"])
+    out = tmp_path / "stats.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(out.read_bytes()) > 4 * 4096
+    assert main(argv) == 0
+    assert bytes(raw.taken) == out.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_a_stdout_closed_early_is_an_error(unbuffered, tmp_path):
+    (tmp_path / "root.xml").write_text(fixture_text("root.xml"), encoding="utf-8", newline="")
+    argv = ["stats", "--format", "csv", "--root", str(tmp_path / "root.xml")]
+    for index in range(60):  # about 230 KB of CSV, more than a pipe holds (64 KiB on Linux)
+        path = tmp_path / f"v{index}.xml"
+        path.write_text(serialize_extension(ExtensionModel(f"V{index:02}", "root", "1.3")), encoding="utf-8")
+        argv += ["--extension", str(path)]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "procline.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_fresh_interpreter_env(PYTHONUNBUFFERED=unbuffered),
+    )
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()  # the reader has seen enough, as `head -c 100` has
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+
 # argv for one command per exit path of main, and the exit code it must give
 _EXIT_PATHS = {
     "merge": (0, lambda d, t: _args(d, "merge", "ext-a.xml", extra=["--out", str(t / "a.xml")])),
@@ -506,6 +557,7 @@ _EXIT_PATHS = {
 def test_main_leaves_the_collector_as_it_found_it(path, enabled, data_dir, tmp_path, capsys, gc_restored):
     expected, argv = _EXIT_PATHS[path]
     (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
     try:
         code = main(argv(data_dir, tmp_path))
     except SystemExit as exc:  # argparse's usage error
@@ -513,6 +565,57 @@ def test_main_leaves_the_collector_as_it_found_it(path, enabled, data_dir, tmp_p
     capsys.readouterr()
     assert code == expected
     assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
+
+
+# how a process enters main: as the console script and perfbench do, here
+# with an atexit handler registered first, and as ``python -m procline.cli``
+_ENTRIES = {
+    "main()": [
+        "-c",
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('atexit: frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from procline.cli import main\n"
+        "raise SystemExit(main())",
+    ],
+    "-m": ["-m", "procline.cli"],
+}
+_ATEXIT_LINE = {"main()": b"atexit: frozen True\n", "-m": b""}
+
+# argv given the data and output directories, and the exit code it must give
+_ENTRY_COMMANDS = {
+    "merge-to-stdout": (
+        0,
+        lambda d, o: _args(d, "merge", "ext-bund.xml", "ext-c.xml", extra=["--leaf", "C", "--trace", str(o / "t.xml")]),
+    ),
+    "merge-to-file": (0, lambda d, o: _args(d, "merge", "ext-a.xml", extra=["--out", str(o / "a.xml")])),
+    "validate": (0, lambda d, o: _args(d, "validate", "ext-d.xml")),
+    "stats-csv": (0, lambda d, o: _args(d, "stats", *_STUDY_EXTENSIONS, extra=["--format", "csv"])),
+    "missing-file": (1, lambda d, o: _args(d, "merge", "no-such-file.xml")),
+    "missing-parent": (2, lambda d, o: _args(d, "validate", "ext-c.xml")),
+}
+
+
+def _written(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("command", sorted(_ENTRY_COMMANDS))
+def test_the_process_entry_writes_what_main_argv_writes(command, entry, data_dir, tmp_path, capsysbinary):
+    expected, argv = _ENTRY_COMMANDS[command]
+    here, there = tmp_path / "in-process", tmp_path / "child"
+    here.mkdir()
+    there.mkdir()
+    assert main(argv(data_dir, here)) == expected
+    captured = capsysbinary.readouterr()
+    child = subprocess.run(
+        [sys.executable, *_ENTRIES[entry], *argv(data_dir, there)], capture_output=True, env=_fresh_interpreter_env()
+    )
+    assert child.returncode == expected
+    assert child.stdout == captured.out
+    assert child.stderr == captured.err + _ATEXIT_LINE[entry]
+    assert _written(there) == _written(here)
 
 
 def test_command_runs_with_the_collector_paused(data_dir, monkeypatch, capsys, gc_restored):
