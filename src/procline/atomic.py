@@ -8,6 +8,11 @@ transformed model. One step body, ``_apply_into``, writes a validated step
 into a working model: a merge's own, or for :func:`apply_atomic` a copy of
 the input's maps. A step never touches anything beyond its target, the
 endpoints it rewires, and references cascaded by an element removal.
+
+``_field_text`` reads the text a ReplaceText or AddText step addresses, for
+its check and its write, and ``_with_field_text`` writes it; a reference has
+attribute text only. The endpoints a step names are checked by
+:func:`procline.model.endpoint_problems`, as a merge's are.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from .errors import (
 )
 from .model import (
     ORDERING_ATTRIBUTE,
+    ProcessElement,
     ProcessModel,
     Reference,
     ReferenceKind,
     _WorkingModel,
-    endpoint_kind_violation,
+    endpoint_problems,
     ordering_number,
 )
 
@@ -135,71 +141,64 @@ def _text_field_issues(model: ProcessModel, step: AtomicStep) -> list[Issue]:
         issues.append(_issue(IssueCode.MISSING_ARGUMENT, step, "argument 'text' is required"))
     if issues:
         return issues
-    selector = step.args["field"]
-    if step.target in model.elements:
-        elem = model.elements[step.target]
-        if selector == FIELD_SELECTOR_TEXT_BLOCK and elem.find_block(step.args["blockId"]) is None:
-            issues.append(
-                _issue(IssueCode.FIELD_NOT_FOUND, step, f"no text block {step.args['blockId']!r}")
-            )
-        elif selector == FIELD_SELECTOR_ATTRIBUTE and step.args["key"] not in elem.attributes:
-            issues.append(
-                _issue(IssueCode.FIELD_NOT_FOUND, step, f"no attribute {step.args['key']!r}")
-            )
-    elif step.target in model.references:
+    args = step.args
+    selector = args["field"]
+    asset = model.elements.get(step.target)
+    if asset is None:
+        asset = model.references.get(step.target)
+        if asset is None:
+            return [_issue(IssueCode.UNKNOWN_ID, step, "target does not resolve")]
         if selector != FIELD_SELECTOR_ATTRIBUTE:
-            issues.append(
-                _issue(
-                    IssueCode.ILLEGAL_TARGET,
-                    step,
-                    f"references only carry attribute text, not {selector!r}",
-                )
-            )
-        elif step.args["key"] not in model.references[step.target].attributes:
-            issues.append(
-                _issue(IssueCode.FIELD_NOT_FOUND, step, f"no attribute {step.args['key']!r}")
-            )
-    else:
-        issues.append(_issue(IssueCode.UNKNOWN_ID, step, "target does not resolve"))
-    return issues
-
-
-def _element_target_issues(model: ProcessModel, step: AtomicStep) -> list[Issue]:
-    if step.target in model.elements:
+            message = f"references only carry attribute text, not {selector!r}"
+            return [_issue(IssueCode.ILLEGAL_TARGET, step, message)]
+    if _field_text(asset, args) is not None:
         return []
-    if step.target in model.references:
-        return [_issue(IssueCode.ILLEGAL_TARGET, step, "target must be an element, not a reference")]
-    return [_issue(IssueCode.UNKNOWN_ID, step, "target does not resolve")]
+    if selector == FIELD_SELECTOR_TEXT_BLOCK:
+        return [_issue(IssueCode.FIELD_NOT_FOUND, step, f"no text block {args['blockId']!r}")]
+    return [_issue(IssueCode.FIELD_NOT_FOUND, step, f"no attribute {args['key']!r}")]
 
 
-def _reference_target_issues(model: ProcessModel, step: AtomicStep) -> list[Issue]:
-    if step.target in model.references:
+def _field_text(asset: ProcessElement | Reference, args: Mapping[str, str]) -> str | None:
+    """The text of ``asset`` that ``args``' field, blockId and key select, or None if it has no such field."""
+    selector = args["field"]
+    if selector == FIELD_SELECTOR_ATTRIBUTE:
+        return asset.attributes.get(args["key"])
+    if selector == FIELD_SELECTOR_TEXT_BLOCK:
+        block = asset.find_block(args["blockId"])
+        return None if block is None else block.text
+    return asset.description
+
+
+def _with_field_text(
+    asset: ProcessElement | Reference, args: Mapping[str, str], text: str
+) -> ProcessElement | Reference:
+    """``asset`` with ``text`` in the field :func:`_field_text` reads; the field must exist."""
+    selector = args["field"]
+    if selector == FIELD_SELECTOR_ATTRIBUTE:
+        return asset.with_attribute(args["key"], text)
+    if selector == FIELD_SELECTOR_TEXT_BLOCK:
+        return asset.with_block_text(args["blockId"], text)
+    return asset.with_description(text)
+
+
+def _target_issues(model: ProcessModel, step: AtomicStep, reference: bool) -> list[Issue]:
+    """What keeps ``step``'s target from being a reference (``reference`` true) or an element."""
+    wanted, other = (model.references, model.elements) if reference else (model.elements, model.references)
+    if step.target in wanted:
         return []
-    if step.target in model.elements:
-        return [_issue(IssueCode.ILLEGAL_TARGET, step, "target must be a reference, not an element")]
+    if step.target in other:
+        wrong = "a reference, not an element" if reference else "an element, not a reference"
+        return [_issue(IssueCode.ILLEGAL_TARGET, step, f"target must be {wrong}")]
     return [_issue(IssueCode.UNKNOWN_ID, step, "target does not resolve")]
 
 
 def _endpoint_issues(
-    model: ProcessModel,
-    step: AtomicStep,
-    ref_kind: ReferenceKind,
-    endpoints: tuple[tuple[str, str | None], ...],
-    prefix: str = "",
+    model: ProcessModel, step: AtomicStep, kind: ReferenceKind, source: str | None, target: str | None, prefix: str
 ) -> list[Issue]:
     issues = []
-    for side, endpoint in endpoints:
-        if endpoint is None:
-            continue
-        elem = model.elements.get(endpoint)
-        if elem is None:
-            issues.append(
-                _issue(IssueCode.UNKNOWN_ID, step, f"{prefix}{side} {endpoint!r} does not resolve")
-            )
-            continue
-        violation = endpoint_kind_violation(ref_kind, side, elem.kind)
-        if violation:
-            issues.append(_issue(IssueCode.ILLEGAL_TARGET, step, violation))
+    for side, endpoint, why in endpoint_problems(model.elements, kind, source, target):
+        code = IssueCode.UNKNOWN_ID if why is None else IssueCode.ILLEGAL_TARGET
+        issues.append(_issue(code, step, why or f"{prefix}{side} {endpoint!r} does not resolve"))
     return issues
 
 
@@ -207,7 +206,7 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
     """Everything that would make :func:`apply_atomic` fail on this model."""
     kind = step.kind
     if kind is _RENAME_ELEMENT:
-        return _missing_args(step, "newName") or _element_target_issues(model, step)
+        return _missing_args(step, "newName") or _target_issues(model, step, reference=False)
     if kind in (_REPLACE_TEXT, _ADD_TEXT):
         issues = _text_field_issues(model, step)
         if kind is _ADD_TEXT:
@@ -220,7 +219,7 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
                 )
         return issues
     if kind is _SWAP_REFERENCES:
-        issues = _reference_target_issues(model, step)
+        issues = _target_issues(model, step, reference=True)
         new_source = step.args.get("newSource")
         new_target = step.args.get("newTarget")
         if not new_source and not new_target:
@@ -230,12 +229,11 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
         if issues:
             return issues
         ref_kind = model.references[step.target].kind
-        endpoints = (("source", new_source), ("target", new_target))
-        return _endpoint_issues(model, step, ref_kind, endpoints, prefix="new ")
+        return _endpoint_issues(model, step, ref_kind, new_source, new_target, "new ")
     if kind is _REMOVE_ELEMENT:
-        return _element_target_issues(model, step)
+        return _target_issues(model, step, reference=False)
     if kind is _REMOVE_REFERENCE:
-        return _reference_target_issues(model, step)
+        return _target_issues(model, step, reference=True)
     if kind is _ADD_REFERENCE:
         issues = _missing_args(step, "refId", "refKind", "source", "target")
         if not model.has_id(step.target):
@@ -250,8 +248,7 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
             issues.append(
                 Issue(IssueCode.DUPLICATE_ID, step.args["refId"], "AddReference: id already in use")
             )
-        endpoints = (("source", step.args["source"]), ("target", step.args["target"]))
-        return issues + _endpoint_issues(model, step, ref_kind, endpoints)
+        return issues + _endpoint_issues(model, step, ref_kind, step.args["source"], step.args["target"], "")
     if kind is _CHANGE_ATTRIBUTE:
         issues = _missing_args(step, "key")
         if "value" not in step.args:
@@ -269,7 +266,7 @@ def validate_step(model: ProcessModel, step: AtomicStep) -> list[Issue]:
                     f"newOrderingNumber must be a finite decimal string, got {step.args['newOrderingNumber']!r}",
                 )
             )
-        return issues + _element_target_issues(model, step)
+        return issues + _target_issues(model, step, reference=False)
     raise AssertionError(f"unhandled atomic kind {kind!r}")
 
 
@@ -286,12 +283,6 @@ def _raise_first(issues: list[Issue]) -> None:
     if issues:
         first = issues[0]
         raise _ISSUE_EXCEPTIONS.get(first.code, IllegalTargetError)(str(first))
-
-
-def _spliced(current: str, addition: str, position: str) -> str:
-    if position == POSITION_PREFIX:
-        return addition + current
-    return current + addition
 
 
 def apply_atomic(model: ProcessModel, step: AtomicStep) -> ProcessModel:
@@ -313,31 +304,13 @@ def _apply_into(work: _WorkingModel, step: AtomicStep) -> None:
     if kind is _RENAME_ELEMENT:
         work.put_element(target, work.elements[target].with_name(args["newName"]))
     elif kind is _REPLACE_TEXT or kind is _ADD_TEXT:
-        text = args["text"]
         ref = work.references.get(target)
-        if ref is not None:
-            key = args["key"]
-            if kind is _ADD_TEXT:
-                text = _spliced(ref.attributes[key], text, args["position"])
-            work.put_reference(target, ref.with_attribute(key, text))
-            return
-        elem = work.elements[target]
-        selector = args["field"]
-        if selector == FIELD_SELECTOR_DESCRIPTION:
-            if kind is _ADD_TEXT:
-                text = _spliced(elem.description, text, args["position"])
-            elem = elem.with_description(text)
-        elif selector == FIELD_SELECTOR_TEXT_BLOCK:
-            block_id = args["blockId"]
-            if kind is _ADD_TEXT:
-                text = _spliced(elem.find_block(block_id).text, text, args["position"])
-            elem = elem.with_block_text(block_id, text)
-        else:
-            key = args["key"]
-            if kind is _ADD_TEXT:
-                text = _spliced(elem.attributes[key], text, args["position"])
-            elem = elem.with_attribute(key, text)
-        work.put_element(target, elem)
+        asset = work.elements[target] if ref is None else ref
+        text = args["text"]
+        if kind is _ADD_TEXT:
+            current = _field_text(asset, args)
+            text = text + current if args["position"] == POSITION_PREFIX else current + text
+        (work.put_element if ref is None else work.put_reference)(target, _with_field_text(asset, args, text))
     elif kind is _SWAP_REFERENCES:
         ref = work.references[target]
         work.put_reference(

@@ -25,7 +25,6 @@ class IssueCode(str, Enum):
     MISSING_ARGUMENT = "MissingArgument"
     FIELD_NOT_FOUND = "FieldNotFound"
     ILLEGAL_TARGET = "IllegalTarget"
-    CONFLICT = "Conflict"
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,7 +35,7 @@ from .model import (
     _new_model,
     _trusted,
     _WorkingModel,
-    endpoint_kind_violation,
+    endpoint_problems,
 )
 
 _EMPTY_CHANGE_SET = ChangeSet()
@@ -261,15 +261,12 @@ def merge_once(
                 Issue(IssueCode.DUPLICATE_ID, ref.id, "new reference id already in use", variant)
             )
             continue
-        found = len(issues)
-        for side, endpoint in (("source", ref.source), ("target", ref.target)):
-            elem = work.elements.get(endpoint)
-            if elem is None:
-                message = f"new reference {side} {endpoint!r} does not resolve"
-                issues.append(Issue(IssueCode.DANGLING_REFERENCE, ref.id, message, variant))
-            elif violation := endpoint_kind_violation(ref.kind, side, elem.kind):
-                issues.append(Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation, variant))
-        if len(issues) == found:  # a reference that does not fit is not added
+        problems = endpoint_problems(work.elements, ref.kind, ref.source, ref.target)
+        for side, endpoint, why in problems:
+            code = IssueCode.DANGLING_REFERENCE if why is None else IssueCode.KIND_CONSTRAINT_VIOLATION
+            message = why or f"new reference {side} {endpoint!r} does not resolve"
+            issues.append(Issue(code, ref.id, message, variant))
+        if not problems:  # a reference that does not fit is not added
             work.put_reference(ref.id, ref)
             record(TraceEntryKind.ASSET_ADDED, ref.id)
 

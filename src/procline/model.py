@@ -6,7 +6,8 @@ model comes from the public constructor (which copies and checks both maps),
 from :func:`apply_change_set`, or from a merge; callers can therefore hold on
 to any intermediate state (merge bases, trace snapshots) without defensive
 copies. Elements and references have their own ``with_*`` updates; each
-builds a new object from the fields (:func:`_replacer`) and changes none.
+checks what it changes, builds a new object (:func:`_trusted`) that shares
+the fields it leaves alone, and changes none.
 
 Every write of a merge goes through one path: the base maps are copied once
 into a :class:`_WorkingModel`, every step writes into them, and the working
@@ -22,18 +23,22 @@ Values the engine has already checked are built by trusted build
 functions (:func:`_trusted`): each takes every field of its dataclass and
 stores it as the frozen ``__init__`` does, but runs no ``__post_init__``
 check, coercion or copy. The working model's view, applied change sets and
-replays, each trace entry and its change set, expanded steps and parsed
-exemplars are built so. The records a family holds by the thousand (text
-blocks, change sets, trace entries, steps, exemplars, issues) are slotted:
-no instance has a ``__dict__``. Elements and references keep theirs, since
-the XML writer keeps each one's finished block in it.
+replays, each trace entry and its change set, expanded steps, parsed
+exemplars and updated elements and references are built so. The records a
+family holds by the thousand (text blocks, change sets, trace entries,
+steps, exemplars, issues) are slotted: no instance has a ``__dict__``.
+Elements and references keep theirs, since the XML writer keeps each one's
+finished block in it.
 
 A change set names what changed asset by asset: it holds each added or
 modified element and reference as the later model holds it, and each
 removed one by id, so applying it writes those assets and patches no field.
 
 Identity lives in one namespace: element ids and reference ids must not
-collide, so a bare id always resolves to exactly one thing.
+collide, so a bare id always resolves to exactly one thing. Which elements a
+reference may name is decided in one place, :func:`endpoint_problems`: the
+consistency check, a merge's declared references and the atomic steps that
+set a reference's endpoints all call it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import wraps
-from typing import Any, Callable, Iterable, Mapping, ParamSpec, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, ParamSpec, Sequence, TypeVar
 
 from .errors import (
     DuplicateIdError,
@@ -257,20 +262,6 @@ def _gc_paused(func: Callable[_P, _R]) -> Callable[_P, _R]:
     return paused
 
 
-def _compiled(
-    cls: type[_D], name: str, params: str, values: Iterable[str], **namespace: Any
-) -> Callable[..., _D]:
-    """The function ``name(params)`` that stores each of ``values``, given as source, in a new ``cls``."""
-    source = "\n".join(
-        [f"def {name}({params}):", "    __obj = __new(__cls)"]
-        + [f"    __store(__obj, {f.name!r}, {value})" for f, value in zip(fields(cls), values, strict=True)]
-        + ["    return __obj"]
-    )
-    namespace.update(__new=object.__new__, __store=object.__setattr__, __cls=cls)
-    exec(source, namespace)
-    return namespace[name]
-
-
 def _trusted(cls: type[_D]) -> Callable[..., _D]:
     """A function that builds the dataclass ``cls`` from values the caller has checked.
 
@@ -283,28 +274,15 @@ def _trusted(cls: type[_D]) -> Callable[..., _D]:
     later.
     """
     names = [f.name for f in fields(cls)]
-    return _compiled(cls, f"_trusted_{cls.__name__}", ", ".join(names), names)
-
-
-_KEEP = object()  # the default of every parameter of a _replacer function
-
-
-def _replacer(cls: type[_D]) -> Callable[..., _D]:
-    """A function ``(obj, **updates)`` that builds ``obj`` of class ``cls`` with ``updates`` applied.
-
-    Every field not updated is read off ``obj``, and the result is stored
-    field by field, as :func:`_trusted` builds: unchecked, laid out as a
-    constructed instance, and holding nothing but the fields. ``obj`` itself
-    is only read, so what else it holds stays with it.
-    """
-    names = [f.name for f in fields(cls)]
-    return _compiled(
-        cls,
-        f"_replace_{cls.__name__}",
-        "__src, *, " + ", ".join(f"{name}=__keep" for name in names),
-        [f"__src.{name} if {name} is __keep else {name}" for name in names],
-        __keep=_KEEP,
+    name = f"_trusted_{cls.__name__}"
+    source = "\n".join(
+        [f"def {name}({', '.join(names)}):", "    __obj = __new(__cls)"]
+        + [f"    __store(__obj, {field_name!r}, {field_name})" for field_name in names]
+        + ["    return __obj"]
     )
+    namespace = {"__new": object.__new__, "__store": object.__setattr__, "__cls": cls}
+    exec(source, namespace)
+    return namespace[name]
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,36 +320,40 @@ class ProcessElement:
             raise ValueError(f"element {self.id!r}: name must be non-empty")
         object.__setattr__(self, "kind", ElementKind(self.kind))
         object.__setattr__(self, "attributes", dict(self.attributes))
-        blocks = tuple(self.text_blocks)
-        object.__setattr__(self, "text_blocks", blocks)
+        object.__setattr__(self, "text_blocks", self._unique_blocks(self.text_blocks))
+
+    def _unique_blocks(self, blocks: Iterable[TextBlock]) -> tuple[TextBlock, ...]:
+        """``blocks`` as a tuple; raises ValueError if two share an id."""
+        blocks = tuple(blocks)
         seen = set()
         for block in blocks:
             if block.id in seen:
                 raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
             seen.add(block.id)
+        return blocks
 
-    # The updates below build their result with _replace_element, which
-    # skips __post_init__: each checks only what it changes, and shares the rest.
+    # The updates below build their result with _new_element, which skips
+    # __post_init__: each checks only what it changes, and shares the rest.
 
     def with_name(self, name: str) -> "ProcessElement":
         if not name:
             raise ValueError(f"element {self.id!r}: name must be non-empty")
-        return _replace_element(self, name=name)
+        return _new_element(self.id, self.kind, name, self.description, self.attributes, self.text_blocks)
 
     def with_description(self, description: str) -> "ProcessElement":
-        return _replace_element(self, description=description)
+        return _new_element(self.id, self.kind, self.name, description, self.attributes, self.text_blocks)
 
     def with_kind(self, kind: ElementKind) -> "ProcessElement":
-        return _replace_element(self, kind=ElementKind(kind))
+        kind = ElementKind(kind)
+        return _new_element(self.id, kind, self.name, self.description, self.attributes, self.text_blocks)
 
     def with_attribute(self, key: str, value: str) -> "ProcessElement":
-        attrs = dict(self.attributes)
-        attrs[key] = value
-        return _replace_element(self, attributes=attrs)
+        attrs = {**self.attributes, key: value}
+        return _new_element(self.id, self.kind, self.name, self.description, attrs, self.text_blocks)
 
     def without_attribute(self, key: str) -> "ProcessElement":
         attrs = {k: v for k, v in self.attributes.items() if k != key}
-        return _replace_element(self, attributes=attrs)
+        return _new_element(self.id, self.kind, self.name, self.description, attrs, self.text_blocks)
 
     def find_block(self, block_id: str) -> TextBlock | None:
         for block in self.text_blocks:
@@ -385,16 +367,11 @@ class ProcessElement:
         blocks = tuple(
             TextBlock(b.id, text) if b.id == block_id else b for b in self.text_blocks
         )
-        return _replace_element(self, text_blocks=blocks)
+        return _new_element(self.id, self.kind, self.name, self.description, self.attributes, blocks)
 
     def with_text_blocks(self, blocks: Iterable[TextBlock]) -> "ProcessElement":
-        blocks = tuple(blocks)
-        seen = set()
-        for block in blocks:
-            if block.id in seen:
-                raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
-            seen.add(block.id)
-        return _replace_element(self, text_blocks=blocks)
+        blocks = self._unique_blocks(blocks)
+        return _new_element(self.id, self.kind, self.name, self.description, self.attributes, blocks)
 
 
 @dataclass(frozen=True)
@@ -410,26 +387,26 @@ class Reference:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("reference id must be non-empty")
-        if not self.source or not self.target:
-            raise ValueError(f"reference {self.id!r}: source and target must be non-empty")
+        self._check_endpoints(self.source, self.target)
         object.__setattr__(self, "kind", ReferenceKind(self.kind))
         object.__setattr__(self, "attributes", dict(self.attributes))
+
+    def _check_endpoints(self, source: str, target: str) -> None:
+        if not source or not target:
+            raise ValueError(f"reference {self.id!r}: source and target must be non-empty")
 
     def with_endpoints(self, source: str | None = None, target: str | None = None) -> "Reference":
         source = self.source if source is None else source
         target = self.target if target is None else target
-        if not source or not target:
-            raise ValueError(f"reference {self.id!r}: source and target must be non-empty")
-        return _replace_reference(self, source=source, target=target)
+        self._check_endpoints(source, target)
+        return _new_reference(self.id, self.kind, source, target, self.attributes)
 
     def with_attribute(self, key: str, value: str) -> "Reference":
-        attrs = dict(self.attributes)
-        attrs[key] = value
-        return _replace_reference(self, attributes=attrs)
+        return _new_reference(self.id, self.kind, self.source, self.target, {**self.attributes, key: value})
 
     def without_attribute(self, key: str) -> "Reference":
         attrs = {k: v for k, v in self.attributes.items() if k != key}
-        return _replace_reference(self, attributes=attrs)
+        return _new_reference(self.id, self.kind, self.source, self.target, attrs)
 
 
 @dataclass(frozen=True)
@@ -505,43 +482,42 @@ class ProcessModel:
         is produced per offending endpoint, in reference id order.
         """
         issues: list[Issue] = []
+        elements = self.elements
         for ref in sorted(self.references.values(), key=lambda r: r.id):
-            for side, endpoint in (("source", ref.source), ("target", ref.target)):
-                elem = self.elements.get(endpoint)
-                if elem is None:
-                    issues.append(
-                        Issue(
-                            IssueCode.DANGLING_REFERENCE,
-                            ref.id,
-                            f"{side} {endpoint!r} does not resolve to an element",
-                        )
-                    )
-                    continue
-                violation = endpoint_kind_violation(ref.kind, side, elem.kind)
-                if violation:
-                    issues.append(Issue(IssueCode.KIND_CONSTRAINT_VIOLATION, ref.id, violation))
+            for side, endpoint, why in endpoint_problems(elements, ref.kind, ref.source, ref.target):
+                code = IssueCode.DANGLING_REFERENCE if why is None else IssueCode.KIND_CONSTRAINT_VIOLATION
+                issues.append(Issue(code, ref.id, why or f"{side} {endpoint!r} does not resolve to an element"))
         return issues
 
 
+_new_element = _trusted(ProcessElement)
+_new_reference = _trusted(Reference)
 _new_model = _trusted(ProcessModel)
-_replace_element = _replacer(ProcessElement)
-_replace_reference = _replacer(Reference)
 
 
-def endpoint_kind_violation(kind: ReferenceKind, side: str, elem_kind: ElementKind) -> str | None:
-    """Why an element of ``elem_kind`` may not be the ``side`` end of a ``kind`` reference.
+def endpoint_problems(
+    elements: Mapping[str, ProcessElement], kind: ReferenceKind, source: str | None, target: str | None
+) -> list[tuple[str, str, str | None]]:
+    """The endpoints a ``kind`` reference from ``source`` to ``target`` may not name.
 
-    ``side`` is ``"source"`` or ``"target"``. Returns ``None`` when the kind
-    is admissible there (see :data:`REFERENCE_CONSTRAINTS`).
+    One ``(side, endpoint, why)`` per such endpoint, source first, where
+    ``side`` is ``"source"`` or ``"target"``. ``why`` says which element kinds
+    that side admits (see :data:`REFERENCE_CONSTRAINTS`), or is None when no
+    element of ``elements`` has the id. A None endpoint is not checked. Each
+    caller words its own issues from these.
     """
+    problems = []
     allowed_sources, allowed_targets = REFERENCE_CONSTRAINTS[kind]
-    allowed = allowed_sources if side == "source" else allowed_targets
-    if elem_kind in allowed:
-        return None
-    return (
-        f"{kind.value} {side} must be one of {sorted(k.value for k in allowed)}, "
-        f"got {elem_kind.value}"
-    )
+    for side, endpoint, allowed in (("source", source, allowed_sources), ("target", target, allowed_targets)):
+        if endpoint is None:
+            continue
+        elem = elements.get(endpoint)
+        if elem is None:
+            problems.append((side, endpoint, None))
+        elif elem.kind not in allowed:
+            why = f"{kind.value} {side} must be one of {sorted(k.value for k in allowed)}, got {elem.kind.value}"
+            problems.append((side, endpoint, why))
+    return problems
 
 
 # -- the working model of a merge --------------------------------------------

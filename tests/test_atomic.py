@@ -110,6 +110,13 @@ def test_replace_reference_attribute():
         AtomicKind.REPLACE_TEXT, "td", {"field": "attribute", "key": "description", "text": "x"}
     )
     assert apply_atomic(model, step).references["td"].attributes["description"] == "x"
+    # an element's attribute is written in place, and nothing else of it
+    on_element = AtomicStep(
+        AtomicKind.REPLACE_TEXT, "role", {"field": "attribute", "key": "roleClass", "text": "accountable"}
+    )
+    assert apply_atomic(model, on_element).elements["role"] == ProcessElement(
+        "role", ElementKind.ROLE, "R1", attributes={"roleClass": "accountable"}
+    )
     # references hold no description or blocks of their own
     wrong = AtomicStep(AtomicKind.REPLACE_TEXT, "td", {"field": "description", "text": "x"})
     assert _codes(validate_step(model, wrong)) == [("IllegalTarget", "td")]
@@ -157,6 +164,16 @@ def test_add_text_splices():
         {"field": "attribute", "key": "description", "position": "prefix", "text": ">"},
     )
     assert apply_atomic(model, on_ref).references["td"].attributes["description"] == ">dep"
+    spliced_texts = (("prefix", "not ", "not responsible"), ("postfix", " only", "responsible only"))
+    for position, text, spliced in spliced_texts:
+        on_element = AtomicStep(
+            AtomicKind.ADD_TEXT,
+            "role",
+            {"field": "attribute", "key": "roleClass", "position": position, "text": text},
+        )
+        assert apply_atomic(model, on_element).elements["role"] == ProcessElement(
+            "role", ElementKind.ROLE, "R1", attributes={"roleClass": spliced}
+        ), position
 
 
 def test_add_text_position_validation():

@@ -1,6 +1,7 @@
 """Command line behavior, driven in-process through main(argv)."""
 
 import argparse
+import contextlib
 import csv
 import gc
 import hashlib
@@ -156,6 +157,35 @@ def test_stats_text(data_dir, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "340" in captured.out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_stats_write_the_same_text_to_a_text_only_stdout(data_dir, capsysbinary, fmt):
+    # perfbench's traced pass runs main(argv) under redirect_stdout(io.StringIO()),
+    # which has no buffer to take bytes
+    argv = _args(data_dir, "stats", "ext-a.xml", "ext-bund.xml", "ext-c.xml", extra=["--format", fmt])
+    assert main(argv) == 0
+    written = capsysbinary.readouterr().out
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    assert not hasattr(stdout, "buffer")
+    assert stdout.getvalue() == written.decode("utf-8")
+    assert capsysbinary.readouterr().out == b""
+
+
+def test_merge_of_an_extension_that_declares_nothing_writes_an_empty_trace(data_dir, tmp_path, capsys):
+    path = tmp_path / "nothing.xml"
+    nothing = ExtensionModel("Nothing", "root", MetamodelVersion.V1_3)
+    path.write_text(serialize_extension(nothing), encoding="utf-8")
+    out, trace_file = tmp_path / "merged.xml", tmp_path / "trace.xml"
+    argv = ["merge", "--root", str(data_dir / "root.xml"), "--extension", str(path)]
+    assert main(argv + ["--out", str(out), "--trace", str(trace_file)]) == 0
+    capsys.readouterr()
+    assert trace_file.read_bytes() == (
+        b'<?xml version="1.0" encoding="UTF-8"?>\n<mergeTrace schemaVersion="1" finalMetamodel="1.3"/>\n'
+    )
+    assert out.read_bytes() == (data_dir / "root.xml").read_bytes()
 
 
 def test_stats_with_explicit_catalog_file(data_dir, capsys):

@@ -54,6 +54,7 @@ from procline.model import (
     compare_models,
 )
 from procline.studyline import masking_extension
+from procline.xmlio import parse_catalog
 
 
 def _base(metamodel=MetamodelVersion.V1_3):
@@ -932,6 +933,58 @@ def test_merge_agrees_with_oracle(catalog, seed, last_wins):
     assert got == want
     # the merge never mutates its inputs
     assert base == genmodels.random_model(random.Random(seed), max_elements=30)
+
+
+#: a catalog as ``--catalog`` reads one, with types that write an element's
+#: attribute text; the built-in catalog has such types for references only
+_ATTRIBUTE_TEXT_CATALOG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<operationCatalog schemaVersion="1">
+  <operationType name="AddRoleClassPostfix" group="Role Variations" targetKind="Role" metamodel="1.3">
+    <step atomic="AddText" target="{target}">
+      <arg name="field">attribute</arg>
+      <arg name="key">roleClass</arg>
+      <arg name="position">postfix</arg>
+      <arg name="text">{text}</arg>
+    </step>
+  </operationType>
+  <operationType name="AddRoleClassPrefix" group="Role Variations" targetKind="Role" metamodel="1.3">
+    <step atomic="AddText" target="{target}">
+      <arg name="field">attribute</arg>
+      <arg name="key">roleClass</arg>
+      <arg name="position">prefix</arg>
+      <arg name="text">{text}</arg>
+    </step>
+  </operationType>
+  <operationType name="ReplaceRoleClass" group="Role Variations" targetKind="Role" metamodel="1.3">
+    <step atomic="ReplaceText" target="{target}">
+      <arg name="field">attribute</arg>
+      <arg name="key">roleClass</arg>
+      <arg name="text">{text}</arg>
+    </step>
+  </operationType>
+</operationCatalog>
+"""
+
+
+def test_a_parsed_type_writes_element_attribute_text_as_the_oracle_does():
+    catalog = parse_catalog(_ATTRIBUTE_TEXT_CATALOG)
+    ext = _ext(
+        exemplars=(
+            OperationExemplar("ReplaceRoleClass", "r1", {"text": "lead"}),
+            OperationExemplar("AddRoleClassPrefix", "r1", {"text": "co-"}),
+            OperationExemplar("AddRoleClassPostfix", "r1", {"text": " (acting)"}),
+        )
+    )
+    base = _base()
+    merged, _ = merge_once(base, ext, catalog)
+    assert merged.elements["r1"] == ProcessElement(
+        "r1", ElementKind.ROLE, "Role", attributes={"roleClass": "co-lead (acting)"}
+    )
+    want = oracle.merge(
+        oracle.model_to_plain(base), oracle.extension_to_plain(ext), oracle.catalog_to_plain(catalog)
+    )
+    assert _engine_outcome(base, ext, catalog, False) == want
 
 
 @settings(max_examples=60, deadline=None)

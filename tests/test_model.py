@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import genmodels
 from procline.errors import (
     DuplicateIdError,
+    FieldNotFoundError,
     UnknownIdError,
 )
 from procline.model import (
@@ -118,6 +119,8 @@ def test_functional_updates_keep_their_input_checks():
         elem.with_name("")
     with pytest.raises(ValueError, match="duplicate text block id 'b1'"):
         elem.with_text_blocks((TextBlock("b1", "x"), TextBlock("b1", "y")))
+    with pytest.raises(FieldNotFoundError, match="element 'a' has no text block 'b9'"):
+        elem.with_block_text("b9", "y")
     with pytest.raises(ValueError):
         elem.with_kind("NoSuchKind")
     assert elem.with_kind("Task").kind is ElementKind.TASK

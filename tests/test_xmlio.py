@@ -92,6 +92,32 @@ def test_catalog_round_trip(catalog):
     assert serialize_catalog(parse_catalog(text)) == text
 
 
+_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
+
+def test_empty_documents_are_one_empty_root_and_round_trip():
+    model = ProcessModel(MetamodelVersion.V1_3B)
+    text = serialize_model(model)
+    assert text == _DECLARATION + '<processModel schemaVersion="1" metamodel="1.3B"/>\n'
+    assert parse_model(text) == model
+    assert serialize_model(parse_model(text)) == text
+    catalog = OperationCatalog(())
+    text = serialize_catalog(catalog)
+    assert text == _DECLARATION + '<operationCatalog schemaVersion="1"/>\n'
+    assert parse_catalog(text) == catalog
+    assert serialize_catalog(parse_catalog(text)) == text
+    # traces are written, never read: their fixed point is the tree they parse to
+    for trace, attributes in (
+        (MergeTrace(), {"schemaVersion": "1"}),
+        (MergeTrace(final_metamodel=MetamodelVersion.V1_3Z), {"schemaVersion": "1", "finalMetamodel": "1.3Z"}),
+    ):
+        text = serialize_trace(trace)
+        head = " ".join(f'{key}="{value}"' for key, value in attributes.items())
+        assert text == f"{_DECLARATION}<mergeTrace {head}/>\n"
+        tree = ET.fromstring(text.encode("utf-8"))
+        assert (tree.tag, tree.attrib, list(tree), tree.text) == ("mergeTrace", attributes, [], None)
+
+
 def test_parsed_type_and_argument_names_are_shared_strings():
     # type and argument names come from the catalog's small vocabulary, so
     # documents parsed apart, from text or from bytes, share one string per
