@@ -5,147 +5,99 @@ consistency-checked variants. Extensions declare new assets, exclusions,
 and exemplars of typed variability operations; every merge effect is logged
 in a replayable trace, and the catalog/usage statistics answer which
 operation types exist and how often they are used.
+
+``import procline`` loads no submodule. Each exported name, and each
+submodule read as an attribute (``procline.xmlio``), is imported on first
+access (PEP 562), so a program loads only the modules whose names it uses.
 """
 
-from .analytics import (
-    UnusedReport,
-    UnusedSlice,
-    UsageReport,
-    top_n,
-    unused_report,
-    usage_report,
-)
-from .atomic import AtomicKind, AtomicStep, apply_atomic, validate_step
-from .catalog import (
-    OperationCatalog,
-    OperationExemplar,
-    OperationTypeDef,
-    StepTemplate,
-    builtin_catalog,
-    expand_exemplar,
-    validate_exemplar,
-)
-from .errors import (
-    ConflictError,
-    CycleError,
-    DuplicateIdError,
-    DuplicateTypeNameError,
-    FieldNotFoundError,
-    IllegalTargetError,
-    Issue,
-    IssueCode,
-    MergeError,
-    MissingArgumentError,
-    MissingParentDeclarationError,
-    MissingParentError,
-    ParseError,
-    ProclineError,
-    SchemaError,
-    UnknownIdError,
-    UnknownOperationTypeError,
-    UnknownVariantError,
-    ValidationFailedError,
-)
-from .merge import (
-    ExtensionModel,
-    MergeTrace,
-    TraceEntry,
-    TraceEntryKind,
-    VariantSet,
-    merge_chain,
-    merge_once,
-    resolve_chain,
-)
-from .model import (
-    ChangeSet,
-    ElementKind,
-    MetamodelVersion,
-    ProcessElement,
-    ProcessModel,
-    Reference,
-    ReferenceKind,
-    TextBlock,
-    apply_change_set,
-    compare_models,
-)
-from .xmlio import (
-    export_stats_csv,
-    parse_catalog,
-    parse_extension,
-    parse_model,
-    render_stats_text,
-    render_trace_text,
-    serialize_catalog,
-    serialize_extension,
-    serialize_model,
-    serialize_trace,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicKind",
-    "AtomicStep",
-    "ChangeSet",
-    "ConflictError",
-    "CycleError",
-    "DuplicateIdError",
-    "DuplicateTypeNameError",
-    "ElementKind",
-    "ExtensionModel",
-    "FieldNotFoundError",
-    "IllegalTargetError",
-    "Issue",
-    "IssueCode",
-    "MergeError",
-    "MergeTrace",
-    "MetamodelVersion",
-    "MissingArgumentError",
-    "MissingParentDeclarationError",
-    "MissingParentError",
-    "OperationCatalog",
-    "OperationExemplar",
-    "OperationTypeDef",
-    "ParseError",
-    "ProcessElement",
-    "ProcessModel",
-    "ProclineError",
-    "Reference",
-    "ReferenceKind",
-    "SchemaError",
-    "StepTemplate",
-    "TextBlock",
-    "TraceEntry",
-    "TraceEntryKind",
-    "UnknownIdError",
-    "UnknownOperationTypeError",
-    "UnknownVariantError",
-    "UnusedReport",
-    "UnusedSlice",
-    "UsageReport",
-    "ValidationFailedError",
-    "VariantSet",
-    "apply_atomic",
-    "apply_change_set",
-    "builtin_catalog",
-    "compare_models",
-    "expand_exemplar",
-    "export_stats_csv",
-    "merge_chain",
-    "merge_once",
-    "parse_catalog",
-    "parse_extension",
-    "parse_model",
-    "render_stats_text",
-    "render_trace_text",
-    "resolve_chain",
-    "serialize_catalog",
-    "serialize_extension",
-    "serialize_model",
-    "serialize_trace",
-    "top_n",
-    "unused_report",
-    "usage_report",
-    "validate_exemplar",
-    "validate_step",
-]
+# home module -> the names exported from it
+_EXPORTS = {
+    "analytics": ("UnusedReport", "UnusedSlice", "UsageReport", "top_n", "unused_report", "usage_report"),
+    "atomic": ("AtomicKind", "AtomicStep", "apply_atomic", "validate_step"),
+    "catalog": (
+        "OperationCatalog",
+        "OperationExemplar",
+        "OperationTypeDef",
+        "StepTemplate",
+        "builtin_catalog",
+        "expand_exemplar",
+        "validate_exemplar",
+    ),
+    "errors": (
+        "ConflictError",
+        "CycleError",
+        "DuplicateIdError",
+        "DuplicateTypeNameError",
+        "FieldNotFoundError",
+        "IllegalTargetError",
+        "Issue",
+        "IssueCode",
+        "MergeError",
+        "MissingArgumentError",
+        "MissingParentDeclarationError",
+        "MissingParentError",
+        "ParseError",
+        "ProclineError",
+        "SchemaError",
+        "UnknownIdError",
+        "UnknownOperationTypeError",
+        "UnknownVariantError",
+        "ValidationFailedError",
+    ),
+    "merge": (
+        "ExtensionModel",
+        "MergeTrace",
+        "TraceEntry",
+        "TraceEntryKind",
+        "VariantSet",
+        "merge_chain",
+        "merge_once",
+        "resolve_chain",
+    ),
+    "model": (
+        "ChangeSet",
+        "ElementKind",
+        "MetamodelVersion",
+        "ProcessElement",
+        "ProcessModel",
+        "Reference",
+        "ReferenceKind",
+        "TextBlock",
+        "apply_change_set",
+        "compare_models",
+    ),
+    "xmlread": ("parse_catalog", "parse_extension", "parse_model"),
+    "xmlio": (
+        "export_stats_csv",
+        "render_stats_text",
+        "render_trace_text",
+        "serialize_catalog",
+        "serialize_extension",
+        "serialize_model",
+        "serialize_trace",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "studyline"}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+        globals()[name] = value  # later reads skip this hook
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # the import binds it here too
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -294,6 +294,6 @@ def builtin_catalog() -> OperationCatalog:
     """
     # imported here: both modules import this one
     from .studyline import fixture_text
-    from .xmlio import parse_catalog
+    from .xmlread import parse_catalog
 
     return parse_catalog(fixture_text("catalog.xml"), source="catalog.xml")

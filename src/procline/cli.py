@@ -10,19 +10,21 @@ procline error and for usage and I/O problems (bad flags, unreadable or
 malformed files, unknown variant names).
 Diagnostics go to stderr; requested output goes to stdout or ``--out``, as
 UTF-8 bytes whatever the locale's encoding.
+
+At import this module loads only what argument parsing and the exit codes
+need; each command imports the modules it runs when it runs, so ``validate``
+loads no writer and no statistics, and ``merge`` no statistics.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analytics import usage_report
-from .catalog import OperationCatalog, builtin_catalog
 from .errors import (
     ConflictError,
     CycleError,
@@ -31,17 +33,12 @@ from .errors import (
     ProclineError,
     ValidationFailedError,
 )
-from .merge import MergeTrace, VariantSet, merge_chain
-from .model import MetamodelVersion, ProcessModel, _gc_paused
-from .xmlio import (
-    export_stats_csv,
-    parse_catalog,
-    parse_extension,
-    parse_model,
-    render_stats_text,
-    serialize_model,
-    serialize_trace,
-)
+from .model import MetamodelVersion, _gc_paused
+
+if TYPE_CHECKING:
+    from .catalog import OperationCatalog
+    from .merge import MergeTrace, VariantSet
+    from .model import ProcessModel
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -83,11 +80,18 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _load_catalog(path: str | None) -> OperationCatalog:
     if path is None:
+        from .catalog import builtin_catalog
+
         return builtin_catalog()
+    from .xmlread import parse_catalog
+
     return parse_catalog(_read_bytes(path), source=path)
 
 
 def _load_variant_set(args) -> tuple[VariantSet, OperationCatalog]:
+    from .merge import VariantSet
+    from .xmlread import parse_extension, parse_model
+
     root = parse_model(_read_bytes(args.root), source=args.root)
     extensions = [parse_extension(_read_bytes(p), source=p) for p in args.extension]
     try:
@@ -106,6 +110,8 @@ def _pick_leaf(args, variant_set: VariantSet) -> str:
 
 
 def _merge_for(args) -> tuple[str, ProcessModel, MergeTrace]:
+    from .merge import merge_chain
+
     variant_set, catalog = _load_variant_set(args)
     leaf = _pick_leaf(args, variant_set)
     model, trace = merge_chain(variant_set, leaf, catalog, last_wins=args.last_wins)
@@ -113,6 +119,8 @@ def _merge_for(args) -> tuple[str, ProcessModel, MergeTrace]:
 
 
 def _cmd_merge(args) -> int:
+    from .xmlio import serialize_model, serialize_trace
+
     leaf, model, trace = _merge_for(args)
     _write_output(serialize_model(model), args.out)
     if args.trace:
@@ -139,6 +147,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .analytics import usage_report
+    from .xmlio import export_stats_csv, render_stats_text
+
     variant_set, catalog = _load_variant_set(args)
     report = usage_report(variant_set, catalog)
     if args.format == "csv":
@@ -166,6 +177,8 @@ def _cmd_catalog(args) -> int:
         for t in types
     ]
     if args.format == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(("name", "group", "targetKind", "definingMetamodel", "synthetic", "steps"))

@@ -18,7 +18,7 @@ from importlib import resources
 
 from .merge import ExtensionModel, VariantSet
 from .model import ProcessModel
-from .xmlio import parse_extension, parse_model
+from .xmlread import parse_extension, parse_model
 
 ROOT_ID = "root"
 VARIANT_IDS = ("A", "B", "Bund", "C", "D")

@@ -492,6 +492,36 @@ def test_cli_import_leaves_the_network_stack_out():
     assert result.stdout.strip() == "[]"
 
 
+# (command, its arguments, modules the command must not load)
+_UNLOADED = {
+    "validate": (["--leaf", "C"], {"procline.xmlio", "procline.analytics", "csv"}),
+    "merge": (["--leaf", "C", "--out", "{tmp}/c.xml"], {"procline.analytics", "csv"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNLOADED))
+def test_a_command_loads_only_the_modules_it_runs(command, data_dir, tmp_path):
+    # a fresh interpreter, since this one has imported every module by now
+    extra, unloaded = _UNLOADED[command]
+    argv = _args(data_dir, command, "ext-bund.xml", "ext-c.xml", extra=[a.format(tmp=tmp_path) for a in extra])
+    probe = (
+        "import sys\nfrom procline.cli import main\ncode = main(sys.argv[1:])\n"
+        f"print(code, sorted({sorted(unloaded)!r} & sys.modules.keys()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=_fresh_interpreter_env(), check=True
+    )
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = "import sys, procline; print(sorted(m for m in sys.modules if m.startswith('procline.')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_fresh_interpreter_env(), check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
 def test_stdout_is_utf8_whatever_the_stream_encoding(encoding, data_dir, tmp_path):
     # a variant id and an element name neither encoding can hold
@@ -655,7 +685,7 @@ def test_command_runs_with_the_collector_paused(data_dir, monkeypatch, capsys, g
         seen.append(gc.isenabled())
         return usage_report(*args)
 
-    monkeypatch.setattr("procline.cli.usage_report", spy)
+    monkeypatch.setattr("procline.analytics.usage_report", spy)  # stats imports it when it runs
     gc.enable()
     assert main(_args(data_dir, "stats", "ext-a.xml")) == 0
     capsys.readouterr()

@@ -13,7 +13,7 @@ import random
 import pytest
 
 import genmodels
-from procline import xmlio
+from procline import xmlread
 from procline.analytics import usage_report
 from procline.catalog import builtin_catalog
 from procline.cli import main
@@ -69,7 +69,7 @@ def _spy_on_the_work(monkeypatch):
 
         return spy
 
-    monkeypatch.setattr(xmlio, "_root_node", spying(xmlio._root_node))
+    monkeypatch.setattr(xmlread, "_root_node", spying(xmlread._root_node))
     monkeypatch.setattr(VariantSet, "variant_ids", spying(VariantSet.variant_ids))
     return seen
 
@@ -103,7 +103,7 @@ def test_a_builder_inside_a_command_leaves_the_collector_paused(monkeypatch, tmp
         after.append(gc.isenabled())  # back in the command, outside the nested pause
         return result
 
-    monkeypatch.setattr("procline.cli.parse_extension", parse_and_look)
+    monkeypatch.setattr("procline.xmlread.parse_extension", parse_and_look)  # the command imports it when it runs
     gc.enable()
     assert main(argv) == 0
     capsys.readouterr()
