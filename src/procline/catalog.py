@@ -55,6 +55,16 @@ def _placeholder(value: str) -> str | None:
 _Bound = tuple[str | None, str]
 
 
+def _check_type(name: str, group: str, recipe: Iterable[StepTemplate]) -> None:
+    """The rules on a type's own fields, which its constructor and the reader both call."""
+    if not name:
+        raise ValueError("operation type name must be non-empty")
+    if not group:
+        raise ValueError(f"operation type {name!r}: group must be non-empty")
+    if not recipe:
+        raise ValueError(f"operation type {name!r}: recipe must not be empty")
+
+
 @dataclass(frozen=True)
 class OperationTypeDef:
     """A named variability operation type."""
@@ -67,12 +77,7 @@ class OperationTypeDef:
     synthetic: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("operation type name must be non-empty")
-        if not self.group:
-            raise ValueError(f"operation type {self.name!r}: group must be non-empty")
-        if not self.recipe:
-            raise ValueError(f"operation type {self.name!r}: recipe must not be empty")
+        _check_type(self.name, self.group, self.recipe)
         object.__setattr__(self, "recipe", tuple(self.recipe))
 
     @cached_property
@@ -129,6 +134,8 @@ class OperationExemplar:
 
 _new_step = _trusted(AtomicStep)
 _new_exemplar = _trusted(OperationExemplar)
+_new_template = _trusted(StepTemplate)
+_new_type = _trusted(OperationTypeDef)
 
 
 class OperationCatalog:

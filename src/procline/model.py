@@ -3,11 +3,11 @@
 A :class:`ProcessModel` is an immutable value: a metamodel version and two
 maps, read through lookups and :meth:`ProcessModel.check_consistency`. A new
 model comes from the public constructor (which copies and checks both maps),
-from :func:`apply_change_set`, or from a merge; callers can therefore hold on
-to any intermediate state (merge bases, trace snapshots) without defensive
-copies. Elements and references have their own ``with_*`` updates; each
-checks what it changes, builds a new object (:func:`_trusted`) that shares
-the fields it leaves alone, and changes none.
+from :func:`apply_change_set`, from a merge, or from the reader; callers can
+therefore hold on to any intermediate state (merge bases, trace snapshots)
+without defensive copies. Elements and references have their own ``with_*``
+updates; each checks what it changes, builds a new object (:func:`_trusted`)
+that shares the fields it leaves alone, and changes none.
 
 Every write of a merge goes through one path: the base maps are copied once
 into a :class:`_WorkingModel`, every step writes into them, and the working
@@ -23,8 +23,13 @@ Values the engine has already checked are built by trusted build
 functions (:func:`_trusted`): each takes every field of its dataclass and
 stores it as the frozen ``__init__`` does, but runs no ``__post_init__``
 check, coercion or copy. The working model's view, applied change sets and
-replays, each trace entry and its change set, expanded steps, parsed
-exemplars and updated elements and references are built so. The records a
+replays, each trace entry and its change set, expanded steps, updated
+elements and references, and everything the reader builds (models, their
+elements, references and text blocks, exemplars, and the catalog's types
+and steps) are built so. A rule a constructor enforces on its fields is
+stated once, in a check the constructor and the reader both call
+(:func:`_check_element`, :func:`_check_reference` and their kin), so a
+trusted build skips no rule a document must keep. The records a
 family holds by the thousand (text blocks, change sets, trace entries,
 steps, exemplars, issues) are slotted: no instance has a ``__dict__``.
 Elements and references keep theirs, since the XML writer keeps each one's
@@ -285,6 +290,41 @@ def _trusted(cls: type[_D]) -> Callable[..., _D]:
     return namespace[name]
 
 
+# The rules on an asset's own fields, each stated once: the constructors
+# and updates below call them, and so does the reader, which builds what it
+# has checked through the trusted builds. Each raises ValueError.
+
+
+def _check_text_block(block_id: str) -> None:
+    if not block_id:
+        raise ValueError("text block id must be non-empty")
+
+
+def _check_element(elem_id: str, name: str) -> None:
+    if not elem_id:
+        raise ValueError("element id must be non-empty")
+    if not name:
+        raise ValueError(f"element {elem_id!r}: name must be non-empty")
+
+
+def _unique_blocks(elem_id: str, blocks: Iterable[TextBlock]) -> tuple[TextBlock, ...]:
+    """``blocks`` as a tuple; raises ValueError if two share an id."""
+    blocks = tuple(blocks)
+    seen = set()
+    for block in blocks:
+        if block.id in seen:
+            raise ValueError(f"element {elem_id!r}: duplicate text block id {block.id!r}")
+        seen.add(block.id)
+    return blocks
+
+
+def _check_reference(ref_id: str, source: str, target: str) -> None:
+    if not ref_id:
+        raise ValueError("reference id must be non-empty")
+    if not source or not target:
+        raise ValueError(f"reference {ref_id!r}: source and target must be non-empty")
+
+
 @dataclass(frozen=True, slots=True)
 class TextBlock:
     """One named block of running text inside an element."""
@@ -293,8 +333,7 @@ class TextBlock:
     text: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("text block id must be non-empty")
+        _check_text_block(self.id)
 
 
 @dataclass(frozen=True)
@@ -314,30 +353,16 @@ class ProcessElement:
     text_blocks: tuple[TextBlock, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("element id must be non-empty")
-        if not self.name:
-            raise ValueError(f"element {self.id!r}: name must be non-empty")
+        _check_element(self.id, self.name)
         object.__setattr__(self, "kind", ElementKind(self.kind))
         object.__setattr__(self, "attributes", dict(self.attributes))
-        object.__setattr__(self, "text_blocks", self._unique_blocks(self.text_blocks))
-
-    def _unique_blocks(self, blocks: Iterable[TextBlock]) -> tuple[TextBlock, ...]:
-        """``blocks`` as a tuple; raises ValueError if two share an id."""
-        blocks = tuple(blocks)
-        seen = set()
-        for block in blocks:
-            if block.id in seen:
-                raise ValueError(f"element {self.id!r}: duplicate text block id {block.id!r}")
-            seen.add(block.id)
-        return blocks
+        object.__setattr__(self, "text_blocks", _unique_blocks(self.id, self.text_blocks))
 
     # The updates below build their result with _new_element, which skips
     # __post_init__: each checks only what it changes, and shares the rest.
 
     def with_name(self, name: str) -> "ProcessElement":
-        if not name:
-            raise ValueError(f"element {self.id!r}: name must be non-empty")
+        _check_element(self.id, name)
         return _new_element(self.id, self.kind, name, self.description, self.attributes, self.text_blocks)
 
     def with_description(self, description: str) -> "ProcessElement":
@@ -370,7 +395,7 @@ class ProcessElement:
         return _new_element(self.id, self.kind, self.name, self.description, self.attributes, blocks)
 
     def with_text_blocks(self, blocks: Iterable[TextBlock]) -> "ProcessElement":
-        blocks = self._unique_blocks(blocks)
+        blocks = _unique_blocks(self.id, blocks)
         return _new_element(self.id, self.kind, self.name, self.description, self.attributes, blocks)
 
 
@@ -385,20 +410,14 @@ class Reference:
     attributes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("reference id must be non-empty")
-        self._check_endpoints(self.source, self.target)
+        _check_reference(self.id, self.source, self.target)
         object.__setattr__(self, "kind", ReferenceKind(self.kind))
         object.__setattr__(self, "attributes", dict(self.attributes))
-
-    def _check_endpoints(self, source: str, target: str) -> None:
-        if not source or not target:
-            raise ValueError(f"reference {self.id!r}: source and target must be non-empty")
 
     def with_endpoints(self, source: str | None = None, target: str | None = None) -> "Reference":
         source = self.source if source is None else source
         target = self.target if target is None else target
-        self._check_endpoints(source, target)
+        _check_reference(self.id, source, target)
         return _new_reference(self.id, self.kind, source, target, self.attributes)
 
     def with_attribute(self, key: str, value: str) -> "Reference":
@@ -490,6 +509,7 @@ class ProcessModel:
         return issues
 
 
+_new_text_block = _trusted(TextBlock)
 _new_element = _trusted(ProcessElement)
 _new_reference = _trusted(Reference)
 _new_model = _trusted(ProcessModel)

@@ -13,6 +13,15 @@ holds child tags holds text, so only whitespace may follow a child. That
 is XML's whitespace: space, tab, CR and LF. A no-break space, U+2028 or
 U+3000 where no text may stand is unexpected text, as any other character.
 
+Each checked value is built once. A kind, metamodel or atomic kind string
+becomes its member by one lookup in a table of members. An element, a
+reference, a text block and a catalog's type are held to the rules their
+constructors call (``model._check_element`` and its kin), in the
+constructors' order and with their messages, and are then built, like
+steps, exemplars and the model itself, by the trusted builds of
+:mod:`procline.model`, with no second check or copy. A model's maps are the
+reader's own: ``seen`` has already made every id unique across both.
+
 Parsed exemplars share one string per type name and per argument name:
 both come from the catalog's fixed vocabulary, so the parser interns them,
 and a family of thousands of exemplars holds each name once. Targets and
@@ -25,16 +34,19 @@ readers; a command that only reads loads this module alone.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from enum import Enum
 from sys import intern
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 from .atomic import AtomicKind
 from .catalog import (
     OperationCatalog,
     OperationExemplar,
     OperationTypeDef,
-    StepTemplate,
+    _check_type,
     _new_exemplar,
+    _new_template,
+    _new_type,
 )
 from .errors import (
     DuplicateTypeNameError,
@@ -51,7 +63,15 @@ from .model import (
     Reference,
     ReferenceKind,
     TextBlock,
+    _check_element,
+    _check_reference,
+    _check_text_block,
     _gc_paused,
+    _new_element,
+    _new_model,
+    _new_reference,
+    _new_text_block,
+    _unique_blocks,
 )
 
 SCHEMA_VERSION = "1"
@@ -162,24 +182,30 @@ def _root_node(text: str | bytes, expected_tag: str, source: str) -> ET.Element:
 _T = TypeVar("_T")
 
 
-def _enum(kind: Callable[[str], _T], value: str, what: str, source: str) -> _T:
+def _members(*kinds: type[Enum]) -> dict[str, Any]:
+    """Each member of ``kinds`` under its value; of two kinds that share a value, the first wins."""
+    return {member.value: member for kind in reversed(kinds) for member in kind}
+
+
+_METAMODELS = _members(MetamodelVersion)
+_ELEMENT_KINDS = _members(ElementKind)
+_REFERENCE_KINDS = _members(ReferenceKind)
+_TARGET_KINDS = _members(ElementKind, ReferenceKind)
+_ATOMIC_KINDS = _members(AtomicKind)
+
+
+def _enum(members: Mapping[str, _T], value: str, what: str, source: str) -> _T:
+    """The member of ``members`` under ``value``, by one lookup; a SchemaError names an unknown one."""
     try:
-        return kind(value)
-    except ValueError:
+        return members[value]
+    except KeyError:
         raise SchemaError(f"unknown {what} {value!r}", path=source) from None
 
 
-def _target_kind(value: str) -> ElementKind | ReferenceKind:
+def _build(make: Callable[..., _T], source: str, /, *values: Any, **fields: Any) -> _T:
+    """``make(*values, **fields)``, a constructor or a rule, with its ValueError as a SchemaError."""
     try:
-        return ElementKind(value)
-    except ValueError:
-        return ReferenceKind(value)
-
-
-def _build(cls: Callable[..., _T], source: str, /, **fields: Any) -> _T:
-    """``cls(**fields)``, with the ValueError of a check on the values as a SchemaError."""
-    try:
-        return cls(**fields)
+        return make(*values, **fields)
     except ValueError as exc:
         raise SchemaError(str(exc), path=source) from None
 
@@ -207,67 +233,64 @@ def _element(node: ET.Element, seen: set[str], source: str) -> ProcessElement:
     attrib = node.attrib
     elem_id = attrib["id"]
     _claim_id(seen, elem_id, source)
-    kind = _enum(ElementKind, attrib["kind"], "element kind", source)
+    kind = _enum(_ELEMENT_KINDS, attrib["kind"], "element kind", source)
     description: str | None = None
     attributes: dict[str, str] = {}
     blocks: list[TextBlock] = []
-    for child in node:
-        _checked(child, source, "element")
-        if child.tag == "attribute":
-            _keyed(attributes, child, f"element {elem_id!r}", source)
-        elif child.tag == "textBlock":
-            blocks.append(_build(TextBlock, source, id=child.attrib["id"], text=child.text or ""))
-        elif description is None:
-            description = child.text or ""
-        else:
-            raise SchemaError(f"element {elem_id!r} repeats <description>", path=source)
-    return _build(
-        ProcessElement,
-        source,
-        id=elem_id,
-        kind=kind,
-        name=attrib["name"],
-        description=description or "",
-        attributes=attributes,
-        text_blocks=tuple(blocks),
-    )
+    try:  # _build's work, for every rule here at once: elements are most of a model
+        for child in node:
+            _checked(child, source, "element")
+            tag = child.tag
+            if tag == "attribute":
+                _keyed(attributes, child, f"element {elem_id!r}", source)
+            elif tag == "textBlock":
+                block_id = child.attrib["id"]
+                _check_text_block(block_id)
+                blocks.append(_new_text_block(block_id, child.text or ""))
+            elif description is None:
+                description = child.text or ""
+            else:
+                raise SchemaError(f"element {elem_id!r} repeats <description>", path=source)
+        name = attrib["name"]
+        _check_element(elem_id, name)
+        text_blocks = _unique_blocks(elem_id, blocks)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path=source) from None
+    return _new_element(elem_id, kind, name, description or "", attributes, text_blocks)
 
 
 def _reference(node: ET.Element, seen: set[str], source: str) -> Reference:
     attrib = node.attrib
     ref_id = attrib["id"]
     _claim_id(seen, ref_id, source)
-    kind = _enum(ReferenceKind, attrib["kind"], "reference kind", source)
+    kind = _enum(_REFERENCE_KINDS, attrib["kind"], "reference kind", source)
     attributes: dict[str, str] = {}
     for child in node:
         _checked(child, source, "reference")
         _keyed(attributes, child, f"reference {ref_id!r}", source)
-    return _build(
-        Reference,
-        source,
-        id=ref_id,
-        kind=kind,
-        source=attrib["source"],
-        target=attrib["target"],
-        attributes=attributes,
-    )
+    ref_source, target = attrib["source"], attrib["target"]
+    _build(_check_reference, source, ref_id, ref_source, target)
+    return _new_reference(ref_id, kind, ref_source, target, attributes)
 
 
 @_gc_paused
 def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
     """Read a reference/process model document."""
     root = _root_node(text, "processModel", source)
-    metamodel = _enum(MetamodelVersion, root.attrib["metamodel"], "metamodel version", source)
+    metamodel = _enum(_METAMODELS, root.attrib["metamodel"], "metamodel version", source)
     seen: set[str] = set()
-    elements: list[ProcessElement] = []
-    references: list[Reference] = []
+    elements: dict[str, ProcessElement] = {}
+    references: dict[str, Reference] = {}
     for child in root:
         _checked(child, source, "processModel")
         if child.tag == "element":
-            elements.append(_element(child, seen, source))
+            elem = _element(child, seen, source)
+            elements[elem.id] = elem
         else:
-            references.append(_reference(child, seen, source))
-    return ProcessModel.of(metamodel, elements, references)
+            ref = _reference(child, seen, source)
+            references[ref.id] = ref
+    # seen holds every id once, so no key repeats across the maps, and both are this call's own
+    return _new_model(metamodel, elements, references)
 
 
 def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
@@ -323,7 +346,7 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
     """
     root = _root_node(text, "extensionModel", source)
     attrib = root.attrib
-    metamodel = _enum(MetamodelVersion, attrib["metamodel"], "metamodel version", source)
+    metamodel = _enum(_METAMODELS, attrib["metamodel"], "metamodel version", source)
     seen: set[str] = set()
     sections: dict[str, list] = {}
     for section in root:
@@ -370,24 +393,17 @@ def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
         recipe = []
         for step in node:
             _checked(step, source, "operationType")
-            atomic = _enum(AtomicKind, step.attrib["atomic"], "atomic kind", source)
+            atomic = _enum(_ATOMIC_KINDS, step.attrib["atomic"], "atomic kind", source)
             args: dict[str, str] = {}
             for child in step:
                 _checked(child, source, "step")
                 _keyed(args, child, "step", source)
-            recipe.append(StepTemplate(atomic=atomic, target=step.attrib["target"], args=args))
-        type_defs.append(
-            _build(
-                OperationTypeDef,
-                source,
-                name=attrib["name"],
-                group=attrib["group"],
-                target_kind=_enum(_target_kind, attrib["targetKind"], "target kind", source),
-                defining_metamodel=_enum(MetamodelVersion, attrib["metamodel"], "metamodel version", source),
-                recipe=tuple(recipe),
-                synthetic=synthetic == "true",
-            )
-        )
+            recipe.append(_new_template(atomic, step.attrib["target"], args))
+        target_kind = _enum(_TARGET_KINDS, attrib["targetKind"], "target kind", source)
+        metamodel = _enum(_METAMODELS, attrib["metamodel"], "metamodel version", source)
+        name, group, steps = attrib["name"], attrib["group"], tuple(recipe)
+        _build(_check_type, source, name, group, steps)
+        type_defs.append(_new_type(name, group, target_kind, metamodel, steps, synthetic == "true"))
     try:
         return OperationCatalog(type_defs)
     except DuplicateTypeNameError as exc:

@@ -1,17 +1,20 @@
 """Trusted builds: values the engine builds past their dataclass constructor.
 
-Trace entries, change sets, expanded steps, parsed exemplars, the models
-of replays and updated elements and references are built by
-``model._trusted``. Each
-must be indistinguishable from the same value built through its public
-constructor, and each build must set every field of its dataclass.
+Trace entries, change sets, expanded steps, the models of replays, updated
+elements and references, and everything the readers build (models, their
+elements, references and text blocks, exemplars, and the catalog's types
+and steps) are built by ``model._trusted``. Each must be indistinguishable
+from the same value built through its public constructor, and each build
+must set every field of its dataclass.
 """
 
 import copy
 import dataclasses
 import gc
+import importlib
 import inspect
 import pickle
+import pkgutil
 import random
 import types
 import typing
@@ -20,9 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genmodels
-from procline import catalog as catalog_module, merge as merge_module, model as model_module, xmlio
+import procline
+from procline import xmlio
 from procline.atomic import AtomicKind, AtomicStep
-from procline.catalog import OperationExemplar, expand_exemplar
+from procline.catalog import OperationExemplar, OperationTypeDef, StepTemplate, expand_exemplar
 from procline.errors import ConflictError, Issue, IssueCode, ValidationFailedError
 from procline.merge import ExtensionModel, TraceEntry, TraceEntryKind, merge_chain, merge_once
 from procline.model import (
@@ -38,7 +42,7 @@ from procline.model import (
     compare_models,
 )
 from procline.studyline import DATA_FILES, fixture_text, masking_extension
-from procline.xmlio import parse_extension
+from procline.xmlio import parse_catalog, parse_extension, parse_model, serialize_model
 
 _TRUSTED_TYPES = (
     TraceEntry,
@@ -48,6 +52,9 @@ _TRUSTED_TYPES = (
     ProcessModel,
     ProcessElement,
     Reference,
+    TextBlock,
+    StepTemplate,
+    OperationTypeDef,
 )
 
 
@@ -214,6 +221,41 @@ def test_parsed_exemplars_and_expanded_steps_equal_their_twins(catalog):
                 _assert_like_twins(exemplar, *expand_exemplar(catalog, exemplar))
 
 
+def _assert_model_like_twins(model: ProcessModel) -> None:
+    """``model`` and each of its elements and references (text blocks included) equal their twins."""
+    _assert_like_twins(model, *model.elements.values(), *model.references.values())
+
+
+def test_parsed_study_root_and_new_assets_equal_their_twins():
+    _assert_model_like_twins(parse_model(fixture_text("root.xml")))
+    new_assets = []
+    for name in sorted(DATA_FILES):
+        if name.startswith("ext-"):
+            ext = parse_extension(fixture_text(name))
+            new_assets += [*ext.new_elements, *ext.new_references]
+    assert {type(asset) for asset in new_assets} == {ProcessElement, Reference}
+    _assert_like_twins(*new_assets)
+
+
+def test_parsed_scaled_root_equals_its_twin():
+    _assert_model_like_twins(genmodels.scaled_variant_set(2).root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000))
+def test_parsed_random_models_equal_their_twins(seed):
+    model = genmodels.random_model(random.Random(seed), max_elements=30)
+    parsed = parse_model(serialize_model(model))
+    assert parsed == model
+    _assert_model_like_twins(parsed)
+
+
+def test_parsed_catalog_types_and_steps_equal_their_twins():
+    type_defs = list(parse_catalog(fixture_text("catalog.xml")))
+    assert len(type_defs) == 69
+    _assert_like_twins(*type_defs)
+
+
 def test_model_diffs_equal_their_twins(root):
     edited = dict(root.elements)
     some_id = sorted(edited)[0]
@@ -250,12 +292,19 @@ def test_random_merge_traces_equal_their_twins(catalog, seed, last_wins, clean):
 
 
 def _trusted_functions() -> dict:
-    """Every trusted build function bound in the package's modules, by the class it builds."""
+    """Every trusted build function bound in the package's modules, by the class it builds.
+
+    Each module of the package is scanned, so a module that starts building
+    a class trusted is found without being listed here. A module that binds a
+    class's build function binds the one :func:`model._trusted` made for it.
+    """
     found = {}
-    for module in (model_module, merge_module, catalog_module, xmlio):
+    for info in pkgutil.iter_modules(procline.__path__):
+        module = importlib.import_module(f"procline.{info.name}")
         for value in vars(module).values():
             if inspect.isfunction(value) and value.__name__.startswith("_trusted_"):
-                found[value.__globals__["__cls"]] = value
+                cls = value.__globals__["__cls"]
+                assert found.setdefault(cls, value) is value, (module.__name__, cls.__name__)
     return found
 
 
@@ -306,11 +355,22 @@ def test_a_trusted_build_adds_no_object_a_constructed_one_lacks(variants, catalo
         made = make()
         return len(gc.get_objects()) - before, made
 
+    def model_twin(model):
+        elements = {key: _twin(elem) for key, elem in model.elements.items()}
+        return ProcessModel(model.metamodel, elements, {key: _twin(ref) for key, ref in model.references.items()})
+
+    text = fixture_text("root.xml")
+    parse_model(text)  # anything a first parse sets up is not counted
     gc.disable()
     try:
         trusted, rebuilt = tracked_objects_made(lambda: [_rebuilt(entry, functions) for entry in entries])
         constructed, twins = tracked_objects_made(lambda: [_twin(entry) for entry in entries])
+        parsed_count, parsed = tracked_objects_made(lambda: parse_model(text))
+        parsed_twin_count, parsed_twin = tracked_objects_made(lambda: model_twin(parsed))
     finally:
         gc.enable()
     assert rebuilt == twins == entries
     assert trusted == constructed
+    # the parsed root is built trusted throughout, its twin by the constructors
+    assert parsed_twin == parsed
+    assert parsed_count == parsed_twin_count

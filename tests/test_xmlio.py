@@ -281,6 +281,14 @@ def _ext_doc(operations: str, root_attrs: str = "") -> str:
     )
 
 
+def _new_element_doc(attrs: str, inner: str = "") -> str:
+    return f"{EXT_OPEN}<newElements><element {attrs}>{inner}</element></newElements></extensionModel>"
+
+
+def _new_reference_doc(attrs: str) -> str:
+    return f"{EXT_OPEN}<newReferences><reference {attrs}/></newReferences></extensionModel>"
+
+
 # one defect per document; each message is pinned word for word
 _ONE_DEFECT_EXTENSIONS = {
     "exemplar-lacks-target": (
@@ -445,6 +453,51 @@ _ONE_DEFECT_EXTENSIONS = {
         "</element></newElements></extensionModel>",
         "text block id must be non-empty",
     ),
+    # a new element or reference is read as a model's is, by the same rules in the same order
+    "new-element-unknown-kind": (_new_element_doc('id="e" kind="Gremlin" name="S"'), "unknown element kind 'Gremlin'"),
+    "new-element-empty-id": (_new_element_doc('id="" kind="Role" name="S"'), "element id must be non-empty"),
+    "new-element-empty-name": (_new_element_doc('id="e" kind="Role" name=""'), "element 'e': name must be non-empty"),
+    "new-element-duplicate-text-block-id": (
+        _new_element_doc('id="e" kind="Role" name="S"', '<textBlock id="b1"/><textBlock id="b1"/>'),
+        "element 'e': duplicate text block id 'b1'",
+    ),
+    "new-element-unknown-kind-and-empty-id": (
+        _new_element_doc('id="" kind="Gremlin" name="S"'),
+        "unknown element kind 'Gremlin'",
+    ),
+    "new-element-empty-id-and-name": (_new_element_doc('id="" kind="Role" name=""'), "element id must be non-empty"),
+    "new-element-empty-text-block-id-and-name": (
+        _new_element_doc('id="e" kind="Role" name=""', '<textBlock id=""/>'),
+        "text block id must be non-empty",
+    ),
+    "new-element-empty-name-and-duplicate-text-block-ids": (
+        _new_element_doc('id="e" kind="Role" name=""', '<textBlock id="b1"/><textBlock id="b1"/>'),
+        "element 'e': name must be non-empty",
+    ),
+    "new-reference-unknown-kind": (
+        _new_reference_doc('id="r" kind="Wires" source="a" target="b"'),
+        "unknown reference kind 'Wires'",
+    ),
+    "new-reference-empty-id": (
+        _new_reference_doc('id="" kind="Responsibility" source="a" target="b"'),
+        "reference id must be non-empty",
+    ),
+    "new-reference-empty-source": (
+        _new_reference_doc('id="r" kind="Responsibility" source="" target="b"'),
+        "reference 'r': source and target must be non-empty",
+    ),
+    "new-reference-empty-target": (
+        _new_reference_doc('id="r" kind="Responsibility" source="a" target=""'),
+        "reference 'r': source and target must be non-empty",
+    ),
+    "new-reference-unknown-kind-and-empty-id": (
+        _new_reference_doc('id="" kind="Wires" source="a" target="b"'),
+        "unknown reference kind 'Wires'",
+    ),
+    "new-reference-empty-id-and-source": (
+        _new_reference_doc('id="" kind="Responsibility" source="" target="b"'),
+        "reference id must be non-empty",
+    ),
     # str.isspace() takes these, XML does not: they are text like any other
     "exemplar-no-break-space-text": (
         _ext_doc('<exemplar type="RenameRole" target="r1">\u00a0<arg name="newName">Lead</arg></exemplar>'),
@@ -592,6 +645,32 @@ _ONE_DEFECT_MODELS = {
         _reference_doc(attrs='id="r1" kind="Responsibility" source="" target="e1"'),
         "reference 'r1': source and target must be non-empty",
     ),
+    "empty-reference-target": (
+        _reference_doc(attrs='id="r1" kind="Responsibility" source="w" target=""'),
+        "reference 'r1': source and target must be non-empty",
+    ),
+    # two defects in one asset: the message pins which rule is checked first
+    "unknown-element-kind-and-empty-id": (
+        _doc('  <element id="" kind="Gremlin" name="X"/>'),
+        "unknown element kind 'Gremlin'",
+    ),
+    "empty-element-id-and-name": (_doc('  <element id="" kind="Role" name=""/>'), "element id must be non-empty"),
+    "empty-text-block-id-and-element-name": (
+        _element_doc('<textBlock id="">t</textBlock>', attrs='id="e1" kind="Role" name=""'),
+        "text block id must be non-empty",
+    ),
+    "empty-element-name-and-duplicate-text-block-ids": (
+        _element_doc('<textBlock id="b1">1</textBlock><textBlock id="b1">2</textBlock>', attrs='id="e1" kind="Role" name=""'),
+        "element 'e1': name must be non-empty",
+    ),
+    "unknown-reference-kind-and-empty-id": (
+        _reference_doc(attrs='id="" kind="Wires" source="w" target="e1"'),
+        "unknown reference kind 'Wires'",
+    ),
+    "empty-reference-id-and-source": (
+        _reference_doc(attrs='id="" kind="Responsibility" source="" target="e1"'),
+        "reference id must be non-empty",
+    ),
 }
 
 
@@ -661,6 +740,27 @@ _ONE_DEFECT_CATALOGS = {
         "operation type 'X': group must be non-empty",
     ),
     "empty-recipe": (_type_doc(""), "operation type 'X': recipe must not be empty"),
+    # two defects in one type: the message pins which rule is checked first
+    "empty-type-name-and-group": (
+        _type_doc(attrs='name="" group="" targetKind="Role" metamodel="1.3"'),
+        "operation type name must be non-empty",
+    ),
+    "empty-type-name-and-recipe": (
+        _type_doc("", attrs='name="" group="G" targetKind="Role" metamodel="1.3"'),
+        "operation type name must be non-empty",
+    ),
+    "empty-group-and-recipe": (
+        _type_doc("", attrs='name="X" group="" targetKind="Role" metamodel="1.3"'),
+        "operation type 'X': group must be non-empty",
+    ),
+    "empty-type-name-and-unknown-target-kind": (
+        _type_doc(attrs='name="" group="G" targetKind="Gremlin" metamodel="1.3"'),
+        "unknown target kind 'Gremlin'",
+    ),
+    "empty-type-name-and-unknown-atomic-kind": (
+        _step_doc("", attrs='atomic="Explode" target="{target}"').replace('name="X"', 'name=""'),
+        "unknown atomic kind 'Explode'",
+    ),
     "step-lacks-target": (_step_doc("", attrs='atomic="RenameElement"'), "<step> lacks attribute 'target'"),
     "step-extra-attribute": (
         _step_doc("", attrs='atomic="RenameElement" target="{target}" color="red"'),
