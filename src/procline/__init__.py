@@ -17,16 +17,24 @@ __version__ = "0.1.0"
 
 # home module -> the names exported from it
 _EXPORTS = {
-    "analytics": ("UnusedReport", "UnusedSlice", "UsageReport", "top_n", "unused_report", "usage_report"),
-    "atomic": ("AtomicKind", "AtomicStep", "apply_atomic", "validate_step"),
+    "analytics": (
+        "UnusedReport",
+        "UnusedSlice",
+        "UsageReport",
+        "export_stats_csv",
+        "render_stats_text",
+        "top_n",
+        "unused_report",
+        "usage_report",
+    ),
+    "atomic": ("AtomicStep", "apply_atomic", "expand_exemplar", "validate_exemplar", "validate_step"),
     "catalog": (
+        "AtomicKind",
         "OperationCatalog",
         "OperationExemplar",
         "OperationTypeDef",
         "StepTemplate",
         "builtin_catalog",
-        "expand_exemplar",
-        "validate_exemplar",
     ),
     "errors": (
         "ConflictError",
@@ -49,16 +57,8 @@ _EXPORTS = {
         "UnknownVariantError",
         "ValidationFailedError",
     ),
-    "merge": (
-        "ExtensionModel",
-        "MergeTrace",
-        "TraceEntry",
-        "TraceEntryKind",
-        "VariantSet",
-        "merge_chain",
-        "merge_once",
-        "resolve_chain",
-    ),
+    "family": ("ExtensionModel", "VariantSet"),
+    "merge": ("MergeTrace", "TraceEntry", "TraceEntryKind", "merge_chain", "merge_once", "resolve_chain"),
     "model": (
         "ChangeSet",
         "ElementKind",
@@ -73,8 +73,6 @@ _EXPORTS = {
     ),
     "xmlread": ("parse_catalog", "parse_extension", "parse_model"),
     "xmlio": (
-        "export_stats_csv",
-        "render_stats_text",
         "render_trace_text",
         "serialize_catalog",
         "serialize_extension",

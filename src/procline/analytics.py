@@ -1,10 +1,17 @@
-"""Catalog and usage statistics over a variant set.
+"""Catalog and usage statistics over a variant set, and their exports.
 
 The report counts operation exemplars as declared in the extension models,
 keyed three ways: per type, per (variant, type), and per
 (variant, group, defining metamodel). Types without exemplars stay in the
 report with count zero so coverage questions ("which defined operations are
 never used?") fall out directly.
+
+Its exports, CSV and plain text, live here too, so ``procline stats``
+loads no merge, step or XML writer module. The CSV writer imports
+:mod:`csv` when it is called. It quotes each distinct field once through
+the ``csv`` module (a variant id, a type's group, name and metamodel
+columns) and builds each row from those quoted pieces, so the output is the
+text a ``csv.writer`` writes for the same rows, built without a call per row.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from operator import attrgetter
 from typing import Mapping
 
 from .catalog import OperationCatalog
-from .merge import VariantSet
+from .family import VariantSet
 from .model import MetamodelVersion, _gc_paused
 
 
@@ -130,3 +137,100 @@ def unused_report(report: UsageReport) -> UnusedReport:
         overall=UnusedSlice(len(unused), len(report.per_type_counts)),
         per_metamodel=per_mm,
     )
+
+
+# -- statistics exports ------------------------------------------------------------
+
+CSV_HEADER = ("variantId", "operationGroup", "operationType", "definingMetamodel", "exemplarCount")
+
+UNKNOWN_GROUP = "(unknown)"
+
+
+class _Lines(list):
+    """A list that a csv writer can write its lines into."""
+
+    write = list.append
+
+
+def export_stats_csv(report: UsageReport) -> str:
+    """Usage statistics as CSV, one row per variant and operation type.
+
+    The header comes first. Types without exemplars keep their zero rows so
+    the output schema does not depend on the data. Exemplars of types
+    missing from the catalog get the reserved group ``(unknown)`` and an
+    empty metamodel column. Rows are sorted by variant, group and type.
+    Fields are quoted as a default ``csv.writer`` quotes them, and each row
+    ends with CRLF.
+    """
+    import csv
+
+    lines = _Lines()
+    writer = csv.writer(lines)
+    writer.writerow(CSV_HEADER)
+
+    def cells(*fields: str) -> str:
+        # csv quotes a field by its own characters, so each distinct field is
+        # quoted once: a row that ends in an empty field, less its line end,
+        # is the fields each followed by the delimiter
+        writer.writerow((*fields, ""))
+        return lines.pop()[:-2]
+
+    # the catalog types in row order as (group, name, cells), sorted once
+    types = sorted(
+        (group, name, cells(group, name, report.type_metamodels[name].value))
+        for name, group in report.type_groups.items()
+    )
+    unknown: dict[str, list[tuple[str, str, str]]] = {}
+    for variant_id, name in report.unknown_types:
+        unknown.setdefault(variant_id, []).append((UNKNOWN_GROUP, name, cells(UNKNOWN_GROUP, name, "")))
+    counts = {**report.cells, **report.unknown_types}
+    for variant_id in sorted(report.variant_ids):
+        prefix = cells(variant_id)
+        # (group, type) is unique, so the cells never decide the order
+        rows = sorted(types + unknown[variant_id]) if variant_id in unknown else types
+        lines += [f"{prefix}{columns}{counts[variant_id, name]}\r\n" for _, name, columns in rows]
+    return "".join(lines)
+
+
+def _format_count_table(rows: list[tuple[str, str]], indent: str = "  ") -> list[str]:
+    width = max(len(label) for label, _ in rows)
+    return [f"{indent}{label.ljust(width)}  {value}" for label, value in rows]
+
+
+def render_stats_text(report: UsageReport) -> str:
+    """Usage statistics as a small plain-text report."""
+    defined = report.defined_per_metamodel
+    total_defined = sum(defined.values())
+    per_mm = ", ".join(f"{mm.value}: {defined[mm]}" for mm in MetamodelVersion)
+    unused = unused_report(report)
+    lines = [
+        f"defined operation types: {total_defined} ({per_mm})",
+        f"used: {len(report.used_types)}  "
+        f"unused: {unused.overall.unused_count} ({unused.overall.fraction:.1%})",
+        "",
+        "exemplars per variant:",
+    ]
+    variant_rows = [(v, str(report.variant_totals[v])) for v in report.variant_ids]
+    variant_rows.append(("total", str(report.total_exemplars)))
+    lines.extend(_format_count_table(variant_rows))
+    leaders = top_n(report)
+    if leaders:
+        lines.append("")
+        lines.append("most used types:")
+        leader_rows = [
+            (
+                name,
+                f"{count}  ({report.type_metamodels[name].value}, {report.type_groups[name]})",
+            )
+            for name, count in leaders
+        ]
+        lines.extend(_format_count_table(leader_rows))
+    if report.unknown_types:
+        lines.append("")
+        lines.append("exemplars of unknown types:")
+        unknown_rows = [
+            (f"{variant_id}: {type_name}", str(count))
+            for (variant_id, type_name), count in sorted(report.unknown_types.items())
+        ]
+        lines.extend(_format_count_table(unknown_rows))
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Atomic model transformation steps.
+"""Atomic model transformation steps, and the exemplars that expand into them.
 
 These are the building blocks operation types are assembled from. Each step
 names a target (element or reference id) and carries string arguments. The
@@ -13,14 +13,19 @@ endpoints it rewires, and references cascaded by an element removal.
 its check and its write, and ``_with_field_text`` writes it; a reference has
 attribute text only. The endpoints a step names are checked by
 :func:`procline.model.endpoint_problems`, as a merge's are.
+
+Exemplars run here too, next to the steps they expand into:
+:func:`expand_exemplar`, :func:`validate_exemplar` and a merge go through
+``_expand`` and ``_run_exemplar``. The step kinds are
+:class:`procline.catalog.AtomicKind`, the type of a recipe's templates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping
 
+from .catalog import TARGET_PLACEHOLDER, AtomicKind, OperationCatalog, OperationExemplar, OperationTypeDef
 from .errors import (
     DuplicateIdError,
     FieldNotFoundError,
@@ -36,22 +41,11 @@ from .model import (
     ProcessModel,
     Reference,
     ReferenceKind,
+    _trusted,
     _WorkingModel,
     endpoint_problems,
     ordering_number,
 )
-
-
-class AtomicKind(str, Enum):
-    RENAME_ELEMENT = "RenameElement"
-    REPLACE_TEXT = "ReplaceText"
-    ADD_TEXT = "AddText"
-    SWAP_REFERENCES = "SwapReferences"
-    REMOVE_ELEMENT = "RemoveElement"
-    REMOVE_REFERENCE = "RemoveReference"
-    ADD_REFERENCE = "AddReference"
-    CHANGE_ATTRIBUTE = "ChangeAttribute"
-    MOVE_ELEMENT = "MoveElement"
 
 
 # The kinds as module constants, for the two dispatches below: on Python
@@ -337,3 +331,116 @@ def _apply_into(work: _WorkingModel, step: AtomicStep) -> None:
         work.put_element(target, elem.with_attribute(ORDERING_ATTRIBUTE, args["newOrderingNumber"]))
     else:
         raise AssertionError(f"unhandled atomic kind {kind!r}")
+
+
+# -- exemplars: a type's recipe expanded into steps, checked and run ----------------
+
+_new_step = _trusted(AtomicStep)
+
+
+def expand_exemplar(catalog: OperationCatalog, exemplar: OperationExemplar) -> list[AtomicStep]:
+    """Instantiate the recipe of an exemplar's type with its arguments."""
+    type_def = catalog.lookup(exemplar.type_name)
+    try:
+        return _expand(type_def, exemplar)
+    except KeyError as exc:
+        raise MissingArgumentError(
+            f"exemplar of {exemplar.type_name!r} on {exemplar.target!r}: "
+            f"missing argument {exc.args[0]!r}"
+        ) from None
+
+
+def _expand(type_def: OperationTypeDef, exemplar: OperationExemplar) -> list[AtomicStep]:
+    """The steps of ``type_def``'s recipe for ``exemplar``; KeyError names a missing argument."""
+    given = {**exemplar.args, TARGET_PLACEHOLDER: exemplar.target}
+    # trusted: a template's kind is an AtomicKind, and each step gets a new args dict
+    return [
+        _new_step(
+            kind=atomic,
+            target=given[target_name] if target_name else target,
+            args={key: given[name] if name else value for key, (name, value) in args},
+        )
+        for atomic, (target_name, target), args in type_def._bound_recipe
+    ]
+
+
+def validate_exemplar(
+    catalog: OperationCatalog, model: ProcessModel, exemplar: OperationExemplar
+) -> list[Issue]:
+    """Type-check one exemplar against the model it would execute on.
+
+    Checks, in order: the type exists, its defining metamodel is not newer
+    than the model's, the target resolves and has the declared kind, and all
+    recipe arguments are present. Only when all of that holds are the
+    expanded steps validated (sequentially, so multi-step recipes see the
+    effects of earlier steps). An empty result therefore guarantees that
+    expansion succeeds and every step applies. ``model`` itself is never
+    modified: the steps run on a copy of its maps.
+    """
+    return _run_exemplar(catalog, _WorkingModel(model), exemplar)[0]
+
+
+def _run_exemplar(
+    catalog: OperationCatalog, work: _WorkingModel, exemplar: OperationExemplar
+) -> tuple[list[Issue], list[AtomicStep]]:
+    """Check one exemplar and write its steps into ``work``.
+
+    Returns the issues :func:`validate_exemplar` reports and the expanded
+    steps (empty when there are issues). Each step is validated once, on
+    the model the earlier steps produced, and then applied without a second
+    check. A step that fails validation stops the run, so the steps before
+    it stay written: the caller rolls ``work`` back.
+    """
+    model = work.model
+    type_def = catalog.get(exemplar.type_name)
+    if type_def is None:
+        unknown = Issue(
+            IssueCode.UNKNOWN_OPERATION_TYPE,
+            exemplar.type_name,
+            "operation type is not in the catalog",
+        )
+        return [unknown], []
+    issues: list[Issue] = []
+    if type_def.defining_metamodel > model.metamodel:
+        issues.append(
+            Issue(
+                IssueCode.METAMODEL_GATE,
+                exemplar.type_name,
+                f"defined by metamodel {type_def.defining_metamodel.value}, "
+                f"base model is {model.metamodel.value}",
+            )
+        )
+    if type_def.targets_reference:
+        plural, assets, others, other = "references", model.references, model.elements, "an element"
+    else:
+        plural, assets, others, other = "elements", model.elements, model.references, "a reference"
+    asset = assets.get(exemplar.target)
+    if asset is None or asset.kind != type_def.target_kind:
+        if asset is not None:
+            code, detail = IssueCode.TYPE_MISMATCH, f", got {asset.kind.value}"
+        elif exemplar.target in others:
+            code, detail = IssueCode.TYPE_MISMATCH, f"; target resolves to {other}"
+        else:
+            code, detail = IssueCode.UNKNOWN_TARGET_ID, "; target does not resolve"
+        message = f"{exemplar.type_name} targets {type_def.target_kind.value} {plural}{detail}"
+        issues.append(Issue(code, exemplar.target, message))
+    placeholders = type_def.placeholders
+    if not exemplar.args.keys() >= placeholders:
+        for name in sorted(placeholders.difference(exemplar.args)):
+            issues.append(
+                Issue(
+                    IssueCode.MISSING_ARGUMENT,
+                    exemplar.type_name,
+                    f"exemplar on {exemplar.target!r} lacks argument {name!r}",
+                )
+            )
+    if issues:
+        return issues, []
+    steps = _expand(type_def, exemplar)  # every placeholder is given
+    for step in steps:
+        # work.model reads the live maps, so each step sees the earlier ones
+        issues = validate_step(model, step)
+        if issues:
+            return issues, []
+        _apply_into(work, step)
+    return [], steps

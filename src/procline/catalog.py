@@ -1,30 +1,44 @@
-"""Typed variability operations: the catalog, exemplar typing, and expansion.
+"""Typed variability operations: the catalog, its types and their exemplars.
 
 An operation type binds a name to a target kind, the metamodel version that
-introduced it, and a recipe of atomic step templates. An exemplar names a
-type, a concrete target, and argument values; expansion substitutes the
-arguments into the recipe. The built-in catalog is the shipped
-``data/catalog.xml``; types whose recipes are not publicly documented are
-clearly flagged ``Synthetic...`` placeholder entries there so catalog counts
-and groups stay complete.
+introduced it, and a recipe of atomic step templates, each naming an
+:class:`AtomicKind`. An exemplar names a type, a concrete target, and
+argument values; expansion substitutes the arguments into the recipe. The
+built-in catalog is the shipped ``data/catalog.xml``; types whose recipes
+are not publicly documented are clearly flagged ``Synthetic...`` placeholder
+entries there so catalog counts and groups stay complete.
+
+This module describes operations and runs none, so it loads only
+:mod:`procline.errors` and :mod:`procline.model`. Expansion and the
+exemplar checks live in :mod:`procline.atomic`; ``expand_exemplar`` and
+``validate_exemplar`` still read from here (PEP 562).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .atomic import AtomicKind, AtomicStep, _apply_into, validate_step
-from .errors import (
-    DuplicateTypeNameError,
-    Issue,
-    IssueCode,
-    MissingArgumentError,
-    UnknownOperationTypeError,
-)
-from .model import ElementKind, MetamodelVersion, ProcessModel, ReferenceKind, _trusted, _WorkingModel
+from .errors import DuplicateTypeNameError, UnknownOperationTypeError
+from .model import ElementKind, MetamodelVersion, ReferenceKind, _trusted
+
+
+class AtomicKind(str, Enum):
+    """The atomic step kinds a recipe is assembled from; :mod:`procline.atomic` runs them."""
+
+    RENAME_ELEMENT = "RenameElement"
+    REPLACE_TEXT = "ReplaceText"
+    ADD_TEXT = "AddText"
+    SWAP_REFERENCES = "SwapReferences"
+    REMOVE_ELEMENT = "RemoveElement"
+    REMOVE_REFERENCE = "RemoveReference"
+    ADD_REFERENCE = "AddReference"
+    CHANGE_ATTRIBUTE = "ChangeAttribute"
+    MOVE_ELEMENT = "MoveElement"
+
 
 _PLACEHOLDER = re.compile(r"\{([A-Za-z][A-Za-z0-9]*)\}")
 
@@ -132,7 +146,6 @@ class OperationExemplar:
         object.__setattr__(self, "args", dict(self.args))
 
 
-_new_step = _trusted(AtomicStep)
 _new_exemplar = _trusted(OperationExemplar)
 _new_template = _trusted(StepTemplate)
 _new_type = _trusted(OperationTypeDef)
@@ -185,114 +198,6 @@ class OperationCatalog:
         return sorted({t.group for t in self._types.values()})
 
 
-def expand_exemplar(catalog: OperationCatalog, exemplar: OperationExemplar) -> list[AtomicStep]:
-    """Instantiate the recipe of an exemplar's type with its arguments."""
-    type_def = catalog.lookup(exemplar.type_name)
-    try:
-        return _expand(type_def, exemplar)
-    except KeyError as exc:
-        raise MissingArgumentError(
-            f"exemplar of {exemplar.type_name!r} on {exemplar.target!r}: "
-            f"missing argument {exc.args[0]!r}"
-        ) from None
-
-
-def _expand(type_def: OperationTypeDef, exemplar: OperationExemplar) -> list[AtomicStep]:
-    """The steps of ``type_def``'s recipe for ``exemplar``; KeyError names a missing argument."""
-    given = {**exemplar.args, TARGET_PLACEHOLDER: exemplar.target}
-    # trusted: a template's kind is an AtomicKind, and each step gets a new args dict
-    return [
-        _new_step(
-            kind=atomic,
-            target=given[target_name] if target_name else target,
-            args={key: given[name] if name else value for key, (name, value) in args},
-        )
-        for atomic, (target_name, target), args in type_def._bound_recipe
-    ]
-
-
-def validate_exemplar(
-    catalog: OperationCatalog, model: ProcessModel, exemplar: OperationExemplar
-) -> list[Issue]:
-    """Type-check one exemplar against the model it would execute on.
-
-    Checks, in order: the type exists, its defining metamodel is not newer
-    than the model's, the target resolves and has the declared kind, and all
-    recipe arguments are present. Only when all of that holds are the
-    expanded steps validated (sequentially, so multi-step recipes see the
-    effects of earlier steps). An empty result therefore guarantees that
-    expansion succeeds and every step applies. ``model`` itself is never
-    modified: the steps run on a copy of its maps.
-    """
-    return _run_exemplar(catalog, _WorkingModel(model), exemplar)[0]
-
-
-def _run_exemplar(
-    catalog: OperationCatalog, work: _WorkingModel, exemplar: OperationExemplar
-) -> tuple[list[Issue], list[AtomicStep]]:
-    """Check one exemplar and write its steps into ``work``.
-
-    Returns the issues :func:`validate_exemplar` reports and the expanded
-    steps (empty when there are issues). Each step is validated once, on
-    the model the earlier steps produced, and then applied without a second
-    check. A step that fails validation stops the run, so the steps before
-    it stay written: the caller rolls ``work`` back.
-    """
-    model = work.model
-    type_def = catalog.get(exemplar.type_name)
-    if type_def is None:
-        unknown = Issue(
-            IssueCode.UNKNOWN_OPERATION_TYPE,
-            exemplar.type_name,
-            "operation type is not in the catalog",
-        )
-        return [unknown], []
-    issues: list[Issue] = []
-    if type_def.defining_metamodel > model.metamodel:
-        issues.append(
-            Issue(
-                IssueCode.METAMODEL_GATE,
-                exemplar.type_name,
-                f"defined by metamodel {type_def.defining_metamodel.value}, "
-                f"base model is {model.metamodel.value}",
-            )
-        )
-    if type_def.targets_reference:
-        plural, assets, others, other = "references", model.references, model.elements, "an element"
-    else:
-        plural, assets, others, other = "elements", model.elements, model.references, "a reference"
-    asset = assets.get(exemplar.target)
-    if asset is None or asset.kind != type_def.target_kind:
-        if asset is not None:
-            code, detail = IssueCode.TYPE_MISMATCH, f", got {asset.kind.value}"
-        elif exemplar.target in others:
-            code, detail = IssueCode.TYPE_MISMATCH, f"; target resolves to {other}"
-        else:
-            code, detail = IssueCode.UNKNOWN_TARGET_ID, "; target does not resolve"
-        message = f"{exemplar.type_name} targets {type_def.target_kind.value} {plural}{detail}"
-        issues.append(Issue(code, exemplar.target, message))
-    placeholders = type_def.placeholders
-    if not exemplar.args.keys() >= placeholders:
-        for name in sorted(placeholders.difference(exemplar.args)):
-            issues.append(
-                Issue(
-                    IssueCode.MISSING_ARGUMENT,
-                    exemplar.type_name,
-                    f"exemplar on {exemplar.target!r} lacks argument {name!r}",
-                )
-            )
-    if issues:
-        return issues, []
-    steps = _expand(type_def, exemplar)  # every placeholder is given
-    for step in steps:
-        # work.model reads the live maps, so each step sees the earlier ones
-        issues = validate_step(model, step)
-        if issues:
-            return issues, []
-        _apply_into(work, step)
-    return [], steps
-
-
 @cache
 def builtin_catalog() -> OperationCatalog:
     """The catalog shipped with the package: 69 types, 33 of them placeholders.
@@ -304,3 +209,13 @@ def builtin_catalog() -> OperationCatalog:
     from .xmlread import parse_catalog
 
     return parse_catalog(fixture_text("catalog.xml"), source="catalog.xml")
+
+
+def __getattr__(name: str):
+    # the exemplar runners live in procline.atomic, which imports this
+    # module; read here, they import it on first use (PEP 562)
+    if name in ("expand_exemplar", "validate_exemplar"):
+        from . import atomic
+
+        return getattr(atomic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,8 @@ from .model import MetamodelVersion, _gc_paused
 
 if TYPE_CHECKING:
     from .catalog import OperationCatalog
-    from .merge import MergeTrace, VariantSet
+    from .family import VariantSet
+    from .merge import MergeTrace
     from .model import ProcessModel
 
 _EXIT_OK = 0
@@ -89,7 +90,7 @@ def _load_catalog(path: str | None) -> OperationCatalog:
 
 
 def _load_variant_set(args) -> tuple[VariantSet, OperationCatalog]:
-    from .merge import VariantSet
+    from .family import VariantSet
     from .xmlread import parse_extension, parse_model
 
     root = parse_model(_read_bytes(args.root), source=args.root)
@@ -147,8 +148,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .analytics import usage_report
-    from .xmlio import export_stats_csv, render_stats_text
+    from .analytics import export_stats_csv, render_stats_text, usage_report
 
     variant_set, catalog = _load_variant_set(args)
     report = usage_report(variant_set, catalog)

@@ -1,20 +1,23 @@
-"""Variant derivation: extension models, chain resolution, and merging.
+"""Variant derivation: chain resolution and merging.
 
 A merge runs in three phases: declared assets are integrated first, then
 exclusions are applied (cascading over incident references), then operation
 exemplars execute in document order. A merge either returns a consistent
 model or raises; the inputs are never modified. Every effect lands in an
 auditable :class:`MergeTrace` whose entries carry replayable change sets.
+
+The family types it reads live in :mod:`procline.family` and are imported
+here, so ``procline.merge.VariantSet`` is the same class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .atomic import AtomicKind, field_key
-from .catalog import OperationCatalog, OperationExemplar, _run_exemplar
+from .atomic import _run_exemplar, field_key
+from .catalog import AtomicKind, OperationCatalog
 from .errors import (
     ConflictError,
     CycleError,
@@ -24,13 +27,12 @@ from .errors import (
     UnknownVariantError,
     ValidationFailedError,
 )
+from .family import ExtensionModel, VariantSet
 from .model import (
     CONFIGURATION_CONTAINER_KINDS,
     ChangeSet,
     MetamodelVersion,
-    ProcessElement,
     ProcessModel,
-    Reference,
     _apply_change_set_into,
     _new_model,
     _trusted,
@@ -39,65 +41,6 @@ from .model import (
 )
 
 _EMPTY_CHANGE_SET = ChangeSet()
-
-
-@dataclass(frozen=True)
-class ExtensionModel:
-    """Everything one variant declares on top of its parent."""
-
-    variant_id: str
-    parent_id: str
-    metamodel: MetamodelVersion
-    new_elements: tuple[ProcessElement, ...] = ()
-    new_references: tuple[Reference, ...] = ()
-    exclusions: tuple[str, ...] = ()
-    exemplars: tuple[OperationExemplar, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.variant_id:
-            raise ValueError("extension model needs a variant id")
-        if not self.parent_id:
-            raise ValueError(f"extension {self.variant_id!r} needs a parent id")
-        object.__setattr__(self, "metamodel", MetamodelVersion(self.metamodel))
-        object.__setattr__(self, "new_elements", tuple(self.new_elements))
-        object.__setattr__(self, "new_references", tuple(self.new_references))
-        object.__setattr__(self, "exclusions", tuple(self.exclusions))
-        object.__setattr__(self, "exemplars", tuple(self.exemplars))
-
-
-@dataclass(frozen=True)
-class VariantSet:
-    """A reference model plus the extension models derived from it."""
-
-    root: ProcessModel
-    extensions: Mapping[str, ExtensionModel] = field(default_factory=dict)
-    root_id: str = "root"
-
-    def __post_init__(self) -> None:
-        extensions = dict(self.extensions)
-        for key, ext in extensions.items():
-            if key != ext.variant_id:
-                raise ValueError(f"extension map key {key!r} does not match variant id {ext.variant_id!r}")
-            if key == self.root_id:
-                raise ValueError(f"variant id {key!r} collides with the root id")
-        object.__setattr__(self, "extensions", extensions)
-
-    @classmethod
-    def of(
-        cls,
-        root: ProcessModel,
-        extensions: Iterable[ExtensionModel],
-        root_id: str = "root",
-    ) -> "VariantSet":
-        by_id: dict[str, ExtensionModel] = {}
-        for ext in extensions:
-            if ext.variant_id in by_id:
-                raise ValueError(f"duplicate variant id {ext.variant_id!r}")
-            by_id[ext.variant_id] = ext
-        return cls(root=root, extensions=by_id, root_id=root_id)
-
-    def variant_ids(self) -> list[str]:
-        return sorted(self.extensions)
 
 
 class TraceEntryKind(str, Enum):

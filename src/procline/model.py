@@ -25,8 +25,8 @@ stores it as the frozen ``__init__`` does, but runs no ``__post_init__``
 check, coercion or copy. The working model's view, applied change sets and
 replays, each trace entry and its change set, expanded steps, updated
 elements and references, and everything the reader builds (models, their
-elements, references and text blocks, exemplars, and the catalog's types
-and steps) are built so. A rule a constructor enforces on its fields is
+elements, references and text blocks, extensions, exemplars, and the
+catalog's types and steps) are built so. A rule a constructor enforces on its fields is
 stated once, in a check the constructor and the reader both call
 (:func:`_check_element`, :func:`_check_reference` and their kin), so a
 trusted build skips no rule a document must keep. The records a

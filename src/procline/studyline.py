@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .merge import ExtensionModel, VariantSet
+from .family import ExtensionModel, VariantSet
 from .model import ProcessModel
 from .xmlread import parse_extension, parse_model
 

@@ -1,4 +1,4 @@
-"""Canonical XML writing for models, extensions, catalogs and traces, and the statistics exports.
+"""Canonical XML writing for models, extensions, catalogs and traces.
 
 The readers live in :mod:`procline.xmlread`; this module re-exports
 :func:`parse_model`, :func:`parse_extension`, :func:`parse_catalog` and
@@ -26,33 +26,21 @@ kept block is no field: ``==``, ``repr`` and ``compare_models`` do not see
 it, and it lives in the instance's own attribute storage (no new gc-tracked
 object on CPython 3.11).
 
-Statistics exports (CSV and plain text) live here too, next to the other
-output formats. They import :mod:`procline.analytics` and :mod:`csv` when
-they are called, so a command that writes no statistics loads neither. The
-CSV writer quotes each distinct field once through the ``csv`` module (a
-variant id, a type's group, name and metamodel columns) and builds each row
-from those quoted pieces, so the output is the text a ``csv.writer`` writes
-for the same rows, built without a call per row.
+The statistics exports live in :mod:`procline.analytics`; their four
+public names still read from here (PEP 562).
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from .catalog import OperationCatalog
 from .errors import DuplicateIdError, IllegalCharacterError
-from .merge import ExtensionModel, MergeTrace, TraceEntryKind
-from .model import MetamodelVersion, ProcessElement, ProcessModel, Reference
+from .family import ExtensionModel
+from .merge import MergeTrace, TraceEntryKind
+from .model import ProcessElement, ProcessModel, Reference
 from .xmlread import SCHEMA_VERSION, parse_catalog, parse_extension, parse_model  # noqa: F401  (re-exported)
-
-if TYPE_CHECKING:  # the statistics writers import analytics when they run
-    from .analytics import UsageReport
-
-
-# ---------------------------------------------------------------------------
-# canonical serialization
-# ---------------------------------------------------------------------------
 
 _DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 
@@ -338,102 +326,12 @@ def render_trace_text(trace: MergeTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# statistics exports
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    # the statistics exports live in procline.analytics; read here, they
+    # import it on first use (PEP 562), so a merge, which loads this
+    # module, loads no statistics
+    if name in ("CSV_HEADER", "UNKNOWN_GROUP", "export_stats_csv", "render_stats_text"):
+        from . import analytics
 
-CSV_HEADER = ("variantId", "operationGroup", "operationType", "definingMetamodel", "exemplarCount")
-
-UNKNOWN_GROUP = "(unknown)"
-
-
-class _Lines(list):
-    """A list that a csv writer can write its lines into."""
-
-    write = list.append
-
-
-def export_stats_csv(report: UsageReport) -> str:
-    """Usage statistics as CSV, one row per variant and operation type.
-
-    The header comes first. Types without exemplars keep their zero rows so
-    the output schema does not depend on the data. Exemplars of types
-    missing from the catalog get the reserved group ``(unknown)`` and an
-    empty metamodel column. Rows are sorted by variant, group and type.
-    Fields are quoted as a default ``csv.writer`` quotes them, and each row
-    ends with CRLF.
-    """
-    import csv
-
-    lines = _Lines()
-    writer = csv.writer(lines)
-    writer.writerow(CSV_HEADER)
-
-    def cells(*fields: str) -> str:
-        # csv quotes a field by its own characters, so each distinct field is
-        # quoted once: a row that ends in an empty field, less its line end,
-        # is the fields each followed by the delimiter
-        writer.writerow((*fields, ""))
-        return lines.pop()[:-2]
-
-    # the catalog types in row order as (group, name, cells), sorted once
-    types = sorted(
-        (group, name, cells(group, name, report.type_metamodels[name].value))
-        for name, group in report.type_groups.items()
-    )
-    unknown: dict[str, list[tuple[str, str, str]]] = {}
-    for variant_id, name in report.unknown_types:
-        unknown.setdefault(variant_id, []).append((UNKNOWN_GROUP, name, cells(UNKNOWN_GROUP, name, "")))
-    counts = {**report.cells, **report.unknown_types}
-    for variant_id in sorted(report.variant_ids):
-        prefix = cells(variant_id)
-        # (group, type) is unique, so the cells never decide the order
-        rows = sorted(types + unknown[variant_id]) if variant_id in unknown else types
-        lines += [f"{prefix}{columns}{counts[variant_id, name]}\r\n" for _, name, columns in rows]
-    return "".join(lines)
-
-
-def _format_count_table(rows: list[tuple[str, str]], indent: str = "  ") -> list[str]:
-    width = max(len(label) for label, _ in rows)
-    return [f"{indent}{label.ljust(width)}  {value}" for label, value in rows]
-
-
-def render_stats_text(report: UsageReport) -> str:
-    """Usage statistics as a small plain-text report."""
-    from .analytics import top_n, unused_report
-
-    defined = report.defined_per_metamodel
-    total_defined = sum(defined.values())
-    per_mm = ", ".join(f"{mm.value}: {defined[mm]}" for mm in MetamodelVersion)
-    unused = unused_report(report)
-    lines = [
-        f"defined operation types: {total_defined} ({per_mm})",
-        f"used: {len(report.used_types)}  "
-        f"unused: {unused.overall.unused_count} ({unused.overall.fraction:.1%})",
-        "",
-        "exemplars per variant:",
-    ]
-    variant_rows = [(v, str(report.variant_totals[v])) for v in report.variant_ids]
-    variant_rows.append(("total", str(report.total_exemplars)))
-    lines.extend(_format_count_table(variant_rows))
-    leaders = top_n(report)
-    if leaders:
-        lines.append("")
-        lines.append("most used types:")
-        leader_rows = [
-            (
-                name,
-                f"{count}  ({report.type_metamodels[name].value}, {report.type_groups[name]})",
-            )
-            for name, count in leaders
-        ]
-        lines.extend(_format_count_table(leader_rows))
-    if report.unknown_types:
-        lines.append("")
-        lines.append("exemplars of unknown types:")
-        unknown_rows = [
-            (f"{variant_id}: {type_name}", str(count))
-            for (variant_id, type_name), count in sorted(report.unknown_types.items())
-        ]
-        lines.extend(_format_count_table(unknown_rows))
-    return "\n".join(lines) + "\n"
+        return getattr(analytics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

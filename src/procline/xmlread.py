@@ -15,12 +15,13 @@ U+3000 where no text may stand is unexpected text, as any other character.
 
 Each checked value is built once. A kind, metamodel or atomic kind string
 becomes its member by one lookup in a table of members. An element, a
-reference, a text block and a catalog's type are held to the rules their
-constructors call (``model._check_element`` and its kin), in the
-constructors' order and with their messages, and are then built, like
-steps, exemplars and the model itself, by the trusted builds of
-:mod:`procline.model`, with no second check or copy. A model's maps are the
-reader's own: ``seen`` has already made every id unique across both.
+reference, a text block, a catalog's type and an extension are held to the
+rules their constructors call (``model._check_element`` and its kin,
+``family._check_extension``), in the constructors' order and with their
+messages, and are then built, like steps, exemplars and the model itself,
+by the trusted builds of :mod:`procline.model`, with no second check or
+copy. A model's maps are the reader's own: ``seen`` has already made every
+id unique across both.
 
 Parsed exemplars share one string per type name and per argument name:
 both come from the catalog's fixed vocabulary, so the parser interns them,
@@ -28,7 +29,9 @@ and a family of thousands of exemplars holds each name once. Targets and
 argument values are model ids and free text and are kept as parsed.
 
 The canonical writers live in :mod:`procline.xmlio`, which re-exports these
-readers; a command that only reads loads this module alone.
+readers; a command that only reads loads this module alone, and this
+module loads only the errors, the model, the catalog and the family types,
+no merge or step engine.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from enum import Enum
 from sys import intern
 from typing import Any, Callable, Mapping, TypeVar
 
-from .atomic import AtomicKind
 from .catalog import (
+    AtomicKind,
     OperationCatalog,
     OperationExemplar,
     OperationTypeDef,
@@ -54,7 +57,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .merge import ExtensionModel
+from .family import ExtensionModel, _check_extension, _new_extension
 from .model import (
     ElementKind,
     MetamodelVersion,
@@ -366,16 +369,17 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
                 items.append(_reference(child, seen, source))
             else:
                 items.append(child.attrib["id"])
-    return _build(
-        ExtensionModel,
-        source,
-        variant_id=attrib["id"],
-        parent_id=attrib["parent"],
-        metamodel=metamodel,
-        new_elements=tuple(sections.get("newElements", ())),
-        new_references=tuple(sections.get("newReferences", ())),
-        exclusions=tuple(sections.get("exclusions", ())),
-        exemplars=tuple(sections.get("operations", ())),
+    variant_id, parent_id = attrib["id"], attrib["parent"]
+    _build(_check_extension, source, variant_id, parent_id)
+    # every section is this call's own, and each item in it checked
+    return _new_extension(
+        variant_id,
+        parent_id,
+        metamodel,
+        tuple(sections.get("newElements", ())),
+        tuple(sections.get("newReferences", ())),
+        tuple(sections.get("exclusions", ())),
+        tuple(sections.get("operations", ())),
     )
 
 

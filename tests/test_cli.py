@@ -492,26 +492,49 @@ def test_cli_import_leaves_the_network_stack_out():
     assert result.stdout.strip() == "[]"
 
 
-# (command, its arguments, modules the command must not load)
+_FAMILY = ["--root", "{data}/root.xml", "--extension", "{data}/ext-bund.xml", "--extension", "{data}/ext-c.xml"]
+# what only derivation runs: the merge and step engines and the XML writers
+_ENGINE = {"procline.merge", "procline.atomic", "procline.xmlio"}
+
+# case -> (command line, modules the command must not load)
 _UNLOADED = {
-    "validate": (["--leaf", "C"], {"procline.xmlio", "procline.analytics", "csv"}),
-    "merge": (["--leaf", "C", "--out", "{tmp}/c.xml"], {"procline.analytics", "csv"}),
+    "validate": (["validate", *_FAMILY, "--leaf", "C"], {"procline.xmlio", "procline.analytics", "csv"}),
+    "merge": (["merge", *_FAMILY, "--leaf", "C", "--out", "{tmp}/c.xml"], {"procline.analytics", "csv"}),
+    "stats-text": (["stats", *_FAMILY, "--format", "text"], {*_ENGINE, "csv"}),
+    "stats-csv": (["stats", *_FAMILY, "--format", "csv"], _ENGINE),
+    "catalog": (["catalog"], {*_ENGINE, "procline.analytics"}),
 }
 
 
-@pytest.mark.parametrize("command", sorted(_UNLOADED))
-def test_a_command_loads_only_the_modules_it_runs(command, data_dir, tmp_path):
-    # a fresh interpreter, since this one has imported every module by now
-    extra, unloaded = _UNLOADED[command]
-    argv = _args(data_dir, command, "ext-bund.xml", "ext-c.xml", extra=[a.format(tmp=tmp_path) for a in extra])
+def _last_line_in_a_fresh_interpreter(probe: str, *argv: str) -> str:
+    """The last line ``probe`` prints, run in a fresh interpreter, since this one has imported every module."""
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=_fresh_interpreter_env(), check=True
+    )
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("case", sorted(_UNLOADED))
+def test_a_command_loads_only_the_modules_it_runs(case, data_dir, tmp_path):
+    argv, unloaded = _UNLOADED[case]
     probe = (
         "import sys\nfrom procline.cli import main\ncode = main(sys.argv[1:])\n"
         f"print(code, sorted({sorted(unloaded)!r} & sys.modules.keys()))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=_fresh_interpreter_env(), check=True
+    argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in argv]
+    assert _last_line_in_a_fresh_interpreter(probe, *argv) == "0 []"
+
+
+def test_reading_a_family_and_the_catalog_loads_no_engine(data_dir):
+    probe = (
+        "import sys\nfrom pathlib import Path\n"
+        "from procline.catalog import builtin_catalog\nfrom procline.xmlread import parse_extension, parse_model\n"
+        "builtin_catalog()\n"
+        "parse_model(Path(sys.argv[1], 'root.xml').read_bytes())\n"
+        "parse_extension(Path(sys.argv[1], 'ext-c.xml').read_bytes())\n"
+        f"print(sorted({sorted(_ENGINE)!r} & sys.modules.keys()))"
     )
-    assert result.stdout.splitlines()[-1] == "0 []"
+    assert _last_line_in_a_fresh_interpreter(probe, str(data_dir)) == "[]"
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -1,4 +1,4 @@
-"""The package's export list, resolved lazily from each name's home module."""
+"""The package's export list, resolved lazily from each name's home module, and moved names at their old homes."""
 
 import collections
 import importlib
@@ -52,3 +52,49 @@ def test_submodules_resolve_as_attributes_in_a_fresh_interpreter():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_fresh_interpreter_env(), check=True
     )
     assert result.stdout.split() == ["procline.xmlio", "procline.model", "procline.xmlio"]
+
+
+# (old home, name, new home) of each name a module boundary moved
+_MOVED = (
+    ("xmlio", "export_stats_csv", "analytics"),
+    ("xmlio", "render_stats_text", "analytics"),
+    ("xmlio", "CSV_HEADER", "analytics"),
+    ("xmlio", "UNKNOWN_GROUP", "analytics"),
+    ("catalog", "expand_exemplar", "atomic"),
+    ("catalog", "validate_exemplar", "atomic"),
+    ("merge", "ExtensionModel", "family"),
+    ("merge", "VariantSet", "family"),
+    ("atomic", "AtomicKind", "catalog"),
+)
+
+
+@pytest.mark.parametrize("old, name, new", _MOVED, ids=lambda value: value)
+def test_a_moved_name_reads_at_its_old_home_as_the_same_object(old, name, new):
+    old_home = importlib.import_module(f"procline.{old}")
+    new_home = importlib.import_module(f"procline.{new}")
+    assert getattr(old_home, name) is getattr(new_home, name)
+    namespace = {}
+    exec(f"from procline.{old} import {name} as value", namespace)
+    assert namespace["value"] is getattr(new_home, name)
+
+
+# (forwarding module, a private name of the module its names moved to)
+@pytest.mark.parametrize("module, private", [("xmlio", "_Lines"), ("catalog", "_expand")])
+def test_an_unknown_name_on_a_forwarding_module_raises_attribute_error(module, private):
+    home = importlib.import_module(f"procline.{module}")
+    with pytest.raises(AttributeError, match=f"module 'procline.{module}' has no attribute 'no_such_name'"):
+        home.no_such_name  # noqa: B018
+    assert not hasattr(home, "no_such_name")
+    assert not hasattr(home, private)  # only public names are forwarded
+
+
+def test_a_moved_name_imports_from_its_old_home_in_a_fresh_interpreter():
+    probe = (
+        "from procline.xmlio import export_stats_csv\n"
+        "from procline.catalog import expand_exemplar\n"
+        "print(export_stats_csv.__module__, expand_exemplar.__module__)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_fresh_interpreter_env(), check=True
+    )
+    assert result.stdout.split() == ["procline.analytics", "procline.atomic"]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import genmodels
 import oracle
-from procline import atomic, catalog as catalog_module, merge as merge_module
+from procline import atomic, merge as merge_module
 from procline.atomic import AtomicKind
 from procline.catalog import (
     OperationCatalog,
@@ -326,7 +326,7 @@ def test_each_executed_step_is_validated_once_and_each_exemplar_expanded_once(
     counts = collections.Counter()
     _count_calls(monkeypatch, atomic.validate_step, counts)
     # every expansion, expand_exemplar's and the merge's own, goes through _expand
-    _count_calls(monkeypatch, catalog_module._expand, counts)
+    _count_calls(monkeypatch, atomic._expand, counts)
     executed_steps = executed_exemplars = 0
     for leaf in variants.variant_ids():
         _, trace = merge_chain(variants, leaf, catalog)

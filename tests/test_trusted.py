@@ -2,8 +2,8 @@
 
 Trace entries, change sets, expanded steps, the models of replays, updated
 elements and references, and everything the readers build (models, their
-elements, references and text blocks, exemplars, and the catalog's types
-and steps) are built by ``model._trusted``. Each must be indistinguishable
+elements, references and text blocks, extensions, exemplars, and the
+catalog's types and steps) are built by ``model._trusted``. Each must be indistinguishable
 from the same value built through its public constructor, and each build
 must set every field of its dataclass.
 """
@@ -28,7 +28,8 @@ from procline import xmlio
 from procline.atomic import AtomicKind, AtomicStep
 from procline.catalog import OperationExemplar, OperationTypeDef, StepTemplate, expand_exemplar
 from procline.errors import ConflictError, Issue, IssueCode, ValidationFailedError
-from procline.merge import ExtensionModel, TraceEntry, TraceEntryKind, merge_chain, merge_once
+from procline.family import ExtensionModel
+from procline.merge import TraceEntry, TraceEntryKind, merge_chain, merge_once
 from procline.model import (
     ChangeSet,
     ElementKind,
@@ -55,6 +56,7 @@ _TRUSTED_TYPES = (
     TextBlock,
     StepTemplate,
     OperationTypeDef,
+    ExtensionModel,
 )
 
 
@@ -235,6 +237,12 @@ def test_parsed_study_root_and_new_assets_equal_their_twins():
             new_assets += [*ext.new_elements, *ext.new_references]
     assert {type(asset) for asset in new_assets} == {ProcessElement, Reference}
     _assert_like_twins(*new_assets)
+
+
+def test_parsed_study_and_scaled_extensions_equal_their_twins():
+    extensions = [parse_extension(fixture_text(name)) for name in sorted(DATA_FILES) if name.startswith("ext-")]
+    assert len(extensions) == 6
+    _assert_like_twins(*extensions, *genmodels.scaled_variant_set(2).extensions.values())
 
 
 def test_parsed_scaled_root_equals_its_twin():

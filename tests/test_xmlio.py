@@ -428,6 +428,15 @@ _ONE_DEFECT_EXTENSIONS = {
         '<extensionModel schemaVersion="1" id="X" parent="" metamodel="1.3"/>',
         "extension 'X' needs a parent id",
     ),
+    # the id is checked before the parent, and both after every section
+    "extension-empty-id-and-parent": (
+        '<extensionModel schemaVersion="1" id="" parent="" metamodel="1.3"/>',
+        "extension model needs a variant id",
+    ),
+    "extension-empty-id-after-a-section-defect": (
+        _ext_doc('<exemplar type="" target="r1"/>').replace('id="X" parent="root"', 'id="" parent=""'),
+        "exemplar type name must be non-empty",
+    ),
     "extension-wrong-root": (
         '<processModel schemaVersion="1" metamodel="1.3"/>',
         "expected <extensionModel> document, got <processModel>",
