@@ -12,6 +12,9 @@ loads no merge, step or XML writer module. The CSV writer imports
 the ``csv`` module (a variant id, a type's group, name and metamodel
 columns) and builds each row from those quoted pieces, so the output is the
 text a ``csv.writer`` writes for the same rows, built without a call per row.
+It joins one variant's rows into one string at a time and then joins those,
+so no more than one variant's row strings are alive at once, and it reads
+each count from the report's own map, ``cells`` or ``unknown_types``.
 """
 
 from __future__ import annotations
@@ -175,20 +178,22 @@ def export_stats_csv(report: UsageReport) -> str:
         writer.writerow((*fields, ""))
         return lines.pop()[:-2]
 
-    # the catalog types in row order as (group, name, cells), sorted once
+    # the catalog types in row order as (group, name, cells, counts), sorted once
     types = sorted(
-        (group, name, cells(group, name, report.type_metamodels[name].value))
+        (group, name, cells(group, name, report.type_metamodels[name].value), report.cells)
         for name, group in report.type_groups.items()
     )
-    unknown: dict[str, list[tuple[str, str, str]]] = {}
+    unknown: dict[str, list[tuple[str, str, str, Mapping[tuple[str, str], int]]]] = {}
     for variant_id, name in report.unknown_types:
-        unknown.setdefault(variant_id, []).append((UNKNOWN_GROUP, name, cells(UNKNOWN_GROUP, name, "")))
-    counts = {**report.cells, **report.unknown_types}
+        row = (UNKNOWN_GROUP, name, cells(UNKNOWN_GROUP, name, ""), report.unknown_types)
+        unknown.setdefault(variant_id, []).append(row)
     for variant_id in sorted(report.variant_ids):
         prefix = cells(variant_id)
-        # (group, type) is unique, so the cells never decide the order
+        # (group, type) is unique, so neither the cells nor the counts decide the order
         rows = sorted(types + unknown[variant_id]) if variant_id in unknown else types
-        lines += [f"{prefix}{columns}{counts[variant_id, name]}\r\n" for _, name, columns in rows]
+        lines.append(
+            "".join([f"{prefix}{columns}{counts[variant_id, name]}\r\n" for _, name, columns, counts in rows])
+        )
     return "".join(lines)
 
 

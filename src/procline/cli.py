@@ -94,7 +94,8 @@ def _load_variant_set(args) -> tuple[VariantSet, OperationCatalog]:
     from .xmlread import parse_extension, parse_model
 
     root = parse_model(_read_bytes(args.root), source=args.root)
-    extensions = [parse_extension(_read_bytes(p), source=p) for p in args.extension]
+    shared: dict[str, str] = {}  # one memo of exemplar values for the family
+    extensions = [parse_extension(_read_bytes(p), source=p, shared=shared) for p in args.extension]
     try:
         variant_set = VariantSet.of(root, extensions, root_id=args.root_id)
     except ValueError as exc:

@@ -21,7 +21,8 @@ leave it, wrapped as a ``ProcessModel``.
 
 Values the engine has already checked are built by trusted build
 functions (:func:`_trusted`): each takes every field of its dataclass and
-stores it as the frozen ``__init__`` does, but runs no ``__post_init__``
+stores it past the frozen ``__setattr__`` as ``__init__`` does (a slotted
+record's through each slot's own descriptor), but runs no ``__post_init__``
 check, coercion or copy. The working model's view, applied change sets and
 replays, each trace entry and its change set, expanded steps, updated
 elements and references, and everything the reader builds (models, their
@@ -271,22 +272,27 @@ def _trusted(cls: type[_D]) -> Callable[..., _D]:
     """A function that builds the dataclass ``cls`` from values the caller has checked.
 
     It takes every field of ``cls`` in order, none optional, and stores each
-    through ``object.__setattr__``, as the frozen ``__init__`` does, so an
-    instance is laid out as a constructed one is. It skips the constructor's
+    past the frozen ``__setattr__``, as the frozen ``__init__`` does, so an
+    instance is laid out as a constructed one is. A slotted class's field is
+    stored by its slot's own descriptor (``__set__``), which writes the slot
+    without looking the name up; any other class's goes through
+    ``object.__setattr__``, so its ``__dict__`` fills in field order and keeps
+    the layout its constructed instances share. It skips the constructor's
     call and ``__post_init__`` with its checks, coercions and copies: the
     caller passes checked values of each field's type and gives up any map it
     passes. A build cannot leave out a field, not even one added to ``cls``
     later.
     """
     names = [f.name for f in fields(cls)]
-    name = f"_trusted_{cls.__name__}"
-    source = "\n".join(
-        [f"def {name}({', '.join(names)}):", "    __obj = __new(__cls)"]
-        + [f"    __store(__obj, {field_name!r}, {field_name})" for field_name in names]
-        + ["    return __obj"]
-    )
     namespace = {"__new": object.__new__, "__store": object.__setattr__, "__cls": cls}
-    exec(source, namespace)
+    if "__slots__" in vars(cls):
+        namespace |= {f"__set_{field_name}": vars(cls)[field_name].__set__ for field_name in names}
+        stores = [f"    __set_{field_name}(__obj, {field_name})" for field_name in names]
+    else:
+        stores = [f"    __store(__obj, {field_name!r}, {field_name})" for field_name in names]
+    name = f"_trusted_{cls.__name__}"
+    lines = [f"def {name}({', '.join(names)}):", "    __obj = __new(__cls)", *stores, "    return __obj"]
+    exec("\n".join(lines), namespace)
     return namespace[name]
 
 

@@ -52,9 +52,9 @@ def fixture_text(name: str) -> str:
     return (resources.files(__package__) / "data" / name).read_text(encoding="utf-8")
 
 
-def _extension(variant_id: str) -> ExtensionModel:
+def _extension(variant_id: str, shared: dict[str, str] | None = None) -> ExtensionModel:
     name = _EXTENSION_FILES[variant_id]
-    return parse_extension(fixture_text(name), source=name)
+    return parse_extension(fixture_text(name), source=name, shared=shared)
 
 
 def reference_model() -> ProcessModel:
@@ -74,4 +74,6 @@ def masking_extension() -> ExtensionModel:
 
 def study_variant_set() -> VariantSet:
     """The five study variants over the reference model."""
-    return VariantSet.of(reference_model(), map(_extension, VARIANT_IDS), root_id=ROOT_ID)
+    shared: dict[str, str] = {}  # one memo of exemplar values for the family
+    extensions = [_extension(variant_id, shared) for variant_id in VARIANT_IDS]
+    return VariantSet.of(reference_model(), extensions, root_id=ROOT_ID)

@@ -26,7 +26,13 @@ id unique across both.
 Parsed exemplars share one string per type name and per argument name:
 both come from the catalog's fixed vocabulary, so the parser interns them,
 and a family of thousands of exemplars holds each name once. Targets and
-argument values are model ids and free text and are kept as parsed.
+argument values are model ids and free text, which interning would keep for
+the life of the process (on CPython 3.12 an interned string is immortal),
+so they are shared through a memo dict instead: each is replaced by the
+first equal string the memo holds. The memo lives for one document unless
+the caller passes ``parse_extension`` a ``shared`` dict, which then holds
+the values of every document parsed with it and is freed with the last
+reference to it; a family loader passes one per family.
 
 The canonical writers live in :mod:`procline.xmlio`, which re-exports these
 readers; a command that only reads loads this module alone, and this
@@ -296,14 +302,15 @@ def parse_model(text: str | bytes, *, source: str = "") -> ProcessModel:
     return _new_model(metamodel, elements, references)
 
 
-def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
+def _exemplars(section: ET.Element, source: str, memo: dict[str, str]) -> list[OperationExemplar]:
     # exemplars and their args are nearly every node of an extension, so
     # the common case of _checked runs inline here: a node that fails this
     # quicker test goes to _checked, which names what is wrong. A node whose
     # attributes are as many as its tag allows and include the ones it needs
     # holds exactly those; the text tests are _blank's, inline. Type names
-    # and argument names are interned, targets and argument values are not
-    # (see the module docstring).
+    # and argument names are interned, targets and argument values are
+    # shared through memo (see the module docstring).
+    share = memo.setdefault
     exemplars = []
     for node in section:
         attrib = node.attrib
@@ -332,20 +339,25 @@ def _exemplars(section: ET.Element, source: str) -> list[OperationExemplar]:
                 _checked(child, source, "exemplar")
             if name in args:
                 raise SchemaError(f"exemplar of {type_name!r} repeats argument {name!r}", path=source)
-            args[intern(name)] = child.text or ""
+            value = child.text or ""
+            args[intern(name)] = share(value, value)
         if not (type_name and target):  # __post_init__'s checks, which name the empty one
             _build(OperationExemplar, source, type_name=type_name, target=target)
-        exemplars.append(_new_exemplar(intern(type_name), target, args))  # args is this node's own
+        exemplars.append(_new_exemplar(intern(type_name), share(target, target), args))  # args is its own
     return exemplars
 
 
 @_gc_paused
-def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
+def parse_extension(
+    text: str | bytes, *, source: str = "", shared: dict[str, str] | None = None
+) -> ExtensionModel:
     """Read an extension model document.
 
     The ``parent`` attribute is how a variant anchors itself in the family
     tree, so its absence is reported as the dedicated
-    :class:`MissingParentDeclarationError`.
+    :class:`MissingParentDeclarationError`. Exemplar targets and argument
+    values are shared through ``shared`` when it is given (one dict for a
+    whole family), else through a memo of this document's own.
     """
     root = _root_node(text, "extensionModel", source)
     attrib = root.attrib
@@ -358,7 +370,7 @@ def parse_extension(text: str | bytes, *, source: str = "") -> ExtensionModel:
             raise SchemaError(f"repeated <{tag}> section", path=source)
         _checked(section, source, "extensionModel")
         if tag == "operations":
-            sections[tag] = _exemplars(section, source)
+            sections[tag] = _exemplars(section, source, {} if shared is None else shared)
             continue
         sections[tag] = items = []
         for child in section:

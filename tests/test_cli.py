@@ -7,6 +7,7 @@ import gc
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -699,6 +700,75 @@ def test_the_process_entry_writes_what_main_argv_writes(command, entry, data_dir
     assert child.stdout == captured.out
     assert child.stderr == captured.err + _ATEXIT_LINE[entry]
     assert _written(there) == _written(here)
+
+
+def _other_interpreters() -> dict[tuple[int, ...], str]:
+    """Each installed interpreter that ``requires-python`` admits, by version, but this one's.
+
+    Interpreters are looked for as ``$PYENV_ROOT/versions/*/bin/python3``
+    and asked their version, so a name need not tell it.
+    """
+    pyenv_root = os.environ.get("PYENV_ROOT")
+    if not pyenv_root:
+        return {}
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    minimum = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    found = {}
+    for python in sorted(Path(pyenv_root).glob("versions/*/bin/python3")):
+        probe = subprocess.run(
+            [str(python), "-c", "import sys; print(*sys.version_info[:3])"], capture_output=True, text=True, timeout=60
+        )
+        version = tuple(map(int, probe.stdout.split())) if probe.returncode == 0 else ()
+        if version[:2] >= minimum and version != sys.version_info[:3]:
+            found[version] = str(python)
+    return found
+
+
+def test_every_admitted_interpreter_writes_the_study_bytes(data_dir, tmp_path):
+    # the merge of C with its trace and the stats CSV, run by each installed
+    # interpreter as a child on this source, are byte for byte this one's
+    others = _other_interpreters()
+    if not others:
+        pytest.skip("no other interpreter under $PYENV_ROOT/versions admitted by requires-python")
+    import procline
+
+    env = dict(os.environ, PYTHONPATH=str(Path(procline.__file__).resolve().parents[1]))
+
+    def run(python, name):
+        out = tmp_path / name
+        out.mkdir()
+        outputs = {}
+        for command in ("merge-to-stdout", "stats-csv"):
+            expected, argv = _ENTRY_COMMANDS[command]
+            child = subprocess.run(
+                [python, "-m", "procline.cli", *argv(data_dir, out)], capture_output=True, env=env, timeout=120
+            )
+            assert child.returncode == expected, (name, command, child.stderr)
+            outputs[command] = (child.stdout, child.stderr)
+        return outputs, _written(out)
+
+    reference = run(sys.executable, "this")
+    for version, python in sorted(others.items()):
+        assert run(python, ".".join(map(str, version))) == reference, version
+
+
+@pytest.mark.parametrize("command", ["stats", "validate"])
+def test_a_command_parses_its_family_with_one_shared_memo(command, data_dir, monkeypatch, capsys):
+    # every extension of one run shares one memo of exemplar values, so
+    # equal targets and values across the family are one string
+    from procline import xmlread
+
+    parse, memos = xmlread.parse_extension, []
+
+    def spy(text, **kwargs):
+        memos.append(kwargs.get("shared"))
+        return parse(text, **kwargs)
+
+    monkeypatch.setattr("procline.xmlread.parse_extension", spy)  # the command imports it when it runs
+    extra = [] if command == "stats" else ["--leaf", "C"]
+    assert main(_args(data_dir, command, "ext-bund.xml", "ext-c.xml", extra=extra)) == 0
+    capsys.readouterr()
+    assert len(memos) == 2 and memos[0] is memos[1] is not None
 
 
 def test_command_runs_with_the_collector_paused(data_dir, monkeypatch, capsys, gc_restored):

@@ -106,6 +106,21 @@ def test_declared_exemplar_counts():
     assert counts == {"Bund": 167, "A": 17, "B": 72, "C": 84, "D": 0}
 
 
+def test_the_family_shares_one_string_per_exemplar_value():
+    # the study variants are parsed with one memo: equal targets and
+    # argument values across the whole family are one object
+    variants = study_variant_set()
+    values = [
+        value
+        for variant_id in VARIANT_IDS
+        for exemplar in variants.extensions[variant_id].exemplars
+        for value in (exemplar.target, *exemplar.args.values())
+    ]
+    first: dict[str, str] = {}
+    assert all(first.setdefault(value, value) is value for value in values)
+    assert len(first) < len(values)
+
+
 def test_every_exemplar_type_is_in_the_catalog():
     catalog = builtin_catalog()
     variants = study_variant_set()

@@ -16,6 +16,7 @@ import inspect
 import pickle
 import pkgutil
 import random
+import sys
 import types
 import typing
 
@@ -107,6 +108,33 @@ def _assert_holds_only_its_fields(value) -> None:
         assert [name for name in vars(value) if name != xmlio._KEPT_BLOCK] == names
 
 
+def _trusted_functions() -> dict:
+    """Every trusted build function bound in the package's modules, by the class it builds.
+
+    Each module of the package is scanned, so a module that starts building
+    a class trusted is found without being listed here. A module that binds a
+    class's build function binds the one :func:`model._trusted` made for it.
+    """
+    found = {}
+    for info in pkgutil.iter_modules(procline.__path__):
+        module = importlib.import_module(f"procline.{info.name}")
+        for value in vars(module).values():
+            if inspect.isfunction(value) and value.__name__.startswith("_trusted_"):
+                cls = value.__globals__["__cls"]
+                assert found.setdefault(cls, value) is value, (module.__name__, cls.__name__)
+    return found
+
+
+def _rebuilt(value, functions):
+    """``value`` built again through the trusted build functions, nested values and tuples included."""
+    if type(value) is tuple:
+        return tuple(_rebuilt(item, functions) for item in value)
+    if isinstance(value, _TRUSTED_TYPES):
+        fields = dataclasses.fields(value)
+        return functions[type(value)](*(_rebuilt(getattr(value, f.name), functions) for f in fields))
+    return value
+
+
 def _slotted_records() -> dict:
     """One instance of each slotted record class, nested records and maps included."""
     element = ProcessElement("e1", ElementKind.ROLE, "Role", "d", {"k": "v"}, (TextBlock("b1", "x"),))
@@ -129,9 +157,19 @@ def _slotted_records() -> dict:
     }
 
 
-@pytest.mark.parametrize("cls", list(_slotted_records()), ids=lambda cls: cls.__name__)
-def test_a_slotted_record_copies_pickles_and_stays_frozen(cls):
+# each slotted record as its constructor builds it, and as its trusted build
+# does where it has one, which stores each field through its slot
+_SLOTTED_CASES = [pytest.param(cls, False, id=cls.__name__) for cls in _slotted_records()] + [
+    pytest.param(cls, True, id=f"{cls.__name__}-trusted") for cls in _slotted_records() if cls in _trusted_functions()
+]
+
+
+@pytest.mark.parametrize("cls, trusted", _SLOTTED_CASES)
+def test_a_slotted_record_copies_pickles_and_stays_frozen(cls, trusted):
     record = _slotted_records()[cls]
+    if trusted:
+        constructed, record = record, _rebuilt(record, _trusted_functions())
+        assert record == constructed and _state(record) == _state(constructed)
     _assert_holds_only_its_fields(record)
     assert "__slots__" in vars(cls)
     copies = [copy.copy(record), copy.deepcopy(record)]
@@ -148,6 +186,36 @@ def test_a_slotted_record_copies_pickles_and_stays_frozen(cls):
             delattr(target, name)
         with pytest.raises(AttributeError):
             object.__setattr__(target, "extra", 1)  # past the frozen check: no __dict__ to take it
+
+
+def _non_slotted_samples() -> list:
+    """One parsed instance of each non-slotted class the readers build trusted."""
+    model = parse_model(fixture_text("root.xml"))
+    type_def = next(iter(parse_catalog(fixture_text("catalog.xml"))))
+    return [
+        model,
+        next(iter(model.elements.values())),
+        next(iter(model.references.values())),
+        parse_extension(fixture_text("ext-bund.xml")),
+        type_def,
+        type_def.recipe[0],
+    ]
+
+
+def test_a_non_slotted_trusted_build_keeps_the_dict_a_constructed_one_has():
+    # a non-slotted record's fields stay in its __dict__, stored in field
+    # order as __init__ stores them, so its dict takes the layout (and the
+    # shared keys) a constructed instance's has
+    samples = _non_slotted_samples()
+    assert {type(value) for value in samples} == {
+        cls for cls in _TRUSTED_TYPES if "__slots__" not in vars(cls)
+    }
+    functions = _trusted_functions()
+    for value in samples:
+        constructed = _twin(value)
+        built = functions[type(value)](*(getattr(constructed, f.name) for f in dataclasses.fields(value)))
+        assert list(vars(built).items()) == list(vars(constructed).items())
+        assert sys.getsizeof(vars(built)) == sys.getsizeof(vars(constructed))
 
 
 def _assert_like(value, twin) -> None:
@@ -299,23 +367,6 @@ def test_random_merge_traces_equal_their_twins(catalog, seed, last_wins, clean):
 # -- field sync ---------------------------------------------------------------------
 
 
-def _trusted_functions() -> dict:
-    """Every trusted build function bound in the package's modules, by the class it builds.
-
-    Each module of the package is scanned, so a module that starts building
-    a class trusted is found without being listed here. A module that binds a
-    class's build function binds the one :func:`model._trusted` made for it.
-    """
-    found = {}
-    for info in pkgutil.iter_modules(procline.__path__):
-        module = importlib.import_module(f"procline.{info.name}")
-        for value in vars(module).values():
-            if inspect.isfunction(value) and value.__name__.startswith("_trusted_"):
-                cls = value.__globals__["__cls"]
-                assert found.setdefault(cls, value) is value, (module.__name__, cls.__name__)
-    return found
-
-
 def test_every_trusted_class_has_one_build_function():
     functions = _trusted_functions()
     assert set(functions) == set(_TRUSTED_TYPES)
@@ -337,16 +388,6 @@ def test_a_trusted_build_takes_every_field_and_cannot_skip_one(cls):
     for skipped in names:
         with pytest.raises(TypeError):
             build(**{name: value for name, value in zip(names, values) if name != skipped})
-
-
-def _rebuilt(value, functions):
-    """``value`` built again through the trusted build functions, nested values and tuples included."""
-    if type(value) is tuple:
-        return tuple(_rebuilt(item, functions) for item in value)
-    if isinstance(value, _TRUSTED_TYPES):
-        fields = dataclasses.fields(value)
-        return functions[type(value)](*(_rebuilt(getattr(value, f.name), functions) for f in fields))
-    return value
 
 
 def test_a_trusted_build_adds_no_object_a_constructed_one_lacks(variants, catalog):

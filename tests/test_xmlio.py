@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import random
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -146,6 +147,53 @@ def test_parsed_type_and_argument_names_are_shared_strings():
         for key in exemplar.args:
             assert shared_keys.setdefault(key, key) is key
     assert repeats > len(shared_names)  # the names do repeat across the documents
+
+
+def _same_object_per_value(values) -> bool:
+    """Whether every two equal strings among ``values`` are one object."""
+    first: dict[str, str] = {}
+    return all(first.setdefault(value, value) is value for value in values)
+
+
+def _targets_and_values(*extensions):
+    return [
+        value
+        for ext in extensions
+        for exemplar in ext.exemplars
+        for value in (exemplar.target, *exemplar.args.values())
+    ]
+
+
+def test_parsed_targets_and_argument_values_share_one_string_per_document_or_shared_memo():
+    # free text, unlike the names: a value made here exists nowhere else,
+    # so were it interned, interning a copy of it would give it back
+    unique = f"only in test {random.Random().random()}"
+    exemplars = (
+        OperationExemplar("RenameRole", unique, {"newName": unique}),
+        OperationExemplar("RenameRole", "r2", {"newName": unique, "oldName": "r2"}),
+        OperationExemplar("AddRole", unique, {}),
+    )
+    text = serialize_extension(ExtensionModel("X", "root", MetamodelVersion.V1_3, exemplars=exemplars))
+    alone = [parse_extension(text), parse_extension(text.encode("utf-8"))]
+    shared: dict[str, str] = {}
+    together = [parse_extension(text, shared=shared), parse_extension(text.encode("utf-8"), shared=shared)]
+    for ext in (*alone, *together):
+        assert ext.exemplars == exemplars
+        # within one document, equal targets and values are one string
+        assert _same_object_per_value(_targets_and_values(ext))
+        value = ext.exemplars[0].target
+        assert value == unique and value is not unique
+        assert sys.intern("".join(value)) is not value
+    # across documents, only a shared memo shares them, and it holds each value once
+    assert alone[0].exemplars[0].target is not alone[1].exemplars[0].target
+    assert _same_object_per_value(_targets_and_values(*together))
+    assert together[0].exemplars[0].target is together[1].exemplars[1].args["newName"] is shared[unique]
+    assert shared.keys() == {unique, "r2"}
+    # the study fixtures repeat targets within a document; each is one string there
+    for name in ("ext-bund.xml", "ext-c.xml"):
+        values = _targets_and_values(parse_extension(fixture_text(name)))
+        assert len(set(values)) < len(values)
+        assert _same_object_per_value(values)
 
 
 def test_serialized_model_shape():
