@@ -10,8 +10,7 @@ entries there so catalog counts and groups stay complete.
 
 This module describes operations and runs none, so it loads only
 :mod:`procline.errors` and :mod:`procline.model`. Expansion and the
-exemplar checks live in :mod:`procline.atomic`; ``expand_exemplar`` and
-``validate_exemplar`` still read from here (PEP 562).
+exemplar checks live in :mod:`procline.atomic`.
 """
 
 from __future__ import annotations
@@ -209,13 +208,3 @@ def builtin_catalog() -> OperationCatalog:
     from .xmlread import parse_catalog
 
     return parse_catalog(fixture_text("catalog.xml"), source="catalog.xml")
-
-
-def __getattr__(name: str):
-    # the exemplar runners live in procline.atomic, which imports this
-    # module; read here, they import it on first use (PEP 562)
-    if name in ("expand_exemplar", "validate_exemplar"):
-        from . import atomic
-
-        return getattr(atomic, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

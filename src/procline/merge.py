@@ -6,8 +6,7 @@ exemplars execute in document order. A merge either returns a consistent
 model or raises; the inputs are never modified. Every effect lands in an
 auditable :class:`MergeTrace` whose entries carry replayable change sets.
 
-The family types it reads live in :mod:`procline.family` and are imported
-here, so ``procline.merge.VariantSet`` is the same class.
+The family types it reads live in :mod:`procline.family`.
 """
 
 from __future__ import annotations

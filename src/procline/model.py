@@ -694,15 +694,7 @@ class ChangeSet:
     metamodel_change: tuple[MetamodelVersion, MetamodelVersion] | None = None
 
     def is_empty(self) -> bool:
-        return (
-            not self.added_elements
-            and not self.removed_elements
-            and not self.modified_elements
-            and not self.added_references
-            and not self.removed_references
-            and not self.modified_references
-            and self.metamodel_change is None
-        )
+        return self.change_count() == 0
 
     def change_count(self) -> int:
         return (
@@ -712,7 +704,7 @@ class ChangeSet:
             + len(self.added_references)
             + len(self.removed_references)
             + len(self.modified_references)
-            + (1 if self.metamodel_change else 0)
+            + (self.metamodel_change is not None)
         )
 
 

@@ -24,17 +24,6 @@ ROOT_ID = "root"
 VARIANT_IDS = ("A", "B", "Bund", "C", "D")
 MASKING_VARIANT_ID = "Mask"
 
-DATA_FILES = (
-    "root.xml",
-    "catalog.xml",
-    "ext-bund.xml",
-    "ext-a.xml",
-    "ext-b.xml",
-    "ext-c.xml",
-    "ext-d.xml",
-    "ext-masking.xml",
-)
-
 _EXTENSION_FILES = {
     "A": "ext-a.xml",
     "B": "ext-b.xml",
@@ -43,6 +32,8 @@ _EXTENSION_FILES = {
     "D": "ext-d.xml",
     MASKING_VARIANT_ID: "ext-masking.xml",
 }
+
+DATA_FILES = ("root.xml", "catalog.xml", *_EXTENSION_FILES.values())
 
 
 def fixture_text(name: str) -> str:

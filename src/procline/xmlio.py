@@ -1,8 +1,7 @@
 """Canonical XML writing for models, extensions, catalogs and traces.
 
-The readers live in :mod:`procline.xmlread`; this module re-exports
-:func:`parse_model`, :func:`parse_extension`, :func:`parse_catalog` and
-``SCHEMA_VERSION`` from there, so both halves are reachable here.
+The readers live in :mod:`procline.xmlread`, and the statistics exports in
+:mod:`procline.analytics`.
 
 Serialization is canonical: UTF-8 text, LF line ends, two-space indent,
 elements and references sorted by id, attribute tags sorted by key, text
@@ -25,9 +24,6 @@ its merge left alone with its base, and formats only the ones it made. The
 kept block is no field: ``==``, ``repr`` and ``compare_models`` do not see
 it, and it lives in the instance's own attribute storage (no new gc-tracked
 object on CPython 3.11).
-
-The statistics exports live in :mod:`procline.analytics`; their four
-public names still read from here (PEP 562).
 """
 
 from __future__ import annotations
@@ -40,7 +36,10 @@ from .errors import DuplicateIdError, IllegalCharacterError
 from .family import ExtensionModel
 from .merge import MergeTrace, TraceEntryKind
 from .model import ProcessElement, ProcessModel, Reference
-from .xmlread import SCHEMA_VERSION, parse_catalog, parse_extension, parse_model  # noqa: F401  (re-exported)
+# perfbench/tracer.py wraps parse_extension and parse_model under this
+# module's name, so they read here until it names them at their home
+# (ROADMAP item 1)
+from .xmlread import SCHEMA_VERSION, parse_extension, parse_model  # noqa: F401
 
 _DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
 
@@ -327,10 +326,11 @@ def render_trace_text(trace: MergeTrace) -> str:
 
 
 def __getattr__(name: str):
-    # the statistics exports live in procline.analytics; read here, they
-    # import it on first use (PEP 562), so a merge, which loads this
-    # module, loads no statistics
-    if name in ("CSV_HEADER", "UNKNOWN_GROUP", "export_stats_csv", "render_stats_text"):
+    # perfbench/tracer.py wraps these two under this module's name, so they
+    # read here until it names them at their home (ROADMAP item 1); analytics
+    # is imported on first use, so a merge, which loads this module, loads no
+    # statistics
+    if name in ("export_stats_csv", "render_stats_text"):
         from . import analytics
 
         return getattr(analytics, name)

@@ -34,9 +34,8 @@ the caller passes ``parse_extension`` a ``shared`` dict, which then holds
 the values of every document parsed with it and is freed with the last
 reference to it; a family loader passes one per family.
 
-The canonical writers live in :mod:`procline.xmlio`, which re-exports these
-readers; a command that only reads loads this module alone, and this
-module loads only the errors, the model, the catalog and the family types,
+The canonical writers live in :mod:`procline.xmlio`. A command that only
+reads loads this module alone, and this module loads only the errors, the model, the catalog and the family types,
 no merge or step engine.
 """
 

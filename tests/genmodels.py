@@ -19,9 +19,8 @@ import sys
 from pathlib import Path
 
 from procline import model as model_module
-from procline.atomic import AtomicKind
-from procline.catalog import OperationExemplar
-from procline.merge import ExtensionModel, VariantSet
+from procline.catalog import AtomicKind, OperationExemplar
+from procline.family import ExtensionModel, VariantSet
 from procline.model import (
     CONFIGURATION_CONTAINER_KINDS,
     REFERENCE_CONSTRAINTS,
@@ -33,7 +32,7 @@ from procline.model import (
     ReferenceKind,
     TextBlock,
 )
-from procline.xmlio import parse_extension, parse_model
+from procline.xmlread import parse_extension, parse_model
 
 _WORDS = (
     "analysis", "baseline", "draft", "review", "handover", "estimate",

@@ -14,7 +14,8 @@ from contextlib import contextmanager
 import genmodels
 import oracle
 from procline.analytics import top_n, unused_report, usage_report
-from procline.catalog import builtin_catalog, validate_exemplar
+from procline.atomic import validate_exemplar
+from procline.catalog import builtin_catalog
 from procline.errors import ConflictError, ValidationFailedError
 from procline.merge import merge_chain, merge_once
 from procline.model import MetamodelVersion
@@ -25,7 +26,8 @@ from procline.studyline import (
     reference_model,
     study_variant_set,
 )
-from procline.xmlio import parse_catalog, parse_extension, parse_model, serialize_model
+from procline.xmlio import serialize_model
+from procline.xmlread import parse_catalog, parse_extension, parse_model
 
 
 @contextmanager

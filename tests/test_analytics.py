@@ -8,7 +8,7 @@ import genmodels
 import oracle
 from procline.analytics import UnusedSlice, top_n, unused_report, usage_report
 from procline.catalog import OperationExemplar
-from procline.merge import ExtensionModel, VariantSet
+from procline.family import ExtensionModel, VariantSet
 from procline.model import ElementKind, MetamodelVersion, ProcessElement, ProcessModel
 
 STUDY_TOTALS = {"Bund": 167, "A": 17, "B": 72, "C": 84, "D": 0}

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import genmodels
 import oracle
-from procline.atomic import AtomicKind, AtomicStep, apply_atomic, field_key, validate_step
+from procline.atomic import AtomicStep, apply_atomic, field_key, validate_step
+from procline.catalog import AtomicKind
 from procline.errors import (
     DuplicateIdError,
     FieldNotFoundError,

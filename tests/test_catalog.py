@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import genmodels
 import oracle
-from procline.atomic import AtomicKind, AtomicStep, apply_atomic
+from procline.atomic import AtomicStep, apply_atomic, expand_exemplar, validate_exemplar
 from procline.catalog import (
+    AtomicKind,
     OperationCatalog,
     OperationExemplar,
     OperationTypeDef,
     StepTemplate,
     builtin_catalog,
-    expand_exemplar,
-    validate_exemplar,
 )
 from procline.errors import DuplicateTypeNameError, MissingArgumentError, UnknownOperationTypeError
 from procline.model import (
@@ -27,7 +26,7 @@ from procline.model import (
     Reference,
     ReferenceKind,
 )
-from procline.xmlio import parse_catalog
+from procline.xmlread import parse_catalog
 
 EXPECTED_GROUPS = [
     "Discipline Variations",

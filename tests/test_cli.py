@@ -14,16 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from procline.atomic import AtomicKind
 from procline.analytics import usage_report
 from procline import cli
 from procline.cli import main
-from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
+from procline.catalog import AtomicKind, OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.errors import DuplicateIdError, Issue, IssueCode, ProclineError, ValidationFailedError
-from procline.merge import ExtensionModel, merge_chain, merge_once
+from procline.family import ExtensionModel
+from procline.merge import merge_chain, merge_once
 from procline.model import ElementKind, MetamodelVersion, ProcessElement, ProcessModel, Reference, ReferenceKind
 from procline.studyline import DATA_FILES, fixture_text, study_variant_set
-from procline.xmlio import parse_model, serialize_catalog, serialize_extension, serialize_model
+from procline.xmlio import serialize_catalog, serialize_extension, serialize_model
+from procline.xmlread import parse_model
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import random
 import pytest
 
 import genmodels
-from procline.analytics import usage_report
+from procline.analytics import export_stats_csv, render_stats_text, usage_report
 from procline.cli import main
 from procline.errors import (
     ConflictError,
@@ -23,8 +23,9 @@ from procline.errors import (
     ProclineError,
     ValidationFailedError,
 )
-from procline.merge import VariantSet, merge_chain
-from procline.xmlio import export_stats_csv, render_stats_text, serialize_extension, serialize_model
+from procline.family import VariantSet
+from procline.merge import merge_chain
+from procline.xmlio import serialize_extension, serialize_model
 
 _SEEDS = range(150)
 

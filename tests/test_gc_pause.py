@@ -14,21 +14,14 @@ import pytest
 
 import genmodels
 from procline import xmlread
-from procline.analytics import usage_report
+from procline.analytics import export_stats_csv, render_stats_text, usage_report
 from procline.catalog import builtin_catalog
 from procline.cli import main
 from procline.errors import DuplicateTypeNameError, ParseError, ProclineError, SchemaError
-from procline.merge import VariantSet
+from procline.family import VariantSet
 from procline.studyline import DATA_FILES, fixture_text, study_variant_set
-from procline.xmlio import (
-    export_stats_csv,
-    parse_catalog,
-    parse_extension,
-    parse_model,
-    render_stats_text,
-    serialize_extension,
-    serialize_model,
-)
+from procline.xmlio import serialize_extension, serialize_model
+from procline.xmlread import parse_catalog, parse_extension, parse_model
 from test_xmlio import _ONE_DEFECT_EXTENSIONS, _TYPE_ATTRS, CATALOG_OPEN
 
 _STUDY_EXTENSIONS = sorted(name for name in DATA_FILES if name.startswith("ext-"))

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import genmodels
 from procline import xmlio
 from procline.errors import ConflictError, IllegalCharacterError, ValidationFailedError
-from procline.merge import ExtensionModel, merge_chain, merge_once
+from procline.family import ExtensionModel
+from procline.merge import merge_chain, merge_once
 from procline.model import (
     ElementKind,
     ProcessElement,
@@ -26,7 +27,8 @@ from procline.model import (
     compare_models,
 )
 from procline.studyline import fixture_text, masking_extension, reference_model, study_variant_set
-from procline.xmlio import parse_model, serialize_model
+from procline.xmlio import serialize_model
+from procline.xmlread import parse_model
 
 
 def _fresh(asset):

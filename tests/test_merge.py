@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import genmodels
 import oracle
 from procline import atomic, merge as merge_module
-from procline.atomic import AtomicKind
 from procline.catalog import (
+    AtomicKind,
     OperationCatalog,
     OperationExemplar,
     OperationTypeDef,
@@ -30,12 +30,11 @@ from procline.errors import (
     UnknownVariantError,
     ValidationFailedError,
 )
+from procline.family import ExtensionModel, VariantSet
 from procline.merge import (
-    ExtensionModel,
     MergeTrace,
     TraceEntry,
     TraceEntryKind,
-    VariantSet,
     merge_chain,
     merge_once,
     resolve_chain,
@@ -54,7 +53,7 @@ from procline.model import (
     compare_models,
 )
 from procline.studyline import masking_extension
-from procline.xmlio import parse_catalog
+from procline.xmlread import parse_catalog
 
 
 def _base(metamodel=MetamodelVersion.V1_3):

@@ -17,14 +17,8 @@ from procline.studyline import (
     reference_model,
     study_variant_set,
 )
-from procline.xmlio import (
-    parse_extension,
-    parse_model,
-    serialize_catalog,
-    serialize_extension,
-    serialize_model,
-    serialize_trace,
-)
+from procline.xmlio import serialize_catalog, serialize_extension, serialize_model, serialize_trace
+from procline.xmlread import parse_extension, parse_model
 
 # sha256 of the built-in catalog as the canonical writer gives it, the same as data/catalog.xml
 CATALOG_SHA256 = "9c2d985abfb871c4b50e3c80bf84880d20be443dcbf996ae5199efb4093f13dc"

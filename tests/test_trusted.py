@@ -26,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 import genmodels
 import procline
 from procline import xmlio
-from procline.atomic import AtomicKind, AtomicStep
-from procline.catalog import OperationExemplar, OperationTypeDef, StepTemplate, expand_exemplar
+from procline.atomic import AtomicStep, expand_exemplar
+from procline.catalog import AtomicKind, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.errors import ConflictError, Issue, IssueCode, ValidationFailedError
 from procline.family import ExtensionModel
 from procline.merge import TraceEntry, TraceEntryKind, merge_chain, merge_once
@@ -44,7 +44,8 @@ from procline.model import (
     compare_models,
 )
 from procline.studyline import DATA_FILES, fixture_text, masking_extension
-from procline.xmlio import parse_catalog, parse_extension, parse_model, serialize_model
+from procline.xmlio import serialize_model
+from procline.xmlread import parse_catalog, parse_extension, parse_model
 
 _TRUSTED_TYPES = (
     TraceEntry,

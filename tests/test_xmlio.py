@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genmodels
-from procline.analytics import usage_report
-from procline.atomic import AtomicKind
-from procline.catalog import OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
+from procline.analytics import CSV_HEADER, UNKNOWN_GROUP, export_stats_csv, render_stats_text, usage_report
+from procline.catalog import AtomicKind, OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.errors import (
     DuplicateIdError,
     DuplicateTypeNameError,
@@ -24,7 +23,8 @@ from procline.errors import (
     ProclineError,
     SchemaError,
 )
-from procline.merge import ExtensionModel, MergeTrace, TraceEntry, TraceEntryKind, VariantSet, merge_once
+from procline.family import ExtensionModel, VariantSet
+from procline.merge import MergeTrace, TraceEntry, TraceEntryKind, merge_once
 from procline.model import (
     ElementKind,
     MetamodelVersion,
@@ -36,19 +36,13 @@ from procline.model import (
 )
 from procline.studyline import DATA_FILES, fixture_text, masking_extension
 from procline.xmlio import (
-    CSV_HEADER,
-    UNKNOWN_GROUP,
-    export_stats_csv,
-    parse_catalog,
-    parse_extension,
-    parse_model,
-    render_stats_text,
     render_trace_text,
     serialize_catalog,
     serialize_extension,
     serialize_model,
     serialize_trace,
 )
+from procline.xmlread import parse_catalog, parse_extension, parse_model
 
 MODEL_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n<processModel schemaVersion="1" metamodel="1.3">'
 
