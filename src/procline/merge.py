@@ -33,6 +33,7 @@ from .model import (
     MetamodelVersion,
     ProcessModel,
     _apply_change_set_into,
+    _consistency_issues,
     _new_model,
     _trusted,
     _WorkingModel,
@@ -151,6 +152,8 @@ def merge_once(
     All-or-nothing: either a consistent merged model and its trace are
     returned, or :class:`ValidationFailedError` (carrying every collected
     issue) or :class:`ConflictError` is raised and the base is untouched.
+    Nothing is known of ``base``, so every reference of the merged model is
+    checked, and what the base already breaks fails the merge too.
 
     Two exemplars of the same extension replacing the same text field are a
     conflict. ``last_wins=True`` downgrades that to an ``UntypedChange``
@@ -165,6 +168,24 @@ def merge_once(
     model, and a metamodel upgrade made up front lands in the first entry.
     Entries and their change sets are trusted builds (``model._trusted``):
     every value in them was checked by the step or the merge that wrote it.
+    """
+    return _merge(base, extension, catalog, last_wins, base_consistent=False)
+
+
+def _merge(
+    base: ProcessModel,
+    extension: ExtensionModel,
+    catalog: OperationCatalog,
+    last_wins: bool,
+    base_consistent: bool,
+) -> tuple[ProcessModel, MergeTrace]:
+    """The body of :func:`merge_once`; ``base_consistent`` says ``base`` has no consistency issue.
+
+    Over such a base only the references this merge added or modified, and
+    that are still there, can break a rule: no step rewrites an element's
+    kind, and every element removal cascades over its incident references.
+    Those are checked, in id order, so the issues are the ones a check of
+    the whole merged model reports, in its order.
     """
     variant = extension.variant_id
     issues: list[Issue] = []
@@ -279,7 +300,16 @@ def merge_once(
         raise ValidationFailedError(issues)
     # the working model is dropped on return, so its maps can leave
     model = work.model
-    consistency = model.check_consistency()
+    if base_consistent:
+        references = model.references
+        written = {
+            ref.id
+            for entry in entries
+            for ref in (*entry.change_set.added_references, *entry.change_set.modified_references)
+        }
+        consistency = _consistency_issues(model.elements, [references[i] for i in sorted(written) if i in references])
+    else:
+        consistency = model.check_consistency()
     if consistency:
         raise ValidationFailedError(_tagged(consistency, variant))
     return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
@@ -292,11 +322,21 @@ def merge_chain(
     *,
     last_wins: bool = False,
 ) -> tuple[ProcessModel, MergeTrace]:
-    """Merge the whole parent chain of ``leaf_id`` over the root model."""
+    """Merge the whole parent chain of ``leaf_id`` over the root model.
+
+    The root is checked in full once per variant set, which keeps the
+    result. Over a root without issues each link checks only the references
+    it wrote (see :func:`_merge`), since its base is the root or the previous
+    link's checked result; over an inconsistent root the first link checks
+    its whole result, as :func:`merge_once` does, so every issue the root
+    brings is reported.
+    """
     model = variant_set.root
+    base_consistent = not variant_set._root_issues
     entries: list[TraceEntry] = []
     for extension in resolve_chain(variant_set, leaf_id):
-        model, trace = merge_once(model, extension, catalog, last_wins=last_wins)
+        model, trace = _merge(model, extension, catalog, last_wins, base_consistent)
+        base_consistent = True  # the link's result was checked
         entries.extend(trace.entries)
     return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
 

@@ -16,8 +16,8 @@ before the first write since its last change set: a failed exemplar is
 undone by giving each id that value back (:meth:`_WorkingModel.rollback`),
 and a trace entry's change set compares it with the live value
 (:meth:`_WorkingModel.change_set`). An element id -> incident reference ids
-index makes a removal cost the element's degree. Only the finished maps
-leave it, wrapped as a ``ProcessModel``.
+index, built by the first removal, makes a removal cost the element's
+degree. Only the finished maps leave it, wrapped as a ``ProcessModel``.
 
 Values the engine has already checked are built by trusted build
 functions (:func:`_trusted`): each takes every field of its dataclass and
@@ -506,13 +506,7 @@ class ProcessModel:
         rejects them), so no issues of that code originate here. One issue
         is produced per offending endpoint, in reference id order.
         """
-        issues: list[Issue] = []
-        elements = self.elements
-        for ref in sorted(self.references.values(), key=lambda r: r.id):
-            for side, endpoint, why in endpoint_problems(elements, ref.kind, ref.source, ref.target):
-                code = IssueCode.DANGLING_REFERENCE if why is None else IssueCode.KIND_CONSTRAINT_VIOLATION
-                issues.append(Issue(code, ref.id, why or f"{side} {endpoint!r} does not resolve to an element"))
-        return issues
+        return _consistency_issues(self.elements, sorted(self.references.values(), key=lambda r: r.id))
 
 
 _new_text_block = _trusted(TextBlock)
@@ -546,6 +540,22 @@ def endpoint_problems(
     return problems
 
 
+def _consistency_issues(elements: Mapping[str, ProcessElement], references: Iterable[Reference]) -> list[Issue]:
+    """The consistency issues of ``references`` over ``elements``, in the order the references come.
+
+    One issue per endpoint :func:`endpoint_problems` reports, source first.
+    :meth:`ProcessModel.check_consistency` passes every reference of a model
+    in id order, and a merge over a consistent base only those it wrote, so
+    both word and order their issues alike.
+    """
+    issues: list[Issue] = []
+    for ref in references:
+        for side, endpoint, why in endpoint_problems(elements, ref.kind, ref.source, ref.target):
+            code = IssueCode.DANGLING_REFERENCE if why is None else IssueCode.KIND_CONSTRAINT_VIOLATION
+            issues.append(Issue(code, ref.id, why or f"{side} {endpoint!r} does not resolve to an element"))
+    return issues
+
+
 # -- the working model of a merge --------------------------------------------
 
 class _WorkingModel:
@@ -559,7 +569,10 @@ class _WorkingModel:
     :meth:`rollback` gives each id that value back, and :meth:`change_set`
     compares it with the live value.
     ``incident`` maps each endpoint id to the ids of the references that name
-    it, so :meth:`remove_element` costs the element's degree.
+    it, so :meth:`remove_element` costs the element's degree. It is None
+    until the first removal builds it from the live references (a merge that
+    removes no element never pays for it), and every write after that keeps
+    it up to date.
     """
 
     __slots__ = (
@@ -570,18 +583,27 @@ class _WorkingModel:
         self.elements = dict(model.elements)
         self.references = dict(model.references)
         self.model = _new_model(model.metamodel, self.elements, self.references)
-        self.incident: dict[str, set[str]] = {}
+        self.incident: dict[str, set[str]] | None = None
         self.old_elements: dict[str, ProcessElement | None] = {}
         self.old_references: dict[str, Reference | None] = {}
         self._recorded_metamodel = model.metamodel
-        for ref in self.references.values():
-            self._link(ref)
 
     def set_metamodel(self, metamodel: MetamodelVersion) -> None:
         self.model = _new_model(metamodel, self.elements, self.references)
 
+    def _index(self) -> dict[str, set[str]]:
+        """The incidence index, built from the live references on first use."""
+        incident = self.incident
+        if incident is None:
+            incident = self.incident = {}
+            for ref in self.references.values():
+                self._link(ref)
+        return incident
+
     def _link(self, ref: Reference) -> None:
         incident = self.incident
+        if incident is None:
+            return
         for endpoint in (ref.source, ref.target):
             ids = incident.get(endpoint)
             if ids is None:
@@ -591,6 +613,8 @@ class _WorkingModel:
 
     def _unlink(self, ref: Reference) -> None:
         incident = self.incident
+        if incident is None:
+            return
         for endpoint in (ref.source, ref.target):
             ids = incident.get(endpoint)
             if ids is not None:  # None on the second pass over a self-loop
@@ -624,7 +648,7 @@ class _WorkingModel:
 
     def remove_element(self, element_id: str) -> tuple[str, ...]:
         """Remove an element and its incident references; returns their ids, ascending."""
-        cascaded = tuple(sorted(self.incident.get(element_id, ())))
+        cascaded = tuple(sorted(self._index().get(element_id, ())))
         for reference_id in cascaded:
             self.put_reference(reference_id, None)
         self.put_element(element_id, None)

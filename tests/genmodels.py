@@ -20,6 +20,7 @@ from pathlib import Path
 
 from procline import model as model_module
 from procline.catalog import AtomicKind, OperationExemplar
+from procline.errors import ConflictError, ValidationFailedError
 from procline.family import ExtensionModel, VariantSet
 from procline.model import (
     CONFIGURATION_CONTAINER_KINDS,
@@ -579,6 +580,99 @@ def random_variant_set(rng: random.Random, catalog) -> VariantSet:
     stranger = OperationExemplar(f"NoSuchOp{rng.randint(0, 99)}", "ghost")
     exemplars.insert(rng.randint(0, len(exemplars)), stranger)
     extensions[-1] = dataclasses.replace(extensions[-1], exemplars=tuple(exemplars))
+    return VariantSet.of(root, extensions)
+
+
+#: the arguments a recipe passes as an endpoint of a reference it adds, with the kind they name
+_ENDPOINT_ARGS = {"module": ElementKind.PROCESS_MODULE, "newRole": ElementKind.ROLE}
+
+
+def _bad_endpoint_exemplar(rng: random.Random, model: ProcessModel, catalog):
+    """An exemplar whose recipe adds a reference with an endpoint that does not fit, or None.
+
+    It is aimed to validate over ``model``, and then one endpoint argument
+    names no element, or (half the time) an element of another kind.
+    """
+    pools = _Pools(dict(model.elements), dict(model.references), set(model.elements) | set(model.references))
+    adders = [t for t in catalog if _ENDPOINT_ARGS.keys() & set(_placeholder_names(t))]
+    built = _aim_valid(rng, adders, model.metamodel, pools, {})
+    if built is None:
+        return None
+    args = dict(built.args)
+    name = rng.choice(sorted(args.keys() & _ENDPOINT_ARGS.keys()))
+    misfits = sorted(i for i, e in model.elements.items() if e.kind is not _ENDPOINT_ARGS[name])
+    args[name] = rng.choice(misfits) if misfits and rng.random() < 0.5 else f"ghost-{rng.randint(0, 999)}"
+    return OperationExemplar(built.type_name, built.target, args)
+
+
+def _break_root(rng: random.Random, root: ProcessModel) -> tuple[ProcessModel, str]:
+    """``root`` plus one reference that dangles or names a source of a kind its kind does not admit, and its id."""
+    ref_kind = rng.choice(tuple(ReferenceKind))
+    allowed_sources, _ = REFERENCE_CONSTRAINTS[ref_kind]
+    element_ids = sorted(root.elements)
+    if rng.random() < 0.5:
+        source, target = rng.choice(element_ids), f"ghost-{rng.randint(0, 999)}"
+        if rng.random() < 0.5:
+            source, target = target, source
+    else:
+        misfits = sorted(i for i, e in root.elements.items() if e.kind not in allowed_sources)
+        source, target = rng.choice(misfits), rng.choice(element_ids)
+    bad = Reference(next(_fresh_ids("bad", set(root.elements) | set(root.references))), ref_kind, source, target)
+    return ProcessModel.of(root.metamodel, root.elements.values(), (*root.references.values(), bad)), bad.id
+
+
+def random_family(rng: random.Random, catalog) -> VariantSet:
+    """A family of depth 1-4 over a random root, for merging along its chains.
+
+    Each level holds 1-3 variants, and each variant below the first level
+    takes a random parent on the level above. Its extension is drawn over
+    the parent's merged model (``merge_once``), or over the model the parent
+    was drawn over when the parent does not merge; about 70% aim to merge
+    cleanly, and each draws its own metamodel, which raises its parent's
+    now and then. In about a quarter of the families the root is
+    inconsistent: one reference dangles or breaks the endpoint-kind rule,
+    and a first-level variant excludes it now and then, so that its chain
+    can merge. Now and then an extension holds an exemplar whose recipe
+    adds a reference with an endpoint that does not fit, a variant names a
+    parent that does not exist, or two variants name each other.
+    """
+    from procline.merge import merge_once
+
+    root = random_model(rng, max_elements=25, metamodel=rng.choice((MetamodelVersion.V1_3, MetamodelVersion.V1_3B)))
+    broken = None
+    if rng.random() < 0.25:
+        root, broken = _break_root(rng, root)
+    extensions = []
+    level = [("root", root)]  # (variant id, the model its children are drawn over)
+    for depth in range(rng.randint(1, 4)):
+        below = []
+        for index in range(rng.randint(1, 3)):
+            parent_id, parent_model = rng.choice(level)
+            variant_id = f"V{depth}{'abc'[index]}"
+            clean = rng.random() < 0.7
+            ext = random_extension(
+                rng, parent_model, catalog, variant_id=variant_id, parent_id=parent_id, max_exemplars=8, clean=clean
+            )
+            if broken and parent_id == "root" and rng.random() < 0.5:
+                ext = dataclasses.replace(ext, exclusions=(*ext.exclusions, broken))
+            if rng.random() < 0.2:
+                misfit = _bad_endpoint_exemplar(rng, parent_model, catalog)
+                if misfit is not None:
+                    exemplars = list(ext.exemplars)
+                    exemplars.insert(rng.randint(0, len(exemplars)), misfit)
+                    ext = dataclasses.replace(ext, exemplars=tuple(exemplars))
+            extensions.append(ext)
+            try:
+                merged, _ = merge_once(parent_model, ext, catalog)
+            except (ConflictError, ValidationFailedError):
+                merged = parent_model
+            below.append((variant_id, merged))
+        level = below
+    if rng.random() < 0.15:
+        extensions.append(random_extension(rng, root, catalog, variant_id="Orphan", parent_id="ghost", max_exemplars=4))
+    if rng.random() < 0.1:
+        extensions.append(random_extension(rng, root, catalog, variant_id="Loop1", parent_id="Loop2", max_exemplars=4))
+        extensions.append(random_extension(rng, root, catalog, variant_id="Loop2", parent_id="Loop1", max_exemplars=4))
     return VariantSet.of(root, extensions)
 
 

@@ -533,6 +533,23 @@ def merge(plain_base, plain_ext, plain_catalog, last_wins=False):
     return ("ok", working, trace)
 
 
+def merge_chain(plain_root, plain_extensions, plain_catalog, last_wins=False):
+    """Fold :func:`merge` over a chain, the root's child first.
+
+    Each link merges over the model the previous one returned, and its own
+    consistency check covers the whole result. The first link that does not
+    merge gives the outcome; otherwise the traces are concatenated.
+    """
+    working, trace = plain_root, []
+    for plain_ext in plain_extensions:
+        outcome, model, link_trace = merge(working, plain_ext, plain_catalog, last_wins)
+        if outcome != "ok":
+            return (outcome, model, None)
+        working = model
+        trace.extend(link_trace)
+    return ("ok", working, trace)
+
+
 # -- usage statistics --------------------------------------------------------
 
 def usage_counts(plain_catalog, plain_extensions):

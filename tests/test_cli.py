@@ -104,16 +104,21 @@ def test_validate_rejects_gated_operation(data_dir, tmp_path, capsys):
     assert "validation failed" in captured.err
 
 
-def test_validate_reports_every_issue_of_an_inconsistent_root(tmp_path, capsys):
+def _inconsistent_root_validation(directory) -> list[str]:
+    """``validate`` arguments for an empty extension over a root with one bad reference, written to ``directory``."""
     root = ProcessModel.of(
         MetamodelVersion.V1_3,
         [ProcessElement("r1", ElementKind.ROLE, "Role")],
         [Reference("bad", ReferenceKind.RESPONSIBILITY, "r1", "ghost")],
     )
-    (tmp_path / "root.xml").write_text(serialize_model(root), encoding="utf-8")
+    (directory / "root.xml").write_text(serialize_model(root), encoding="utf-8")
     ext = ExtensionModel("V", "root", MetamodelVersion.V1_3)
-    (tmp_path / "v.xml").write_text(serialize_extension(ext), encoding="utf-8")
-    code = main(["validate", "--root", str(tmp_path / "root.xml"), "--extension", str(tmp_path / "v.xml")])
+    (directory / "v.xml").write_text(serialize_extension(ext), encoding="utf-8")
+    return ["validate", "--root", str(directory / "root.xml"), "--extension", str(directory / "v.xml")]
+
+
+def test_validate_reports_every_issue_of_an_inconsistent_root(tmp_path, capsys):
+    code = main(_inconsistent_root_validation(tmp_path))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -751,6 +756,27 @@ def test_every_admitted_interpreter_writes_the_study_bytes(data_dir, tmp_path):
     reference = run(sys.executable, "this")
     for version, python in sorted(others.items()):
         assert run(python, ".".join(map(str, version))) == reference, version
+
+
+def test_every_admitted_interpreter_reports_an_inconsistent_root_alike(tmp_path):
+    # the failure path: each installed interpreter, run as a child on this
+    # source, exits 2 with this one's stderr bytes for a root that breaks the rules
+    others = _other_interpreters()
+    if not others:
+        pytest.skip("no other interpreter under $PYENV_ROOT/versions admitted by requires-python")
+    import procline
+
+    env = dict(os.environ, PYTHONPATH=str(Path(procline.__file__).resolve().parents[1]))
+    argv = _inconsistent_root_validation(tmp_path)
+
+    def run(python):
+        child = subprocess.run([python, "-m", "procline.cli", *argv], capture_output=True, env=env, timeout=120)
+        return child.returncode, child.stdout, child.stderr
+
+    reference = run(sys.executable)
+    assert reference[:2] == (2, b"") and b"validation failed: 2 issue(s)" in reference[2]
+    for version, python in sorted(others.items()):
+        assert run(python) == reference, version
 
 
 @pytest.mark.parametrize("command", ["stats", "validate"])

@@ -467,6 +467,7 @@ def test_an_id_moved_from_the_element_map_to_the_reference_map_is_recorded_and_r
     assert [i.subject for i in issues] == ["wp1"] and steps == []
     assert work.references["wp1"] == moved
     work.rollback()
+    assert work.incident is not None  # the removal built it, so the rollback kept it right
     assert _state(work) == before
 
 
@@ -487,11 +488,20 @@ def test_scoped_change_sets_equal_full_diffs_on_random_merges(catalog, seed, las
 # -- the working model ----------------------------------------------------------------
 
 def _state(work):
-    """Everything a working model holds, copied: maps, incidence index, undo log, metamodel."""
+    """Everything a working model holds, copied: maps, incidence index, undo log, metamodel.
+
+    The first removal builds the index; until then it reads as a recount of
+    the references, so two states compare equal across that build exactly
+    when the built index is right.
+    """
+    if work.incident is None:
+        incident = _recount(work.references)
+    else:
+        incident = {endpoint: set(ids) for endpoint, ids in work.incident.items()}
     return (
         dict(work.elements),
         dict(work.references),
-        {endpoint: set(ids) for endpoint, ids in work.incident.items()},
+        incident,
         (dict(work.old_elements), dict(work.old_references)),
         work.model.metamodel,
     )
@@ -547,10 +557,11 @@ def test_failing_exemplar_in_the_middle_leaves_the_working_model_as_it_was(catal
             OperationExemplar("RenameRole", "r1", {"newName": "First"}),
         ),
     )
-    before_call, after_call = [], []
+    before_call, after_call, built = [], [], []
     run_exemplar = merge_module._run_exemplar
 
     def observed(catalog, work, exemplar):
+        built.append(work.incident is not None)
         before_call.append(_state(work))
         result = run_exemplar(catalog, work, exemplar)
         after_call.append((bool(result[0]), _state(work)))
@@ -561,6 +572,8 @@ def test_failing_exemplar_in_the_middle_leaves_the_working_model_as_it_was(catal
             merge_once(_base(), ext, mixed)
     assert [i.subject for i in exc.value.issues] == ["r1", "sec1"]
     assert [failed for failed, _ in after_call] == [False, True, False, True, False]
+    # the first removal, in the exemplar that failed, built the index, and the rollback kept it
+    assert built == [False, False, True, True, True]
     for index in (1, 3):
         # the failed exemplar wrote into the maps (r1 and its references, resp1) ...
         assert after_call[index][1] != before_call[index]
@@ -598,19 +611,24 @@ def test_merge_never_writes_the_base_model(catalog):
 
 @contextlib.contextmanager
 def _checking_incidence():
-    """Recount the incidence index after every change set and every rollback; yields the change sets seen."""
+    """Recount the incidence index, once built, after every change set and every rollback.
+
+    Yields the change sets recorded while an index was there to recount.
+    """
     change_set, rollback = _WorkingModel.change_set, _WorkingModel.rollback
     checked = []
 
     def checked_change_set(self):
         result = change_set(self)
-        assert self.incident == _recount(self.references)
-        checked.append(result)
+        if self.incident is not None:
+            assert self.incident == _recount(self.references)
+            checked.append(result)
         return result
 
     def checked_rollback(self):
         rollback(self)
-        assert self.incident == _recount(self.references)
+        if self.incident is not None:
+            assert self.incident == _recount(self.references)
 
     with mock.patch.object(_WorkingModel, "change_set", checked_change_set):
         with mock.patch.object(_WorkingModel, "rollback", checked_rollback):
@@ -623,6 +641,21 @@ def test_incidence_index_matches_a_recount_on_the_study_family(root, variants, c
             merge_chain(variants, leaf, catalog)
         merge_once(root, masking_extension(), catalog)
     assert any(change_set.removed_elements for change_set in checked)
+
+
+def test_a_merge_that_removes_no_element_never_builds_the_incidence_index(root, variants, catalog):
+    index, built = _WorkingModel._index, []
+
+    def spy(self):
+        built.append(self)
+        return index(self)
+
+    with mock.patch.object(_WorkingModel, "_index", spy):
+        for leaf in ("A", "B", "D"):  # they exclude nothing, and no step of theirs removes an element
+            merge_chain(variants, leaf, catalog)
+        assert built == []
+        merge_chain(variants, "Bund", catalog)
+    assert built
 
 
 @settings(max_examples=80, deadline=None)
@@ -932,6 +965,53 @@ def test_merge_agrees_with_oracle(catalog, seed, last_wins):
     assert got == want
     # the merge never mutates its inputs
     assert base == genmodels.random_model(random.Random(seed), max_elements=30)
+
+
+def _chain_outcome(run):
+    """What ``run()`` returns, or the class of what it raises with the issues, in order, or the message."""
+    try:
+        return run()
+    except ValidationFailedError as err:
+        return (ValidationFailedError, err.issues)
+    except (ConflictError, CycleError, MissingParentError) as err:
+        return (type(err), str(err))
+
+
+def _checked_link_by_link(variant_set, leaf_id, catalog, last_wins):
+    """``merge_chain`` as a fold of ``merge_once``, which checks each link's whole result."""
+    model, entries = variant_set.root, []
+    for extension in resolve_chain(variant_set, leaf_id):
+        model, trace = merge_once(model, extension, catalog, last_wins=last_wins)
+        entries.extend(trace.entries)
+    return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
+
+
+def _plain_outcome(outcome):
+    """A :func:`_chain_outcome` in the oracle's terms."""
+    first, second = outcome
+    if first is ValidationFailedError:
+        return ("invalid", {(issue.code.value, issue.subject) for issue in second}, None)
+    if first is ConflictError:
+        return ("conflict", None, None)
+    return ("ok", oracle.model_to_plain(first), [(entry.kind.value, entry.subject) for entry in second.entries])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000), st.booleans())
+def test_a_chain_reports_what_a_full_check_after_every_link_reports(catalog, seed, last_wins):
+    # merge_chain checks the root once and then only the references each link
+    # wrote; the fold of merge_once checks every link's whole result, and the
+    # oracle restates the merge and its check from scratch
+    catalog = OperationCatalog((*catalog, *_MULTI_STEP_TYPES))
+    family = genmodels.random_family(random.Random(seed), catalog)
+    plain_root, plain_catalog = oracle.model_to_plain(family.root), oracle.catalog_to_plain(catalog)
+    for leaf in family.variant_ids():
+        got = _chain_outcome(lambda: merge_chain(family, leaf, catalog, last_wins=last_wins))
+        assert got == _chain_outcome(lambda: _checked_link_by_link(family, leaf, catalog, last_wins))
+        if got[0] in (CycleError, MissingParentError):
+            continue
+        chain = [oracle.extension_to_plain(extension) for extension in resolve_chain(family, leaf)]
+        assert _plain_outcome(got) == oracle.merge_chain(plain_root, chain, plain_catalog, last_wins)
 
 
 #: a catalog as ``--catalog`` reads one, with types that write an element's
