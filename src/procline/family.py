@@ -5,17 +5,15 @@ live apart from :mod:`procline.merge`, and this module loads only
 :mod:`procline.errors`, :mod:`procline.model` and :mod:`procline.catalog`.
 The rule on an extension's ids is :func:`_check_extension`, which the
 constructor and the reader both call; the reader then builds the extension
-trusted. A variant set checks its root's consistency at most once.
+trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .catalog import OperationExemplar
-from .errors import Issue
 from .model import MetamodelVersion, ProcessElement, ProcessModel, Reference, _trusted
 
 
@@ -84,14 +82,3 @@ class VariantSet:
 
     def variant_ids(self) -> list[str]:
         return sorted(self.extensions)
-
-    @cached_property
-    def _root_issues(self) -> tuple[Issue, ...]:
-        """The root's consistency issues, checked when :func:`~procline.merge.merge_chain` first asks.
-
-        ``cached_property`` stores it in the instance ``__dict__``, past the
-        frozen ``__setattr__``, and equality, hash and repr read only the
-        fields. Nothing computes it on construction, so reading and counting
-        a family never pay for it.
-        """
-        return tuple(self.root.check_consistency())

@@ -5,6 +5,9 @@ exclusions are applied (cascading over incident references), then operation
 exemplars execute in document order. A merge either returns a consistent
 model or raises; the inputs are never modified. Every effect lands in an
 auditable :class:`MergeTrace` whose entries carry replayable change sets.
+Every merged model is checked by one rule (see :func:`merge_once`) and
+leaves marked as consistent, and :func:`merge_chain` is a fold of
+:func:`merge_once` over a chain whose root it checks once.
 
 The family types it reads live in :mod:`procline.family`.
 """
@@ -152,8 +155,14 @@ def merge_once(
     All-or-nothing: either a consistent merged model and its trace are
     returned, or :class:`ValidationFailedError` (carrying every collected
     issue) or :class:`ConflictError` is raised and the base is untouched.
-    Nothing is known of ``base``, so every reference of the merged model is
-    checked, and what the base already breaks fails the merge too.
+    The merged model is checked by one rule. Over a base marked as having
+    no issues (``ProcessModel._issues``), such as a merge's result, only the
+    references this merge added or modified that are still there can break
+    one, since no step rewrites an element's kind and every element removal
+    cascades over its incident references: those are checked, in id order.
+    Over any other base the whole result is, so what the base breaks fails
+    the merge too. Either way the issues and their order are those of a
+    full check, and the returned model is marked as having none.
 
     Two exemplars of the same extension replacing the same text field are a
     conflict. ``last_wins=True`` downgrades that to an ``UntypedChange``
@@ -168,24 +177,6 @@ def merge_once(
     model, and a metamodel upgrade made up front lands in the first entry.
     Entries and their change sets are trusted builds (``model._trusted``):
     every value in them was checked by the step or the merge that wrote it.
-    """
-    return _merge(base, extension, catalog, last_wins, base_consistent=False)
-
-
-def _merge(
-    base: ProcessModel,
-    extension: ExtensionModel,
-    catalog: OperationCatalog,
-    last_wins: bool,
-    base_consistent: bool,
-) -> tuple[ProcessModel, MergeTrace]:
-    """The body of :func:`merge_once`; ``base_consistent`` says ``base`` has no consistency issue.
-
-    Over such a base only the references this merge added or modified, and
-    that are still there, can break a rule: no step rewrites an element's
-    kind, and every element removal cascades over its incident references.
-    Those are checked, in id order, so the issues are the ones a check of
-    the whole merged model reports, in its order.
     """
     variant = extension.variant_id
     issues: list[Issue] = []
@@ -300,7 +291,7 @@ def _merge(
         raise ValidationFailedError(issues)
     # the working model is dropped on return, so its maps can leave
     model = work.model
-    if base_consistent:
+    if vars(base).get("_issues") == ():
         references = model.references
         written = {
             ref.id
@@ -312,6 +303,7 @@ def _merge(
         consistency = model.check_consistency()
     if consistency:
         raise ValidationFailedError(_tagged(consistency, variant))
+    vars(model)["_issues"] = ()
     return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
 
 
@@ -324,19 +316,17 @@ def merge_chain(
 ) -> tuple[ProcessModel, MergeTrace]:
     """Merge the whole parent chain of ``leaf_id`` over the root model.
 
-    The root is checked in full once per variant set, which keeps the
-    result. Over a root without issues each link checks only the references
-    it wrote (see :func:`_merge`), since its base is the root or the previous
-    link's checked result; over an inconsistent root the first link checks
-    its whole result, as :func:`merge_once` does, so every issue the root
-    brings is reported.
+    A fold of :func:`merge_once` over the chain. The root is checked in full
+    once, and the model keeps the issues, so over a root without issues each
+    link checks only the references it wrote; over an inconsistent root the
+    first link checks its whole result, so every issue the root brings is
+    reported.
     """
+    chain = resolve_chain(variant_set, leaf_id)
     model = variant_set.root
-    base_consistent = not variant_set._root_issues
+    model._issues  # the root's one full check, which merge_once reads as its mark
     entries: list[TraceEntry] = []
-    for extension in resolve_chain(variant_set, leaf_id):
-        model, trace = _merge(model, extension, catalog, last_wins, base_consistent)
-        base_consistent = True  # the link's result was checked
+    for extension in chain:
+        model, trace = merge_once(model, extension, catalog, last_wins=last_wins)
         entries.extend(trace.entries)
     return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
-

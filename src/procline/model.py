@@ -5,7 +5,10 @@ maps, read through lookups and :meth:`ProcessModel.check_consistency`. A new
 model comes from the public constructor (which copies and checks both maps),
 from :func:`apply_change_set`, from a merge, or from the reader; callers can
 therefore hold on to any intermediate state (merge bases, trace snapshots)
-without defensive copies. Elements and references have their own ``with_*``
+without defensive copies. A model may also carry a mark: the issues of its
+one full check, cached by ``ProcessModel._issues`` where no field, equality,
+repr, :func:`compare_models` or writer sees them. A merge marks the model it
+returns as having none. Elements and references have their own ``with_*``
 updates; each checks what it changes, builds a new object (:func:`_trusted`)
 that shares the fields it leaves alone, and changes none.
 
@@ -17,7 +20,8 @@ undone by giving each id that value back (:meth:`_WorkingModel.rollback`),
 and a trace entry's change set compares it with the live value
 (:meth:`_WorkingModel.change_set`). An element id -> incident reference ids
 index, built by the first removal, makes a removal cost the element's
-degree. Only the finished maps leave it, wrapped as a ``ProcessModel``.
+degree. Only the finished maps leave it, wrapped as a ``ProcessModel``: the
+live view, unmarked until the merge has checked it.
 
 Values the engine has already checked are built by trusted build
 functions (:func:`_trusted`): each takes every field of its dataclass and
@@ -53,7 +57,7 @@ import gc
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from functools import wraps
+from functools import cached_property, wraps
 from typing import Callable, Iterable, Mapping, ParamSpec, Sequence, TypeVar
 
 from .errors import (
@@ -508,6 +512,17 @@ class ProcessModel:
         """
         return _consistency_issues(self.elements, sorted(self.references.values(), key=lambda r: r.id))
 
+    @cached_property
+    def _issues(self) -> tuple[Issue, ...]:
+        """The mark: this model's consistency issues, from one :meth:`check_consistency`.
+
+        ``cached_property`` keeps it in the instance ``__dict__``, past the
+        frozen ``__setattr__``; no field holds it, so equality, repr,
+        :func:`compare_models` and the writer never see it. A merge stores
+        ``()`` on the model it returns once its own check passes.
+        """
+        return tuple(self.check_consistency())
+
 
 _new_text_block = _trusted(TextBlock)
 _new_element = _trusted(ProcessElement)
@@ -562,7 +577,8 @@ class _WorkingModel:
     """A model's maps, copied once and then written in place.
 
     ``model`` is a :class:`ProcessModel` over the live maps, for reading. It
-    changes under its holder, so it leaves only when the writing is done.
+    changes under its holder, so it leaves only when the writing is done, and
+    no one marks it (``ProcessModel._issues``) until then.
     The undo log is one dict per map, ``old_elements`` and ``old_references``:
     each id written since the last :meth:`change_set` maps to its value
     before the first of those writes (``None`` for an id that was absent).

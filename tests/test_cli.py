@@ -81,6 +81,28 @@ def test_validate_ok(data_dir, capsys):
     assert captured.out.startswith("OK: variant 'D'")
 
 
+def _extension_d_under_ref(data_dir, tmp_path):
+    """``validate`` arguments for extension D rewritten to name its parent ``ref``."""
+    path = tmp_path / "ext-d-ref.xml"
+    text = (data_dir / "ext-d.xml").read_text(encoding="utf-8")
+    assert text.count('parent="root"') == 1
+    path.write_text(text.replace('parent="root"', 'parent="ref"'), encoding="utf-8")
+    return ["validate", "--root", str(data_dir / "root.xml"), "--extension", str(path)]
+
+
+def test_root_id_names_the_parent_the_extensions_use(data_dir, tmp_path, capsys):
+    argv = _extension_d_under_ref(data_dir, tmp_path)
+    assert main(argv + ["--root-id", "ref"]) == 0
+    assert capsys.readouterr().out.startswith("OK: variant 'D'")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "validation failed: variant 'D' declares parent 'ref', which is neither "
+        "the root ('root') nor a known variant\n"
+    )
+    assert main(argv + ["--root-id", "D"]) == 1
+    assert capsys.readouterr().err == "error: variant id 'D' collides with the root id\n"
+
+
 def _gated_validation(data_dir, tmp_path):
     """argv of a ``validate`` that fails: a 1.3 extension uses a type the 1.3B metamodel introduced."""
     root = parse_model((data_dir / "root.xml").read_text(encoding="utf-8"))

@@ -17,7 +17,7 @@ from procline import xmlread
 from procline.analytics import export_stats_csv, render_stats_text, usage_report
 from procline.catalog import builtin_catalog
 from procline.cli import main
-from procline.errors import DuplicateTypeNameError, ParseError, ProclineError, SchemaError
+from procline.errors import DuplicateIdError, DuplicateTypeNameError, ParseError, ProclineError, SchemaError
 from procline.family import VariantSet
 from procline.studyline import DATA_FILES, fixture_text, study_variant_set
 from procline.xmlio import serialize_extension, serialize_model
@@ -133,16 +133,25 @@ def _random_families(catalog):
     families = []
     for _ in range(20):
         family = genmodels.random_variant_set(rng, catalog)
-        families.append(
-            (serialize_model(family.root), [serialize_extension(e) for e in family.extensions.values()])
-        )
+        families.append((serialize_model(family.root), [_document(e) for e in family.extensions.values()]))
 
     def build():
         for root_text, extension_texts in families:
             root = parse_model(root_text)
-            usage_report(VariantSet.of(root, [parse_extension(text) for text in extension_texts]), catalog)
+            extensions = [parse_extension(text) for text in extension_texts if text is not None]
+            usage_report(VariantSet.of(root, extensions), catalog)
 
     return build
+
+
+def _document(extension):
+    """The document of ``extension``, or None for one that repeats an id, which the writer refuses."""
+    ids = [asset.id for asset in (*extension.new_elements, *extension.new_references)]
+    if len(set(ids)) == len(ids):
+        return serialize_extension(extension)
+    with pytest.raises(DuplicateIdError):
+        serialize_extension(extension)
+    return None
 
 
 def _defect_documents():

@@ -52,7 +52,8 @@ from procline.model import (
     apply_change_set,
     compare_models,
 )
-from procline.studyline import masking_extension
+from procline.studyline import masking_extension, reference_model, study_variant_set
+from procline.xmlio import serialize_model
 from procline.xmlread import parse_catalog
 
 
@@ -886,6 +887,102 @@ def test_an_inconsistent_root_fails_even_an_empty_merge(catalog):
         assert [str(issue) for issue in raised.value.issues] == expected
 
 
+# -- the consistency mark ---------------------------------------------------------------
+
+#: where a model keeps the issues of its one full check
+_MARK = ProcessModel._issues.attrname
+
+
+def _unmarked(model):
+    """A fresh twin of ``model`` that carries no mark."""
+    return ProcessModel(model.metamodel, model.elements, model.references)
+
+
+def _checked_models(monkeypatch):
+    """The models ``ProcessModel.check_consistency`` runs on from here on, in call order."""
+    checked = []
+    check = ProcessModel.check_consistency
+
+    def counted(self):
+        checked.append(self)
+        return check(self)
+
+    monkeypatch.setattr(ProcessModel, "check_consistency", counted)
+    return checked
+
+
+def test_a_family_checks_its_root_once_however_often_it_derives(monkeypatch, catalog):
+    family = study_variant_set()
+    checked = _checked_models(monkeypatch)
+    for leaf in family.variant_ids():
+        merge_chain(family, leaf, catalog)
+    assert len(checked) == 1 and checked[0] is family.root
+    for leaf in family.variant_ids():
+        merge_chain(family, leaf, catalog)
+    assert len(checked) == 1
+
+
+def test_a_merge_over_a_merged_model_checks_no_model_in_full(monkeypatch, variants, catalog):
+    bund, _ = merge_once(_unmarked(variants.root), variants.extensions["Bund"], catalog)
+    checked = _checked_models(monkeypatch)
+    merged, _ = merge_once(bund, variants.extensions["C"], catalog)
+    assert checked == []
+    assert vars(merged)[_MARK] == ()
+
+
+def test_a_merge_over_a_parsed_model_checks_its_whole_result(monkeypatch, variants, catalog):
+    base = reference_model()
+    checked = _checked_models(monkeypatch)
+    merged, _ = merge_once(base, variants.extensions["Bund"], catalog)
+    assert len(checked) == 1 and checked[0] is merged
+    assert _MARK not in vars(base)
+
+
+@pytest.mark.parametrize(
+    ("leaf", "error"), [("nope", UnknownVariantError), ("B", MissingParentError), ("C1", CycleError)]
+)
+def test_a_chain_that_does_not_resolve_fails_before_any_check(monkeypatch, catalog, leaf, error):
+    root = reference_model()
+    family = VariantSet.of(
+        root,
+        [
+            _ext(variant_id="B", parent_id="missing"),
+            _ext(variant_id="C1", parent_id="C2"),
+            _ext(variant_id="C2", parent_id="C1"),
+        ],
+    )
+    checked = _checked_models(monkeypatch)
+    with pytest.raises(error):
+        merge_chain(family, leaf, catalog)
+    assert checked == []
+    assert _MARK not in vars(root)
+
+
+def test_no_step_sees_a_marked_model(monkeypatch, catalog):
+    family = study_variant_set()
+    marked = []
+    validate = atomic.validate_step
+
+    def spy(model, step):
+        marked.append(_MARK in vars(model))
+        return validate(model, step)
+
+    monkeypatch.setattr(atomic, "validate_step", spy)
+    for leaf in family.variant_ids():
+        merge_chain(family, leaf, catalog)
+    assert marked and not any(marked)
+
+
+def test_a_marked_model_and_its_unmarked_twin_look_alike(variants, catalog):
+    marked, _ = merge_chain(variants, "C", catalog)
+    twin = _unmarked(marked)
+    assert vars(marked)[_MARK] == () and _MARK not in vars(twin)
+    assert marked == twin and twin == marked
+    assert repr(marked) == repr(twin)
+    assert compare_models(marked, twin).is_empty() and compare_models(twin, marked).is_empty()
+    assert serialize_model(twin) == serialize_model(marked)
+
+
 # -- chain resolution -----------------------------------------------------------------
 
 def test_resolve_chain_order(variants):
@@ -978,10 +1075,14 @@ def _chain_outcome(run):
 
 
 def _checked_link_by_link(variant_set, leaf_id, catalog, last_wins):
-    """``merge_chain`` as a fold of ``merge_once``, which checks each link's whole result."""
+    """``merge_chain`` as a fold of ``merge_once``, which checks each link's whole result.
+
+    Each link merges over a fresh, unmarked twin of its base, so no link
+    knows its base to be consistent.
+    """
     model, entries = variant_set.root, []
     for extension in resolve_chain(variant_set, leaf_id):
-        model, trace = merge_once(model, extension, catalog, last_wins=last_wins)
+        model, trace = merge_once(_unmarked(model), extension, catalog, last_wins=last_wins)
         entries.extend(trace.entries)
     return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
 
