@@ -7,13 +7,16 @@ model or raises; the inputs are never modified. Every effect lands in an
 auditable :class:`MergeTrace` whose entries carry replayable change sets.
 Every merged model is checked by one rule (see :func:`merge_once`) and
 leaves marked as consistent, and :func:`merge_chain` is a fold of
-:func:`merge_once` over a chain whose root it checks once.
+:func:`merge_once` over a chain whose root it checks once. A variant set
+keeps each link it has merged, so its later chains start from their
+deepest kept ancestor and each ancestor is merged once per set.
 
 The family types it reads live in :mod:`procline.family`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -321,12 +324,30 @@ def merge_chain(
     link checks only the references it wrote; over an inconsistent root the
     first link checks its whole result, so every issue the root brings is
     reported.
+
+    Each ancestor is merged once per set. Every link that merges is kept,
+    under its variant id and ``last_wins``, in a memo in the set's
+    ``__dict__``: its model, the entries of its chain so far, and the root,
+    catalog and chain extensions it was merged from. A later call starts
+    from the deepest ancestor whose kept sources are the very objects
+    (``is``) of this call, so a replaced extension, another catalog or a
+    failed link merges again; the leaf is merged on every call. What is
+    kept is immutable, so the trace is the same either way.
     """
     chain = resolve_chain(variant_set, leaf_id)
-    model = variant_set.root
-    model._issues  # the root's one full check, which merge_once reads as its mark
-    entries: list[TraceEntry] = []
-    for extension in chain:
-        model, trace = merge_once(model, extension, catalog, last_wins=last_wins)
-        entries.extend(trace.entries)
-    return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
+    root = variant_set.root
+    root._issues  # the root's one full check, which merge_once reads as its mark
+    merged = vars(variant_set).setdefault("_merged", {})
+    sources = (root, catalog, *chain)
+    model, entries, start = root, (), 0
+    for depth in range(len(chain) - 1, 0, -1):
+        kept = merged.get((chain[depth - 1].variant_id, last_wins))
+        if kept and len(kept[0]) == depth + 2 and all(map(operator.is_, kept[0], sources)):
+            _, model, entries = kept
+            start = depth
+            break
+    for depth in range(start, len(chain)):
+        model, trace = merge_once(model, chain[depth], catalog, last_wins=last_wins)
+        entries += trace.entries
+        merged[(chain[depth].variant_id, last_wins)] = (sources[: depth + 3], model, entries)
+    return model, MergeTrace(entries, final_metamodel=model.metamodel)

@@ -605,6 +605,32 @@ def _bad_endpoint_exemplar(rng: random.Random, model: ProcessModel, catalog):
     return OperationExemplar(built.type_name, built.target, args)
 
 
+def _repeat_a_replacement(rng: random.Random, ext: ExtensionModel, catalog) -> ExtensionModel:
+    """``ext`` with one of its text-replacing exemplars repeated right after itself, with new text.
+
+    The repeat replaces what the first one just wrote, a conflict that
+    ``last_wins`` lets the later one win. An extension with no exemplar that
+    only replaces text comes back as it is.
+    """
+
+    def replaces_text_only(exemplar):
+        type_def = catalog.get(exemplar.type_name)
+        return (
+            type_def is not None
+            and "text" in exemplar.args
+            and all(t.atomic is AtomicKind.REPLACE_TEXT for t in type_def.recipe)
+        )
+
+    replacers = [index for index, exemplar in enumerate(ext.exemplars) if replaces_text_only(exemplar)]
+    if not replacers:
+        return ext
+    index = rng.choice(replacers)
+    first = ext.exemplars[index]
+    again = OperationExemplar(first.type_name, first.target, {**first.args, "text": random_text(rng)})
+    exemplars = (*ext.exemplars[: index + 1], again, *ext.exemplars[index + 1 :])
+    return dataclasses.replace(ext, exemplars=exemplars)
+
+
 def _break_root(rng: random.Random, root: ProcessModel) -> tuple[ProcessModel, str]:
     """``root`` plus one reference that dangles or names a source of a kind its kind does not admit, and its id."""
     ref_kind = rng.choice(tuple(ReferenceKind))
@@ -633,7 +659,8 @@ def random_family(rng: random.Random, catalog) -> VariantSet:
     inconsistent: one reference dangles or breaks the endpoint-kind rule,
     and a first-level variant excludes it now and then, so that its chain
     can merge. Now and then an extension holds an exemplar whose recipe
-    adds a reference with an endpoint that does not fit, a variant names a
+    adds a reference with an endpoint that does not fit, or replaces a text
+    a second time (which only ``last_wins`` merges), a variant names a
     parent that does not exist, or two variants name each other.
     """
     from procline.merge import merge_once
@@ -661,6 +688,8 @@ def random_family(rng: random.Random, catalog) -> VariantSet:
                     exemplars = list(ext.exemplars)
                     exemplars.insert(rng.randint(0, len(exemplars)), misfit)
                     ext = dataclasses.replace(ext, exemplars=tuple(exemplars))
+            if rng.random() < 0.3:
+                ext = _repeat_a_replacement(rng, ext, catalog)
             extensions.append(ext)
             try:
                 merged, _ = merge_once(parent_model, ext, catalog)

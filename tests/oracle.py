@@ -533,15 +533,41 @@ def merge(plain_base, plain_ext, plain_catalog, last_wins=False):
     return ("ok", working, trace)
 
 
-def merge_chain(plain_root, plain_extensions, plain_catalog, last_wins=False):
-    """Fold :func:`merge` over a chain, the root's child first.
+def resolve_chain(plain_extensions, leaf, root_id="root"):
+    """The extensions from the root's child down to ``leaf``, or why there are none.
 
-    Each link merges over the model the previous one returned, and its own
-    consistency check covers the whole result. The first link that does not
-    merge gives the outcome; otherwise the traces are concatenated.
+    Returns ``("ok", chain)``, or ``("unknown-variant", None)``,
+    ``("missing-parent", None)`` or ``("cycle", None)``. A chain names each
+    variant once, so a walk up the parents that is longer than the family
+    without reaching the root goes round.
     """
+    by_id = {ext["variant"]: ext for ext in plain_extensions}
+    if leaf not in by_id:
+        return ("unknown-variant", None)
+    chain = [by_id[leaf]]
+    while chain[0]["parent"] != root_id:
+        if chain[0]["parent"] not in by_id:
+            return ("missing-parent", None)
+        if len(chain) == len(by_id):
+            return ("cycle", None)
+        chain.insert(0, by_id[chain[0]["parent"]])
+    return ("ok", chain)
+
+
+def merge_chain(plain_root, plain_extensions, leaf, plain_catalog, last_wins=False, root_id="root"):
+    """Fold :func:`merge` over the chain of ``leaf``, the root's child first.
+
+    ``plain_extensions`` is the whole family. A chain that does not resolve
+    gives the reason as its outcome. Each link merges over the model the
+    previous one returned, and its own consistency check covers the whole
+    result. The first link that does not merge gives the outcome; otherwise
+    the traces are concatenated.
+    """
+    outcome, chain = resolve_chain(plain_extensions, leaf, root_id)
+    if outcome != "ok":
+        return (outcome, None, None)
     working, trace = plain_root, []
-    for plain_ext in plain_extensions:
+    for plain_ext in chain:
         outcome, model, link_trace = merge(working, plain_ext, plain_catalog, last_wins)
         if outcome != "ok":
             return (outcome, model, None)

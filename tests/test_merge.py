@@ -3,6 +3,8 @@
 import collections
 import contextlib
 import copy
+import dataclasses
+import pickle
 import random
 import sys
 from unittest import mock
@@ -52,8 +54,8 @@ from procline.model import (
     apply_change_set,
     compare_models,
 )
-from procline.studyline import masking_extension, reference_model, study_variant_set
-from procline.xmlio import serialize_model
+from procline.studyline import fixture_text, masking_extension, reference_model, study_variant_set
+from procline.xmlio import serialize_model, serialize_trace
 from procline.xmlread import parse_catalog
 
 
@@ -320,22 +322,39 @@ def _count_calls(monkeypatch, function, counts):
                 monkeypatch.setattr(module, function.__name__, counted)
 
 
-def test_each_executed_step_is_validated_once_and_each_exemplar_expanded_once(
-    monkeypatch, variants, catalog
-):
+def test_each_executed_step_is_validated_once_and_each_exemplar_expanded_once(monkeypatch, catalog):
     counts = collections.Counter()
     _count_calls(monkeypatch, atomic.validate_step, counts)
     # every expansion, expand_exemplar's and the merge's own, goes through _expand
     _count_calls(monkeypatch, atomic._expand, counts)
     executed_steps = executed_exemplars = 0
-    for leaf in variants.variant_ids():
-        _, trace = merge_chain(variants, leaf, catalog)
+    for leaf in study_variant_set().variant_ids():
+        # a set merges each ancestor once, so each chain starts from a set that has merged nothing
+        _, trace = merge_chain(study_variant_set(), leaf, catalog)
         executed = trace.by_kind(TraceEntryKind.OPERATION_EXECUTED)
         executed_steps += sum(entry.step_count for entry in executed)
         executed_exemplars += len(executed)
     assert executed_exemplars > 0
     assert counts["validate_step"] == executed_steps
     assert counts["_expand"] == executed_exemplars
+
+
+def test_a_second_pass_over_a_set_merges_only_each_leaf(monkeypatch, catalog):
+    family = study_variant_set()
+    for leaf in family.variant_ids():
+        merge_chain(family, leaf, catalog)
+    counts = collections.Counter()
+    _count_calls(monkeypatch, atomic.validate_step, counts)
+    _count_calls(monkeypatch, atomic._expand, counts)
+    own_steps = own_exemplars = inherited = 0
+    for leaf in family.variant_ids():
+        _, trace = merge_chain(family, leaf, catalog)
+        own = [entry for entry in trace.by_kind(TraceEntryKind.OPERATION_EXECUTED) if entry.variant_id == leaf]
+        own_steps += sum(entry.step_count for entry in own)
+        own_exemplars += len(own)
+        inherited += sum(entry.variant_id != leaf for entry in trace.entries)
+    assert inherited > 0  # C's trace holds Bund's entries, which this pass did not merge
+    assert counts == {"validate_step": own_steps, "_expand": own_exemplars}
 
 
 def _outcome(derive):
@@ -1070,8 +1089,16 @@ def _chain_outcome(run):
         return run()
     except ValidationFailedError as err:
         return (ValidationFailedError, err.issues)
-    except (ConflictError, CycleError, MissingParentError) as err:
+    except (ConflictError, CycleError, MissingParentError, UnknownVariantError) as err:
         return (type(err), str(err))
+
+
+def _serialized(outcome):
+    """A :func:`_chain_outcome` with a merged model and its trace as their XML."""
+    first, second = outcome
+    if isinstance(first, ProcessModel):
+        return (serialize_model(first), serialize_trace(second))
+    return outcome
 
 
 def _checked_link_by_link(variant_set, leaf_id, catalog, last_wins):
@@ -1087,14 +1114,23 @@ def _checked_link_by_link(variant_set, leaf_id, catalog, last_wins):
     return model, MergeTrace(tuple(entries), final_metamodel=model.metamodel)
 
 
+#: the oracle's outcome for each way a chain does not resolve or merge
+_ORACLE_OUTCOMES = {
+    ConflictError: "conflict",
+    UnknownVariantError: "unknown-variant",
+    MissingParentError: "missing-parent",
+    CycleError: "cycle",
+}
+
+
 def _plain_outcome(outcome):
     """A :func:`_chain_outcome` in the oracle's terms."""
     first, second = outcome
+    if isinstance(first, ProcessModel):
+        return ("ok", oracle.model_to_plain(first), [(entry.kind.value, entry.subject) for entry in second.entries])
     if first is ValidationFailedError:
         return ("invalid", {(issue.code.value, issue.subject) for issue in second}, None)
-    if first is ConflictError:
-        return ("conflict", None, None)
-    return ("ok", oracle.model_to_plain(first), [(entry.kind.value, entry.subject) for entry in second.entries])
+    return (_ORACLE_OUTCOMES[first], None, None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1106,13 +1142,94 @@ def test_a_chain_reports_what_a_full_check_after_every_link_reports(catalog, see
     catalog = OperationCatalog((*catalog, *_MULTI_STEP_TYPES))
     family = genmodels.random_family(random.Random(seed), catalog)
     plain_root, plain_catalog = oracle.model_to_plain(family.root), oracle.catalog_to_plain(catalog)
-    for leaf in family.variant_ids():
+    plain_family = [oracle.extension_to_plain(extension) for extension in family.extensions.values()]
+    for leaf in [*family.variant_ids(), "nope"]:
         got = _chain_outcome(lambda: merge_chain(family, leaf, catalog, last_wins=last_wins))
         assert got == _chain_outcome(lambda: _checked_link_by_link(family, leaf, catalog, last_wins))
-        if got[0] in (CycleError, MissingParentError):
-            continue
-        chain = [oracle.extension_to_plain(extension) for extension in resolve_chain(family, leaf)]
-        assert _plain_outcome(got) == oracle.merge_chain(plain_root, chain, plain_catalog, last_wins)
+        assert _plain_outcome(got) == oracle.merge_chain(plain_root, plain_family, leaf, plain_catalog, last_wins)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000))
+def test_a_set_that_keeps_its_merged_links_derives_what_a_fresh_set_derives(seed):
+    # one set derives every variant in a shuffled order, twice, over two
+    # equal catalog objects and both last_wins values, reusing the links it
+    # has merged; each outcome must be a fresh set's, byte for byte, and the
+    # oracle's
+    rng = random.Random(seed)
+    catalogs = (builtin_catalog(), parse_catalog(fixture_text("catalog.xml")))
+    family = genmodels.random_family(rng, catalogs[0])
+    plain_root, plain_catalog = oracle.model_to_plain(family.root), oracle.catalog_to_plain(catalogs[0])
+    assert oracle.catalog_to_plain(catalogs[1]) == plain_catalog
+    plain_family = [oracle.extension_to_plain(extension) for extension in family.extensions.values()]
+    leaves = [*family.variant_ids(), "nope"]
+    want = {
+        (leaf, last_wins): oracle.merge_chain(plain_root, plain_family, leaf, plain_catalog, last_wins)
+        for leaf in leaves
+        for last_wins in (False, True)
+    }
+    derivations = [(leaf, catalog, last_wins) for leaf in leaves for catalog in catalogs for last_wins in (False, True)]
+    for _ in range(2):
+        rng.shuffle(derivations)
+        for leaf, catalog, last_wins in derivations:
+            got = _chain_outcome(lambda: merge_chain(family, leaf, catalog, last_wins=last_wins))
+            fresh = VariantSet.of(family.root, family.extensions.values())
+            assert _serialized(got) == _serialized(
+                _chain_outcome(lambda: merge_chain(fresh, leaf, catalog, last_wins=last_wins))
+            )
+            assert _plain_outcome(got) == want[(leaf, last_wins)]
+
+
+def test_a_link_kept_under_last_wins_serves_no_chain_without_it(catalog):
+    family = VariantSet.of(_base(), [_conflicting_ext(variant_id="P"), _ext(variant_id="Q", parent_id="P")])
+    merged, _ = merge_chain(family, "Q", catalog, last_wins=True)
+    assert merged.elements["sec1"].text_blocks[0].text == "second"
+    with pytest.raises(ConflictError):
+        merge_chain(family, "Q", catalog)
+
+
+def _replace_bund(family, catalog):
+    bund = family.extensions["Bund"]
+    family.extensions["Bund"] = dataclasses.replace(bund, exemplars=bund.exemplars[:-1])
+    return family, catalog
+
+
+def _another_catalog(family, catalog):
+    return family, parse_catalog(fixture_text("catalog.xml"))
+
+
+def _another_root(family, catalog):
+    object.__setattr__(family, "root", reference_model())  # past the frozen __setattr__
+    return family, catalog
+
+
+def _pickled(family, catalog):
+    return pickle.loads(pickle.dumps(family)), catalog
+
+
+@pytest.mark.parametrize("change", [_replace_bund, _another_catalog, _another_root, _pickled])
+def test_no_derivation_reuses_a_stale_ancestor(monkeypatch, catalog, change):
+    family = study_variant_set()
+    for leaf in family.variant_ids():
+        merge_chain(family, leaf, catalog)
+    before = _serialized(_chain_outcome(lambda: merge_chain(family, "C", catalog)))
+    family, catalog = change(family, catalog)
+    merged = []
+    merge = merge_module.merge_once
+
+    def spy(base, extension, catalog, **kwargs):
+        merged.append((extension, catalog))
+        return merge(base, extension, catalog, **kwargs)
+
+    monkeypatch.setattr(merge_module, "merge_once", spy)
+    got = _serialized(_chain_outcome(lambda: merge_chain(family, "C", catalog)))
+    bund, c = family.extensions["Bund"], family.extensions["C"]
+    assert len(merged) == 2
+    assert merged[0][0] is bund and merged[1][0] is c
+    assert merged[0][1] is catalog and merged[1][1] is catalog
+    fresh = VariantSet.of(family.root, family.extensions.values())
+    assert got == _serialized(_chain_outcome(lambda: merge_chain(fresh, "C", catalog)))
+    assert (got != before) == (change is _replace_bund)
 
 
 #: a catalog as ``--catalog`` reads one, with types that write an element's
