@@ -49,10 +49,11 @@ from .model import (
 
 
 # The kinds as module constants, for the two dispatches below: on Python
-# 3.11 every attribute read on an Enum class goes through the hook that
-# EnumType.__getattr__ installs, several times as slow as a plain class
-# attribute, and each step is compared with up to nine kinds twice, once to
-# validate it and once to apply it.
+# 3.10 and 3.11 every attribute read on an Enum class goes through
+# EnumType.__getattr__, 110-140 ns a read against 10-25 ns for a module
+# constant (3.12 dropped that hook: about 30 ns against 10-20), and each
+# step is compared with up to nine kinds twice, once to validate it and once
+# to apply it.
 _RENAME_ELEMENT = AtomicKind.RENAME_ELEMENT
 _REPLACE_TEXT = AtomicKind.REPLACE_TEXT
 _ADD_TEXT = AtomicKind.ADD_TEXT

@@ -68,14 +68,14 @@ def _placeholder(value: str) -> str | None:
 _Bound = tuple[str | None, str]
 
 
-def _check_type(name: str, group: str, recipe: Iterable[StepTemplate]) -> None:
-    """The rules on a type's own fields, which its constructor and the reader both call."""
-    if not name:
-        raise ValueError("operation type name must be non-empty")
-    if not group:
-        raise ValueError(f"operation type {name!r}: group must be non-empty")
-    if not recipe:
-        raise ValueError(f"operation type {name!r}: recipe must not be empty")
+def _target_kind(value: str) -> ElementKind | ReferenceKind:
+    """``value`` as an element kind, else as a reference kind; raises ValueError if it is neither."""
+    for kind in (ElementKind, ReferenceKind):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{value!r} is not a valid ElementKind or ReferenceKind")
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,14 @@ class OperationTypeDef:
     synthetic: bool = False
 
     def __post_init__(self) -> None:
-        _check_type(self.name, self.group, self.recipe)
+        if not self.name:
+            raise ValueError("operation type name must be non-empty")
+        if not self.group:
+            raise ValueError(f"operation type {self.name!r}: group must be non-empty")
+        if not self.recipe:
+            raise ValueError(f"operation type {self.name!r}: recipe must not be empty")
+        object.__setattr__(self, "target_kind", _target_kind(self.target_kind))
+        object.__setattr__(self, "defining_metamodel", MetamodelVersion(self.defining_metamodel))
         object.__setattr__(self, "recipe", tuple(self.recipe))
 
     @cached_property
@@ -146,8 +153,6 @@ class OperationExemplar:
 
 
 _new_exemplar = _trusted(OperationExemplar)
-_new_template = _trusted(StepTemplate)
-_new_type = _trusted(OperationTypeDef)
 
 
 class OperationCatalog:

@@ -41,6 +41,9 @@ class Issue:
     message: str
     variant_id: str = ""
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "code", IssueCode(self.code))
+
     def __str__(self) -> str:
         prefix = f"[{self.variant_id}] " if self.variant_id else ""
         return f"{prefix}{self.code.value}({self.subject}): {self.message}"

@@ -3,9 +3,8 @@
 Reading and counting a family need these types and no merge code, so they
 live apart from :mod:`procline.merge`, and this module loads only
 :mod:`procline.errors`, :mod:`procline.model` and :mod:`procline.catalog`.
-The rule on an extension's ids is :func:`_check_extension`, which the
-constructor and the reader both call; the reader then builds the extension
-trusted.
+The reader builds an extension through its constructor, which checks its
+ids: a document holds one, so a trusted build would save nothing.
 """
 
 from __future__ import annotations
@@ -14,15 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .catalog import OperationExemplar
-from .model import MetamodelVersion, ProcessElement, ProcessModel, Reference, _trusted
-
-
-def _check_extension(variant_id: str, parent_id: str) -> None:
-    """The rules on an extension's ids, which its constructor and the reader both call."""
-    if not variant_id:
-        raise ValueError("extension model needs a variant id")
-    if not parent_id:
-        raise ValueError(f"extension {variant_id!r} needs a parent id")
+from .model import MetamodelVersion, ProcessElement, ProcessModel, Reference
 
 
 @dataclass(frozen=True)
@@ -38,15 +29,15 @@ class ExtensionModel:
     exemplars: tuple[OperationExemplar, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_extension(self.variant_id, self.parent_id)
+        if not self.variant_id:
+            raise ValueError("extension model needs a variant id")
+        if not self.parent_id:
+            raise ValueError(f"extension {self.variant_id!r} needs a parent id")
         object.__setattr__(self, "metamodel", MetamodelVersion(self.metamodel))
         object.__setattr__(self, "new_elements", tuple(self.new_elements))
         object.__setattr__(self, "new_references", tuple(self.new_references))
         object.__setattr__(self, "exclusions", tuple(self.exclusions))
         object.__setattr__(self, "exemplars", tuple(self.exemplars))
-
-
-_new_extension = _trusted(ExtensionModel)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,9 @@ class TraceEntry:
     step_count: int = 0
     change_set: ChangeSet = _EMPTY_CHANGE_SET
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", TraceEntryKind(self.kind))
+
 
 _new_entry = _trusted(TraceEntry)
 
@@ -88,6 +91,8 @@ class MergeTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
+        if self.final_metamodel is not None:
+            object.__setattr__(self, "final_metamodel", MetamodelVersion(self.final_metamodel))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -109,7 +114,7 @@ class MergeTrace:
         for entry in self.entries:
             metamodel = _apply_change_set_into(metamodel, elements, references, entry.change_set)
         if self.final_metamodel is not None:
-            metamodel = MetamodelVersion(self.final_metamodel)
+            metamodel = self.final_metamodel
         return _new_model(metamodel, elements, references)
 
 
@@ -332,7 +337,11 @@ def merge_chain(
     from the deepest ancestor whose kept sources are the very objects
     (``is``) of this call, so a replaced extension, another catalog or a
     failed link merges again; the leaf is merged on every call. What is
-    kept is immutable, so the trace is the same either way.
+    kept is immutable, so the trace is the same either way. ``copy.copy``
+    of a set shares its memo, so the copy's derivations grow the
+    original's, and a pickle carries the memo, whose kept catalog then is
+    a copy and never the caller's; the identity checks keep every result
+    right in both cases.
     """
     chain = resolve_chain(variant_set, leaf_id)
     root = variant_set.root

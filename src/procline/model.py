@@ -29,13 +29,15 @@ stores it past the frozen ``__setattr__`` as ``__init__`` does (a slotted
 record's through each slot's own descriptor), but runs no ``__post_init__``
 check, coercion or copy. The working model's view, applied change sets and
 replays, each trace entry and its change set, expanded steps, updated
-elements and references, and everything the reader builds (models, their
-elements, references and text blocks, extensions, exemplars, and the
-catalog's types and steps) are built so. A rule a constructor enforces on its fields is
-stated once, in a check the constructor and the reader both call
-(:func:`_check_element`, :func:`_check_reference` and their kin), so a
-trusted build skips no rule a document must keep. The records a
-family holds by the thousand (text blocks, change sets, trace entries,
+elements and references, and the reader's models, elements, references and
+exemplars are built so: seven classes, on paths that build thousands of
+them or would copy a whole model's maps. Everything else, text blocks,
+extensions and the catalog's types and steps included, is built by its
+public constructor. A rule a constructor enforces on an element's or
+reference's fields is stated once, in a check the constructor and the
+reader both call (:func:`_check_element`, :func:`_check_reference` and
+:func:`_unique_blocks`), so a trusted build skips no rule a document must
+keep. The records a family holds by the thousand (text blocks, change sets, trace entries,
 steps, exemplars, issues) are slotted: no instance has a ``__dict__``.
 Elements and references keep theirs, since the XML writer keeps each one's
 finished block in it.
@@ -305,11 +307,6 @@ def _trusted(cls: type[_D]) -> Callable[..., _D]:
 # has checked through the trusted builds. Each raises ValueError.
 
 
-def _check_text_block(block_id: str) -> None:
-    if not block_id:
-        raise ValueError("text block id must be non-empty")
-
-
 def _check_element(elem_id: str, name: str) -> None:
     if not elem_id:
         raise ValueError("element id must be non-empty")
@@ -343,7 +340,8 @@ class TextBlock:
     text: str
 
     def __post_init__(self) -> None:
-        _check_text_block(self.id)
+        if not self.id:
+            raise ValueError("text block id must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -524,7 +522,6 @@ class ProcessModel:
         return tuple(self.check_consistency())
 
 
-_new_text_block = _trusted(TextBlock)
 _new_element = _trusted(ProcessElement)
 _new_reference = _trusted(Reference)
 _new_model = _trusted(ProcessModel)

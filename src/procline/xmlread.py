@@ -14,14 +14,17 @@ is XML's whitespace: space, tab, CR and LF. A no-break space, U+2028 or
 U+3000 where no text may stand is unexpected text, as any other character.
 
 Each checked value is built once. A kind, metamodel or atomic kind string
-becomes its member by one lookup in a table of members. An element, a
-reference, a text block, a catalog's type and an extension are held to the
-rules their constructors call (``model._check_element`` and its kin,
-``family._check_extension``), in the constructors' order and with their
-messages, and are then built, like steps, exemplars and the model itself,
-by the trusted builds of :mod:`procline.model`, with no second check or
-copy. A model's maps are the reader's own: ``seen`` has already made every
-id unique across both.
+becomes its member by one lookup in a table of members. An element and a
+reference are held to the rules their constructors call
+(``model._check_element``, ``_check_reference`` and ``_unique_blocks``), in
+the constructors' order and with their messages, and are then built, like
+exemplars and the model itself, by the trusted builds of
+:mod:`procline.model`, with no second check or copy. A model's maps are the
+reader's own: ``seen`` has already made every id unique across both. Text
+blocks, a catalog's types and steps, and an extension are built by their
+public constructors, whose ValueError becomes a SchemaError: a document
+holds a few dozen blocks or one extension, and the catalog is read once
+per process, so a trusted build of these would save microseconds.
 
 Parsed exemplars share one string per type name and per argument name:
 both come from the catalog's fixed vocabulary, so the parser interns them,
@@ -46,23 +49,14 @@ from enum import Enum
 from sys import intern
 from typing import Any, Callable, Mapping, TypeVar
 
-from .catalog import (
-    AtomicKind,
-    OperationCatalog,
-    OperationExemplar,
-    OperationTypeDef,
-    _check_type,
-    _new_exemplar,
-    _new_template,
-    _new_type,
-)
+from .catalog import AtomicKind, OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate, _new_exemplar
 from .errors import (
     DuplicateTypeNameError,
     MissingParentDeclarationError,
     ParseError,
     SchemaError,
 )
-from .family import ExtensionModel, _check_extension, _new_extension
+from .family import ExtensionModel
 from .model import (
     ElementKind,
     MetamodelVersion,
@@ -73,12 +67,10 @@ from .model import (
     TextBlock,
     _check_element,
     _check_reference,
-    _check_text_block,
     _gc_paused,
     _new_element,
     _new_model,
     _new_reference,
-    _new_text_block,
     _unique_blocks,
 )
 
@@ -252,9 +244,7 @@ def _element(node: ET.Element, seen: set[str], source: str) -> ProcessElement:
             if tag == "attribute":
                 _keyed(attributes, child, f"element {elem_id!r}", source)
             elif tag == "textBlock":
-                block_id = child.attrib["id"]
-                _check_text_block(block_id)
-                blocks.append(_new_text_block(block_id, child.text or ""))
+                blocks.append(TextBlock(child.attrib["id"], child.text or ""))
             elif description is None:
                 description = child.text or ""
             else:
@@ -380,12 +370,11 @@ def parse_extension(
                 items.append(_reference(child, seen, source))
             else:
                 items.append(child.attrib["id"])
-    variant_id, parent_id = attrib["id"], attrib["parent"]
-    _build(_check_extension, source, variant_id, parent_id)
-    # every section is this call's own, and each item in it checked
-    return _new_extension(
-        variant_id,
-        parent_id,
+    return _build(
+        ExtensionModel,
+        source,
+        attrib["id"],
+        attrib["parent"],
         metamodel,
         tuple(sections.get("newElements", ())),
         tuple(sections.get("newReferences", ())),
@@ -413,12 +402,11 @@ def parse_catalog(text: str | bytes, *, source: str = "") -> OperationCatalog:
             for child in step:
                 _checked(child, source, "step")
                 _keyed(args, child, "step", source)
-            recipe.append(_new_template(atomic, step.attrib["target"], args))
+            recipe.append(StepTemplate(atomic, step.attrib["target"], args))
         target_kind = _enum(_TARGET_KINDS, attrib["targetKind"], "target kind", source)
         metamodel = _enum(_METAMODELS, attrib["metamodel"], "metamodel version", source)
-        name, group, steps = attrib["name"], attrib["group"], tuple(recipe)
-        _build(_check_type, source, name, group, steps)
-        type_defs.append(_new_type(name, group, target_kind, metamodel, steps, synthetic == "true"))
+        name, group, steps, is_synthetic = attrib["name"], attrib["group"], tuple(recipe), synthetic == "true"
+        type_defs.append(_build(OperationTypeDef, source, name, group, target_kind, metamodel, steps, is_synthetic))
     try:
         return OperationCatalog(type_defs)
     except DuplicateTypeNameError as exc:

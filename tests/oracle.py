@@ -41,28 +41,30 @@ _PLACEHOLDER = re.compile(r"^\{([A-Za-z][A-Za-z0-9]*)\}$")
 
 # -- converters (dataclasses in, plain dicts out) ---------------------------
 
+def element_to_plain(e):
+    return {
+        "kind": e.kind.value,
+        "name": e.name,
+        "description": e.description,
+        "attributes": dict(e.attributes),
+        "textBlocks": [[b.id, b.text] for b in e.text_blocks],
+    }
+
+
+def reference_to_plain(r):
+    return {
+        "kind": r.kind.value,
+        "source": r.source,
+        "target": r.target,
+        "attributes": dict(r.attributes),
+    }
+
+
 def model_to_plain(model):
     return {
         "metamodel": str(model.metamodel.value),
-        "elements": {
-            e.id: {
-                "kind": e.kind.value,
-                "name": e.name,
-                "description": e.description,
-                "attributes": dict(e.attributes),
-                "textBlocks": [[b.id, b.text] for b in e.text_blocks],
-            }
-            for e in model.elements.values()
-        },
-        "references": {
-            r.id: {
-                "kind": r.kind.value,
-                "source": r.source,
-                "target": r.target,
-                "attributes": dict(r.attributes),
-            }
-            for r in model.references.values()
-        },
+        "elements": {e.id: element_to_plain(e) for e in model.elements.values()},
+        "references": {r.id: reference_to_plain(r) for r in model.references.values()},
     }
 
 
@@ -87,27 +89,8 @@ def extension_to_plain(ext):
         "variant": ext.variant_id,
         "parent": ext.parent_id,
         "metamodel": ext.metamodel.value,
-        "newElements": [
-            {
-                "id": e.id,
-                "kind": e.kind.value,
-                "name": e.name,
-                "description": e.description,
-                "attributes": dict(e.attributes),
-                "textBlocks": [[b.id, b.text] for b in e.text_blocks],
-            }
-            for e in ext.new_elements
-        ],
-        "newReferences": [
-            {
-                "id": r.id,
-                "kind": r.kind.value,
-                "source": r.source,
-                "target": r.target,
-                "attributes": dict(r.attributes),
-            }
-            for r in ext.new_references
-        ],
+        "newElements": [{"id": e.id, **element_to_plain(e)} for e in ext.new_elements],
+        "newReferences": [{"id": r.id, **reference_to_plain(r)} for r in ext.new_references],
         "exclusions": list(ext.exclusions),
         "exemplars": [
             {"type": x.type_name, "target": x.target, "args": dict(x.args)}
@@ -136,6 +119,26 @@ def _find_block(elem, block_id):
 
 def _has_id(plain, some_id):
     return some_id in plain["elements"] or some_id in plain["references"]
+
+
+def diff(before, after):
+    """What changed from plain model ``before`` to ``after``, asset by asset.
+
+    Per map: the added assets and the modified ones as ``after`` holds them,
+    each as an ``(id, asset)`` pair, and the removed ids, all in ascending id
+    order. An asset is modified when it differs from the one ``before`` holds
+    under its id. ``metamodel`` is None, or the ``(before, after)`` pair.
+    """
+    metamodels = (before["metamodel"], after["metamodel"])
+    out = {"metamodel": None if metamodels[0] == metamodels[1] else metamodels}
+    for part in ("elements", "references"):
+        old, new = before[part], after[part]
+        out[part] = {
+            "added": [(i, new[i]) for i in sorted(new) if i not in old],
+            "removed": [i for i in sorted(old) if i not in new],
+            "modified": [(i, new[i]) for i in sorted(new) if i in old and old[i] != new[i]],
+        }
+    return copy.deepcopy(out)
 
 
 def check_consistency(plain):
@@ -440,18 +443,29 @@ def check_exemplar(plain_catalog, plain_model, exemplar):
 
 # -- the merge itself --------------------------------------------------------
 
-def merge(plain_base, plain_ext, plain_catalog, last_wins=False):
+def merge(plain_base, plain_ext, plain_catalog, last_wins=False, changes=None):
     """Merge one extension the slow, obvious way.
 
     Returns ("ok", model, trace) with trace as (kind, subject) pairs,
     ("invalid", issue set), or ("conflict", None). Mirrors the engine's
-    phase order: assets, exclusions, exemplars.
+    phase order: assets, exclusions, exemplars. When the merge is ok and
+    ``changes`` is a list, one :func:`diff` per trace entry is appended to
+    it: what changed since the previous entry, or since the base.
     """
     issues = set()
     trace = []
+    diffs = []
+    previous = plain_base
     working = copy.deepcopy(plain_base)
     if METAMODEL_RANK[plain_ext["metamodel"]] > METAMODEL_RANK[working["metamodel"]]:
         working["metamodel"] = plain_ext["metamodel"]
+
+    def log(kind, subject):
+        nonlocal previous
+        trace.append((kind, subject))
+        if changes is not None:
+            diffs.append(diff(previous, working))
+            previous = copy.deepcopy(working)
 
     for elem in plain_ext["newElements"]:
         if _has_id(working, elem["id"]):
@@ -464,7 +478,7 @@ def merge(plain_base, plain_ext, plain_catalog, last_wins=False):
             "attributes": dict(elem["attributes"]),
             "textBlocks": [list(pair) for pair in elem["textBlocks"]],
         }
-        trace.append(("AssetAdded", elem["id"]))
+        log("AssetAdded", elem["id"])
     for ref in plain_ext["newReferences"]:
         if _has_id(working, ref["id"]):
             issues.add(("DuplicateId", ref["id"]))
@@ -486,7 +500,7 @@ def merge(plain_base, plain_ext, plain_catalog, last_wins=False):
             "target": ref["target"],
             "attributes": dict(ref["attributes"]),
         }
-        trace.append(("AssetAdded", ref["id"]))
+        log("AssetAdded", ref["id"])
 
     added_kinds = {elem["kind"] for elem in plain_ext["newElements"]}
     for excluded in plain_ext["exclusions"]:
@@ -495,12 +509,12 @@ def merge(plain_base, plain_ext, plain_catalog, last_wins=False):
             working = run_step(
                 working, {"atomic": "RemoveElement", "target": excluded, "args": {}}
             )
-            trace.append(("ExclusionApplied", excluded))
+            log("ExclusionApplied", excluded)
             if kind in CONTAINER_KINDS and kind in added_kinds:
-                trace.append(("UntypedChange", excluded))
+                log("UntypedChange", excluded)
         elif excluded in working["references"]:
             del working["references"][excluded]
-            trace.append(("ExclusionApplied", excluded))
+            log("ExclusionApplied", excluded)
         else:
             issues.add(("UnknownId", excluded))
 
@@ -518,18 +532,20 @@ def merge(plain_base, plain_ext, plain_catalog, last_wins=False):
             if location in replaced:
                 if not last_wins:
                     return ("conflict", None, None)
-                trace.append(("UntypedChange", exemplar["type"]))
+                log("UntypedChange", exemplar["type"])
         for step in steps:
             if step["atomic"] == "ReplaceText":
                 replaced[(step["target"], field_key(step["args"]))] = exemplar["type"]
             working = run_step(working, step)
-        trace.append(("OperationExecuted", exemplar["type"]))
+        log("OperationExecuted", exemplar["type"])
 
     if issues:
         return ("invalid", issues, None)
     dirty = check_consistency(working)
     if dirty:
         return ("invalid", set(dirty), None)
+    if changes is not None:
+        changes.extend(diffs)
     return ("ok", working, trace)
 
 
@@ -554,25 +570,31 @@ def resolve_chain(plain_extensions, leaf, root_id="root"):
     return ("ok", chain)
 
 
-def merge_chain(plain_root, plain_extensions, leaf, plain_catalog, last_wins=False, root_id="root"):
+def merge_chain(
+    plain_root, plain_extensions, leaf, plain_catalog, last_wins=False, root_id="root", changes=None
+):
     """Fold :func:`merge` over the chain of ``leaf``, the root's child first.
 
     ``plain_extensions`` is the whole family. A chain that does not resolve
     gives the reason as its outcome. Each link merges over the model the
     previous one returned, and its own consistency check covers the whole
     result. The first link that does not merge gives the outcome; otherwise
-    the traces are concatenated.
+    the traces are concatenated, and so are the links' diffs, which are
+    appended to ``changes`` when it is a list.
     """
     outcome, chain = resolve_chain(plain_extensions, leaf, root_id)
     if outcome != "ok":
         return (outcome, None, None)
     working, trace = plain_root, []
+    diffs = None if changes is None else []
     for plain_ext in chain:
-        outcome, model, link_trace = merge(working, plain_ext, plain_catalog, last_wins)
+        outcome, model, link_trace = merge(working, plain_ext, plain_catalog, last_wins, diffs)
         if outcome != "ok":
             return (outcome, model, None)
         working = model
         trace.extend(link_trace)
+    if changes is not None:
+        changes.extend(diffs)
     return ("ok", working, trace)
 
 

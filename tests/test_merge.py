@@ -1149,6 +1149,64 @@ def test_a_chain_reports_what_a_full_check_after_every_link_reports(catalog, see
         assert _plain_outcome(got) == oracle.merge_chain(plain_root, plain_family, leaf, plain_catalog, last_wins)
 
 
+def _plain_change_set(change_set):
+    """An engine change set in the terms of :func:`oracle.diff`, in the engine's order."""
+    change = change_set.metamodel_change
+    return {
+        "metamodel": None if change is None else (change[0].value, change[1].value),
+        "elements": {
+            "added": [(e.id, oracle.element_to_plain(e)) for e in change_set.added_elements],
+            "removed": list(change_set.removed_elements),
+            "modified": [(e.id, oracle.element_to_plain(e)) for e in change_set.modified_elements],
+        },
+        "references": {
+            "added": [(r.id, oracle.reference_to_plain(r)) for r in change_set.added_references],
+            "removed": list(change_set.removed_references),
+            "modified": [(r.id, oracle.reference_to_plain(r)) for r in change_set.modified_references],
+        },
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000), st.booleans(), st.booleans())
+def test_each_entry_changes_what_the_oracle_sees_it_change(catalog, seed, last_wins, clean):
+    # the oracle diffs its whole plain model after every entry; each engine
+    # entry's change set, built from its write log, must name the same assets
+    catalog = OperationCatalog((*catalog, *_MULTI_STEP_TYPES))
+    rng = random.Random(seed)
+    base = genmodels.random_model(rng, max_elements=30)
+    ext = genmodels.random_extension(rng, base, catalog, max_exemplars=12, clean=clean)
+    changes = []
+    plain = (oracle.model_to_plain(base), oracle.extension_to_plain(ext), oracle.catalog_to_plain(catalog))
+    outcome, _, trace = oracle.merge(*plain, last_wins, changes)
+    if outcome != "ok":
+        assert changes == []
+        return
+    assert len(changes) == len(trace)
+    _, merged_trace = merge_once(base, ext, catalog, last_wins=last_wins)
+    assert [_plain_change_set(entry.change_set) for entry in merged_trace.entries] == changes
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000), st.booleans())
+def test_each_chain_entry_changes_what_the_oracle_sees_it_change(catalog, seed, last_wins):
+    catalog = OperationCatalog((*catalog, *_MULTI_STEP_TYPES))
+    family = genmodels.random_family(random.Random(seed), catalog)
+    plain_root, plain_catalog = oracle.model_to_plain(family.root), oracle.catalog_to_plain(catalog)
+    plain_family = [oracle.extension_to_plain(extension) for extension in family.extensions.values()]
+    for leaf in family.variant_ids():
+        changes = []
+        outcome, _, trace = oracle.merge_chain(
+            plain_root, plain_family, leaf, plain_catalog, last_wins, changes=changes
+        )
+        if outcome != "ok":
+            assert changes == []
+            continue
+        assert len(changes) == len(trace)
+        _, merged_trace = merge_chain(family, leaf, catalog, last_wins=last_wins)
+        assert [_plain_change_set(entry.change_set) for entry in merged_trace.entries] == changes
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000_000))
 def test_a_set_that_keeps_its_merged_links_derives_what_a_fresh_set_derives(seed):
