@@ -68,14 +68,12 @@ def _placeholder(value: str) -> str | None:
 _Bound = tuple[str | None, str]
 
 
-def _target_kind(value: str) -> ElementKind | ReferenceKind:
-    """``value`` as an element kind, else as a reference kind; raises ValueError if it is neither."""
-    for kind in (ElementKind, ReferenceKind):
-        try:
-            return kind(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{value!r} is not a valid ElementKind or ReferenceKind")
+#: Each element and reference kind under its value, the one lookup of a
+#: ``targetKind``: the two enums share no value, and a member hashes and
+#: compares as its value, so it looks itself up too.
+_TARGET_KINDS: Mapping[str, ElementKind | ReferenceKind] = {
+    member.value: member for kind in (ElementKind, ReferenceKind) for member in kind
+}
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,11 @@ class OperationTypeDef:
             raise ValueError(f"operation type {self.name!r}: group must be non-empty")
         if not self.recipe:
             raise ValueError(f"operation type {self.name!r}: recipe must not be empty")
-        object.__setattr__(self, "target_kind", _target_kind(self.target_kind))
+        try:
+            target_kind = _TARGET_KINDS[self.target_kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"{self.target_kind!r} is not a valid ElementKind or ReferenceKind") from None
+        object.__setattr__(self, "target_kind", target_kind)
         object.__setattr__(self, "defining_metamodel", MetamodelVersion(self.defining_metamodel))
         object.__setattr__(self, "recipe", tuple(self.recipe))
 

@@ -45,6 +45,10 @@ finished block in it.
 A change set names what changed asset by asset: it holds each added or
 modified element and reference as the later model holds it, and each
 removed one by id, so applying it writes those assets and patches no field.
+It is built one way, from a before map, an after map and the ids to compare
+(``_parts``): :func:`compare_models` passes two models' maps and every id of
+either, and a trace entry the working model's undo log, its live maps and
+the ids logged since the previous entry.
 
 Identity lives in one namespace: element ids and reference ids must not
 collide, so a bare id always resolves to exactly one thing. Which elements a
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Mapping, ParamSpec, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, ParamSpec, TypeVar
 
 from .errors import (
     DuplicateIdError,
@@ -685,27 +689,18 @@ class _WorkingModel:
     def change_set(self) -> ChangeSet:
         """The change set of the writes since the last one, which clears the log.
 
-        It lists each logged id whose live value differs from its logged one,
-        so it costs what was written, not the size of the model, and a
-        metamodel change since the last change set lands in this one.
+        The undo log is its before map: it lists each logged id whose live
+        value differs from its logged one, so it costs what was written, not
+        the size of the model, and a metamodel change since the last change
+        set lands in this one.
         """
         old_elements, old_references = self.old_elements, self.old_references
-        metamodel = self.model.metamodel
-        if len(old_elements) + len(old_references) == 1 and metamodel is self._recorded_metamodel:
-            # most entries write one id: its change set is built from that one
-            # row, with no sorting and no metamodel comparison
-            is_element = bool(old_elements)
-            ((some_id, before),) = (old_elements if is_element else old_references).items()
-            parts = _parts(((some_id, before, (self.elements if is_element else self.references).get(some_id)),))
-            if is_element:
-                change_set = _new_change_set(*parts, (), (), (), None)
-            else:
-                change_set = _new_change_set((), (), (), *parts, None)
-        else:
-            elements, references = self.elements, self.references
-            element_rows = [(i, old_elements[i], elements.get(i)) for i in sorted(old_elements)]
-            reference_rows = [(i, old_references[i], references.get(i)) for i in sorted(old_references)]
-            change_set = _change_set(self._recorded_metamodel, metamodel, element_rows, reference_rows)
+        recorded, metamodel = self._recorded_metamodel, self.model.metamodel
+        change_set = _new_change_set(
+            *_parts(old_elements, self.elements, sorted(old_elements)),
+            *_parts(old_references, self.references, sorted(old_references)),
+            None if metamodel is recorded else (recorded, metamodel),  # both are members
+        )
         old_elements.clear()
         old_references.clear()
         self._recorded_metamodel = metamodel
@@ -729,6 +724,11 @@ class ChangeSet:
     removed_references: tuple[str, ...] = ()
     modified_references: tuple[Reference, ...] = ()
     metamodel_change: tuple[MetamodelVersion, MetamodelVersion] | None = None
+
+    def __post_init__(self) -> None:
+        if self.metamodel_change is not None:
+            old, new = self.metamodel_change
+            object.__setattr__(self, "metamodel_change", (MetamodelVersion(old), MetamodelVersion(new)))
 
     def is_empty(self) -> bool:
         return self.change_count() == 0
@@ -756,47 +756,34 @@ def compare_models(a: ProcessModel, b: ProcessModel) -> ChangeSet:
     and applying it to ``a`` yields ``b``. All parts are listed in
     ascending id order.
     """
-
-    def rows(old: Mapping, new: Mapping) -> list[tuple]:
-        return [(some_id, old.get(some_id), new.get(some_id)) for some_id in sorted(old.keys() | new.keys())]
-
-    return _change_set(
-        a.metamodel, b.metamodel, rows(a.elements, b.elements), rows(a.references, b.references)
+    return _new_change_set(
+        *_parts(a.elements, b.elements, sorted(a.elements.keys() | b.elements.keys())),
+        *_parts(a.references, b.references, sorted(a.references.keys() | b.references.keys())),
+        None if a.metamodel == b.metamodel else (a.metamodel, b.metamodel),
     )
 
 
-_Row = tuple[str, ProcessElement | Reference | None, ProcessElement | Reference | None]
+def _parts(before: Mapping, after: Mapping, ids: list[str]) -> tuple[tuple, tuple, tuple]:
+    """The added assets, removed ids and modified assets of ``ids``, in their order, from ``before`` to ``after``.
 
-
-def _parts(rows: Sequence[_Row]) -> tuple[tuple, tuple, tuple]:
-    """The added assets, removed ids and modified assets of ``rows``."""
-    added, removed, modified = [], [], []
-    for some_id, before, after in rows:
-        # models share unchanged assets, and an asset is equal to itself
-        if before is after:
-            continue
-        if before is None:
-            added.append(after)
-        elif after is None:
-            removed.append(some_id)
-        elif before != after:
-            modified.append(after)
-    return tuple(added), tuple(removed), tuple(modified)
-
-
-def _change_set(
-    old_metamodel: MetamodelVersion,
-    new_metamodel: MetamodelVersion,
-    element_rows: Sequence[_Row],
-    reference_rows: Sequence[_Row],
-) -> ChangeSet:
-    """The change set of ``(id, before, after)`` rows in ascending id order; ``None`` is absent.
-
-    :func:`compare_models` passes one row per id of either model, and a
-    merge's trace entry one per id written since the previous entry.
+    An id a map lacks, or maps to None, is absent from it. Every change set
+    is built from these: see the module docstring.
     """
-    metamodel_change = None if old_metamodel == new_metamodel else (old_metamodel, new_metamodel)
-    return _new_change_set(*_parts(element_rows), *_parts(reference_rows), metamodel_change)
+    if not ids:
+        return (), (), ()
+    added, removed, modified = [], [], []
+    for some_id in ids:
+        old, new = before.get(some_id), after.get(some_id)
+        # models share unchanged assets, and an asset is equal to itself
+        if old is new:
+            continue
+        if old is None:
+            added.append(new)
+        elif new is None:
+            removed.append(some_id)
+        elif old != new:
+            modified.append(new)
+    return tuple(added), tuple(removed), tuple(modified)
 
 
 def apply_change_set(model: ProcessModel, change_set: ChangeSet) -> ProcessModel:

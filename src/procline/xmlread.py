@@ -49,7 +49,15 @@ from enum import Enum
 from sys import intern
 from typing import Any, Callable, Mapping, TypeVar
 
-from .catalog import AtomicKind, OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate, _new_exemplar
+from .catalog import (
+    AtomicKind,
+    OperationCatalog,
+    OperationExemplar,
+    OperationTypeDef,
+    StepTemplate,
+    _TARGET_KINDS,
+    _new_exemplar,
+)
 from .errors import (
     DuplicateTypeNameError,
     MissingParentDeclarationError,
@@ -182,15 +190,14 @@ def _root_node(text: str | bytes, expected_tag: str, source: str) -> ET.Element:
 _T = TypeVar("_T")
 
 
-def _members(*kinds: type[Enum]) -> dict[str, Any]:
-    """Each member of ``kinds`` under its value; of two kinds that share a value, the first wins."""
-    return {member.value: member for kind in reversed(kinds) for member in kind}
+def _members(kind: type[Enum]) -> dict[str, Any]:
+    """Each member of ``kind`` under its value."""
+    return {member.value: member for member in kind}
 
 
 _METAMODELS = _members(MetamodelVersion)
 _ELEMENT_KINDS = _members(ElementKind)
 _REFERENCE_KINDS = _members(ReferenceKind)
-_TARGET_KINDS = _members(ElementKind, ReferenceKind)
 _ATOMIC_KINDS = _members(AtomicKind)
 
 

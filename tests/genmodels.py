@@ -5,7 +5,9 @@ from its seed. Construction is biased toward well-formed output; the paths
 that produce broken input do so deliberately and say what they broke. The
 bookkeeping that tracks what earlier choices removed or replaced is a light
 simulation, just enough to keep the valid-aiming paths mostly valid; the
-oracle, not this module, decides what an input actually means.
+oracle, not this module, decides what an input actually means. So an
+exemplar aimed to be valid is kept only when the oracle's step checks find
+that each step of its recipe applies to that simulation.
 
 Text holds tabs, carriage returns and line feeds, which the canonical XML
 must carry unchanged, but no other control characters: XML cannot carry
@@ -18,8 +20,9 @@ import random
 import sys
 from pathlib import Path
 
+import oracle
 from procline import model as model_module
-from procline.catalog import AtomicKind, OperationExemplar
+from procline.catalog import AtomicKind, OperationCatalog, OperationExemplar, OperationTypeDef, StepTemplate
 from procline.errors import ConflictError, ValidationFailedError
 from procline.family import ExtensionModel, VariantSet
 from procline.model import (
@@ -33,7 +36,8 @@ from procline.model import (
     ReferenceKind,
     TextBlock,
 )
-from procline.xmlread import parse_extension, parse_model
+from procline.xmlio import serialize_catalog
+from procline.xmlread import parse_catalog, parse_extension, parse_model
 
 _WORDS = (
     "analysis", "baseline", "draft", "review", "handover", "estimate",
@@ -169,6 +173,151 @@ def random_model(
 
 
 # ---------------------------------------------------------------------------
+# Catalogs
+# ---------------------------------------------------------------------------
+
+#: recipe placeholders that name some asset of a kind: anyRole, anyResponsibility, ...
+_ANY_KINDS = {f"any{kind.value}": kind for kind in (*ElementKind, *ReferenceKind)}
+
+_GROUPS = ("Role Variations", "Drawn Variations", "Ränder & <Kanten>")
+
+# ids random_model always gives: a Section, a Role, a WorkProduct and a ProcessModule
+_LITERAL_ELEMENT_IDS = ("n00", "n01", "n02", "n04")
+
+_ATTRIBUTE_KEYS = ("note", "roleClass", "orderingNumber", "name", "description")
+
+#: reference kinds whose two ends both admit a kind random_model always gives
+_LIKELY_REFERENCE_KINDS = tuple(
+    kind
+    for kind, (sources, targets) in REFERENCE_CONSTRAINTS.items()
+    if sources & set(_GUARANTEED_KINDS) and targets & set(_GUARANTEED_KINDS)
+)
+
+
+def _reference_kind(rng: random.Random) -> ReferenceKind:
+    return rng.choice(_LIKELY_REFERENCE_KINDS if rng.random() < 0.8 else tuple(ReferenceKind))
+
+
+def _random_step(rng: random.Random, target_kind, earlier: list) -> StepTemplate:
+    """One step of a drawn recipe whose type targets ``target_kind``, after the ``earlier`` ones.
+
+    Targets and arguments are ``{target}``, another placeholder (see
+    :data:`_ANY_KINDS`) or a literal. No step names ``{target}`` once an
+    earlier one removed it, except as the id of a new reference: then the id
+    moves from the element map to the reference map. Now and then a step
+    removes a reference an earlier step added.
+    """
+    gone = any(
+        s.target == "{target}" and s.atomic in (AtomicKind.REMOVE_ELEMENT, AtomicKind.REMOVE_REFERENCE)
+        for s in earlier
+    )
+    targets_element = isinstance(target_kind, ElementKind)
+
+    def pick(*options):
+        return rng.choice(options)
+
+    def element() -> str:
+        roll = rng.random()
+        if targets_element and not gone and roll < 0.7:
+            return "{target}"
+        if roll < 0.8:
+            return rng.choice(_LITERAL_ELEMENT_IDS)
+        return "{any" + rng.choice(_GUARANTEED_KINDS).value + "}"
+
+    def reference() -> tuple[str, ReferenceKind]:
+        if not targets_element and not gone and rng.random() < 0.7:
+            return "{target}", target_kind
+        kind = _reference_kind(rng)
+        return "{any" + kind.value + "}", kind
+
+    def asset() -> str:
+        return "{target}" if not gone and rng.random() < 0.7 else element()
+
+    def endpoint(kinds) -> str:
+        if target_kind in kinds and not gone and rng.random() < 0.5:
+            return "{target}"
+        likely = kinds & set(_GUARANTEED_KINDS)
+        return "{any" + rng.choice(sorted(likely if likely and rng.random() < 0.8 else kinds)).value + "}"
+
+    added = [s.args["refId"] for s in earlier if s.atomic is AtomicKind.ADD_REFERENCE]
+    if gone and targets_element and not added and rng.random() < 0.5:
+        atomic = AtomicKind.ADD_REFERENCE  # the id of the removed target, now a reference's
+    elif added and rng.random() < 0.3:
+        atomic = AtomicKind.REMOVE_REFERENCE  # what the recipe added
+    else:
+        atomic = rng.choice(tuple(AtomicKind))
+    if atomic is AtomicKind.RENAME_ELEMENT:
+        return StepTemplate(atomic, element(), {"newName": pick("{newName}", random_name(rng))})
+    if atomic in (AtomicKind.REPLACE_TEXT, AtomicKind.ADD_TEXT):
+        target = asset()
+        if target == "{target}" and not targets_element:
+            args = {"field": "attribute", "key": rng.choice(_ATTRIBUTE_KEYS)}
+        else:
+            args = pick(
+                {"field": "description"},
+                {"field": "description"},  # every element has one
+                {"field": "textBlock", "blockId": pick("{blockId}", rng.choice(_BLOCK_IDS))},
+                {"field": "attribute", "key": rng.choice(_ATTRIBUTE_KEYS)},
+            )
+        args["text"] = pick("{text}", random_text(rng))
+        if atomic is AtomicKind.ADD_TEXT:
+            args["position"] = pick("prefix", "postfix")
+        return StepTemplate(atomic, target, args)
+    if atomic is AtomicKind.SWAP_REFERENCES:
+        target, kind = reference()
+        sources, targets = REFERENCE_CONSTRAINTS[kind]
+        sides = pick(("newSource",), ("newTarget",), ("newSource", "newTarget"))
+        args = {side: endpoint(sources if side == "newSource" else targets) for side in sides}
+        return StepTemplate(atomic, target, args)
+    if atomic is AtomicKind.REMOVE_ELEMENT:
+        return StepTemplate(atomic, element())
+    if atomic is AtomicKind.REMOVE_REFERENCE:
+        if added and rng.random() < 0.6:
+            return StepTemplate(atomic, rng.choice(added))
+        return StepTemplate(atomic, reference()[0])
+    if atomic is AtomicKind.ADD_REFERENCE:
+        if gone and targets_element and "{target}" not in added and rng.random() < 0.8:
+            ref_id = "{target}"
+        elif rng.random() < 0.1:
+            ref_id = f"lit{rng.randint(0, 9)}"
+        else:
+            ref_id = "{refId2}" if added else "{refId}"
+        kind = _reference_kind(rng)
+        sources, targets = REFERENCE_CONSTRAINTS[kind]
+        args = {"refId": ref_id, "refKind": kind.value, "source": endpoint(sources), "target": endpoint(targets)}
+        return StepTemplate(atomic, asset(), args)
+    if atomic is AtomicKind.CHANGE_ATTRIBUTE:
+        args = {"key": rng.choice(_ATTRIBUTE_KEYS), "value": pick("{value}", random_text(rng))}
+        return StepTemplate(atomic, asset(), args)
+    args = {"newOrderingNumber": pick("{newOrderingNumber}", random_decimal(rng, finite=True))}
+    return StepTemplate(atomic, element(), args)
+
+
+def random_catalog(rng: random.Random) -> OperationCatalog:
+    """A catalog of 3-8 drawn types, each with a recipe of 1-4 steps of the nine atomic kinds.
+
+    Target kinds, defining metamodels, groups and the synthetic flag are
+    drawn too. The catalog is written and read back, and the one read is
+    returned, after it is checked to equal the one drawn.
+    """
+    types = []
+    for index in range(rng.randint(3, 8)):
+        target_kind = rng.choice(_GUARANTEED_KINDS) if rng.random() < 0.7 else _reference_kind(rng)
+        recipe = []
+        for _ in range(rng.randint(1, 4)):
+            recipe.append(_random_step(rng, target_kind, recipe))
+        metamodel = rng.choice(tuple(MetamodelVersion))
+        synthetic = rng.random() < 0.2
+        types.append(
+            OperationTypeDef(f"Drawn{index}", rng.choice(_GROUPS), target_kind, metamodel, tuple(recipe), synthetic)
+        )
+    drawn = OperationCatalog(types)
+    parsed = parse_catalog(serialize_catalog(drawn))
+    assert parsed == drawn, "a drawn catalog does not round-trip through its XML"
+    return parsed
+
+
+# ---------------------------------------------------------------------------
 # Extensions
 # ---------------------------------------------------------------------------
 
@@ -225,7 +374,7 @@ def _fill_placeholder(rng: random.Random, name: str, target, pools: _Pools):
     if name == "module":
         modules = pools.elements_of(ElementKind.PROCESS_MODULE)
         return rng.choice(modules) if modules else None
-    if name == "refId":
+    if name.startswith("refId"):  # refId, or refId2 for a recipe's second new reference
         fresh = next(_fresh_ids("q", pools.taken))
         pools.taken.add(fresh)
         return fresh
@@ -234,6 +383,10 @@ def _fill_placeholder(rng: random.Random, name: str, target, pools: _Pools):
         if roles and rng.random() < 0.7:
             return rng.choice(roles)
         return random_name(rng)
+    kind = _ANY_KINDS.get(name)
+    if kind is not None:  # anyRole, anyResponsibility, ...: some asset of that kind
+        ids = pools.references_of(kind) if isinstance(kind, ReferenceKind) else pools.elements_of(kind)
+        return rng.choice(ids) if ids else None
     # newDiscipline, roleClass, value, and anything a future recipe invents:
     # ChangeAttribute only needs the argument present
     if rng.random() < 0.1:
@@ -241,21 +394,39 @@ def _fill_placeholder(rng: random.Random, name: str, target, pools: _Pools):
     return random_name(rng)
 
 
+def _bound(value: str, target: str, args: dict) -> str:
+    """A recipe value as an exemplar on ``target`` with ``args`` binds it: a placeholder's argument, or the literal."""
+    if value.startswith("{") and value.endswith("}"):
+        return args.get(value[1:-1], target)
+    return value
+
+
 def _replace_locations(type_def, target, args) -> list:
-    """(target, field key) pairs the expanded exemplar would overwrite."""
-    locations = []
-    for template in type_def.recipe:
-        if template.atomic is not AtomicKind.REPLACE_TEXT:
-            continue
-        selector = template.args.get("field", "")
-        if selector == "textBlock":
-            key = "textBlock:" + args.get("blockId", "")
-        elif selector == "attribute":
-            key = "attribute:" + template.args.get("key", "")
-        else:
-            key = selector
-        locations.append((target, key))
-    return locations
+    """(step target, field key) pairs the expanded exemplar would overwrite."""
+    return [
+        (
+            _bound(template.target, target, args),
+            oracle.field_key({key: _bound(value, target, args) for key, value in template.args.items()}),
+        )
+        for template in type_def.recipe
+        if template.atomic is AtomicKind.REPLACE_TEXT
+    ]
+
+
+def _steps_apply(type_def, target, args, metamodel, pools: _Pools) -> bool:
+    """Whether the oracle finds that each step of the exemplar applies to ``pools`` after the steps before it."""
+    plain = {
+        "metamodel": metamodel.value,
+        "elements": {i: oracle.element_to_plain(e) for i, e in pools.elements.items()},
+        "references": {i: oracle.reference_to_plain(r) for i, r in pools.references.items()},
+    }
+    steps = oracle.expand(oracle.catalog_to_plain([type_def]), {"type": type_def.name, "target": target, "args": args})
+    for index, step in enumerate(steps):
+        if oracle.check_step(plain, step):
+            return False
+        if index + 1 < len(steps):
+            plain = oracle.run_step(plain, step)
+    return True
 
 
 def _aim_valid(rng: random.Random, catalog, effective_mm, pools: _Pools, replaced: dict):
@@ -280,34 +451,31 @@ def _aim_valid(rng: random.Random, catalog, effective_mm, pools: _Pools, replace
                 args[name] = value
             if args is None:
                 continue
-            # replacing a field attribute-wise needs the attribute to exist
-            needs_attr = [
-                t.args["key"]
-                for t in type_def.recipe
-                if t.atomic in (AtomicKind.REPLACE_TEXT, AtomicKind.ADD_TEXT)
-                and t.args.get("field") == "attribute"
-            ]
-            if needs_attr and any(k not in target.attributes for k in needs_attr):
-                continue
             target_id = target.id
             locations = _replace_locations(type_def, target_id, args)
             if any(loc in replaced for loc in locations):
                 continue
+            if not _steps_apply(type_def, target_id, args, effective_mm, pools):
+                continue
             # bookkeeping so later exemplars in this extension stay plausible
             for template in type_def.recipe:
-                # a step aims at the exemplar's target or at one of its arguments
-                step_target = args.get(template.target[1:-1], target_id)
+                # a step aims at the exemplar's target, at one of its arguments or at a literal id
+                step_target = _bound(template.target, target_id, args)
+                step_args = {key: _bound(value, target_id, args) for key, value in template.args.items()}
                 if template.atomic is AtomicKind.REMOVE_ELEMENT:
                     pools.drop_element(step_target)
                 elif template.atomic is AtomicKind.REMOVE_REFERENCE:
                     pools.references.pop(step_target, None)
                 elif template.atomic is AtomicKind.ADD_REFERENCE:
-                    ref = {
-                        key: args.get(value[1:-1], target_id) if value.startswith("{") else value
-                        for key, value in template.args.items()
-                    }
-                    pools.references[ref["refId"]] = Reference(
-                        ref["refId"], ReferenceKind(ref["refKind"]), ref["source"], ref["target"]
+                    ref_id = step_args["refId"]
+                    pools.references[ref_id] = Reference(
+                        ref_id, ReferenceKind(step_args["refKind"]), step_args["source"], step_args["target"]
+                    )
+                    pools.taken.add(ref_id)
+                elif template.atomic is AtomicKind.SWAP_REFERENCES:
+                    ref = pools.references[step_target]
+                    pools.references[step_target] = ref.with_endpoints(
+                        step_args.get("newSource"), step_args.get("newTarget")
                     )
             for loc in locations:
                 replaced[loc] = type_def.name
@@ -325,6 +493,8 @@ _REPLACERS_BY_KIND = {
 def _aim_broken(rng: random.Random, catalog, effective_mm, pools: _Pools, replaced: dict):
     """Build an exemplar that is wrong in one deliberate way."""
     any_id = rng.choice(sorted(pools.taken)) if pools.taken else "ghost"
+    gated = [t for t in catalog if t.defining_metamodel > effective_mm]
+    element_defs = [t for t in catalog if not t.targets_reference]
     sabotages = ["unknown-type", "unknown-target"]
     if effective_mm < MetamodelVersion.V1_3B:
         sabotages.append("future-metamodel")
@@ -336,25 +506,26 @@ def _aim_broken(rng: random.Random, catalog, effective_mm, pools: _Pools, replac
         sabotages.append("conflict")
     choice = rng.choice(sabotages)
 
-    if choice == "unknown-type":
+    # a drawn catalog may hold no gated type, or no type that targets elements
+    if choice == "unknown-type" or (choice == "future-metamodel" and not gated) or (
+        choice in ("wrong-kind", "namespace-mix") and not element_defs
+    ):
         return OperationExemplar(f"NoSuchOp{rng.randint(0, 99)}", any_id)
     if choice == "unknown-target":
         type_def = rng.choice([t for t in catalog])
         args = {name: "x" for name in _placeholder_names(type_def)}
         return OperationExemplar(type_def.name, f"ghost-{rng.randint(0, 999)}", args)
     if choice == "future-metamodel":
-        gated = [t for t in catalog if t.defining_metamodel > effective_mm]
         type_def = rng.choice(gated)
         args = {name: "x" for name in _placeholder_names(type_def)}
         return OperationExemplar(type_def.name, any_id, args)
     if choice == "namespace-mix":
-        element_defs = [t for t in catalog if not t.targets_reference]
         type_def = rng.choice(element_defs)
         ref_id = rng.choice(sorted(pools.references))
         args = {name: "x" for name in _placeholder_names(type_def)}
         return OperationExemplar(type_def.name, ref_id, args)
     if choice == "wrong-kind":
-        type_def = rng.choice([t for t in catalog if not t.targets_reference])
+        type_def = rng.choice(element_defs)
         misfits = [e for e in pools.elements.values() if e.kind is not type_def.target_kind]
         if not misfits:
             return OperationExemplar(f"NoSuchOp{rng.randint(0, 99)}", any_id)

@@ -68,6 +68,24 @@ def model_to_plain(model):
     }
 
 
+def change_set_to_plain(change_set):
+    """An engine change set in the terms of :func:`diff`, its parts in the engine's order."""
+    change = change_set.metamodel_change
+    return {
+        "metamodel": None if change is None else (change[0].value, change[1].value),
+        "elements": {
+            "added": [(e.id, element_to_plain(e)) for e in change_set.added_elements],
+            "removed": list(change_set.removed_elements),
+            "modified": [(e.id, element_to_plain(e)) for e in change_set.modified_elements],
+        },
+        "references": {
+            "added": [(r.id, reference_to_plain(r)) for r in change_set.added_references],
+            "removed": list(change_set.removed_references),
+            "modified": [(r.id, reference_to_plain(r)) for r in change_set.modified_references],
+        },
+    }
+
+
 def catalog_to_plain(catalog):
     plain = {}
     for t in catalog:

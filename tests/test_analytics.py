@@ -170,8 +170,18 @@ def test_study_unused_split_by_metamodel(variants, catalog):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=1_000_000))
 def test_usage_report_agrees_with_oracle_counts(catalog, seed):
+    _assert_counts_agree(genmodels.random_variant_set(random.Random(seed), catalog), catalog)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_usage_report_counts_a_drawn_catalog_as_the_oracle_does(seed):
     rng = random.Random(seed)
-    family = genmodels.random_variant_set(rng, catalog)
+    catalog = genmodels.random_catalog(rng)
+    _assert_counts_agree(genmodels.random_variant_set(rng, catalog), catalog)
+
+
+def _assert_counts_agree(family, catalog):
     report = usage_report(family, catalog)
     expected = oracle.usage_counts(
         oracle.catalog_to_plain(catalog),

@@ -21,12 +21,21 @@ from procline.catalog import AtomicKind, OperationCatalog, OperationTypeDef, Ste
 from procline.errors import Issue, IssueCode
 from procline.family import ExtensionModel
 from procline.merge import MergeTrace, TraceEntry, TraceEntryKind
-from procline.model import ElementKind, MetamodelVersion, ProcessElement, ProcessModel, Reference, ReferenceKind
+from procline.model import (
+    ChangeSet,
+    ElementKind,
+    MetamodelVersion,
+    ProcessElement,
+    ProcessModel,
+    Reference,
+    ReferenceKind,
+)
 from procline.xmlio import render_trace_text, serialize_catalog, serialize_trace
 
 _STEP = StepTemplate(AtomicKind.RENAME_ELEMENT, args={"newName": "{newName}"})
 
-# (class, field, the record built with that field given as a string, the member the string names)
+# (class, field, the record built with that field given as a string, the member the string names);
+# a field that holds a fixed-length tuple of members is given a tuple of strings
 _COERCED = [
     (ProcessElement, "kind", lambda: ProcessElement("e1", "Role", "E"), ElementKind.ROLE),
     (Reference, "kind", lambda: Reference("r1", "Responsibility", "w1", "e1"), ReferenceKind.RESPONSIBILITY),
@@ -55,17 +64,28 @@ _COERCED = [
     (TraceEntry, "kind", lambda: TraceEntry("ExclusionApplied", "V", "e1"), TraceEntryKind.EXCLUSION_APPLIED),
     (MergeTrace, "final_metamodel", lambda: MergeTrace((), "1.3Z"), MetamodelVersion.V1_3Z),
     (Issue, "code", lambda: Issue("DanglingReference", "r1", "does not resolve"), IssueCode.DANGLING_REFERENCE),
+    (
+        ChangeSet,
+        "metamodel_change",
+        lambda: ChangeSet(metamodel_change=("1.3", "1.3B")),
+        (MetamodelVersion.V1_3, MetamodelVersion.V1_3B),
+    ),
 ]
 
 
-_IDS = [f"{cls.__name__}.{name}-{member.value}" for cls, name, _, member in _COERCED]
+def _members(member) -> tuple:
+    return member if isinstance(member, tuple) else (member,)
+
+
+_IDS = [f"{cls.__name__}.{name}-{'-'.join(m.value for m in _members(member))}" for cls, name, _, member in _COERCED]
 
 
 @pytest.mark.parametrize("cls, name, build, member", _COERCED, ids=_IDS)
 def test_a_constructor_coerces_a_string_to_its_member(cls, name, build, member):
     record = build()
     assert type(record) is cls
-    assert getattr(record, name) is member
+    value = getattr(record, name)
+    assert type(value) is type(member) and all(a is b for a, b in zip(_members(value), _members(member), strict=True))
     # the same record, built from the member, is the same value
     twin = dataclasses.replace(record, **{name: member})
     assert record == twin and repr(record) == repr(twin)
@@ -73,8 +93,11 @@ def test_a_constructor_coerces_a_string_to_its_member(cls, name, build, member):
 
 @pytest.mark.parametrize("cls, name, build, member", _COERCED, ids=_IDS)
 def test_a_constructor_rejects_a_string_no_member_has(cls, name, build, member):
-    with pytest.raises(ValueError):
-        dataclasses.replace(build(), **{name: "NoSuchMember"})
+    strings = [m.value for m in _members(member)]
+    for index in range(len(strings)):
+        bad = [*strings[:index], "NoSuchMember", *strings[index + 1 :]]
+        with pytest.raises(ValueError):
+            dataclasses.replace(build(), **{name: tuple(bad) if isinstance(member, tuple) else bad[0]})
 
 
 def test_an_optional_enum_field_keeps_none():
@@ -82,8 +105,8 @@ def test_an_optional_enum_field_keeps_none():
     assert MergeTrace().final_metamodel is None
 
 
-def test_a_target_kind_named_by_both_enums_is_an_element_kind():
-    # the reader's order: an element kind first, then a reference kind
+def test_no_target_kind_is_named_by_both_enums():
+    # so one value -> member table serves the constructor and the reader
     assert not {k.value for k in ElementKind} & {k.value for k in ReferenceKind}
     every_kind = [*ElementKind, *ReferenceKind]
     assert [OperationTypeDef("X", "g", kind.value, "1.3", (_STEP,)).target_kind for kind in every_kind] == every_kind
@@ -121,15 +144,24 @@ def test_an_issue_of_a_string_reads_as_its_enum_twin():
 # -- the lint --------------------------------------------------------------------
 
 
+def _is_enum_type(hint) -> bool:
+    # a generic alias such as tuple[...] has an origin; on 3.10 it also passes for a type
+    return typing.get_origin(hint) is None and isinstance(hint, type) and issubclass(hint, enum.Enum)
+
+
 def _is_enum_hint(hint) -> bool:
-    """Whether ``hint`` is an Enum type, a union of them, or one of those or None."""
+    """Whether ``hint`` is an Enum type or a fixed-length tuple of them, a union of those, or one of those or None."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         options = [arg for arg in typing.get_args(hint) if arg is not type(None)]
     else:
         options = [hint]
-    # a generic alias such as tuple[...] has an origin; on 3.10 it also passes for a type
     return bool(options) and all(
-        typing.get_origin(option) is None and isinstance(option, type) and issubclass(option, enum.Enum)
+        _is_enum_type(option)
+        or (
+            typing.get_origin(option) is tuple
+            and Ellipsis not in typing.get_args(option)
+            and all(_is_enum_type(arg) for arg in typing.get_args(option))
+        )
         for option in options
     )
 
@@ -149,6 +181,7 @@ def _exported_enum_fields() -> set[tuple[type, str]]:
 def test_the_coercion_table_covers_every_exported_enum_field():
     found = _exported_enum_fields()
     assert (OperationTypeDef, "target_kind") in found and (MergeTrace, "final_metamodel") in found
+    assert (ChangeSet, "metamodel_change") in found
     covered = {(cls, name) for cls, name, _, _ in _COERCED}
     missing = sorted(f"{cls.__name__}.{name}" for cls, name in found - covered)
     assert missing == [], f"enum fields with no coercion case: {missing}"

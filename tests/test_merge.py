@@ -55,7 +55,7 @@ from procline.model import (
     compare_models,
 )
 from procline.studyline import fixture_text, masking_extension, reference_model, study_variant_set
-from procline.xmlio import serialize_model, serialize_trace
+from procline.xmlio import serialize_catalog, serialize_model, serialize_trace
 from procline.xmlread import parse_catalog
 
 
@@ -1149,24 +1149,6 @@ def test_a_chain_reports_what_a_full_check_after_every_link_reports(catalog, see
         assert _plain_outcome(got) == oracle.merge_chain(plain_root, plain_family, leaf, plain_catalog, last_wins)
 
 
-def _plain_change_set(change_set):
-    """An engine change set in the terms of :func:`oracle.diff`, in the engine's order."""
-    change = change_set.metamodel_change
-    return {
-        "metamodel": None if change is None else (change[0].value, change[1].value),
-        "elements": {
-            "added": [(e.id, oracle.element_to_plain(e)) for e in change_set.added_elements],
-            "removed": list(change_set.removed_elements),
-            "modified": [(e.id, oracle.element_to_plain(e)) for e in change_set.modified_elements],
-        },
-        "references": {
-            "added": [(r.id, oracle.reference_to_plain(r)) for r in change_set.added_references],
-            "removed": list(change_set.removed_references),
-            "modified": [(r.id, oracle.reference_to_plain(r)) for r in change_set.modified_references],
-        },
-    }
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000_000), st.booleans(), st.booleans())
 def test_each_entry_changes_what_the_oracle_sees_it_change(catalog, seed, last_wins, clean):
@@ -1184,7 +1166,7 @@ def test_each_entry_changes_what_the_oracle_sees_it_change(catalog, seed, last_w
         return
     assert len(changes) == len(trace)
     _, merged_trace = merge_once(base, ext, catalog, last_wins=last_wins)
-    assert [_plain_change_set(entry.change_set) for entry in merged_trace.entries] == changes
+    assert [oracle.change_set_to_plain(entry.change_set) for entry in merged_trace.entries] == changes
 
 
 @settings(max_examples=80, deadline=None)
@@ -1204,7 +1186,7 @@ def test_each_chain_entry_changes_what_the_oracle_sees_it_change(catalog, seed, 
             continue
         assert len(changes) == len(trace)
         _, merged_trace = merge_chain(family, leaf, catalog, last_wins=last_wins)
-        assert [_plain_change_set(entry.change_set) for entry in merged_trace.entries] == changes
+        assert [oracle.change_set_to_plain(entry.change_set) for entry in merged_trace.entries] == changes
 
 
 @settings(max_examples=80, deadline=None)
@@ -1371,3 +1353,99 @@ def test_clean_random_extensions_merge(catalog):
         except (ValidationFailedError, ConflictError) as exc:
             failures[seed] = str(exc)
     assert failures == {}
+
+
+# -- drawn catalogs: recipes of 1-4 steps -------------------------------------------------
+#
+# Every built-in type has a one-step recipe. These properties draw catalogs
+# (genmodels.random_catalog) whose entries write an id twice, move an id from
+# the element map to the reference map, add and then remove a reference, and
+# fail in the middle of a recipe, and hold each merge to the oracle.
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000))
+def test_a_drawn_catalog_is_a_fixed_point_of_its_xml(seed):
+    catalog = genmodels.random_catalog(random.Random(seed))
+    text = serialize_catalog(catalog)
+    assert parse_catalog(text) == catalog
+    assert serialize_catalog(parse_catalog(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000), st.booleans(), st.booleans())
+def test_drawn_recipes_merge_and_change_what_the_oracle_sees_them_change(seed, last_wins, clean):
+    rng = random.Random(seed)
+    catalog = genmodels.random_catalog(rng)
+    base = genmodels.random_model(rng, max_elements=30)
+    ext = genmodels.random_extension(rng, base, catalog, max_exemplars=12, clean=clean)
+    changes = []
+    plain = (oracle.model_to_plain(base), oracle.extension_to_plain(ext), oracle.catalog_to_plain(catalog))
+    want = oracle.merge(*plain, last_wins, changes)
+    assert _engine_outcome(base, ext, catalog, last_wins) == want
+    if want[0] != "ok":
+        return
+    model, trace = merge_once(base, ext, catalog, last_wins=last_wins)
+    assert [oracle.change_set_to_plain(entry.change_set) for entry in trace.entries] == changes
+    assert trace.replay(base) == model
+    _assert_entries_replay_one_at_a_time(base, model, trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000), st.booleans())
+def test_drawn_recipes_merge_along_chains_as_the_oracle_merges_them(seed, last_wins):
+    # one family derives every leaf, so later chains start from the links it keeps
+    rng = random.Random(seed)
+    catalog = genmodels.random_catalog(rng)
+    family = genmodels.random_family(rng, catalog)
+    plain_root, plain_catalog = oracle.model_to_plain(family.root), oracle.catalog_to_plain(catalog)
+    plain_family = [oracle.extension_to_plain(extension) for extension in family.extensions.values()]
+    for leaf in [*family.variant_ids(), "nope"]:
+        got = _chain_outcome(lambda: merge_chain(family, leaf, catalog, last_wins=last_wins))
+        changes = []
+        want = oracle.merge_chain(plain_root, plain_family, leaf, plain_catalog, last_wins, changes=changes)
+        assert _plain_outcome(got) == want
+        if want[0] == "ok":
+            model, trace = got
+            assert [oracle.change_set_to_plain(entry.change_set) for entry in trace.entries] == changes
+            assert trace.replay(family.root) == model
+
+
+@contextlib.contextmanager
+def _checking_rollbacks():
+    """Check that every rollback gives back the working model's state from before the exemplar it undoes.
+
+    Yields a list that gets, per rollback, whether the exemplar had written anything.
+    """
+    run_exemplar, rollback = merge_module._run_exemplar, _WorkingModel.rollback
+    before, undone = [], []
+
+    def observed(catalog, work, exemplar):
+        before.append(_state(work))
+        return run_exemplar(catalog, work, exemplar)
+
+    def checked_rollback(self):
+        undone.append(_state(self) != before[-1])
+        rollback(self)
+        assert _state(self) == before[-1]
+
+    with mock.patch.object(merge_module, "_run_exemplar", observed):
+        with mock.patch.object(_WorkingModel, "rollback", checked_rollback):
+            yield undone
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000_000), st.booleans())
+def test_a_drawn_recipe_that_fails_midway_leaves_the_working_model_as_it_was(seed, last_wins):
+    # every exemplar runs a second time after all of them; a recipe that
+    # removed or added an id then often fails after its first steps wrote
+    rng = random.Random(seed)
+    catalog = genmodels.random_catalog(rng)
+    base = genmodels.random_model(rng, max_elements=30)
+    ext = genmodels.random_extension(rng, base, catalog, max_exemplars=12, clean=True)
+    ext = dataclasses.replace(ext, exemplars=ext.exemplars * 2)
+    with _checking_rollbacks():
+        got = _engine_outcome(base, ext, catalog, last_wins)
+    plain = (oracle.model_to_plain(base), oracle.extension_to_plain(ext), oracle.catalog_to_plain(catalog))
+    assert got == oracle.merge(*plain, last_wins)
+

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genmodels
+import oracle
 from procline.errors import (
     DuplicateIdError,
     FieldNotFoundError,
@@ -496,6 +497,9 @@ def test_working_model_change_sets_and_rollbacks_follow_random_writes(seed):
         after = ProcessModel(work.model.metamodel, dict(work.elements), dict(work.references))
         change_set = work.change_set()
         assert change_set == compare_models(before, after)
+        # both build through one classifier, so the oracle's diff is the independent check
+        plain = oracle.diff(oracle.model_to_plain(before), oracle.model_to_plain(after))
+        assert oracle.change_set_to_plain(change_set) == plain
         for asset in (*change_set.added_elements, *change_set.modified_elements):
             assert after.elements[asset.id] is asset
         for asset in (*change_set.added_references, *change_set.modified_references):
@@ -521,6 +525,8 @@ def test_diff_patch_round_trip(seed):
     before = genmodels.random_model(rng, max_elements=25)
     after = genmodels.mutate_model(rng, before)
     delta = compare_models(before, after)
+    plain = oracle.diff(oracle.model_to_plain(before), oracle.model_to_plain(after))
+    assert oracle.change_set_to_plain(delta) == plain
     assert apply_change_set(before, delta) == after
     assert compare_models(after, after).is_empty()
 
